@@ -435,11 +435,13 @@ BENCHMARK(BM_ReplaySweep)
 /**
  * Warm artifact-store sweeps: one cold run primes a throwaway store
  * directory outside the timed region, then every timed iteration
- * replays entirely from cached shards — zero record-phase work. The
- * warm run's observation counters are copied into BENCH_speed.json
- * under `store_warm/` so the record-skip claim is checkable from the
- * report: `store_warm/sweep/records` must be 0 while
- * `store_warm/store/trace_hits` counts one hit per iteration.
+ * loads every shard from the store and never touches the trace — no
+ * record, no trace fetch or decode, no replay. The warm run's
+ * observation counters are copied into BENCH_speed.json under
+ * `store_warm/` so the claim is checkable from the report:
+ * `store_warm/sweep/records`, `store_warm/store/trace_hits` and
+ * `store_warm/replay/batched_refs` must be 0 while
+ * `store_warm/sweep/trace_skips` counts one skip per iteration.
  */
 void
 BM_SweepStoreWarm(benchmark::State &state)
@@ -483,12 +485,12 @@ BM_SweepStoreWarm(benchmark::State &state)
     state.counters["threads"] = double(threads);
     state.counters["records"] =
         double(warm.metrics.counter("sweep/records"));
-    state.counters["trace_hits_per_iter"] =
-        double(warm.metrics.counter("store/trace_hits")) / iters;
+    state.counters["trace_skips_per_iter"] =
+        double(warm.metrics.counter("sweep/trace_skips")) / iters;
     if (g_report != nullptr) {
         for (const char *name :
-             {"sweep/records", "sweep/record_skips",
-              "store/trace_hits", "store/hits", "store/misses",
+             {"sweep/records", "sweep/trace_skips", "store/trace_hits",
+              "replay/batched_refs", "store/hits", "store/misses",
               "store/writes", "store/quarantined"}) {
             g_report->metrics().add(std::string("store_warm/") + name,
                                     warm.metrics.counter(name));

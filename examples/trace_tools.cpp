@@ -251,6 +251,8 @@ cmdSweepRun(int argc, char **argv)
               << observation.metrics.counter("sweep/records")
               << " record_skips="
               << observation.metrics.counter("sweep/record_skips")
+              << " trace_skips="
+              << observation.metrics.counter("sweep/trace_skips")
               << " store_hits="
               << observation.metrics.counter("store/hits") << "\n";
     return 0;

@@ -5,13 +5,16 @@ Usage: compare_run_reports.py BASE.json OTHER.json [options]
 
 The comparison covers counters and histograms -- the deterministic,
 work-derived half of a report (docs/OBSERVABILITY.md). Wall-clock
-gauges, phase call counts, throughput rates, store traffic and pool
-shape legitimately differ between a cold and a warm run of the same
-experiment, so they are excluded by default:
+gauges, phase call counts, throughput rates, store traffic, pool
+shape and the per-run work counters (what was recorded, replayed or
+read as a trace -- a warm run skips exactly that work) legitimately
+differ between a cold and a warm run of the same experiment, so they
+are excluded by default:
 
   prefixes: time_ms/ calls/ rate/ bench/ store/ store_warm/
-            threadpool/ speed/
-  names:    sweep/records sweep/record_skips
+            threadpool/ speed/ replay/ trace/
+  names:    sweep/records sweep/record_skips sweep/replays
+            sweep/trace_skips
 
 Everything else must match exactly: the artifact store's contract is
 that a warm run reproduces the cold run's results bit for bit.
@@ -20,7 +23,7 @@ Options:
   --require-zero NAME      fail unless counter NAME is absent or 0 in
                            OTHER (e.g. sweep/records on a warm run)
   --require-positive NAME  fail unless counter NAME is > 0 in OTHER
-                           (e.g. store/trace_hits on a warm run)
+                           (e.g. sweep/trace_skips on a warm run)
 
 Exits non-zero listing every difference and failed requirement.
 """
@@ -37,8 +40,15 @@ EXCLUDED_PREFIXES = (
     "store_warm/",
     "threadpool/",
     "speed/",
+    "replay/",
+    "trace/",
 )
-EXCLUDED_NAMES = {"sweep/records", "sweep/record_skips"}
+EXCLUDED_NAMES = {
+    "sweep/records",
+    "sweep/record_skips",
+    "sweep/replays",
+    "sweep/trace_skips",
+}
 
 
 def excluded(name):

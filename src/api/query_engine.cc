@@ -152,22 +152,21 @@ QueryEngine::rank(const AllocationRequest &request,
         result = AnnealingStrategy(request.annealing)
                      .search(space, request.threads, observation);
     } else {
-        result = ExhaustiveStrategy().search(space, request.threads,
-                                             observation);
+        result = ExhaustiveStrategy(true, request.topK)
+                     .search(space, request.threads, observation);
     }
     AllocationResponse response;
     response.strategy = request.strategy;
-    response.inBudget = result.allocations.size();
+    response.inBudget = result.inBudget;
     response.candidates = result.candidates;
     response.evaluations = result.evaluations;
     response.prunedSubspaces = result.prunedSubspaces;
     response.baseCpi = tables.baseCpi;
     response.wbCpi = tables.wbCpi;
     response.otherCpi = tables.otherCpi;
+    // Both strategies return at most top_k allocations (annealing
+    // returns one).
     response.allocations = std::move(result.allocations);
-    if (request.topK != 0 &&
-        response.allocations.size() > request.topK)
-        response.allocations.resize(std::size_t(request.topK));
     return response;
 }
 
@@ -204,6 +203,14 @@ QueryEngine::answer(const AllocationRequest &request,
             count(observation, "serve/warm_hits");
             return payload;
         }
+    }
+    // A space the simulators cannot build never produced a stored
+    // answer, so checking it only after the warm get misses costs the
+    // warm path nothing — and keeps one bad line from reaching a
+    // sweep, where the same check is fatal to the whole process.
+    if (const std::string bad = request.space.check(); !bad.empty()) {
+        count(observation, "serve/rejected");
+        return encodeError("request." + bad);
     }
     InflightTable::Lease lease = inflightTable().join(key);
     if (!lease.leader()) {

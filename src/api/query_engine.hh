@@ -18,6 +18,10 @@
  *    response in the artifact store; a warm hit is returned without
  *    touching a simulator (`serve/warm_hits`, zero record/replay
  *    work — counter-proven in CI).
+ *    A request that misses is first checked against what the
+ *    simulators can build (ConfigSpace::check()); one that fails
+ *    gets an `oma-error-v1` answer naming the request fields, never
+ *    a sweep, so it cannot take down the rest of a batch.
  * 2. *Coalesced.* Concurrent identical requests join one in-flight
  *    computation (InflightTable): one leader simulates, followers
  *    carry the identical bytes away (`serve/dedup_hits`).

@@ -12,18 +12,27 @@
 namespace oma
 {
 
+std::string
+CacheGeometry::check() const
+{
+    if (!isPowerOfTwo(capacityBytes))
+        return "cache capacity must be a power of two: " + describe();
+    if (!isPowerOfTwo(lineBytes) || lineBytes < bytesPerWord)
+        return "cache line must be a power-of-two number of words: " +
+            describe();
+    if (!isPowerOfTwo(assoc))
+        return "cache associativity must be a power of two: " +
+            describe();
+    if (capacityBytes < lineBytes * assoc)
+        return "cache needs at least one set: " + describe();
+    return {};
+}
+
 void
 CacheGeometry::validate() const
 {
-    fatalIf(!isPowerOfTwo(capacityBytes),
-            "cache capacity must be a power of two: " + describe());
-    fatalIf(!isPowerOfTwo(lineBytes) || lineBytes < bytesPerWord,
-            "cache line must be a power-of-two number of words: " +
-                describe());
-    fatalIf(!isPowerOfTwo(assoc) || assoc == 0,
-            "cache associativity must be a power of two: " + describe());
-    fatalIf(capacityBytes < lineBytes * assoc,
-            "cache needs at least one set: " + describe());
+    const std::string error = check();
+    fatalIf(!error.empty(), error);
 }
 
 std::string
@@ -33,17 +42,26 @@ CacheGeometry::describe() const
         "-word " + std::to_string(assoc) + "-way";
 }
 
+std::string
+TlbGeometry::check() const
+{
+    if (!isPowerOfTwo(entries))
+        return "TLB entries must be a power of two: " + describe();
+    if (!fullyAssociative()) {
+        if (!isPowerOfTwo(assoc))
+            return "TLB associativity must be a power of two: " +
+                describe();
+        if (entries < assoc)
+            return "TLB needs at least one set: " + describe();
+    }
+    return {};
+}
+
 void
 TlbGeometry::validate() const
 {
-    fatalIf(!isPowerOfTwo(entries) || entries == 0,
-            "TLB entries must be a power of two: " + describe());
-    if (!fullyAssociative()) {
-        fatalIf(!isPowerOfTwo(assoc),
-                "TLB associativity must be a power of two: " + describe());
-        fatalIf(entries < assoc,
-                "TLB needs at least one set: " + describe());
-    }
+    const std::string error = check();
+    fatalIf(!error.empty(), error);
 }
 
 std::string

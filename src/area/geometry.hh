@@ -56,7 +56,11 @@ struct CacheGeometry
         return numLines() / assoc;
     }
 
-    /** Abort via fatal() when the geometry is not realizable. */
+    /** Empty when the geometry is realizable, else why it is not. */
+    [[nodiscard]] std::string check() const;
+
+    /** Abort via fatal() with check()'s text when the geometry is not
+     * realizable. */
     void validate() const;
 
     /** "16-KB 8-word 2-way" style description. */
@@ -114,7 +118,11 @@ struct TlbGeometry
         return fullyAssociative() ? 1 : entries / assoc;
     }
 
-    /** Abort via fatal() when the geometry is not realizable. */
+    /** Empty when the geometry is realizable, else why it is not. */
+    [[nodiscard]] std::string check() const;
+
+    /** Abort via fatal() with check()'s text when the geometry is not
+     * realizable. */
     void validate() const;
 
     /** "512-entry 8-way" / "64-entry full" style description. */

@@ -22,14 +22,22 @@ penalty(const CacheGeometry &geom, std::uint64_t first,
 
 } // namespace
 
+std::string
+HierarchyParams::check() const
+{
+    if (unified && hasL2)
+        return "HierarchyParams: a unified L1 cannot be backed by an "
+               "L2 (UnifiedCache simulates one array; the area model "
+               "and the simulators would disagree about the L2) — "
+               "clear hasL2 or model a split hierarchy";
+    return {};
+}
+
 void
 HierarchyParams::validate() const
 {
-    fatalIf(unified && hasL2,
-            "HierarchyParams: a unified L1 cannot be backed by an "
-            "L2 (UnifiedCache simulates one array; the area model "
-            "and the simulators would disagree about the L2) — "
-            "clear hasL2 or model a split hierarchy");
+    const std::string error = check();
+    fatalIf(!error.empty(), error);
 }
 
 std::string

@@ -94,9 +94,13 @@ struct HierarchyParams
     bool unified = false;
     HierarchyPenalties penalties;
 
-    /** Abort via fatal() on a contradictory organization
+    /** Empty for a consistent organization, else why it is not
      * (`unified && hasL2`: a unified L1 has no split pair for an L2
      * to back; spend the area on the unified array instead). */
+    [[nodiscard]] std::string check() const;
+
+    /** Abort via fatal() with check()'s text on a contradictory
+     * organization. */
     void validate() const;
 
     /** Append every behaviour-determining field to a fingerprint. */

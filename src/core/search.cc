@@ -125,6 +125,38 @@ ConfigSpace::extended()
     return space;
 }
 
+std::string
+ConfigSpace::check() const
+{
+    // The same lists the sweep builds its slots from, in the same
+    // order; an axis's values are checked where they first appear.
+    const auto blame = [](const char *fields, const std::string &why) {
+        return std::string("space.") + fields + ": " + why;
+    };
+    for (const TlbGeometry &g : tlbGeometries())
+        if (const std::string why = g.check(); !why.empty())
+            return blame("tlb_entries/tlb_ways", why);
+    for (const CacheGeometry &g : cacheGeometries())
+        if (const std::string why = g.check(); !why.empty())
+            return blame("cache_kbytes/line_words/cache_ways", why);
+    for (const VictimParams &p : victimConfigs())
+        if (const std::string why = p.l1.check(); !why.empty())
+            return blame("cache_kbytes/victim_line_words", why);
+    for (const WriteBufferParams &p : writeBufferConfigs())
+        if (const std::string why = p.check(); !why.empty())
+            return blame("wb_entries/wb_drain_cycles", why);
+    // hierarchyConfigs() builds only split hierarchies with an L2, so
+    // HierarchyParams::check() cannot fail here; the geometries can.
+    for (const HierarchyParams &p : hierarchyConfigs()) {
+        if (const std::string why = p.l1i.geom.check(); !why.empty())
+            return blame("cache_kbytes/hier_l1_line_words/hier_l1_ways",
+                         why);
+        if (const std::string why = p.l2.geom.check(); !why.empty())
+            return blame("l2_kbytes/l2_line_words/l2_ways", why);
+    }
+    return {};
+}
+
 void
 ConfigSpace::fingerprint(Fingerprint &fp) const
 {

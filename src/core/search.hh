@@ -15,6 +15,7 @@
 #define OMA_CORE_SEARCH_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "area/mqf.hh"
@@ -102,6 +103,16 @@ struct ConfigSpace
     /** The default extended space the experiments sweep: the paper's
      * grid plus modest victim / write-buffer / L2 axes. */
     [[nodiscard]] static ConfigSpace extended();
+
+    /**
+     * Empty when the sweep can build every geometry and component of
+     * the space, else the first one it could not, as
+     * "space.<fields>: <why>" naming the axes that produced it (the
+     * wire names of AllocationRequest). The simulators validate the
+     * same things fatally, so a space that fails here must never
+     * reach a sweep.
+     */
+    [[nodiscard]] std::string check() const;
 
     /** Append every axis to an artifact-store fingerprint (vector
      * axes as an element count followed by the elements, so two

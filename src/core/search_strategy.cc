@@ -199,6 +199,37 @@ SearchSpace::materialize(const SearchCandidate &c) const
     return a;
 }
 
+namespace
+{
+
+/** One in-budget candidate with its total CPI: what the exhaustive
+ * enumeration keeps until the final ranking is known. */
+struct Scored
+{
+    double cpi;
+    SearchCandidate c;
+};
+
+/**
+ * The exhaustive ranking order: CPI, then emission order — TLB shard
+ * first, then split before hierarchy candidates, then the remaining
+ * axes in loop order. This is exactly the order a stable sort by CPI
+ * leaves the emitted sequence in, ties included.
+ */
+bool
+rankedBefore(const Scored &x, const Scored &y)
+{
+    if (x.cpi < y.cpi)
+        return true;
+    if (y.cpi < x.cpi)
+        return false;
+    return std::tie(x.c.tlb, x.c.hier, x.c.primary, x.c.dcache,
+                    x.c.wb) <
+        std::tie(y.c.tlb, y.c.hier, y.c.primary, y.c.dcache, y.c.wb);
+}
+
+} // namespace
+
 SearchResult
 ExhaustiveStrategy::search(const SearchSpace &space, unsigned threads,
                            obs::Observation *observation) const
@@ -214,22 +245,33 @@ ExhaustiveStrategy::search(const SearchSpace &space, unsigned threads,
     const auto &d_options = space.dOptions();
     const auto &wb_options = space.wbOptions();
     const auto &hier_options = space.hierOptions();
+    const ComponentCpiTables &tables = space.tables();
     const double min_d = space.minDArea();
     const double min_wb = space.minWbArea();
     const bool prune = _prune;
+    const std::uint64_t top_k = _topK;
 
     // Score one TLB-geometry shard: exactly the serial enumeration
-    // restricted to TLB index t, emitting split allocations in
-    // (fetch-side, d, wb) order, then hierarchy allocations in
+    // restricted to TLB index t, visiting split candidates in
+    // (fetch-side, d, wb) order, then hierarchy candidates in
     // (hierarchy, wb) order. Each pruning floor extends the partial
     // area with the remaining axes' minima *in the concrete
     // accumulation order*, so the floor equals the area of the
     // cheapest candidate in the subgrid: a pruned subgrid contains
     // only candidates the budget test would reject one by one, and
-    // the emitted set is identical with pruning on or off.
+    // the kept set is identical with pruning on or off. Partial CPI
+    // sums follow SearchSpace::cpi()'s left-to-right order, so every
+    // kept CPI is bitwise the one materialize() reports.
+    //
+    // Every in-budget candidate is counted; with a top_k only the
+    // shard's best top_k by rankedBefore() are kept (a max-heap with
+    // the worst kept candidate on top), which is enough: a candidate
+    // that top_k others of its own shard beat cannot be in the
+    // global top_k.
     struct Shard
     {
-        std::vector<Allocation> out;
+        std::vector<Scored> kept;
+        std::uint64_t inBudget = 0;
         std::uint64_t evals = 0;
         std::uint64_t pruned = 0;
     };
@@ -237,6 +279,23 @@ ExhaustiveStrategy::search(const SearchSpace &space, unsigned threads,
 
     const auto score_shard = [&](std::size_t t) {
         Shard &shard = shards[t];
+        const auto keep = [&](double cpi, const SearchCandidate &c) {
+            ++shard.inBudget;
+            std::vector<Scored> &kept = shard.kept;
+            if (top_k == 0) {
+                kept.push_back({cpi, c});
+            } else if (kept.size() < top_k) {
+                kept.push_back({cpi, c});
+                std::push_heap(kept.begin(), kept.end(), rankedBefore);
+            } else if (cpi < kept.front().cpi) {
+                // A later candidate of the shard beats the worst kept
+                // one only on strictly lower CPI.
+                std::pop_heap(kept.begin(), kept.end(), rankedBefore);
+                kept.back() = {cpi, c};
+                std::push_heap(kept.begin(), kept.end(), rankedBefore);
+            }
+        };
+        const double t_cpi = tables.baseCpi + tables.tlbCpi[t];
         for (std::size_t ip = 0; ip < i_options.size(); ++ip) {
             const double ti_area = tlb_area[t] + i_options[ip].area;
             if (prune) {
@@ -247,6 +306,7 @@ ExhaustiveStrategy::search(const SearchSpace &space, unsigned threads,
             } else if (ti_area > budget) {
                 continue;
             }
+            const double ti_cpi = t_cpi + i_options[ip].cpi;
             for (std::size_t dp = 0; dp < d_options.size(); ++dp) {
                 const double tid_area = ti_area + d_options[dp].area;
                 if (prune) {
@@ -257,13 +317,13 @@ ExhaustiveStrategy::search(const SearchSpace &space, unsigned threads,
                 } else if (tid_area > budget) {
                     continue;
                 }
+                const double tid_cpi = ti_cpi + d_options[dp].cpi;
                 for (std::size_t wp = 0; wp < wb_options.size(); ++wp) {
                     ++shard.evals;
-                    const double a = tid_area + wb_options[wp].area;
-                    if (a > budget)
+                    if (tid_area + wb_options[wp].area > budget)
                         continue;
-                    shard.out.push_back(space.materialize(
-                        SearchCandidate{false, t, ip, dp, wp}));
+                    keep(tid_cpi + wb_options[wp].cpi,
+                         SearchCandidate{false, t, ip, dp, wp});
                 }
             }
         }
@@ -277,47 +337,48 @@ ExhaustiveStrategy::search(const SearchSpace &space, unsigned threads,
             } else if (th_area > budget) {
                 continue;
             }
+            const double th_cpi = t_cpi + hier_options[hp].cpi;
             for (std::size_t wp = 0; wp < wb_options.size(); ++wp) {
                 ++shard.evals;
-                const double a = th_area + wb_options[wp].area;
-                if (a > budget)
+                if (th_area + wb_options[wp].area > budget)
                     continue;
-                shard.out.push_back(space.materialize(
-                    SearchCandidate{true, t, hp, 0, wp}));
+                keep(th_cpi + wb_options[wp].cpi,
+                     SearchCandidate{true, t, hp, 0, wp});
             }
         }
     };
 
-    // Concatenating the shards in TLB order reproduces the serial
-    // (t, i, d) emission order, so the stable sort below sees the
-    // same sequence — and breaks CPI ties identically — no matter
-    // how many lanes scored the shards.
     parallelFor(threads, 0, shards.size(), [&](std::size_t t) {
         score_shard(t);
         if (observation != nullptr && observation->progress != nullptr)
             observation->progress->tick();
     });
 
+    // Merge the shards in TLB order and rank: rankedBefore() is a
+    // total order, so the ranking (ties included) is the same no
+    // matter how many lanes scored the shards. Only the ranked
+    // candidates are materialized.
     SearchResult result;
     result.candidates = space.candidateCount();
-    std::size_t total = 0;
+    std::vector<Scored> ranked;
+    std::size_t kept = 0;
+    for (const Shard &s : shards)
+        kept += s.kept.size();
+    ranked.reserve(kept);
     for (const Shard &s : shards) {
-        total += s.out.size();
+        result.inBudget += s.inBudget;
         result.evaluations += s.evals;
         result.prunedSubspaces += s.pruned;
+        ranked.insert(ranked.end(), s.kept.begin(), s.kept.end());
     }
-    result.allocations.reserve(total);
-    for (const Shard &s : shards)
-        result.allocations.insert(result.allocations.end(),
-                                  s.out.begin(), s.out.end());
-
-    std::stable_sort(result.allocations.begin(),
-                     result.allocations.end(),
-                     [](const Allocation &x, const Allocation &y) {
-                         return x.cpi < y.cpi;
-                     });
-    for (std::size_t r = 0; r < result.allocations.size(); ++r)
-        result.allocations[r].rank = r + 1;
+    std::sort(ranked.begin(), ranked.end(), rankedBefore);
+    if (top_k != 0 && ranked.size() > top_k)
+        ranked.resize(std::size_t(top_k));
+    result.allocations.reserve(ranked.size());
+    for (const Scored &s : ranked) {
+        result.allocations.push_back(space.materialize(s.c));
+        result.allocations.back().rank = result.allocations.size();
+    }
 
     if (observation != nullptr) {
         obs::MetricRegistry &m = observation->metrics;
@@ -325,7 +386,7 @@ ExhaustiveStrategy::search(const SearchSpace &space, unsigned threads,
         m.add("search/candidates", result.candidates);
         m.add("search/evaluations", result.evaluations);
         m.add("search/pruned_subspaces", result.prunedSubspaces);
-        m.add("search/in_budget", result.allocations.size());
+        m.add("search/in_budget", result.inBudget);
         obs::exportRanking(m, result.allocations);
     }
     return result;
@@ -969,6 +1030,7 @@ AnnealingStrategy::search(const SearchSpace &space, unsigned threads,
             result.allocations.push_back(a);
         }
     }
+    result.inBudget = result.allocations.size();
 
     if (observation != nullptr) {
         obs::MetricRegistry &m = observation->metrics;

@@ -14,13 +14,15 @@
  *
  *  - ExhaustiveStrategy: the classic enumeration, refactored behind
  *    the interface with *bitwise-unchanged* output (same emission
- *    order, same floating-point accumulation order, same stable
- *    sort), plus monotone cost-bound pruning: the MQF area model is
- *    monotone in entries/ways/capacity, so a per-axis area floor can
- *    reject a whole subgrid before any candidate in it is scored.
- *    Pruning only ever skips candidates that the budget test would
- *    reject individually, so the ranking is identical with it on or
- *    off.
+ *    order, same floating-point accumulation order, same tie order
+ *    as a stable sort by CPI), plus monotone cost-bound pruning: the
+ *    MQF area model is monotone in entries/ways/capacity, so a
+ *    per-axis area floor can reject a whole subgrid before any
+ *    candidate in it is scored. Pruning only ever skips candidates
+ *    that the budget test would reject individually, so the ranking
+ *    is identical with it on or off. Asked for the top K only, it
+ *    counts every in-budget candidate but keeps and materializes
+ *    just K per TLB shard.
  *
  *  - AnnealingStrategy: seeded simulated annealing with typed
  *    mutation operators (grow/shrink capacity, step ways/line, swap
@@ -219,10 +221,14 @@ class SearchSpace
 /** Outcome of one strategy run over a SearchSpace. */
 struct SearchResult
 {
-    /** Best-first allocations with 1-based ranks. Exhaustive: every
-     * in-budget candidate. Annealing: the single best candidate
-     * found (empty when no feasible candidate exists). */
+    /** Best-first allocations with 1-based ranks. Exhaustive: the
+     * best top_k in-budget candidates (every one when top_k is 0).
+     * Annealing: the single best candidate found (empty when no
+     * feasible candidate exists). */
     std::vector<Allocation> allocations;
+    /** In-budget candidates found — counted, not materialized:
+     * exhaustive counts every one, annealing its allocations. */
+    std::uint64_t inBudget = 0;
     /** Full grid size (SearchSpace::candidateCount()). */
     std::uint64_t candidates = 0;
     /** Candidates whose full area was actually computed. */
@@ -265,18 +271,31 @@ class SearchStrategy
 /**
  * The classic exhaustive enumeration behind the strategy interface.
  *
- * Emits split allocations in (TLB, fetch-side, D-cache, write
+ * Visits split allocations in (TLB, fetch-side, D-cache, write
  * buffer) order then hierarchy allocations in (TLB, hierarchy,
- * write buffer) order, sharded by TLB geometry and stitched back in
- * TLB order, then stable-sorts by CPI — bitwise identical to the
- * historical AllocationSearch::rank for every thread count, with
- * pruning on or off (pruned subgrids contain only over-budget
- * candidates).
+ * write buffer) order, sharded by TLB geometry, and ranks them by
+ * CPI with ties in that emission order — the order a stable sort of
+ * the historical AllocationSearch::rank output gives, for every
+ * thread count, with pruning on or off (pruned subgrids contain only
+ * over-budget candidates).
+ *
+ * Top-K contract: with @p top_k nonzero each TLB shard keeps only
+ * its best top_k candidates and only the merged best top_k are
+ * materialized, so memory is O(TLB shards x top_k) rather than
+ * O(in-budget). The result is bitwise the first top_k of the full
+ * (top_k 0) ranking, ranks included; SearchResult::inBudget and the
+ * evaluation and pruning counts do not depend on top_k.
  */
 class ExhaustiveStrategy final : public SearchStrategy
 {
   public:
-    explicit ExhaustiveStrategy(bool prune = true) : _prune(prune) {}
+    /** @param top_k Allocations returned, best first (0 = every
+     *        in-budget one). */
+    explicit ExhaustiveStrategy(bool prune = true,
+                                std::uint64_t top_k = 0)
+        : _prune(prune), _topK(top_k)
+    {
+    }
 
     [[nodiscard]] std::string_view
     name() const override
@@ -292,6 +311,7 @@ class ExhaustiveStrategy final : public SearchStrategy
 
   private:
     bool _prune;
+    std::uint64_t _topK;
 };
 
 /** Tuning knobs of the annealing strategy. All defaults are part of

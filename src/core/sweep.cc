@@ -107,27 +107,27 @@ ComponentSweep::run(const WorkloadParams &workload, OsKind os,
         ArtifactStore::open(run.storeDir);
     const Fingerprint base = sweepBaseKey(workload, os, run);
 
-    // Phase 1 (serial): capture the stream once. The workload RNG
-    // and the OS model advance exactly as in a legacy single-pass
-    // run; page-invalidation events land inline in the recording at
-    // the index of the reference the OS fired them while producing,
-    // which is where every replay applies them. A warm store skips
-    // this phase entirely: the decoded recording is byte-identical
-    // to what a live record would produce.
+    // The record phase (serial), run only when some shard must be
+    // replayed: capture the stream once. The workload RNG and the OS
+    // model advance exactly as in a legacy single-pass run;
+    // page-invalidation events land inline in the recording at the
+    // index of the reference the OS fired them while producing, which
+    // is where every replay applies them. A stored recording skips
+    // the capture: the decoded recording is byte-identical to what a
+    // live record would produce.
     RecordedTrace trace;
-    bool have_trace = false;
-    if (store != nullptr) {
-        std::string payload;
-        if (store->get(traceKey(base), payload) &&
-            store::decodeTrace(payload, trace)) {
-            have_trace = true;
-            if (observation != nullptr) {
-                observation->metrics.add("store/trace_hits");
-                observation->metrics.add("sweep/record_skips");
+    const auto load_trace = [&]() -> const RecordedTrace & {
+        if (store != nullptr) {
+            std::string payload;
+            if (store->get(traceKey(base), payload) &&
+                store::decodeTrace(payload, trace)) {
+                if (observation != nullptr) {
+                    observation->metrics.add("store/trace_hits");
+                    observation->metrics.add("sweep/record_skips");
+                }
+                return trace;
             }
         }
-    }
-    if (!have_trace) {
         System system(workload, os, run.seed);
         if (observation != nullptr) {
             obs::Span span(observation->metrics, "sweep/record");
@@ -143,11 +143,12 @@ ComponentSweep::run(const WorkloadParams &workload, OsKind os,
                 obs::exportEncodedTrace(observation->metrics, "trace",
                                         payload.size(), trace.size());
         }
-    }
+        return trace;
+    };
 
     SweepResult result =
-        replayTrace(trace, ThreadPool::resolveThreads(run.threads),
-                    observation, store.get(), base);
+        sweepTasks(load_trace, ThreadPool::resolveThreads(run.threads),
+                   observation, store.get(), base);
     if (store != nullptr && observation != nullptr)
         obs::exportArtifactStore(observation->metrics, "store",
                                  *store);
@@ -158,35 +159,34 @@ SweepResult
 ComponentSweep::run(const RecordedTrace &trace, unsigned threads,
                     obs::Observation *observation) const
 {
-    return replayTrace(trace, ThreadPool::resolveThreads(threads),
-                       observation, nullptr, Fingerprint());
+    return sweepTasks([&trace]() -> const RecordedTrace & { return trace; },
+                      ThreadPool::resolveThreads(threads), observation,
+                      nullptr, Fingerprint());
 }
 
 SweepResult
-ComponentSweep::replayTrace(const RecordedTrace &trace,
-                            unsigned threads,
-                            obs::Observation *observation,
-                            const ArtifactStore *store,
-                            const Fingerprint &base_key) const
+ComponentSweep::sweepTasks(const TraceSource &trace_source,
+                           unsigned threads,
+                           obs::Observation *observation,
+                           const ArtifactStore *store,
+                           const Fingerprint &base_key) const
 {
-    // Phase 2 (parallel): replay per consumer. One flat index space
-    // across the reference machine and every component slot keeps
-    // every lane busy; each index owns its private simulator and
-    // writes only its own result slot, so the reduction order is
-    // fixed by construction and the results are bitwise identical
-    // for any thread count. Every component streams the packed trace
-    // columns through its batched replay body (core/component.hh) —
-    // the same access body as the scalar path, so batching cannot
-    // change any counter. With the store enabled, each task first
-    // tries to load its shard (exact integer counters, so a hit
-    // reproduces the live slot bit-for-bit) and persists it right
-    // after simulating — which is what makes a killed sweep resume
-    // at its last completed shard.
+    // One flat task index across the reference machine (task 0) and
+    // every component slot (task s + 1) keeps every lane busy; each
+    // task owns its private simulator and writes only its own result
+    // slot, so the results are bitwise identical for any thread
+    // count. Every component streams the packed trace columns through
+    // its batched replay body (core/component.hh) — the same access
+    // body as the scalar path, so batching cannot change any counter.
+    // With the store enabled, a task whose shard is stored loads it
+    // (exact integer counters, so a hit reproduces the live slot
+    // bit-for-bit) and a replayed task persists its shard right after
+    // simulating — which is what makes a killed sweep resume at its
+    // last completed shard.
     const std::size_t n_slots = _slots.size();
+    const std::size_t n_tasks = 1 + n_slots;
 
     SweepResult result;
-    result.references = trace.size();
-    result.otherCpi = trace.otherCpi();
     result._slots = _slots;
     result._stats.resize(n_slots);
 
@@ -221,127 +221,160 @@ ComponentSweep::replayTrace(const RecordedTrace &trace,
     // the post-loop merge (in task order) is a pure function of the
     // work — never of the schedule or lane count.
     std::vector<obs::MetricRegistry> shards(
-        observation != nullptr ? 1 + n_slots : 0);
+        observation != nullptr ? n_tasks : 0);
 
-    const auto loadShard = [&](const Fingerprint &key,
-                               auto decode) -> bool {
-        if (store == nullptr)
-            return false;
-        std::string payload;
-        return store->get(key, payload) && decode(payload);
-    };
-    const auto saveShard = [&](const Fingerprint &key,
-                               const std::string &payload) {
-        if (store != nullptr)
-            store->put(key, payload);
-    };
-
-    std::uint64_t wb_stall = 0;
-    const auto body = [&](std::size_t task) {
+    // The store key of a task's shard. Component keys reproduce the
+    // historical per-kind keys exactly (kind name + per-kind index +
+    // parameter fingerprint, plus the TLB handler penalties for TLB
+    // slots), so stores written by the three-legged engine stay warm.
+    const auto shard_key = [&](std::size_t task) {
+        Fingerprint key = base_key;
+        key.str("artifact", "shard");
         if (task == 0) {
-            // Reference machine replay: stall attribution for the
-            // configuration-independent CPI components.
-            Fingerprint key = base_key;
-            key.str("artifact", "shard");
             key.str("component", "machine");
             _refMachine.fingerprint(key);
-
-            store::MachineShard shard;
-            if (!loadShard(key, [&](const std::string &p) {
-                    return store::decodeMachineShard(p, shard);
-                })) {
-                Machine machine(_refMachine);
-                trace.replay(
-                    [&](const MemRef &ref) { machine.observe(ref); },
-                    [&](const TraceEvent &e) {
-                        machine.mmu().invalidatePage(e.vpn, e.asid,
-                                                     e.global);
-                    });
-                shard.instructions = machine.stalls().instructions;
-                shard.icacheStall = machine.stalls().icacheStall;
-                shard.dcacheStall = machine.stalls().dcacheStall;
-                shard.wbStall = machine.stalls().wbStall;
-                shard.tlbStall = machine.stalls().tlbStall;
-                shard.wbStores = machine.writeBuffer().stores();
-                shard.wbStallCycles =
-                    machine.writeBuffer().stallCycles();
-                saveShard(key, store::encodeMachineShard(shard));
-            }
-            result.instructions = shard.instructions;
-            wb_stall = shard.wbStall;
-            if (observation != nullptr) {
-                const StallCounters stalls{
-                    shard.instructions, shard.icacheStall,
-                    shard.dcacheStall, shard.wbStall, shard.tlbStall};
-                obs::exportStallCounters(shards[task], "machine",
-                                         stalls);
-                obs::exportWriteBufferCounters(shards[task], "wb",
-                                               shard.wbStores,
-                                               shard.wbStallCycles);
-            }
-        } else {
-            // Component replay: every kind runs through the one
-            // replayable-component surface. The shard key reproduces
-            // the historical per-kind keys exactly (kind name +
-            // per-kind index + parameter fingerprint, plus the TLB
-            // handler penalties for TLB slots), so stores written by
-            // the three-legged engine stay warm.
-            const std::size_t s = task - 1;
-            const ComponentSlot &slot = _slots[s];
-            Fingerprint key = base_key;
-            key.str("artifact", "shard");
-            key.str("component", componentKindName(slot.kind));
-            key.u64("index", kind_index[s]);
-            slot.fingerprint(key);
-            if (slot.kind == ComponentKind::Tlb)
-                _refMachine.tlbPenalties.fingerprint(key);
-
-            ComponentCounters counters;
-            if (!loadShard(key, [&](const std::string &p) {
-                    return decodeComponentCounters(p, slot.kind,
-                                                   counters);
-                })) {
-                const std::unique_ptr<ComponentReplayer> component =
-                    makeComponent(slot, _refMachine);
-                replayComponent(trace, *component);
-                counters = component->counters();
-                saveShard(key, encodeComponentCounters(counters));
-                if (observation != nullptr)
-                    shards[task].add("replay/batched_refs",
-                                     component->delivered());
-            }
-            result._stats[s] = counters;
-            if (observation != nullptr)
-                obs::exportComponentCounters(
-                    shards[task], componentKindName(slot.kind),
-                    counters);
+            return key;
         }
-        if (observation != nullptr && observation->progress != nullptr)
+        const ComponentSlot &slot = _slots[task - 1];
+        key.str("component", componentKindName(slot.kind));
+        key.u64("index", kind_index[task - 1]);
+        slot.fingerprint(key);
+        if (slot.kind == ComponentKind::Tlb)
+            _refMachine.tlbPenalties.fingerprint(key);
+        return key;
+    };
+
+    // Task 0's outcome: the reference machine's stall attribution
+    // for the configuration-independent CPI components, plus the
+    // recording's length and non-memory CPI.
+    store::MachineShard machine;
+
+    // Load a task's stored shard into its result slot; false on a
+    // miss or a payload that does not decode (a legacy layout too).
+    const auto load = [&](std::size_t task) {
+        std::string payload;
+        if (store == nullptr || !store->get(shard_key(task), payload))
+            return false;
+        if (task == 0)
+            return store::decodeMachineShard(payload, machine);
+        return decodeComponentCounters(payload, _slots[task - 1].kind,
+                                       result._stats[task - 1]);
+    };
+
+    // Simulate a task over the recording and persist its shard.
+    const auto replay = [&](std::size_t task,
+                            const RecordedTrace &trace) {
+        std::string payload;
+        if (task == 0) {
+            Machine m(_refMachine);
+            trace.replay([&](const MemRef &ref) { m.observe(ref); },
+                         [&](const TraceEvent &e) {
+                             m.mmu().invalidatePage(e.vpn, e.asid,
+                                                    e.global);
+                         });
+            machine.instructions = m.stalls().instructions;
+            machine.icacheStall = m.stalls().icacheStall;
+            machine.dcacheStall = m.stalls().dcacheStall;
+            machine.wbStall = m.stalls().wbStall;
+            machine.tlbStall = m.stalls().tlbStall;
+            machine.wbStores = m.writeBuffer().stores();
+            machine.wbStallCycles = m.writeBuffer().stallCycles();
+            machine.references = trace.size();
+            machine.otherCpi = trace.otherCpi();
+            payload = store::encodeMachineShard(machine);
+        } else {
+            const std::unique_ptr<ComponentReplayer> component =
+                makeComponent(_slots[task - 1], _refMachine);
+            replayComponent(trace, *component);
+            result._stats[task - 1] = component->counters();
+            payload = encodeComponentCounters(result._stats[task - 1]);
+            if (observation != nullptr)
+                shards[task].add("replay/batched_refs",
+                                 component->delivered());
+        }
+        if (store != nullptr)
+            store->put(shard_key(task), payload);
+    };
+
+    // Export a finished task's counters and tick progress.
+    const auto finish = [&](std::size_t task) {
+        if (observation == nullptr)
+            return;
+        if (task == 0) {
+            const StallCounters stalls{
+                machine.instructions, machine.icacheStall,
+                machine.dcacheStall, machine.wbStall, machine.tlbStall};
+            obs::exportStallCounters(shards[task], "machine", stalls);
+            obs::exportWriteBufferCounters(shards[task], "wb",
+                                           machine.wbStores,
+                                           machine.wbStallCycles);
+        } else {
+            const ComponentSlot &slot = _slots[task - 1];
+            obs::exportComponentCounters(shards[task],
+                                         componentKindName(slot.kind),
+                                         result._stats[task - 1]);
+        }
+        if (observation->progress != nullptr)
             observation->progress->tick();
     };
 
-    const std::size_t n_tasks = 1 + n_slots;
-    if (observation != nullptr) {
-        // Run on an explicit pool so its work counters can be
-        // exported alongside the component metrics.
-        obs::MetricRegistry &m = observation->metrics;
-        {
-            obs::Span span(m, "sweep/replay");
-            ThreadPool pool(threads);
-            pool.parallelFor(0, n_tasks, body);
-            obs::exportThreadPool(m, "threadpool", pool);
-        }
-        for (const obs::MetricRegistry &shard : shards)
-            m.merge(shard);
-        obs::exportRecordedTrace(m, "trace", trace);
-        m.add("sweep/replays");
-    } else {
-        parallelFor(threads, 0, n_tasks, body);
+    ThreadPool pool(threads);
+    std::vector<char> loaded(n_tasks, 0);
+
+    // Load every stored shard before deciding whether the recording
+    // is needed at all; a miss is just a failed open, so a cold sweep
+    // pays little for probing first.
+    if (store != nullptr) {
+        std::unique_ptr<obs::Span> span;
+        if (observation != nullptr)
+            span = std::make_unique<obs::Span>(observation->metrics,
+                                               "sweep/load");
+        pool.parallelFor(0, n_tasks, [&](std::size_t task) {
+            loaded[task] = load(task) ? 1 : 0;
+            if (loaded[task] != 0)
+                finish(task);
+        });
     }
 
+    std::vector<std::size_t> missing;
+    for (std::size_t task = 0; task < n_tasks; ++task)
+        if (loaded[task] == 0)
+            missing.push_back(task);
+
+    if (missing.empty()) {
+        if (observation != nullptr)
+            observation->metrics.add("sweep/trace_skips");
+    } else {
+        const RecordedTrace &trace = trace_source();
+        std::unique_ptr<obs::Span> span;
+        if (observation != nullptr)
+            span = std::make_unique<obs::Span>(observation->metrics,
+                                               "sweep/replay");
+        pool.parallelFor(0, missing.size(), [&](std::size_t i) {
+            replay(missing[i], trace);
+            finish(missing[i]);
+        });
+        span.reset();
+        if (observation != nullptr) {
+            obs::exportRecordedTrace(observation->metrics, "trace",
+                                     trace);
+            observation->metrics.add("sweep/replays");
+        }
+    }
+
+    if (observation != nullptr) {
+        obs::MetricRegistry &m = observation->metrics;
+        obs::exportThreadPool(m, "threadpool", pool);
+        for (const obs::MetricRegistry &shard : shards)
+            m.merge(shard);
+    }
+
+    result.instructions = machine.instructions;
+    result.references = machine.references;
+    result.otherCpi = machine.otherCpi;
     const double instr =
         double(std::max<std::uint64_t>(1, result.instructions));
-    result.wbCpi = double(wb_stall) / instr;
+    result.wbCpi = double(machine.wbStall) / instr;
     return result;
 }
 

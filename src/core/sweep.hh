@@ -23,6 +23,7 @@
 
 #include <algorithm>
 #include <array>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -344,10 +345,14 @@ struct SweepResult
  *
  * When RunConfig::storeDir (or OMA_STORE_DIR) enables the artifact
  * store, the recording and every completed replay shard persist as
- * they are produced: a warm rerun skips the record phase entirely, a
- * killed sweep resumes at its last completed shard, and a corrupt
- * entry is quarantined and transparently re-simulated. Cached runs
- * reproduce live runs bit-for-bit (tests/core/test_store_sweep.cc).
+ * they are produced. A later run loads what it can before it touches
+ * the trace: when every shard is stored the sweep never fetches,
+ * decodes or records the recording (`sweep/trace_skips`); otherwise
+ * it fetches (or records) it once and replays only the missing
+ * shards, so a killed sweep resumes at its last completed shard and
+ * a corrupt entry is quarantined and transparently re-simulated.
+ * Cached runs reproduce live runs bit-for-bit
+ * (tests/core/test_store_sweep.cc).
  */
 class ComponentSweep
 {
@@ -419,11 +424,17 @@ class ComponentSweep
         obs::Observation *observation = nullptr) const;
 
   private:
-    SweepResult replayTrace(const RecordedTrace &trace,
-                            unsigned threads,
-                            obs::Observation *observation,
-                            const ArtifactStore *store,
-                            const Fingerprint &base_key) const;
+    /** Yields the recording; called at most once, and only when some
+     * task has no stored shard. */
+    using TraceSource = std::function<const RecordedTrace &()>;
+
+    /** The one sweep engine behind both run() overloads: load every
+     * task's stored shard it can, then replay the rest over the
+     * recording. Storeless (@p store nullptr), every task replays. */
+    SweepResult sweepTasks(const TraceSource &trace, unsigned threads,
+                           obs::Observation *observation,
+                           const ArtifactStore *store,
+                           const Fingerprint &base_key) const;
 
     std::vector<ComponentSlot> _slots;
     MachineParams _refMachine;

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <string>
 
 #include "support/fingerprint.hh"
 #include "support/logging.hh"
@@ -30,6 +31,15 @@ struct WriteBufferParams
     std::uint64_t entries = 4;
     /** Memory cycles to retire one word (must be at least 1). */
     std::uint64_t drainCycles = 3;
+
+    /** Empty when a buffer of this shape can exist, else why not. */
+    [[nodiscard]] std::string
+    check() const
+    {
+        if (entries == 0 || drainCycles == 0)
+            return "WriteBuffer needs entries >= 1 and drain_cycles >= 1";
+        return {};
+    }
 
     /** Append every behaviour-determining field to a fingerprint. */
     void
@@ -71,8 +81,9 @@ class WriteBuffer
     WriteBuffer(std::uint64_t entries, std::uint64_t drain_cycles)
         : _entries(entries), _drain(drain_cycles)
     {
-        fatalIf(entries == 0 || drain_cycles == 0,
-                "WriteBuffer needs entries >= 1 and drain_cycles >= 1");
+        const std::string error =
+            WriteBufferParams{entries, drain_cycles}.check();
+        fatalIf(!error.empty(), error);
     }
 
     /**

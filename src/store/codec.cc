@@ -333,6 +333,8 @@ encodeMachineShard(const MachineShard &s)
     appendU64(out, s.tlbStall);
     appendU64(out, s.wbStores);
     appendU64(out, s.wbStallCycles);
+    appendU64(out, s.references);
+    appendF64(out, s.otherCpi);
     return out;
 }
 
@@ -344,7 +346,8 @@ decodeMachineShard(std::string_view payload, MachineShard &s)
     if (!r.u64(decoded.instructions) || !r.u64(decoded.icacheStall) ||
         !r.u64(decoded.dcacheStall) || !r.u64(decoded.wbStall) ||
         !r.u64(decoded.tlbStall) || !r.u64(decoded.wbStores) ||
-        !r.u64(decoded.wbStallCycles) || !r.done()) {
+        !r.u64(decoded.wbStallCycles) || !r.u64(decoded.references) ||
+        !r.f64(decoded.otherCpi) || !r.done()) {
         return false;
     }
     s = decoded;

@@ -39,7 +39,9 @@ namespace oma::store
 
 /**
  * The reference-machine replay shard: everything task 0 of a sweep
- * contributes to the SweepResult and the run report.
+ * contributes to the SweepResult and the run report — including the
+ * two facts a SweepResult otherwise takes from the recording, so a
+ * sweep whose every shard is stored never needs the trace.
  */
 struct MachineShard
 {
@@ -50,6 +52,10 @@ struct MachineShard
     std::uint64_t tlbStall = 0;
     std::uint64_t wbStores = 0;
     std::uint64_t wbStallCycles = 0;
+    /** References in the replayed recording. */
+    std::uint64_t references = 0;
+    /** The recording's non-memory stall CPI, stored as raw bits. */
+    double otherCpi = 0.0;
 };
 
 /** Serialize a recording (references, events, otherCpi) through the
@@ -70,6 +76,8 @@ struct MachineShard
                                   MmuStats &s);
 
 [[nodiscard]] std::string encodeMachineShard(const MachineShard &s);
+/** @retval false on any other length than the current 72 bytes, so a
+ * shard of the older 56-byte layout reads as a miss and is replayed. */
 [[nodiscard]] bool decodeMachineShard(std::string_view payload,
                                       MachineShard &s);
 

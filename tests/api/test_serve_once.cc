@@ -170,6 +170,50 @@ TEST(ServeOnce, MalformedLinesEarnErrorsInOrder)
     fs::remove_all(store);
 }
 
+TEST(ServeOnce, UnbuildableGeometryEarnsAnErrorNotAnExit)
+{
+    // Schema-valid requests whose space the simulators cannot build.
+    // Each used to fatal() the daemon mid-batch, so a good/bad/good
+    // batch exited 1 with no output at all; now the bad line earns an
+    // error naming its field and the good lines are still answered.
+    struct Case
+    {
+        const char *field;
+        void (*spoil)(AllocationRequest &);
+    };
+    const Case cases[] = {
+        {"cache_kbytes",
+         [](AllocationRequest &r) { r.space.cacheKBytes = {3}; }},
+        {"victim_line_words",
+         [](AllocationRequest &r) {
+             r.space.victimEntries = {4};
+             r.space.victimLineWords = 0;
+         }},
+        {"hier_l1_ways",
+         [](AllocationRequest &r) {
+             r.space.l2KBytes = {64};
+             r.space.hierL1Ways = 3;
+         }},
+    };
+    const std::string good = encodeRequest(table6Query());
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.field);
+        AllocationRequest bad = table6Query();
+        c.spoil(bad);
+        const std::string store = scratchDir("geometry");
+        const std::vector<std::string> lines = serveOnce(
+            store, good + "\n" + encodeRequest(bad) + "\n" + good + "\n");
+        ASSERT_EQ(lines.size(), 3u);
+        AllocationResponse response;
+        std::string error;
+        EXPECT_TRUE(decodeResponse(lines[0], response, error)) << error;
+        EXPECT_EQ(lines[2], lines[0]);
+        EXPECT_NE(lines[1].find("oma-error-v1"), std::string::npos);
+        EXPECT_NE(lines[1].find(c.field), std::string::npos) << lines[1];
+        fs::remove_all(store);
+    }
+}
+
 TEST(ServeOnce, ControlLinesAreAcknowledged)
 {
     const std::string store = scratchDir("control");

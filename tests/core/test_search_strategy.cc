@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "core/search_strategy.hh"
 
@@ -202,6 +204,147 @@ TEST(ExhaustiveStrategy, LooseBudgetEvaluatesEverything)
     EXPECT_EQ(result.evaluations, result.candidates);
     EXPECT_EQ(result.prunedSubspaces, 0u);
     EXPECT_EQ(result.allocations.size(), result.candidates);
+}
+
+/** The classic grid plus write-buffer and hierarchy axes with CPIs
+ * so coarse that most candidates tie: caches and hierarchies score by
+ * capacity alone, TLBs by entries alone and both write-buffer depths
+ * alike, so the ranking is decided by emission order inside long runs
+ * of equal CPI, split and hierarchy candidates mixed. Every CPI is a
+ * small dyadic fraction, so the sums are exact and ties are bitwise. */
+ComponentCpiTables
+tieHeavyTables()
+{
+    const ConfigSpace space = ConfigSpace::extended();
+    ComponentCpiTables tables;
+    tables.tlbGeoms = space.tlbGeometries();
+    tables.icacheGeoms = space.cacheGeometries();
+    tables.dcacheGeoms = space.cacheGeometries();
+    for (const auto &g : tables.icacheGeoms)
+        tables.icacheCpi.push_back(g.capacityBytes >= 8192 ? 0.25 : 0.5);
+    for (const auto &g : tables.dcacheGeoms)
+        tables.dcacheCpi.push_back(g.capacityBytes >= 16384 ? 0.125
+                                                             : 0.25);
+    for (const auto &g : tables.tlbGeoms)
+        tables.tlbCpi.push_back(g.entries >= 256 ? 0.0 : 0.0625);
+    for (const std::uint64_t entries : {1u, 2u}) {
+        WriteBufferParams p;
+        p.entries = entries;
+        tables.wbOptions.push_back({p, 0.0});
+    }
+    for (const HierarchyParams &p : space.hierarchyConfigs())
+        tables.hierarchyOptions.push_back(
+            {p, p.l1i.geom.capacityBytes >= 4096 ? 0.375 : 0.5});
+    return tables;
+}
+
+/** Field-for-field bitwise equality of two allocations (one bool, so
+ * comparing a million-entry ranking stays cheap). */
+bool
+sameAllocationBits(const Allocation &a, const Allocation &b)
+{
+    return a.rank == b.rank && a.tlb == b.tlb && a.icache == b.icache &&
+        a.dcache == b.dcache && a.victimEntries == b.victimEntries &&
+        a.wbEntries == b.wbEntries && a.hasL2 == b.hasL2 &&
+        a.unified == b.unified && a.l2 == b.l2 &&
+        sameBits(a.areaRbe, b.areaRbe) && sameBits(a.cpi, b.cpi) &&
+        sameBits(a.tlbCpi, b.tlbCpi) &&
+        sameBits(a.icacheCpi, b.icacheCpi) &&
+        sameBits(a.dcacheCpi, b.dcacheCpi) &&
+        sameBits(a.hierarchyCpi, b.hierarchyCpi) &&
+        sameBits(a.wbCpi, b.wbCpi);
+}
+
+TEST(ExhaustiveStrategy, TopKIsThePrefixOfTheFullRanking)
+{
+    // Differential: for every fixture, K and lane count the top-K
+    // search returns bitwise the first K allocations of the full
+    // (K = 0) ranking, ranks included, while counting the same
+    // in-budget candidates and doing the same evaluation and pruning
+    // work.
+    const std::vector<std::pair<const char *, ComponentCpiTables>>
+        fixtures = {{"classic", syntheticTables()},
+                    {"extended", syntheticExtendedTables()},
+                    {"tie-heavy", tieHeavyTables()}};
+    for (const auto &[name, tables] : fixtures) {
+        SCOPED_TRACE(name);
+        const SearchSpace space(tables, AreaModel(), kBudget);
+        const SearchResult full = ExhaustiveStrategy().search(space, 4);
+        const std::uint64_t n = full.allocations.size();
+        ASSERT_GT(n, 20u);
+        EXPECT_EQ(full.inBudget, n);
+        for (const std::uint64_t k :
+             {std::uint64_t(1), std::uint64_t(2), std::uint64_t(10),
+              std::uint64_t(17), n - 1, n, n + 5}) {
+            for (const unsigned threads : {1u, 4u}) {
+                SCOPED_TRACE(testing::Message()
+                             << "k=" << k << " threads=" << threads);
+                const SearchResult top =
+                    ExhaustiveStrategy(true, k).search(space, threads);
+                EXPECT_EQ(top.inBudget, n);
+                EXPECT_EQ(top.candidates, full.candidates);
+                EXPECT_EQ(top.evaluations, full.evaluations);
+                EXPECT_EQ(top.prunedSubspaces, full.prunedSubspaces);
+                ASSERT_EQ(top.allocations.size(), std::min(k, n));
+                for (std::size_t i = 0; i < top.allocations.size(); ++i) {
+                    if (!sameAllocationBits(top.allocations[i],
+                                            full.allocations[i])) {
+                        ADD_FAILURE() << "rank " << i + 1 << " differs";
+                        break;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(ExhaustiveStrategy, TieHeavyRankingFollowsEmissionOrder)
+{
+    // On the tie-heavy fixture most neighbours in the ranking share
+    // their CPI; the order among them must be the emission order a
+    // stable sort by CPI leaves (per TLB, split candidates by fetch
+    // side, D-cache and write buffer, then hierarchy candidates by
+    // hierarchy and write buffer) — pinned against an explicit stable
+    // sort of the unpruned enumeration.
+    const ComponentCpiTables tables = tieHeavyTables();
+    const SearchSpace space(tables, AreaModel(), kBudget);
+    std::vector<Allocation> emitted;
+    const auto emit = [&](const SearchCandidate &c) {
+        if (space.inBudget(c))
+            emitted.push_back(space.materialize(c));
+    };
+    for (std::size_t t = 0; t < space.tlbAreas().size(); ++t) {
+        for (std::size_t ip = 0; ip < space.iOptions().size(); ++ip)
+            for (std::size_t dp = 0; dp < space.dOptions().size(); ++dp)
+                for (std::size_t wp = 0; wp < space.wbOptions().size();
+                     ++wp)
+                    emit(SearchCandidate{false, t, ip, dp, wp});
+        for (std::size_t hp = 0; hp < space.hierOptions().size(); ++hp)
+            for (std::size_t wp = 0; wp < space.wbOptions().size(); ++wp)
+                emit(SearchCandidate{true, t, hp, 0, wp});
+    }
+    std::stable_sort(emitted.begin(), emitted.end(),
+                     [](const Allocation &x, const Allocation &y) {
+                         return x.cpi < y.cpi;
+                     });
+    for (std::size_t r = 0; r < emitted.size(); ++r)
+        emitted[r].rank = r + 1;
+    const SearchResult ranked = ExhaustiveStrategy(false).search(space, 4);
+    ASSERT_EQ(ranked.allocations.size(), emitted.size());
+    std::size_t ties = 0;
+    std::size_t mixed_ties = 0;
+    for (std::size_t i = 0; i < emitted.size(); ++i) {
+        ASSERT_TRUE(sameAllocationBits(ranked.allocations[i], emitted[i]))
+            << "rank " << i + 1;
+        if (i > 0 && sameBits(emitted[i].cpi, emitted[i - 1].cpi)) {
+            ++ties;
+            mixed_ties += emitted[i].hasL2 != emitted[i - 1].hasL2;
+        }
+    }
+    EXPECT_GT(ties, emitted.size() / 2);
+    // Some runs of equal CPI hold both split and hierarchy
+    // candidates, so the split-before-hierarchy tie-break is pinned.
+    EXPECT_GT(mixed_ties, 0u);
 }
 
 TEST(AnnealingStrategy, RecoversExhaustiveWinnerOnClassicGrid)

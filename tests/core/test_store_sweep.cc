@@ -1,10 +1,12 @@
 /**
  * @file
  * End-to-end contract of store-backed sweeps: a cold run (fills the
- * store), a warm run (replays from it, record phase skipped), and a
- * resumed run after a mid-sweep kill must all be bitwise identical
- * to a live no-store sweep — at 1 and 4 threads — and corrupt
- * entries must fall back to live simulation, never to wrong data.
+ * store), a warm run (loads every shard, never touches the trace), a
+ * run with one slot added (fetches the trace once, replays only that
+ * slot) and a resumed run after a mid-sweep kill must all be bitwise
+ * identical to a live no-store sweep — at 1 and 4 threads — and
+ * corrupt or legacy entries must fall back to live simulation, never
+ * to wrong data.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +15,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 #include <unistd.h>
@@ -179,12 +182,14 @@ TEST(StoreSweep, ColdAndWarmRunsMatchTheLiveResultBitwise)
             sweep.run(BenchmarkId::Mab, OsKind::Mach,
                       storeRun(dir, threads), &warm_obs);
         expectSameSweepResult(live, warm);
-        // The warm run does zero record-phase work and zero writes.
+        // The warm run loads one shard per task and nothing else: no
+        // trace fetch, no record, no replay, no writes.
         EXPECT_EQ(warm_obs.metrics.counter("sweep/records"), 0u);
-        EXPECT_EQ(warm_obs.metrics.counter("sweep/record_skips"), 1u);
-        EXPECT_EQ(warm_obs.metrics.counter("store/trace_hits"), 1u);
-        EXPECT_EQ(warm_obs.metrics.counter("store/hits"),
-                  1 + taskCount());
+        EXPECT_EQ(warm_obs.metrics.counter("sweep/record_skips"), 0u);
+        EXPECT_EQ(warm_obs.metrics.counter("store/trace_hits"), 0u);
+        EXPECT_EQ(warm_obs.metrics.counter("sweep/trace_skips"), 1u);
+        EXPECT_EQ(warm_obs.metrics.counter("replay/batched_refs"), 0u);
+        EXPECT_EQ(warm_obs.metrics.counter("store/hits"), taskCount());
         EXPECT_EQ(warm_obs.metrics.counter("store/misses"), 0u);
         EXPECT_EQ(warm_obs.metrics.counter("store/writes"), 0u);
         fs::remove_all(dir);
@@ -204,7 +209,127 @@ TEST(StoreSweep, WarmReuseIsThreadCountInvariant)
         sweep.run(BenchmarkId::Mpeg, OsKind::Ultrix, storeRun(dir, 4),
                   &warm_obs);
     expectSameSweepResult(cold, warm);
-    EXPECT_EQ(warm_obs.metrics.counter("store/hits"), 1 + taskCount());
+    EXPECT_EQ(warm_obs.metrics.counter("store/hits"), taskCount());
+    fs::remove_all(dir);
+}
+
+TEST(StoreSweep, AddedSlotReplaysAloneOverOneTraceFetch)
+{
+    // A warm store plus one new slot: the stored shards load, the
+    // trace is fetched once, and only the new slot replays and is
+    // written — bitwise what a live sweep of the grown grid gives.
+    ComponentSweep grown = sweepUnderTest();
+    WriteBufferParams wb;
+    wb.entries = 2;
+    grown.addComponent(ComponentSlot::writeBuffer(wb));
+    for (unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(threads);
+        const std::string dir = freshStoreDir("grown");
+        (void)sweepUnderTest().run(BenchmarkId::Mab, OsKind::Mach,
+                                   storeRun(dir, threads));
+        const SweepResult live = grown.run(
+            BenchmarkId::Mab, OsKind::Mach, storeRun("", threads));
+
+        obs::Observation observation;
+        const SweepResult warm =
+            grown.run(BenchmarkId::Mab, OsKind::Mach,
+                      storeRun(dir, threads), &observation);
+        expectSameSweepResult(live, warm);
+        ASSERT_EQ(warm.writeBufferCount(), 1u);
+        EXPECT_EQ(warm.writeBuffer(0).stats.stores,
+                  live.writeBuffer(0).stats.stores);
+        EXPECT_EQ(warm.writeBuffer(0).stats.stallCycles,
+                  live.writeBuffer(0).stats.stallCycles);
+        const obs::MetricRegistry &m = observation.metrics;
+        EXPECT_EQ(m.counter("sweep/records"), 0u);
+        EXPECT_EQ(m.counter("store/trace_hits"), 1u);
+        EXPECT_EQ(m.counter("sweep/trace_skips"), 0u);
+        // Every stored shard plus the trace hit; only the new slot
+        // missed, replayed its stream and was written.
+        EXPECT_EQ(m.counter("store/hits"), taskCount() + 1);
+        EXPECT_EQ(m.counter("store/misses"), 1u);
+        EXPECT_EQ(m.counter("store/writes"), 1u);
+        EXPECT_GT(m.counter("replay/batched_refs"), 0u);
+        fs::remove_all(dir);
+    }
+}
+
+/** Rewrite the stored reference-machine shard with its first 56
+ * payload bytes — the layout before the shard carried the recording's
+ * length and non-memory CPI. Entry layout (store/store.cc): a 40-byte
+ * header {magic u64, version u32, reserved u32, key size u64, payload
+ * size u64, FNV-1a payload checksum u64}, the key text, the payload.
+ * @return the number of entries rewritten. */
+std::size_t
+truncateMachineShards(const std::string &dir)
+{
+    std::size_t rewritten = 0;
+    for (const fs::path &path : storeEntries(dir)) {
+        std::string raw;
+        {
+            std::ifstream in(path, std::ios::binary);
+            raw.assign(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+        }
+        std::uint64_t key_size = 0;
+        std::memcpy(&key_size, raw.data() + 16, sizeof key_size);
+        const std::string key = raw.substr(40, key_size);
+        if (key.find("component=7:machine\n") == std::string::npos)
+            continue;
+        const std::string payload = raw.substr(40 + key_size, 56);
+        std::uint64_t sum = 0xcbf29ce484222325ULL;
+        for (const char c : payload) {
+            sum ^= std::uint64_t(static_cast<unsigned char>(c));
+            sum *= 0x100000001b3ULL;
+        }
+        const std::uint64_t size = payload.size();
+        std::memcpy(raw.data() + 24, &size, sizeof size);
+        std::memcpy(raw.data() + 32, &sum, sizeof sum);
+        raw.resize(40 + key_size);
+        raw += payload;
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out << raw;
+        ++rewritten;
+    }
+    return rewritten;
+}
+
+TEST(StoreSweep, LegacyMachineShardIsRecomputed)
+{
+    // A 56-byte machine shard (written before the shard held the
+    // recording's length and non-memory CPI) decodes as a miss: the
+    // sweep fetches the stored trace, replays only the machine task,
+    // rewrites its shard in the current layout, and the answer does
+    // not change.
+    const ComponentSweep sweep = sweepUnderTest();
+    const std::string dir = freshStoreDir("legacy");
+    const SweepResult live = sweep.run(BenchmarkId::Mab, OsKind::Mach,
+                                       storeRun("", 2));
+    (void)sweep.run(BenchmarkId::Mab, OsKind::Mach, storeRun(dir, 2));
+    ASSERT_EQ(truncateMachineShards(dir), 1u);
+
+    obs::Observation observation;
+    const SweepResult recovered =
+        sweep.run(BenchmarkId::Mab, OsKind::Mach, storeRun(dir, 2),
+                  &observation);
+    expectSameSweepResult(live, recovered);
+    const obs::MetricRegistry &m = observation.metrics;
+    EXPECT_EQ(m.counter("sweep/records"), 0u);
+    EXPECT_EQ(m.counter("store/trace_hits"), 1u);
+    EXPECT_EQ(m.counter("sweep/trace_skips"), 0u);
+    // Every shard (the legacy one too: the store reads it, the codec
+    // refuses it) and the trace read once each; only the machine
+    // shard was replayed and rewritten.
+    EXPECT_EQ(m.counter("store/hits"), taskCount() + 1);
+    EXPECT_EQ(m.counter("store/writes"), 1u);
+    EXPECT_EQ(m.counter("store/quarantined"), 0u);
+
+    obs::Observation warm_obs;
+    const SweepResult warm = sweep.run(
+        BenchmarkId::Mab, OsKind::Mach, storeRun(dir, 2), &warm_obs);
+    expectSameSweepResult(live, warm);
+    EXPECT_EQ(warm_obs.metrics.counter("sweep/trace_skips"), 1u);
+    EXPECT_EQ(warm_obs.metrics.counter("store/hits"), taskCount());
     fs::remove_all(dir);
 }
 
@@ -262,7 +387,7 @@ TEST(StoreSweep, CorruptEntriesFallBackToLiveSimulation)
         BenchmarkId::Mab, OsKind::Mach, storeRun(dir, 2), &warm_obs);
     expectSameSweepResult(live, warm);
     EXPECT_EQ(warm_obs.metrics.counter("store/misses"), 0u);
-    EXPECT_EQ(warm_obs.metrics.counter("store/hits"), 1 + taskCount());
+    EXPECT_EQ(warm_obs.metrics.counter("store/hits"), taskCount());
     fs::remove_all(dir);
 }
 

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -544,9 +545,12 @@ TEST(StoreCodec, CounterShardsRoundTrip)
     sh.tlbStall = 5;
     sh.wbStores = 6;
     sh.wbStallCycles = 7;
+    sh.references = 8;
+    sh.otherCpi = -0.0; // raw bits survive, sign of zero included
     store::MachineShard sh2;
-    ASSERT_TRUE(
-        store::decodeMachineShard(store::encodeMachineShard(sh), sh2));
+    const std::string machine = store::encodeMachineShard(sh);
+    ASSERT_EQ(machine.size(), 72u);
+    ASSERT_TRUE(store::decodeMachineShard(machine, sh2));
     EXPECT_EQ(sh2.instructions, 1u);
     EXPECT_EQ(sh2.icacheStall, 2u);
     EXPECT_EQ(sh2.dcacheStall, 3u);
@@ -554,6 +558,12 @@ TEST(StoreCodec, CounterShardsRoundTrip)
     EXPECT_EQ(sh2.tlbStall, 5u);
     EXPECT_EQ(sh2.wbStores, 6u);
     EXPECT_EQ(sh2.wbStallCycles, 7u);
+    EXPECT_EQ(sh2.references, 8u);
+    EXPECT_TRUE(std::signbit(sh2.otherCpi));
+    EXPECT_EQ(sh2.otherCpi, 0.0);
+    // The 56-byte layout from before the shard carried the
+    // recording's length and non-memory CPI reads as a miss.
+    EXPECT_FALSE(store::decodeMachineShard(machine.substr(0, 56), sh2));
 
     // Truncated counter shards are framing mismatches, not UB.
     EXPECT_FALSE(store::decodeCacheStats("", cs2));
