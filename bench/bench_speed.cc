@@ -5,7 +5,8 @@
  * synthetic trace generator, and a full machine step. The paper's
  * methodology contrast — kernel-based simulation at millions of
  * references per second vs trace-driven at tens of thousands — is
- * mirrored by the Tapeworm-vs-bank comparison here.
+ * mirrored by the one-pass sweeps (BM_FaTlbSweepAllSizes,
+ * BM_CheetahAllAssoc) next to the per-configuration replays here.
  */
 
 #include <benchmark/benchmark.h>
@@ -16,7 +17,6 @@
 #include <unistd.h>
 
 #include "bench/common.hh"
-#include "cache/bank.hh"
 #include "cache/cheetah.hh"
 #include "cache/replay.hh"
 #include "core/search.hh"
@@ -67,26 +67,6 @@ BENCHMARK(BM_CacheAccess)
     ->Args({8 * 1024, 1})
     ->Args({8 * 1024, 8})
     ->Args({32 * 1024, 2});
-
-void
-BM_CacheBank120Configs(benchmark::State &state)
-{
-    const auto trace = sampleTrace(1 << 16);
-    ConfigSpace space;
-    CacheBank bank;
-    for (const auto &geom : space.cacheGeometries()) {
-        CacheParams p;
-        p.geom = geom;
-        bank.add(p);
-    }
-    std::size_t i = 0;
-    for (auto _ : state) {
-        const MemRef &ref = trace[i++ & (trace.size() - 1)];
-        bank.access(ref.paddr, ref.kind);
-    }
-    state.SetItemsProcessed(state.iterations() * bank.size());
-}
-BENCHMARK(BM_CacheBank120Configs);
 
 void
 BM_MmuTranslate(benchmark::State &state)

@@ -4,7 +4,7 @@
  *
  *   trace_tools gen <file> <benchmark> <ultrix|mach> <refs> [sampled]
  *       Record a reference stream (with inline page-invalidation
- *       events) and save it as a v2 trace file. Append "sampled" to
+ *       events) and save it as a trace file. Append "sampled" to
  *       apply the paper's 50-window methodology instead (sampled
  *       traces carry no events).
  *   trace_tools info <file>
@@ -32,11 +32,11 @@
 #include "core/sweep.hh"
 #include "obs/export.hh"
 #include "obs/report.hh"
+#include "store/codec.hh"
 #include "support/logging.hh"
 #include "support/table.hh"
 #include "trace/sampler.hh"
 #include "trace/stats.hh"
-#include "trace/tracefile.hh"
 #include "workload/system.hh"
 
 using namespace oma;
@@ -75,18 +75,18 @@ cmdGen(int argc, char **argv)
         sp.sampleLength = refs / 50;
         sp.meanGap = 3 * sp.sampleLength;
         TraceSampler sampler(system, sp);
-        TraceFileWriter writer(path);
+        RecordedTrace trace;
         MemRef ref;
         while (sampler.next(ref))
-            writer.put(ref);
-        writer.close();
-        std::cout << "Wrote " << writer.count()
+            trace.append(ref);
+        store::writeTrace(path, trace);
+        std::cout << "Wrote " << trace.size()
                   << " sampled references to " << path << "\n";
         return 0;
     }
 
     const RecordedTrace trace = system.record(refs);
-    writeTrace(path, trace);
+    store::writeTrace(path, trace);
     std::cout << "Wrote " << trace.size() << " references and "
               << trace.events().size() << " invalidation events to "
               << path << " (" << fmtKBytes(trace.byteSize())
@@ -98,15 +98,14 @@ int
 cmdInfo(int argc, char **argv)
 {
     fatalIf(argc < 3, "info needs <file>");
-    TraceFileReader reader(argv[2]);
+    const RecordedTrace trace = store::readTrace(argv[2]);
     TraceStatistics stats;
-    MemRef ref;
-    while (reader.next(ref))
-        stats.put(ref);
+    trace.replay([&](const MemRef &ref) { stats.put(ref); });
     std::cout << "Trace: " << argv[2] << " (format v"
-              << reader.version() << ", " << reader.eventCount()
+              << store::traceFormatVersion << ", "
+              << trace.events().size()
               << " invalidation events, other CPI "
-              << fmtFixed(reader.otherCpi(), 3) << ")\n";
+              << fmtFixed(trace.otherCpi(), 3) << ")\n";
     stats.print(std::cout);
     return 0;
 }
@@ -116,7 +115,7 @@ cmdSim(int argc, char **argv)
 {
     fatalIf(argc < 7,
             "sim needs <file> <i_kb> <d_kb> <line_words> <ways>");
-    const RecordedTrace trace = readTrace(argv[2]);
+    const RecordedTrace trace = store::readTrace(argv[2]);
     CacheParams ip, dp;
     ip.geom = CacheGeometry::fromWords(
         std::strtoull(argv[3], nullptr, 10) * 1024,
@@ -149,7 +148,7 @@ cmdSweep(int argc, char **argv)
     const unsigned threads = argc > 3
         ? unsigned(std::strtoul(argv[3], nullptr, 10))
         : 0;
-    const RecordedTrace trace = readTrace(argv[2]);
+    const RecordedTrace trace = store::readTrace(argv[2]);
     fatalIf(trace.empty(), "empty trace");
 
     std::vector<CacheGeometry> cache_geoms;

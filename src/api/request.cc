@@ -9,8 +9,8 @@
 
 #include "api/json.hh"
 #include "os/osmodel.hh"
+#include "store/codec.hh"
 #include "store/store.hh"
-#include "trace/tracefile.hh"
 #include "workload/workload.hh"
 
 namespace oma::api
@@ -268,7 +268,7 @@ AllocationRequest::fingerprint(Fingerprint &fp) const
 {
     fp.u64("api.format_version", apiFormatVersion);
     fp.u64("store.format_version", ArtifactStore::formatVersion);
-    fp.u64("trace.format_version", TraceFileHeader::currentVersion);
+    fp.u64("trace.format_version", store::traceFormatVersion);
     fp.str("run.os", osKindName(os));
     fp.u64("run.seed", seed);
     fp.u64("run.references", references);

@@ -23,8 +23,9 @@
  *    (store/codec.hh) and the obs exporters name deterministically.
  *
  * ComponentSweep replays a heterogeneous list of ComponentSlots
- * (core/sweep.hh); AllocationSearch ranks the extension components
- * alongside the paper's three-way grid (core/search.hh). The concrete
+ * (core/sweep.hh); the search strategies rank the extension
+ * components alongside the paper's three-way grid
+ * (core/search_strategy.hh). The concrete
  * adapters live in component.cc and are checked against the
  * ReplayableComponent concept at compile time.
  */

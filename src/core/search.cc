@@ -1,15 +1,9 @@
 /**
  * @file
- * Implementation of the design-space allocator.
+ * Implementation of the configuration space.
  */
 
 #include "core/search.hh"
-
-#include <memory>
-
-#include "core/search_strategy.hh"
-#include "obs/export.hh"
-#include "support/logging.hh"
 
 namespace oma
 {
@@ -181,33 +175,6 @@ ConfigSpace::fingerprint(Fingerprint &fp) const
     fp.u64("space.l2_ways", l2Ways);
     fp.u64("space.hier_l1_line_words", hierL1LineWords);
     fp.u64("space.hier_l1_ways", hierL1Ways);
-}
-
-AllocationSearch::AllocationSearch(const AreaModel &area,
-                                   double budget_rbe)
-    : _area(area), _budget(budget_rbe)
-{
-    fatalIf(budget_rbe <= 0, "area budget must be positive");
-}
-
-std::vector<Allocation>
-AllocationSearch::rank(const ComponentCpiTables &tables,
-                       std::uint64_t max_cache_ways, unsigned threads,
-                       obs::Observation *observation) const
-{
-    std::unique_ptr<obs::Span> span;
-    if (observation != nullptr)
-        span = std::make_unique<obs::Span>(observation->metrics,
-                                           "search/rank");
-
-    // The historical entry point: build the scored space and run the
-    // exhaustive strategy over it. The refactor is bitwise-neutral —
-    // ExhaustiveStrategy preserves the emission order, the
-    // floating-point accumulation order and the stable sort of the
-    // original in-line enumeration (see core/search_strategy.hh).
-    const SearchSpace space(tables, _area, _budget, max_cache_ways);
-    return ExhaustiveStrategy().search(space, threads, observation)
-        .allocations;
 }
 
 } // namespace oma

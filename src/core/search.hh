@@ -1,14 +1,14 @@
 /**
  * @file
- * The design-space allocator: the paper's primary contribution.
- *
- * Enumerates the configuration grid of Table 5 (TLBs of 64-512
+ * The design space of the allocator, the paper's primary
+ * contribution: the configuration grid of Table 5 (TLBs of 64-512
  * entries at 1/2/4/8-way or fully associative; caches of 2-32 KB with
- * 1-32-word lines at 1/2/4/8-way), costs each combination with the
- * MQF area model, discards combinations over the die budget (250,000
- * rbe), scores the rest with independently measured per-component CPI
- * contributions, and ranks by total CPI — regenerating Tables 6
- * and 7.
+ * 1-32-word lines at 1/2/4/8-way) and the ranked Allocation record.
+ * The search that costs each combination with the MQF area model,
+ * discards combinations over the die budget (250,000 rbe), scores the
+ * rest with independently measured per-component CPI contributions
+ * and ranks by total CPI — regenerating Tables 6 and 7 — lives in
+ * core/search_strategy.hh.
  */
 
 #ifndef OMA_CORE_SEARCH_HH
@@ -20,7 +20,6 @@
 
 #include "area/mqf.hh"
 #include "core/sweep.hh"
-#include "support/deprecated.hh"
 
 namespace oma
 {
@@ -158,45 +157,6 @@ struct Allocation
         return victimEntries != 0 || wbEntries != 0 || hasL2 ||
             unified;
     }
-};
-
-/**
- * Exhaustive cost/benefit search over the configuration space.
- */
-class AllocationSearch
-{
-  public:
-    AllocationSearch(const AreaModel &area, double budget_rbe);
-
-    /**
-     * Rank every in-budget combination of the measured components.
-     *
-     * @param tables Suite-averaged per-component CPI contributions.
-     * @param max_cache_ways Associativity restriction (8 = Table 6,
-     *        2 = Table 7).
-     * @param threads Execution lanes for the scoring loop; 0 = one
-     *        per hardware thread, 1 = serial. The enumeration is
-     *        sharded by TLB geometry and stitched back in TLB order,
-     *        so the ranking (ties included) is bitwise identical for
-     *        every thread count.
-     * @param observation Optional metrics/progress sink (candidate
-     *        and in-budget counts, phase timing); attaching one never
-     *        changes the ranking.
-     * @return all in-budget allocations, best (lowest CPI) first.
-     */
-    OMA_DEPRECATED("phrase the query as an api::AllocationRequest and "
-                   "rank through api::QueryEngine (api/query_engine.hh)")
-    [[nodiscard]] std::vector<Allocation>
-    rank(const ComponentCpiTables &tables,
-         std::uint64_t max_cache_ways = 8, unsigned threads = 0,
-         obs::Observation *observation = nullptr) const;
-
-    [[nodiscard]] double budget() const { return _budget; }
-    [[nodiscard]] const AreaModel &areaModel() const { return _area; }
-
-  private:
-    AreaModel _area;
-    double _budget;
 };
 
 } // namespace oma

@@ -2,15 +2,15 @@
  * @file
  * Search strategies over the five-component allocation space.
  *
- * The exhaustive allocator (AllocationSearch::rank) scores every
- * in-budget combination of TLB, fetch-side organization (plain
- * I-cache or direct-mapped L1 + victim buffer), D-cache, write
- * buffer and hierarchy replacement. That is the gold standard — and
- * on extended grids it is also millions of evaluations per suite.
- * This header factors the scored space itself out of the exhaustive
- * loop (SearchSpace: candidate encoding, exact area/CPI evaluation
- * reusing the precomputed per-geometry tables) and defines a common
- * SearchStrategy interface over it with two implementations:
+ * The exhaustive allocator scores every in-budget combination of
+ * TLB, fetch-side organization (plain I-cache or direct-mapped L1 +
+ * victim buffer), D-cache, write buffer and hierarchy replacement.
+ * That is the gold standard — and on extended grids it is also
+ * millions of evaluations per suite. This header separates the
+ * scored space (SearchSpace: candidate encoding, exact area/CPI
+ * evaluation reusing the precomputed per-geometry tables) from the
+ * strategies that walk it, behind a common SearchStrategy interface
+ * with two implementations:
  *
  *  - ExhaustiveStrategy: the classic enumeration, refactored behind
  *    the interface with *bitwise-unchanged* output (same emission
@@ -275,9 +275,9 @@ class SearchStrategy
  * buffer) order then hierarchy allocations in (TLB, hierarchy,
  * write buffer) order, sharded by TLB geometry, and ranks them by
  * CPI with ties in that emission order — the order a stable sort of
- * the historical AllocationSearch::rank output gives, for every
- * thread count, with pruning on or off (pruned subgrids contain only
- * over-budget candidates).
+ * the unpruned enumeration gives, for every thread count, with
+ * pruning on or off (pruned subgrids contain only over-budget
+ * candidates).
  *
  * Top-K contract: with @p top_k nonzero each TLB shard keeps only
  * its best top_k candidates and only the merged best top_k are

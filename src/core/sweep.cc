@@ -11,7 +11,6 @@
 #include "store/codec.hh"
 #include "support/logging.hh"
 #include "support/threadpool.hh"
-#include "trace/tracefile.hh"
 
 namespace oma
 {
@@ -53,7 +52,7 @@ sweepBaseKey(const WorkloadParams &workload, OsKind os,
 {
     Fingerprint fp;
     fp.u64("store.format_version", ArtifactStore::formatVersion);
-    fp.u64("trace.format_version", TraceFileHeader::currentVersion);
+    fp.u64("trace.format_version", store::traceFormatVersion);
     fp.str("run.os", osKindName(os));
     fp.u64("run.seed", run.seed);
     fp.u64("run.references", run.references);

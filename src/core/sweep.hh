@@ -27,13 +27,11 @@
 #include <string>
 #include <vector>
 
-#include "cache/bank.hh"
 #include "core/component.hh"
 #include "core/experiment.hh"
 #include "machine/machine.hh"
 #include "obs/metrics.hh"
 #include "store/store.hh"
-#include "support/deprecated.hh"
 #include "support/logging.hh"
 #include "tlb/tapeworm.hh"
 #include "trace/recorded.hh"
@@ -340,8 +338,9 @@ struct SweepResult
  * recording on private simulator instances. RunConfig::threads picks
  * the lane count for the replays; serial (threads = 1) runs the same
  * per-configuration replays inline, so results are bitwise identical
- * for any thread count. A recording loaded from a v2 trace file can
- * be swept directly via the RecordedTrace overload.
+ * for any thread count. A recording loaded from a trace file
+ * (store::readTrace) can be swept directly via the RecordedTrace
+ * overload.
  *
  * When RunConfig::storeDir (or OMA_STORE_DIR) enables the artifact
  * store, the recording and every completed replay shard persist as
@@ -400,24 +399,13 @@ class ComponentSweep
         const RunConfig &run = RunConfig(),
         obs::Observation *observation = nullptr) const;
 
-    OMA_DEPRECATED("phrase the query as an api::AllocationRequest and "
-                    "sweep through api::QueryEngine (api/query_engine.hh)")
-    [[nodiscard]] SweepResult
-    run(BenchmarkId id, OsKind os,
-        const RunConfig &run_config = RunConfig(),
-        obs::Observation *observation = nullptr) const
-    {
-        return this->run(benchmarkParams(id), os, run_config,
-                         observation);
-    }
-
     /**
      * Sweep an existing recording (e.g. System::record output or a
-     * readTrace()d v2 file) on @p threads lanes (0 = hardware, 1 =
-     * serial). Reproduces the live-run SweepResult exactly when the
-     * recording came from the same workload/OS/seed/length. Never
-     * touches the artifact store: a bare recording carries no
-     * provenance to fingerprint.
+     * trace file loaded by store::readTrace) on @p threads lanes
+     * (0 = hardware, 1 = serial). Reproduces the live-run
+     * SweepResult exactly when the recording came from the same
+     * workload/OS/seed/length. Never touches the artifact store: a
+     * bare recording carries no provenance to fingerprint.
      */
     [[nodiscard]] SweepResult
     run(const RecordedTrace &trace, unsigned threads = 0,

@@ -319,7 +319,7 @@ class Progress
 
 /**
  * The observation sink an instrumented engine fills: pass one to
- * ComponentSweep::run / AllocationSearch::rank to collect metrics
+ * ComponentSweep::run / SearchStrategy::search to collect metrics
  * and (optionally) progress. Attaching an Observation never changes
  * engine results — only what gets reported about them.
  */

@@ -14,10 +14,13 @@
  * (entries are per-machine caches; the fingerprint scheme ages them
  * out on format changes). Trace payloads run each column chunk
  * through the delta/varint codec (trace/codec.hh) with per-chunk
- * checksums — the same byte layer as trace-file format v3 — so warm
- * replays re-read a fraction of the packed 10 B/ref footprint.
- * Decoders are bounds-checked and return false on any framing
- * mismatch, which callers treat as a store miss.
+ * checksums, so warm replays re-read a fraction of the packed
+ * 10 B/ref footprint. Decoders are bounds-checked and return false on
+ * any framing mismatch, which callers treat as a store miss.
+ *
+ * A trace file is the same trace payload in the store's entry
+ * framing (ArtifactStore::writeEntryFile) under a fixed key, so files
+ * and store entries share one byte format and one verified reader.
  */
 
 #ifndef OMA_STORE_CODEC_HH
@@ -36,6 +39,12 @@
 
 namespace oma::store
 {
+
+/** Version of the trace payload codec (encodeTrace/decodeTrace). It
+ * is part of every store key as `trace.format_version` and of the
+ * trace-file key, so a codec change ages stored traces, shards and
+ * trace files out instead of misreading them. */
+inline constexpr std::uint32_t traceFormatVersion = 3;
 
 /**
  * The reference-machine replay shard: everything task 0 of a sweep
@@ -66,6 +75,16 @@ struct MachineShard
  * that fails delta/varint decoding (treat any as a store miss). */
 [[nodiscard]] bool decodeTrace(std::string_view payload,
                                RecordedTrace &trace);
+
+/** Write @p trace (references, events, otherCpi) to the trace file
+ * @p path; fatal, naming the file, on any I/O failure. */
+void writeTrace(const std::string &path, const RecordedTrace &trace);
+
+/** Load the trace file @p path exactly as writeTrace() saved it,
+ * trailing events included. Fatal, naming the file, when it is
+ * missing, corrupt or not a trace file of the current format (such
+ * as a file of the older ATRACE format). */
+[[nodiscard]] RecordedTrace readTrace(const std::string &path);
 
 [[nodiscard]] std::string encodeCacheStats(const CacheStats &s);
 [[nodiscard]] bool decodeCacheStats(std::string_view payload,

@@ -198,20 +198,31 @@ bool
 ArtifactStore::get(const Fingerprint &key, std::string &payload) const
 {
     const std::string path = entryPath(key);
-    std::ifstream in(path, std::ios::binary);
-    if (!in.is_open()) {
-        bump(&StoreStatsSnapshot::misses);
-        return false;
+    switch (readEntryFile(path, key.text(), payload)) {
+    case EntryRead::Ok:
+        bump(&StoreStatsSnapshot::hits);
+        return true;
+    case EntryRead::Corrupt:
+        quarantine(path);
+        break;
+    case EntryRead::Missing:
+        break;
     }
+    bump(&StoreStatsSnapshot::misses);
+    return false;
+}
+
+ArtifactStore::EntryRead
+ArtifactStore::readEntryFile(const std::string &path,
+                             std::string_view key_text,
+                             std::string &payload)
+{
+    std::ifstream in(path, std::ios::binary);
+    if (!in.is_open())
+        return EntryRead::Missing;
     std::string raw((std::istreambuf_iterator<char>(in)),
                     std::istreambuf_iterator<char>());
     in.close();
-
-    const auto corrupt = [&]() {
-        quarantine(path);
-        bump(&StoreStatsSnapshot::misses);
-        return false;
-    };
 
     std::size_t pos = 0;
     std::uint64_t magic = 0, key_size = 0, payload_size = 0,
@@ -222,23 +233,25 @@ ArtifactStore::get(const Fingerprint &key, std::string &payload) const
         !readU32(raw, pos, reserved) || !readU64(raw, pos, key_size) ||
         !readU64(raw, pos, payload_size) ||
         !readU64(raw, pos, checksum)) {
-        return corrupt();
+        return EntryRead::Corrupt;
     }
-    if (raw.size() - pos != key_size + payload_size)
-        return corrupt();
+    // Compared without adding the two sizes, which a hostile file
+    // could pick to wrap around.
+    const std::size_t rest = raw.size() - pos;
+    if (key_size > rest || payload_size != rest - key_size)
+        return EntryRead::Corrupt;
     const std::string_view stored_key(raw.data() + pos, key_size);
     const std::string_view stored_payload(raw.data() + pos + key_size,
                                           payload_size);
     // Byte-compare the full canonical key text: even a fingerprint
     // hash collision degrades to a detected miss here.
-    if (stored_key != key.text())
-        return corrupt();
+    if (stored_key != key_text)
+        return EntryRead::Corrupt;
     if (payloadChecksum(stored_payload) != checksum)
-        return corrupt();
+        return EntryRead::Corrupt;
 
     payload.assign(stored_payload);
-    bump(&StoreStatsSnapshot::hits);
-    return true;
+    return EntryRead::Ok;
 }
 
 void

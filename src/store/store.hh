@@ -46,7 +46,6 @@
 #include <string_view>
 #include <utility>
 
-#include "support/deprecated.hh"
 #include "support/fingerprint.hh"
 #include "support/sync.hh"
 
@@ -207,22 +206,6 @@ class ArtifactStore
         return _inflightTable;
     }
 
-    /** @deprecated Legacy spelling of get(). */
-    OMA_DEPRECATED("use ArtifactStore::get()")
-    [[nodiscard]] bool
-    load(const Fingerprint &key, std::string &payload) const
-    {
-        return get(key, payload);
-    }
-
-    /** @deprecated Legacy spelling of put(). */
-    OMA_DEPRECATED("use ArtifactStore::put()")
-    void
-    save(const Fingerprint &key, std::string_view payload) const
-    {
-        put(key, payload);
-    }
-
     /** Absolute path an entry for @p key lives at. */
     [[nodiscard]] std::string entryPath(const Fingerprint &key) const;
 
@@ -240,13 +223,32 @@ class ArtifactStore
 
     /**
      * Write one complete entry file (header + key text + payload) to
-     * @p path, fatal on any I/O failure — the building block save()
-     * aims at a temp file, exposed so the disk-full path is directly
-     * death-testable (tests/store/test_store.cc, /dev/full).
+     * @p path, fatal on any I/O failure — the building block put()
+     * aims at a temp file. Trace files (store/codec.hh) are entry
+     * files too, and the disk-full path is directly death-testable
+     * (tests/store/test_store.cc, /dev/full).
      */
     static void writeEntryFile(const std::string &path,
                                std::string_view key_text,
                                std::string_view payload);
+
+    /** Outcome of readEntryFile(). */
+    enum class EntryRead
+    {
+        Missing, //!< The file cannot be opened.
+        Corrupt, //!< Bad framing, other key text or a failed checksum.
+        Ok
+    };
+
+    /**
+     * Read the entry file at @p path and verify it holds @p key_text:
+     * the inverse of writeEntryFile() and the whole check behind
+     * get(), which adds only quarantine and the counters. Sets
+     * @p payload on Ok only.
+     */
+    [[nodiscard]] static EntryRead readEntryFile(const std::string &path,
+                                                 std::string_view key_text,
+                                                 std::string &payload);
 
   private:
     /** Move a bad entry aside so it cannot be re-read, then count it. */

@@ -30,9 +30,9 @@
  * framing violation; callers pair payloads with the fnv1a32()
  * checksum so bit flips that survive framing are still detected.
  *
- * Consumed by the v3 trace-file format (trace/tracefile) and the
- * artifact-store trace codec (store/codec); the differential and
- * fuzz suites live in tests/trace/test_codec_v3.cc.
+ * Consumed by the artifact-store trace codec (store/codec), which
+ * also frames trace files; the differential and fuzz suites live in
+ * tests/trace/test_codec_v3.cc.
  */
 
 #ifndef OMA_TRACE_CODEC_HH

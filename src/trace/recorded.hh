@@ -215,7 +215,7 @@ class RecordedTrace
         }
     }
 
-    // ----- packed encoding (shared with the v2 trace-file format) -----
+    // ----- packed encoding (shared with the trace codec) -----
 
     // Flag byte: kind in bits 0-1, mode in bit 2, mapped in bit 3.
     static constexpr std::uint8_t kindMask = 0x3;

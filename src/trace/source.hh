@@ -16,8 +16,9 @@ namespace oma
 {
 
 /**
- * A pull-based producer of memory references. Workload generators and
- * trace-file readers implement this interface; simulators consume it.
+ * A pull-based producer of memory references. Workload generators,
+ * filters and samplers implement this interface; simulators consume
+ * it.
  */
 class TraceSource
 {

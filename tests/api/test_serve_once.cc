@@ -1,25 +1,37 @@
 /**
  * @file
- * End-to-end oma_serve --once tests: the daemon binary itself,
- * driven over its stdin/stdout wire exactly as a client would.
+ * End-to-end oma_serve tests: the daemon binary itself, driven over
+ * its stdin/stdout wire (--once) or its Unix socket exactly as a
+ * client would.
  *
- * Pins the PR's headline property: a Table-style allocation query
- * answered cold, answered store-warm, answered as a concurrent
- * duplicate, and answered at a different thread count all yield
- * bitwise-identical response lines.
+ * Pins the serving contract's headline property: a Table-style
+ * allocation query answered cold, answered store-warm, answered as a
+ * concurrent duplicate, and answered at a different thread count all
+ * yield bitwise-identical response lines. In socket mode, a client
+ * that hangs up without reading must not take the daemon down.
  */
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
+#include <chrono>
+#include <csignal>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "api/request.hh"
+#include "tests/api/json_path.hh"
 
 namespace oma::api
 {
@@ -37,6 +49,24 @@ scratchDir(const std::string &name)
     fs::remove_all(root);
     fs::create_directories(root);
     return root;
+}
+
+/** @p output cut into its newline-separated lines. */
+std::vector<std::string>
+splitLines(const std::string &output)
+{
+    std::vector<std::string> lines;
+    std::size_t start = 0;
+    while (start < output.size()) {
+        const std::size_t end = output.find('\n', start);
+        if (end == std::string::npos) {
+            lines.push_back(output.substr(start));
+            break;
+        }
+        lines.push_back(output.substr(start, end - start));
+        start = end + 1;
+    }
+    return lines;
 }
 
 /** Run `oma_serve --once --store-dir store_dir` with @p input on
@@ -65,19 +95,7 @@ serveOnce(const std::string &store_dir, const std::string &input)
     const int status = ::pclose(pipe);
     EXPECT_EQ(status, 0) << output;
     fs::remove_all(dir);
-
-    std::vector<std::string> lines;
-    std::size_t start = 0;
-    while (start < output.size()) {
-        const std::size_t end = output.find('\n', start);
-        if (end == std::string::npos) {
-            lines.push_back(output.substr(start));
-            break;
-        }
-        lines.push_back(output.substr(start, end - start));
-        start = end + 1;
-    }
-    return lines;
+    return splitLines(output);
 }
 
 /** A small but real allocation query (a scaled-down Table 6: full
@@ -212,6 +230,154 @@ TEST(ServeOnce, UnbuildableGeometryEarnsAnErrorNotAnExit)
         EXPECT_NE(lines[1].find(c.field), std::string::npos) << lines[1];
         fs::remove_all(store);
     }
+}
+
+/** A connected client socket to @p path, or -1 (errno set). */
+int
+connectTo(const std::string &path)
+{
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd < 0)
+        return -1;
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+    // oma-lint: allow(cast-audit): POSIX connect takes the generic
+    // sockaddr view of sockaddr_un; sizeof passes the real type.
+    if (::connect(fd, reinterpret_cast<const sockaddr *>(&addr),
+                  sizeof addr) != 0) {
+        const int saved = errno;
+        ::close(fd);
+        errno = saved;
+        return -1;
+    }
+    return fd;
+}
+
+/** Send all of @p text on @p fd (never raising SIGPIPE). */
+bool
+sendAll(int fd, const std::string &text)
+{
+    std::size_t sent = 0;
+    while (sent < text.size()) {
+        const ssize_t n = ::send(fd, text.data() + sent,
+                                 text.size() - sent, MSG_NOSIGNAL);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0)
+            return false;
+        sent += std::size_t(n);
+    }
+    return true;
+}
+
+/** One client session: send @p text, half-close, read to EOF. */
+std::string
+converse(const std::string &socket_path, const std::string &text)
+{
+    const int fd = connectTo(socket_path);
+    EXPECT_GE(fd, 0) << "connect: " << std::strerror(errno);
+    if (fd < 0)
+        return "";
+    EXPECT_TRUE(sendAll(fd, text));
+    ::shutdown(fd, SHUT_WR);
+    std::string reply;
+    char buffer[4096];
+    ssize_t got = 0;
+    while ((got = ::read(fd, buffer, sizeof buffer)) > 0)
+        reply.append(buffer, std::size_t(got));
+    ::close(fd);
+    return reply;
+}
+
+/** Kills and reaps the daemon @p pid unless the test reaped it. */
+struct Reaper
+{
+    pid_t pid;
+    ~Reaper()
+    {
+        if (pid > 0) {
+            ::kill(pid, SIGKILL);
+            ::waitpid(pid, nullptr, 0);
+        }
+    }
+};
+
+TEST(ServeSocket, ClientHangingUpEarlyDoesNotKillTheDaemon)
+{
+    const std::string dir = scratchDir("socket");
+    const std::string socket_path = dir + "/serve.sock";
+    const std::string command = "exec env OMA_RUN_REPORT_DIR='" + dir +
+        "' '" OMA_SERVE_BIN "' --socket '" + socket_path +
+        "' --store-dir '" + dir + "/store' 2>'" + dir + "/serve.log'";
+    const pid_t daemon = ::fork();
+    ASSERT_GE(daemon, 0);
+    if (daemon == 0) {
+        ::execl("/bin/sh", "sh", "-c", command.c_str(),
+                static_cast<char *>(nullptr));
+        ::_exit(127);
+    }
+    Reaper reaper{daemon};
+
+    // The first client to get through sends 50 questions, half-closes
+    // and hangs up without reading, so the daemon's reply write fails.
+    int rude = -1;
+    for (int attempt = 0; attempt < 200 && rude < 0; ++attempt) {
+        rude = connectTo(socket_path);
+        if (rude < 0)
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+    ASSERT_GE(rude, 0) << "daemon never listened: "
+                       << std::strerror(errno);
+    std::string questions;
+    const std::string line = encodeRequest(table6Query());
+    for (int i = 0; i < 50; ++i)
+        questions += line + "\n";
+    EXPECT_TRUE(sendAll(rude, questions));
+    ::shutdown(rude, SHUT_WR);
+    ::close(rude);
+
+    // The daemon is still there for the next client: exactly one
+    // answer line for its one question...
+    const std::vector<std::string> answers =
+        splitLines(converse(socket_path, line + "\n"));
+    ASSERT_EQ(answers.size(), 1u);
+    AllocationResponse response;
+    std::string error;
+    EXPECT_TRUE(decodeResponse(answers.front(), response, error))
+        << error;
+
+    // ...and a shutdown line makes it exit cleanly.
+    const std::vector<std::string> ack = splitLines(converse(
+        socket_path,
+        "{\"schema\":\"oma-control-v1\",\"cmd\":\"shutdown\"}\n"));
+    ASSERT_EQ(ack.size(), 1u);
+    EXPECT_NE(ack.front().find("oma-control-v1"), std::string::npos);
+    int status = 0;
+    pid_t waited = 0;
+    for (int attempt = 0; attempt < 600 && waited == 0; ++attempt) {
+        waited = ::waitpid(daemon, &status, WNOHANG);
+        if (waited == 0)
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+    ASSERT_EQ(waited, daemon) << "daemon did not exit after shutdown";
+    reaper.pid = 0;
+    ASSERT_TRUE(WIFEXITED(status)) << "status " << status;
+    EXPECT_EQ(WEXITSTATUS(status), 0);
+    EXPECT_FALSE(fs::exists(socket_path));
+
+    // The dropped client was warned about and counted, and the run
+    // report was saved on the way out.
+    std::stringstream log;
+    log << std::ifstream(dir + "/serve.log").rdbuf();
+    EXPECT_NE(log.str().find("dropping client"), std::string::npos)
+        << log.str();
+    std::stringstream report;
+    report << std::ifstream(dir + "/BENCH_oma_serve.json").rdbuf();
+    JsonValue doc;
+    ASSERT_TRUE(parseJson(report.str(), doc, error)) << error;
+    EXPECT_EQ(jsonNumber(doc, "counters.serve/client_errors"), 1.0);
+    fs::remove_all(dir);
 }
 
 TEST(ServeOnce, ControlLinesAreAcknowledged)

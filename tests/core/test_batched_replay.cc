@@ -409,12 +409,12 @@ TEST(BatchedReplay, WarmStoreReplayMatchesScalarExpectation)
                   rc.seed);
     const RecordedTrace trace = system.record(rc.references);
 
-    const SweepResult cold =
-        sweep.run(BenchmarkId::Mpeg, OsKind::Ultrix, rc);
+    const WorkloadParams &mpeg = benchmarkParams(BenchmarkId::Mpeg);
+    const SweepResult cold = sweep.run(mpeg, OsKind::Ultrix, rc);
     rc.threads = 4;
     obs::Observation warm_obs;
     const SweepResult warm =
-        sweep.run(BenchmarkId::Mpeg, OsKind::Ultrix, rc, &warm_obs);
+        sweep.run(mpeg, OsKind::Ultrix, rc, &warm_obs);
     expectSameSweepResult(cold, warm);
     EXPECT_EQ(warm_obs.metrics.counter("store/misses"), 0u);
     EXPECT_EQ(warm_obs.metrics.counter("sweep/records"), 0u);

@@ -236,12 +236,11 @@ TEST(ComponentReplay, WarmStoreReproducesColdForEveryKind)
         std::to_string(::getpid());
     std::filesystem::remove_all(rc.storeDir);
 
-    const SweepResult cold =
-        sweep.run(BenchmarkId::Mpeg, OsKind::Mach, rc);
+    const WorkloadParams &mpeg = benchmarkParams(BenchmarkId::Mpeg);
+    const SweepResult cold = sweep.run(mpeg, OsKind::Mach, rc);
     rc.threads = 4;
     obs::Observation warm_obs;
-    const SweepResult warm =
-        sweep.run(BenchmarkId::Mpeg, OsKind::Mach, rc, &warm_obs);
+    const SweepResult warm = sweep.run(mpeg, OsKind::Mach, rc, &warm_obs);
     expectSameHeterogeneousResults(cold, warm);
     EXPECT_EQ(warm_obs.metrics.counter("store/misses"), 0u);
     EXPECT_EQ(warm_obs.metrics.counter("sweep/records"), 0u);

@@ -1,18 +1,18 @@
 /**
  * @file
  * Tests for the extended five-component allocation space: the
- * ConfigSpace extension axes enumerate correctly, AllocationSearch
- * ranks victim-cache and L2 organizations alongside the classic grid
- * under the 250,000-rbe budget, stripping the extension axes
- * restores the classic three-component ranking, and the extended
- * scoring loop stays thread-count invariant.
+ * ConfigSpace extension axes enumerate correctly, the exhaustive
+ * search ranks victim-cache and L2 organizations alongside the
+ * classic grid under the 250,000-rbe budget, stripping the extension
+ * axes restores the classic three-component ranking, and the
+ * extended scoring loop stays thread-count invariant.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 
-#include "core/search.hh"
+#include "core/search_strategy.hh"
 #include "workload/system.hh"
 
 namespace oma
@@ -131,8 +131,9 @@ TEST(ExtendedSearch, RanksVictimAndL2OrganizationsWithinBudget)
     ASSERT_EQ(tables.wbOptions.size(), 1u);
     ASSERT_EQ(tables.hierarchyOptions.size(), 2u);
 
-    const AllocationSearch search(AreaModel(), 250000.0);
-    const auto ranked = search.rank(tables, 8, 1);
+    const SearchSpace space(tables, AreaModel(), 250000.0);
+    const ExhaustiveStrategy exhaustive;
+    const auto ranked = exhaustive.search(space, 1).allocations;
     ASSERT_FALSE(ranked.empty());
 
     // The paper's budget admits victim-cache and L2 organizations:
@@ -157,20 +158,24 @@ TEST(ExtendedSearch, RanksVictimAndL2OrganizationsWithinBudget)
 
     // The extended scoring loop shards by TLB geometry exactly like
     // the classic one: identical output at any thread count.
-    expectSameAllocations(ranked, search.rank(tables, 8, 4));
+    expectSameAllocations(ranked,
+                          exhaustive.search(space, 4).allocations);
 }
 
 TEST(ExtendedSearch, StrippingExtensionsRestoresClassicRanking)
 {
     const ComponentCpiTables tables = measureSmallExtendedTables();
-    const AllocationSearch search(AreaModel(), 250000.0);
-    const auto extended = search.rank(tables, 8, 1);
+    const SearchSpace extended_space(tables, AreaModel(), 250000.0);
+    const auto extended =
+        ExhaustiveStrategy().search(extended_space, 1).allocations;
 
     ComponentCpiTables classic = tables;
     classic.victimOptions.clear();
     classic.wbOptions.clear();
     classic.hierarchyOptions.clear();
-    const auto stripped = search.rank(classic, 8, 1);
+    const SearchSpace classic_space(classic, AreaModel(), 250000.0);
+    const auto stripped =
+        ExhaustiveStrategy().search(classic_space, 1).allocations;
 
     // The stripped ranking is the paper's three-component search:
     // no extension fields anywhere, and strictly fewer candidates.

@@ -1,7 +1,7 @@
 /**
  * @file
  * The observability determinism contract: attaching an
- * obs::Observation to ComponentSweep::run / AllocationSearch::rank
+ * obs::Observation to ComponentSweep::run / ExhaustiveStrategy::search
  * must never change the results — bitwise, at 1 and 4 threads — and
  * the collected counters must be a pure function of the work (equal
  * across thread counts, equal to the SweepResult they describe).
@@ -9,15 +9,16 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <sstream>
 #include <string>
 
-#include "core/search.hh"
+#include "core/search_strategy.hh"
 #include "core/sweep.hh"
 #include "obs/export.hh"
 #include "obs/report.hh"
-#include "tests/obs/jsonlite.hh"
+#include "tests/api/json_path.hh"
 
 namespace oma
 {
@@ -93,6 +94,13 @@ tlbSubset()
     return {TlbGeometry::fullyAssoc(32), TlbGeometry(128, 2)};
 }
 
+/** The workload most tests here sweep. */
+const WorkloadParams &
+mab()
+{
+    return benchmarkParams(BenchmarkId::Mab);
+}
+
 ComponentSweep
 sweepUnderTest()
 {
@@ -127,12 +135,11 @@ TEST(ObservedSweep, ObservationNeverChangesTheResultAt1And4Threads)
     const ComponentSweep sweep = sweepUnderTest();
     for (unsigned threads : {1u, 4u}) {
         SCOPED_TRACE(threads);
-        const SweepResult plain = sweep.run(
-            BenchmarkId::Mab, OsKind::Mach, runConfig(threads));
+        const SweepResult plain =
+            sweep.run(mab(), OsKind::Mach, runConfig(threads));
         obs::Observation observation;
-        const SweepResult observed =
-            sweep.run(BenchmarkId::Mab, OsKind::Mach,
-                      runConfig(threads), &observation);
+        const SweepResult observed = sweep.run(
+            mab(), OsKind::Mach, runConfig(threads), &observation);
         expectSameSweepResult(plain, observed);
         EXPECT_FALSE(observation.metrics.empty());
     }
@@ -146,10 +153,8 @@ TEST(ObservedSweep, CountersAreThreadCountInvariant)
     // timing respectively, and are excluded by contract.
     const ComponentSweep sweep = sweepUnderTest();
     obs::Observation serial, parallel;
-    (void)sweep.run(BenchmarkId::Mab, OsKind::Mach, runConfig(1),
-                    &serial);
-    (void)sweep.run(BenchmarkId::Mab, OsKind::Mach, runConfig(4),
-                    &parallel);
+    (void)sweep.run(mab(), OsKind::Mach, runConfig(1), &serial);
+    (void)sweep.run(mab(), OsKind::Mach, runConfig(4), &parallel);
     for (const auto &[name, value] : serial.metrics.counters()) {
         if (name.rfind("threadpool/", 0) == 0)
             continue;
@@ -163,8 +168,8 @@ TEST(ObservedSweep, CountersMatchTheSweepResultTheyDescribe)
 {
     const ComponentSweep sweep = sweepUnderTest();
     obs::Observation observation;
-    const SweepResult r = sweep.run(BenchmarkId::Mab, OsKind::Mach,
-                                    runConfig(2), &observation);
+    const SweepResult r =
+        sweep.run(mab(), OsKind::Mach, runConfig(2), &observation);
     const obs::MetricRegistry &m = observation.metrics;
     EXPECT_EQ(m.counter("icache/misses"),
               sumCacheMisses(r, r.icacheCount(),
@@ -192,21 +197,21 @@ TEST(ObservedSweep, CountersMatchTheSweepResultTheyDescribe)
 TEST(ObservedSweep, ProgressTicksOncePerTask)
 {
     const ComponentSweep sweep = sweepUnderTest();
-    std::uint64_t last_total = 0;
+    // Progress callbacks may run concurrently on worker lanes.
+    std::atomic<std::uint64_t> last_total{0};
     obs::Progress progress(
         1 + 2 * cacheSubset().size() + tlbSubset().size(),
         [&last_total](std::uint64_t, std::uint64_t total) {
-            last_total = total;
+            last_total.store(total);
         },
         2);
     obs::Observation observation;
     observation.progress = &progress;
-    (void)sweep.run(BenchmarkId::Mab, OsKind::Mach, runConfig(4),
-                    &observation);
+    (void)sweep.run(mab(), OsKind::Mach, runConfig(4), &observation);
     // One tick per task: reference machine + every cache + every TLB.
     EXPECT_EQ(progress.done(),
               1 + 2 * cacheSubset().size() + tlbSubset().size());
-    EXPECT_EQ(last_total, progress.done());
+    EXPECT_EQ(last_total.load(), progress.done());
 }
 
 TEST(ObservedSweep, ReportFromAnObservedRunIsSchemaValid)
@@ -215,8 +220,8 @@ TEST(ObservedSweep, ReportFromAnObservedRunIsSchemaValid)
     // per-component counters and phase timings, as a bench emits it.
     const ComponentSweep sweep = sweepUnderTest();
     obs::Observation observation;
-    const SweepResult r = sweep.run(BenchmarkId::Mab, OsKind::Mach,
-                                    runConfig(2), &observation);
+    const SweepResult r =
+        sweep.run(mab(), OsKind::Mach, runConfig(2), &observation);
     obs::RunReport report("observed_sweep_unit");
     report.meta["benchmark"] = "mab";
     report.metrics = observation.metrics;
@@ -224,31 +229,33 @@ TEST(ObservedSweep, ReportFromAnObservedRunIsSchemaValid)
 
     std::ostringstream os;
     report.writeJson(os);
-    omatest::JsonLite doc;
-    ASSERT_TRUE(doc.parse(os.str()));
-    EXPECT_EQ(doc.str("schema"), "oma-run-report-v1");
-    EXPECT_GT(doc.num("counters.icache/misses"), 0.0);
-    EXPECT_GT(doc.num("counters.dcache/misses"), 0.0);
-    EXPECT_GT(doc.num("counters.tlb/misses"), 0.0);
-    EXPECT_TRUE(doc.has("gauges.time_ms/sweep/replay"));
-    EXPECT_TRUE(doc.has("gauges.time_ms/sweep/record"));
-    EXPECT_TRUE(
-        doc.has("histograms.icache/misses_per_config.buckets"));
+    api::JsonValue doc;
+    std::string error;
+    ASSERT_TRUE(api::parseJson(os.str(), doc, error)) << error;
+    EXPECT_EQ(api::jsonString(doc, "schema"), "oma-run-report-v1");
+    EXPECT_GT(api::jsonNumber(doc, "counters.icache/misses"), 0.0);
+    EXPECT_GT(api::jsonNumber(doc, "counters.dcache/misses"), 0.0);
+    EXPECT_GT(api::jsonNumber(doc, "counters.tlb/misses"), 0.0);
+    EXPECT_NE(api::jsonAt(doc, "gauges.time_ms/sweep/replay"), nullptr);
+    EXPECT_NE(api::jsonAt(doc, "gauges.time_ms/sweep/record"), nullptr);
+    EXPECT_NE(
+        api::jsonAt(doc, "histograms.icache/misses_per_config.buckets"),
+        nullptr);
 }
 
 TEST(ObservedSearch, ObservationNeverChangesTheRanking)
 {
     const ComponentSweep sweep = sweepUnderTest();
     std::vector<SweepResult> runs;
-    runs.push_back(
-        sweep.run(BenchmarkId::Mab, OsKind::Mach, runConfig(2)));
+    runs.push_back(sweep.run(mab(), OsKind::Mach, runConfig(2)));
     const ComponentCpiTables tables = ComponentCpiTables::average(
         runs, MachineParams::decstation3100());
-    const AllocationSearch search(AreaModel(), 250000.0);
+    const SearchSpace space(tables, AreaModel(), 250000.0);
 
-    const auto plain = search.rank(tables, 8, 4);
+    const auto plain = ExhaustiveStrategy().search(space, 4).allocations;
     obs::Observation observation;
-    const auto observed = search.rank(tables, 8, 4, &observation);
+    const auto observed =
+        ExhaustiveStrategy().search(space, 4, &observation).allocations;
 
     ASSERT_EQ(plain.size(), observed.size());
     for (std::size_t i = 0; i < plain.size(); ++i) {
@@ -259,7 +266,7 @@ TEST(ObservedSearch, ObservationNeverChangesTheRanking)
     }
     EXPECT_EQ(observation.metrics.counter("search/ranked"),
               plain.size());
-    EXPECT_EQ(observation.metrics.counter("calls/search/rank"), 1u);
+    EXPECT_EQ(observation.metrics.counter("calls/search/exhaustive"), 1u);
     if (!plain.empty()) {
         EXPECT_TRUE(
             sameBits(observation.metrics.gauge("search/best_cpi"),

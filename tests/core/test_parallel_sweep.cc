@@ -1,8 +1,8 @@
 /**
  * @file
  * Serial-equivalence property tests for the parallel sweep/search
- * engine: for any thread count, ComponentSweep and AllocationSearch
- * must produce results bitwise identical to the serial path — same
+ * engine: for any thread count, ComponentSweep and the exhaustive
+ * search must produce results bitwise identical to the serial path — same
  * counters, same CPI doubles, same ranking order, same tie-breaks.
  */
 
@@ -10,7 +10,7 @@
 
 #include <cstring>
 
-#include "core/search.hh"
+#include "core/search_strategy.hh"
 #include "core/sweep.hh"
 #include "support/rng.hh"
 
@@ -107,7 +107,7 @@ sweepWith(unsigned threads, BenchmarkId id, OsKind os,
     rc.references = refs;
     rc.seed = seed;
     rc.threads = threads;
-    return sweep.run(id, os, rc);
+    return sweep.run(benchmarkParams(id), os, rc);
 }
 
 TEST(ParallelSweep, MatchesSerialAcrossThreadCounts)
@@ -190,15 +190,17 @@ syntheticGridTables()
 
 TEST(ParallelSearch, RankMatchesSerialOnTable5Grid)
 {
-    const AllocationSearch search(AreaModel(), 250000.0);
+    const ExhaustiveStrategy exhaustive;
     const ComponentCpiTables tables = syntheticGridTables();
     for (std::uint64_t max_ways : {8u, 2u}) {
-        const auto serial = search.rank(tables, max_ways, 1);
+        const SearchSpace space(tables, AreaModel(), 250000.0, max_ways);
+        const auto serial = exhaustive.search(space, 1).allocations;
         ASSERT_FALSE(serial.empty());
         for (unsigned threads : {2u, 4u, 8u}) {
             SCOPED_TRACE(testing::Message() << "ways " << max_ways
                                             << " threads " << threads);
-            const auto par = search.rank(tables, max_ways, threads);
+            const auto par =
+                exhaustive.search(space, threads).allocations;
             expectSameRanking(serial, par);
         }
     }
@@ -224,9 +226,11 @@ TEST(ParallelSearch, RankMatchesSerialOnMeasuredTables)
         ComponentCpiTables::average(serial_runs, mp);
     const auto par_tables = ComponentCpiTables::average(par_runs, mp);
 
-    const AllocationSearch search(AreaModel(), 250000.0);
-    const auto serial = search.rank(serial_tables, 8, 1);
-    const auto par = search.rank(par_tables, 8, 4);
+    const SearchSpace serial_space(serial_tables, AreaModel(), 250000.0);
+    const SearchSpace par_space(par_tables, AreaModel(), 250000.0);
+    const auto serial =
+        ExhaustiveStrategy().search(serial_space, 1).allocations;
+    const auto par = ExhaustiveStrategy().search(par_space, 4).allocations;
     ASSERT_FALSE(serial.empty());
     expectSameRanking(serial, par);
 }

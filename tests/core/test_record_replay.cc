@@ -3,7 +3,7 @@
  * Property tests for the unified record-then-replay pipeline: a live
  * ComponentSweep::run(workload, os, run), a replay of the in-memory
  * RecordedTrace the same System produces, and a replay of that
- * recording after a v2-file round trip must all yield the same
+ * recording after a trace-file round trip must all yield the same
  * SweepResult — counter-for-counter and bit-for-bit in the derived
  * doubles — for every geometry, OS personality and thread count.
  */
@@ -15,7 +15,7 @@
 #include <string>
 
 #include "core/sweep.hh"
-#include "trace/tracefile.hh"
+#include "store/codec.hh"
 #include "workload/system.hh"
 
 namespace oma
@@ -122,19 +122,20 @@ TEST_P(RecordReplay, LiveMemoryAndFileSweepsAgree)
     rc.references = refs;
     rc.seed = seed;
     rc.threads = 1;
-    const SweepResult live = sweep.run(BenchmarkId::Mpeg, os, rc);
+    const SweepResult live =
+        sweep.run(benchmarkParams(BenchmarkId::Mpeg), os, rc);
 
     // Path 2: an explicit recording of the identical stream.
     System system(benchmarkParams(BenchmarkId::Mpeg), os, seed);
     const RecordedTrace trace = system.record(refs);
     ASSERT_EQ(trace.size(), refs);
 
-    // Path 3: the recording after a v2 file round trip.
+    // Path 3: the recording after a trace-file round trip.
     const std::string path = testing::TempDir() + "/rr_" +
         std::string(os == OsKind::Mach ? "mach" : "ultrix") +
         ".trace";
-    writeTrace(path, trace);
-    const RecordedTrace loaded = readTrace(path);
+    store::writeTrace(path, trace);
+    const RecordedTrace loaded = store::readTrace(path);
     ASSERT_EQ(loaded.size(), trace.size());
     ASSERT_EQ(loaded.events().size(), trace.events().size());
 

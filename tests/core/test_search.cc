@@ -1,11 +1,12 @@
 /**
  * @file
- * Tests for the configuration space and the allocation search.
+ * Tests for the configuration space and the exhaustive allocation
+ * search over it.
  */
 
 #include <gtest/gtest.h>
 
-#include "core/search.hh"
+#include "core/search_strategy.hh"
 
 namespace oma
 {
@@ -35,6 +36,15 @@ syntheticTables()
     for (const auto &g : tables.tlbGeoms)
         tables.tlbCpi.push_back(10.0 / double(g.entries));
     return tables;
+}
+
+/** Every allocation of @p tables within @p budget, best first. */
+std::vector<Allocation>
+rankAll(const ComponentCpiTables &tables, double budget = 250000.0,
+        std::uint64_t max_cache_ways = 8)
+{
+    const SearchSpace space(tables, AreaModel(), budget, max_cache_ways);
+    return ExhaustiveStrategy().search(space).allocations;
 }
 
 TEST(ConfigSpace, Table5TlbGrid)
@@ -71,11 +81,10 @@ TEST(ConfigSpace, AssocRestrictionFilters)
     EXPECT_EQ(space.cacheGeometries(1).size(), 30u);
 }
 
-TEST(AllocationSearch, EverythingWithinBudget)
+TEST(ExhaustiveStrategy, EverythingWithinBudget)
 {
-    AreaModel area;
-    AllocationSearch search(area, 250000.0);
-    const auto ranked = search.rank(syntheticTables());
+    const AreaModel area;
+    const auto ranked = rankAll(syntheticTables());
     ASSERT_FALSE(ranked.empty());
     for (const auto &a : ranked) {
         EXPECT_LE(a.areaRbe, 250000.0);
@@ -86,21 +95,19 @@ TEST(AllocationSearch, EverythingWithinBudget)
     }
 }
 
-TEST(AllocationSearch, SortedByCpiAndRanked)
+TEST(ExhaustiveStrategy, SortedByCpiAndRanked)
 {
-    AllocationSearch search(AreaModel(), 250000.0);
-    const auto ranked = search.rank(syntheticTables());
+    const auto ranked = rankAll(syntheticTables());
     for (std::size_t i = 1; i < ranked.size(); ++i) {
         EXPECT_LE(ranked[i - 1].cpi, ranked[i].cpi);
         EXPECT_EQ(ranked[i].rank, i + 1);
     }
 }
 
-TEST(AllocationSearch, CpiIsSumOfComponents)
+TEST(ExhaustiveStrategy, CpiIsSumOfComponents)
 {
     const ComponentCpiTables tables = syntheticTables();
-    AllocationSearch search(AreaModel(), 250000.0);
-    const auto ranked = search.rank(tables);
+    const auto ranked = rankAll(tables);
     for (std::size_t i = 0; i < std::min<std::size_t>(50,
                                                       ranked.size());
          ++i) {
@@ -112,25 +119,23 @@ TEST(AllocationSearch, CpiIsSumOfComponents)
     }
 }
 
-TEST(AllocationSearch, PrefersBigCheapTlbWhenBenefitIsMonotone)
+TEST(ExhaustiveStrategy, PrefersBigCheapTlbWhenBenefitIsMonotone)
 {
     // With the synthetic benefit model (TLB CPI ~ 1/entries) and the
     // MQF costs (big set-associative TLBs are cheap), the best
     // allocation must use a 512-entry TLB — the paper's Table 6
     // conclusion.
-    AllocationSearch search(AreaModel(), 250000.0);
-    const auto ranked = search.rank(syntheticTables());
+    const auto ranked = rankAll(syntheticTables());
     ASSERT_FALSE(ranked.empty());
     EXPECT_EQ(ranked.front().tlb.entries, 512u);
 }
 
-TEST(AllocationSearch, AssocRestrictionRaisesBestCpi)
+TEST(ExhaustiveStrategy, AssocRestrictionRaisesBestCpi)
 {
     // Table 7: restricting cache associativity to 2 ways cannot give
     // a better optimum than the unrestricted search.
-    AllocationSearch search(AreaModel(), 250000.0);
-    const auto unrestricted = search.rank(syntheticTables(), 8);
-    const auto restricted = search.rank(syntheticTables(), 2);
+    const auto unrestricted = rankAll(syntheticTables(), 250000.0, 8);
+    const auto restricted = rankAll(syntheticTables(), 250000.0, 2);
     ASSERT_FALSE(unrestricted.empty());
     ASSERT_FALSE(restricted.empty());
     EXPECT_LE(unrestricted.front().cpi, restricted.front().cpi);
@@ -140,21 +145,20 @@ TEST(AllocationSearch, AssocRestrictionRaisesBestCpi)
     }
 }
 
-TEST(AllocationSearch, TightBudgetShrinksTheList)
+TEST(ExhaustiveStrategy, TightBudgetShrinksTheList)
 {
-    AllocationSearch wide(AreaModel(), 250000.0);
-    AllocationSearch tight(AreaModel(), 60000.0);
-    const auto big = wide.rank(syntheticTables());
-    const auto small = tight.rank(syntheticTables());
+    const auto big = rankAll(syntheticTables(), 250000.0);
+    const auto small = rankAll(syntheticTables(), 60000.0);
     EXPECT_GT(big.size(), small.size());
     EXPECT_FALSE(small.empty());
     // A tight budget forces a worse best CPI.
     EXPECT_LT(big.front().cpi, small.front().cpi);
 }
 
-TEST(AllocationSearchDeath, RejectsNonPositiveBudget)
+TEST(SearchSpaceDeath, RejectsNonPositiveBudget)
 {
-    EXPECT_EXIT(AllocationSearch(AreaModel(), 0.0),
+    const ComponentCpiTables tables = syntheticTables();
+    EXPECT_EXIT(SearchSpace(tables, AreaModel(), 0.0),
                 testing::ExitedWithCode(1), "positive");
 }
 

@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/search.hh"
+#include "core/search_strategy.hh"
 #include "support/rng.hh"
 
 namespace oma
@@ -42,11 +42,11 @@ class SearchSeed : public ::testing::TestWithParam<std::uint64_t>
 
 TEST_P(SearchSeed, EnumerationIsComplete)
 {
-    // rank() must return exactly the combinations whose summed area
-    // fits the budget — no more, no fewer.
+    // The exhaustive search must return exactly the combinations
+    // whose summed area fits the budget — no more, no fewer.
     const double budget = 150000.0;
-    AllocationSearch search(area, budget);
-    const auto ranked = search.rank(tables);
+    const SearchSpace space(tables, area, budget);
+    const auto ranked = ExhaustiveStrategy().search(space).allocations;
 
     std::size_t expected = 0;
     for (const auto &tlb : tables.tlbGeoms) {
@@ -69,8 +69,9 @@ TEST_P(SearchSeed, BestCpiMonotoneInBudget)
     double prev = 1e18;
     for (double budget : {60000.0, 100000.0, 180000.0, 300000.0,
                           600000.0}) {
-        AllocationSearch search(area, budget);
-        const auto ranked = search.rank(tables);
+        const SearchSpace space(tables, area, budget);
+        const auto ranked =
+            ExhaustiveStrategy().search(space).allocations;
         if (ranked.empty())
             continue;
         EXPECT_LE(ranked.front().cpi, prev + 1e-12) << budget;
@@ -80,9 +81,11 @@ TEST_P(SearchSeed, BestCpiMonotoneInBudget)
 
 TEST_P(SearchSeed, RestrictionIsASubset)
 {
-    AllocationSearch search(area, 250000.0);
-    const auto full = search.rank(tables, 8);
-    const auto restricted = search.rank(tables, 2);
+    const SearchSpace full_space(tables, area, 250000.0, 8);
+    const SearchSpace restricted_space(tables, area, 250000.0, 2);
+    const auto full = ExhaustiveStrategy().search(full_space).allocations;
+    const auto restricted =
+        ExhaustiveStrategy().search(restricted_space).allocations;
     EXPECT_LT(restricted.size(), full.size());
     // Every restricted allocation appears in the full ranking with
     // the same CPI (spot-check the head).
@@ -105,8 +108,8 @@ TEST_P(SearchSeed, BestAllocationBeatsEveryFeasibleNeighbour)
 {
     // Local optimality spot check: no single-component swap inside
     // the budget improves on rank 1.
-    AllocationSearch search(area, 250000.0);
-    const auto ranked = search.rank(tables);
+    const SearchSpace space(tables, area, 250000.0);
+    const auto ranked = ExhaustiveStrategy().search(space).allocations;
     ASSERT_FALSE(ranked.empty());
     const Allocation &best = ranked.front();
 

@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for the search strategies over the five-component space:
- * the exhaustive strategy reproduces AllocationSearch::rank bitwise
- * (pruning on or off, any thread count), cost-bound pruning never
- * discards an in-budget candidate, and the annealing strategy
+ * the exhaustive ranking is bitwise identical with pruning on or off
+ * and at any thread count, cost-bound pruning never discards an
+ * in-budget candidate, and the annealing strategy
  * recovers the exhaustive winner deterministically per seed while
  * evaluating a small fraction of the grid.
  */
@@ -66,7 +66,7 @@ expectSameAllocations(const std::vector<Allocation> &a,
 }
 
 /** The classic grid with a clean monotone synthetic benefit model.
- * Unlike the allocation-search fixture, every geometry dimension
+ * Unlike the fixture of core/test_search.cc, every geometry dimension
  * (capacity, line, ways, TLB ways) contributes to the CPI, so the
  * ranking has a unique winner and "the annealer recovers the
  * exhaustive winner" is a meaningful field-for-field comparison
@@ -142,30 +142,6 @@ TEST(SearchSpace, MaterializeMatchesExhaustiveEmission)
     EXPECT_TRUE(space.inBudget(SearchCandidate{false, 0, 0, 0, 0}));
 }
 
-TEST(ExhaustiveStrategy, MatchesAllocationSearchRankBitwise)
-{
-    const ComponentCpiTables tables = syntheticTables();
-    const AllocationSearch search(AreaModel(), kBudget);
-    const auto legacy = search.rank(tables);
-    const SearchSpace space(tables, AreaModel(), kBudget);
-    expectSameAllocations(
-        legacy, ExhaustiveStrategy(true).search(space).allocations);
-    expectSameAllocations(
-        legacy, ExhaustiveStrategy(false).search(space).allocations);
-}
-
-TEST(ExhaustiveStrategy, ExtendedSpaceMatchesRankBitwise)
-{
-    const ComponentCpiTables tables = syntheticExtendedTables();
-    const AllocationSearch search(AreaModel(), kBudget);
-    const auto legacy = search.rank(tables);
-    const SearchSpace space(tables, AreaModel(), kBudget);
-    expectSameAllocations(
-        legacy, ExhaustiveStrategy(true).search(space).allocations);
-    expectSameAllocations(
-        legacy, ExhaustiveStrategy(false).search(space).allocations);
-}
-
 TEST(ExhaustiveStrategy, ThreadCountInvariant)
 {
     const ComponentCpiTables tables = syntheticExtendedTables();
@@ -177,20 +153,26 @@ TEST(ExhaustiveStrategy, ThreadCountInvariant)
 
 TEST(ExhaustiveStrategy, PruningOnlySkipsOverBudgetCandidates)
 {
-    // Property: for a spread of budgets (some tight enough to prune
-    // whole subgrids) the ranking is bitwise identical with pruning
-    // on and off, and pruning never costs extra evaluations.
-    const ComponentCpiTables tables = syntheticExtendedTables();
-    for (double budget : {30000.0, 60000.0, 120000.0, 250000.0}) {
-        SCOPED_TRACE(budget);
-        const SearchSpace space(tables, AreaModel(), budget);
-        const auto pruned = ExhaustiveStrategy(true).search(space);
-        const auto full = ExhaustiveStrategy(false).search(space);
-        expectSameAllocations(pruned.allocations, full.allocations);
-        EXPECT_EQ(pruned.candidates, full.candidates);
-        EXPECT_LE(pruned.evaluations, full.evaluations);
+    // Property: on the classic and the extended grid, for a spread of
+    // budgets (some tight enough to prune whole subgrids), the ranking
+    // is bitwise identical with pruning on and off, and pruning never
+    // costs extra evaluations.
+    const std::vector<std::pair<const char *, ComponentCpiTables>>
+        fixtures = {{"classic", syntheticTables()},
+                    {"extended", syntheticExtendedTables()}};
+    for (const auto &[name, tables] : fixtures) {
+        for (double budget : {30000.0, 60000.0, 120000.0, 250000.0}) {
+            SCOPED_TRACE(testing::Message() << name << " " << budget);
+            const SearchSpace space(tables, AreaModel(), budget);
+            const auto pruned = ExhaustiveStrategy(true).search(space);
+            const auto full = ExhaustiveStrategy(false).search(space);
+            expectSameAllocations(pruned.allocations, full.allocations);
+            EXPECT_EQ(pruned.candidates, full.candidates);
+            EXPECT_LE(pruned.evaluations, full.evaluations);
+        }
     }
     // A tight budget must actually exercise the floor rejections.
+    const ComponentCpiTables tables = syntheticExtendedTables();
     const SearchSpace tight(tables, AreaModel(), 30000.0);
     EXPECT_GT(ExhaustiveStrategy(true).search(tight).prunedSubspaces,
               0u);
@@ -466,6 +448,9 @@ TEST(SearchSpaceDeath, RejectsSetAssociativeVictimL1)
 
 TEST(SearchSpaceDeath, RejectsUnifiedHierarchyWithL2)
 {
+    // Every search ranks a SearchSpace, so this guard covers them
+    // all (before it, the L2 of a unified+L2 option was priced at
+    // zero area).
     ComponentCpiTables tables = syntheticTables();
     HierarchyParams p;
     p.l1i.geom = CacheGeometry::fromWords(8 * 1024, 4, 2);
@@ -474,23 +459,6 @@ TEST(SearchSpaceDeath, RejectsUnifiedHierarchyWithL2)
     p.l2.geom = CacheGeometry::fromWords(64 * 1024, 8, 4);
     tables.hierarchyOptions.push_back({p, 0.5});
     EXPECT_EXIT(SearchSpace(tables, AreaModel(), kBudget),
-                testing::ExitedWithCode(1), "unified");
-}
-
-TEST(SearchSpaceDeath, RankRejectsContradictoryTablesToo)
-{
-    // The legacy entry point funnels through SearchSpace, so the
-    // same validation guards AllocationSearch::rank (before this
-    // guard the L2 of a unified+L2 option was priced at zero area).
-    ComponentCpiTables tables = syntheticTables();
-    HierarchyParams p;
-    p.l1i.geom = CacheGeometry::fromWords(8 * 1024, 4, 2);
-    p.unified = true;
-    p.hasL2 = true;
-    p.l2.geom = CacheGeometry::fromWords(64 * 1024, 8, 4);
-    tables.hierarchyOptions.push_back({p, 0.5});
-    const AllocationSearch search(AreaModel(), kBudget);
-    EXPECT_EXIT((void)search.rank(tables),
                 testing::ExitedWithCode(1), "unified");
 }
 

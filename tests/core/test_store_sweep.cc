@@ -110,6 +110,13 @@ tlbSubset()
     return {TlbGeometry::fullyAssoc(32), TlbGeometry(128, 2)};
 }
 
+/** The workload most tests here sweep. */
+const WorkloadParams &
+mab()
+{
+    return benchmarkParams(BenchmarkId::Mab);
+}
+
 ComponentSweep
 sweepUnderTest()
 {
@@ -163,12 +170,12 @@ TEST(StoreSweep, ColdAndWarmRunsMatchTheLiveResultBitwise)
     for (unsigned threads : {1u, 4u}) {
         SCOPED_TRACE(threads);
         const std::string dir = freshStoreDir("coldwarm");
-        const SweepResult live = sweep.run(
-            BenchmarkId::Mab, OsKind::Mach, storeRun("", threads));
+        const SweepResult live =
+            sweep.run(mab(), OsKind::Mach, storeRun("", threads));
 
         obs::Observation cold_obs;
         const SweepResult cold =
-            sweep.run(BenchmarkId::Mab, OsKind::Mach,
+            sweep.run(mab(), OsKind::Mach,
                       storeRun(dir, threads), &cold_obs);
         expectSameSweepResult(live, cold);
         EXPECT_EQ(cold_obs.metrics.counter("sweep/records"), 1u);
@@ -179,7 +186,7 @@ TEST(StoreSweep, ColdAndWarmRunsMatchTheLiveResultBitwise)
 
         obs::Observation warm_obs;
         const SweepResult warm =
-            sweep.run(BenchmarkId::Mab, OsKind::Mach,
+            sweep.run(mab(), OsKind::Mach,
                       storeRun(dir, threads), &warm_obs);
         expectSameSweepResult(live, warm);
         // The warm run loads one shard per task and nothing else: no
@@ -202,12 +209,12 @@ TEST(StoreSweep, WarmReuseIsThreadCountInvariant)
     // 1 thread serves a 4-thread run (and vice versa) bitwise.
     const ComponentSweep sweep = sweepUnderTest();
     const std::string dir = freshStoreDir("crossthreads");
-    const SweepResult cold = sweep.run(BenchmarkId::Mpeg,
-                                       OsKind::Ultrix, storeRun(dir, 1));
+    const WorkloadParams &mpeg = benchmarkParams(BenchmarkId::Mpeg);
+    const SweepResult cold =
+        sweep.run(mpeg, OsKind::Ultrix, storeRun(dir, 1));
     obs::Observation warm_obs;
     const SweepResult warm =
-        sweep.run(BenchmarkId::Mpeg, OsKind::Ultrix, storeRun(dir, 4),
-                  &warm_obs);
+        sweep.run(mpeg, OsKind::Ultrix, storeRun(dir, 4), &warm_obs);
     expectSameSweepResult(cold, warm);
     EXPECT_EQ(warm_obs.metrics.counter("store/hits"), taskCount());
     fs::remove_all(dir);
@@ -225,14 +232,14 @@ TEST(StoreSweep, AddedSlotReplaysAloneOverOneTraceFetch)
     for (unsigned threads : {1u, 4u}) {
         SCOPED_TRACE(threads);
         const std::string dir = freshStoreDir("grown");
-        (void)sweepUnderTest().run(BenchmarkId::Mab, OsKind::Mach,
+        (void)sweepUnderTest().run(mab(), OsKind::Mach,
                                    storeRun(dir, threads));
-        const SweepResult live = grown.run(
-            BenchmarkId::Mab, OsKind::Mach, storeRun("", threads));
+        const SweepResult live =
+            grown.run(mab(), OsKind::Mach, storeRun("", threads));
 
         obs::Observation observation;
         const SweepResult warm =
-            grown.run(BenchmarkId::Mab, OsKind::Mach,
+            grown.run(mab(), OsKind::Mach,
                       storeRun(dir, threads), &observation);
         expectSameSweepResult(live, warm);
         ASSERT_EQ(warm.writeBufferCount(), 1u);
@@ -303,15 +310,14 @@ TEST(StoreSweep, LegacyMachineShardIsRecomputed)
     // not change.
     const ComponentSweep sweep = sweepUnderTest();
     const std::string dir = freshStoreDir("legacy");
-    const SweepResult live = sweep.run(BenchmarkId::Mab, OsKind::Mach,
-                                       storeRun("", 2));
-    (void)sweep.run(BenchmarkId::Mab, OsKind::Mach, storeRun(dir, 2));
+    const SweepResult live =
+        sweep.run(mab(), OsKind::Mach, storeRun("", 2));
+    (void)sweep.run(mab(), OsKind::Mach, storeRun(dir, 2));
     ASSERT_EQ(truncateMachineShards(dir), 1u);
 
     obs::Observation observation;
     const SweepResult recovered =
-        sweep.run(BenchmarkId::Mab, OsKind::Mach, storeRun(dir, 2),
-                  &observation);
+        sweep.run(mab(), OsKind::Mach, storeRun(dir, 2), &observation);
     expectSameSweepResult(live, recovered);
     const obs::MetricRegistry &m = observation.metrics;
     EXPECT_EQ(m.counter("sweep/records"), 0u);
@@ -325,8 +331,8 @@ TEST(StoreSweep, LegacyMachineShardIsRecomputed)
     EXPECT_EQ(m.counter("store/quarantined"), 0u);
 
     obs::Observation warm_obs;
-    const SweepResult warm = sweep.run(
-        BenchmarkId::Mab, OsKind::Mach, storeRun(dir, 2), &warm_obs);
+    const SweepResult warm =
+        sweep.run(mab(), OsKind::Mach, storeRun(dir, 2), &warm_obs);
     expectSameSweepResult(live, warm);
     EXPECT_EQ(warm_obs.metrics.counter("sweep/trace_skips"), 1u);
     EXPECT_EQ(warm_obs.metrics.counter("store/hits"), taskCount());
@@ -339,10 +345,10 @@ TEST(StoreSweep, DifferentConfigurationsNeverShareEntries)
     const ComponentSweep sweep = sweepUnderTest();
     const std::string dir = freshStoreDir("keyed");
     RunConfig rc = storeRun(dir, 2);
-    (void)sweep.run(BenchmarkId::Mab, OsKind::Mach, rc);
+    (void)sweep.run(mab(), OsKind::Mach, rc);
     rc.seed = 43;
     obs::Observation observation;
-    (void)sweep.run(BenchmarkId::Mab, OsKind::Mach, rc, &observation);
+    (void)sweep.run(mab(), OsKind::Mach, rc, &observation);
     EXPECT_EQ(observation.metrics.counter("store/hits"), 0u);
     EXPECT_EQ(observation.metrics.counter("sweep/records"), 1u);
     fs::remove_all(dir);
@@ -352,9 +358,9 @@ TEST(StoreSweep, CorruptEntriesFallBackToLiveSimulation)
 {
     const ComponentSweep sweep = sweepUnderTest();
     const std::string dir = freshStoreDir("corrupt");
-    const SweepResult live = sweep.run(BenchmarkId::Mab, OsKind::Mach,
-                                       storeRun("", 2));
-    (void)sweep.run(BenchmarkId::Mab, OsKind::Mach, storeRun(dir, 2));
+    const SweepResult live =
+        sweep.run(mab(), OsKind::Mach, storeRun("", 2));
+    (void)sweep.run(mab(), OsKind::Mach, storeRun(dir, 2));
 
     // Flip the last byte (payload tail) of every entry: checksums
     // fail, every load quarantines, and the sweep re-simulates.
@@ -373,8 +379,7 @@ TEST(StoreSweep, CorruptEntriesFallBackToLiveSimulation)
 
     obs::Observation observation;
     const SweepResult recovered =
-        sweep.run(BenchmarkId::Mab, OsKind::Mach, storeRun(dir, 2),
-                  &observation);
+        sweep.run(mab(), OsKind::Mach, storeRun(dir, 2), &observation);
     expectSameSweepResult(live, recovered);
     EXPECT_EQ(observation.metrics.counter("store/quarantined"),
               1 + taskCount());
@@ -383,8 +388,8 @@ TEST(StoreSweep, CorruptEntriesFallBackToLiveSimulation)
 
     // The fallback rewrote every entry, so the next run is warm.
     obs::Observation warm_obs;
-    const SweepResult warm = sweep.run(
-        BenchmarkId::Mab, OsKind::Mach, storeRun(dir, 2), &warm_obs);
+    const SweepResult warm =
+        sweep.run(mab(), OsKind::Mach, storeRun(dir, 2), &warm_obs);
     expectSameSweepResult(live, warm);
     EXPECT_EQ(warm_obs.metrics.counter("store/misses"), 0u);
     EXPECT_EQ(warm_obs.metrics.counter("store/hits"), taskCount());
@@ -395,8 +400,8 @@ TEST(StoreSweep, KilledSweepResumesFromPersistedShards)
 {
     const ComponentSweep sweep = sweepUnderTest();
     const std::string dir = freshStoreDir("resume");
-    const SweepResult live = sweep.run(BenchmarkId::Mab, OsKind::Mach,
-                                       storeRun("", 1));
+    const SweepResult live =
+        sweep.run(mab(), OsKind::Mach, storeRun("", 1));
 
     // Child process: serial store-backed sweep, killed hard after
     // its third completed replay task (each shard is persisted
@@ -414,7 +419,7 @@ TEST(StoreSweep, KilledSweepResumesFromPersistedShards)
                 taskCount());
             obs::Observation observation;
             observation.progress = &progress;
-            (void)sweep.run(BenchmarkId::Mab, OsKind::Mach,
+            (void)sweep.run(mab(), OsKind::Mach,
                             storeRun(dir, 1), &observation);
         },
         testing::ExitedWithCode(42), "");
@@ -427,8 +432,7 @@ TEST(StoreSweep, KilledSweepResumesFromPersistedShards)
 
     obs::Observation resumed_obs;
     const SweepResult resumed =
-        sweep.run(BenchmarkId::Mab, OsKind::Mach, storeRun(dir, 1),
-                  &resumed_obs);
+        sweep.run(mab(), OsKind::Mach, storeRun(dir, 1), &resumed_obs);
     expectSameSweepResult(live, resumed);
     // The resume skips the record phase and every persisted shard...
     EXPECT_EQ(resumed_obs.metrics.counter("sweep/records"), 0u);
@@ -441,8 +445,8 @@ TEST(StoreSweep, KilledSweepResumesFromPersistedShards)
 
     // After the resume the store is complete, also for 4 threads.
     obs::Observation warm_obs;
-    const SweepResult warm = sweep.run(
-        BenchmarkId::Mab, OsKind::Mach, storeRun(dir, 4), &warm_obs);
+    const SweepResult warm =
+        sweep.run(mab(), OsKind::Mach, storeRun(dir, 4), &warm_obs);
     expectSameSweepResult(live, warm);
     EXPECT_EQ(warm_obs.metrics.counter("store/misses"), 0u);
     fs::remove_all(dir);

@@ -34,7 +34,7 @@ runSweep(OsKind os, std::uint64_t refs = 300000)
     ComponentSweep sweep(sizeLadder(), sizeLadder(), tlbLadder());
     RunConfig rc;
     rc.references = refs;
-    return sweep.run(BenchmarkId::Mpeg, os, rc);
+    return sweep.run(benchmarkParams(BenchmarkId::Mpeg), os, rc);
 }
 
 TEST(ComponentSweep, ShapesMatchConfiguration)
@@ -77,7 +77,7 @@ TEST(ComponentSweep, DcacheStoresFreeOnlyOnOneWordLines)
     ComponentSweep sweep(narrow, wide, tlbLadder());
     RunConfig rc;
     rc.references = 200000;
-    const SweepResult r = sweep.run(BenchmarkId::IOzone,
+    const SweepResult r = sweep.run(benchmarkParams(BenchmarkId::IOzone),
                                     OsKind::Ultrix, rc);
     const MachineParams mp = MachineParams::decstation3100();
     // The 1-word D-config charges only load misses.
@@ -106,8 +106,9 @@ TEST(ComponentCpiTables, AveragesAcrossWorkloads)
     RunConfig rc;
     rc.references = 150000;
     std::vector<SweepResult> results;
-    results.push_back(sweep.run(BenchmarkId::Mpeg, OsKind::Mach, rc));
-    results.push_back(sweep.run(BenchmarkId::Mab, OsKind::Mach, rc));
+    for (const BenchmarkId id : {BenchmarkId::Mpeg, BenchmarkId::Mab})
+        results.push_back(
+            sweep.run(benchmarkParams(id), OsKind::Mach, rc));
 
     const MachineParams mp = MachineParams::decstation3100();
     const ComponentCpiTables tables =

@@ -7,9 +7,9 @@
 
 #include <gtest/gtest.h>
 
-#include "core/search.hh"
+#include "core/search_strategy.hh"
+#include "store/codec.hh"
 #include "trace/sampler.hh"
-#include "trace/tracefile.hh"
 #include "workload/system.hh"
 
 namespace oma
@@ -37,15 +37,17 @@ TEST(EndToEnd, MeasuredSearchPicksLargeTlbUnderMach)
     std::vector<SweepResult> results;
     // mpeg_play and mab: the display and compile workloads whose
     // Mach profiles are I-cache heavy (Table 4).
-    results.push_back(sweep.run(BenchmarkId::Mpeg, OsKind::Mach, rc));
-    results.push_back(sweep.run(BenchmarkId::Mab, OsKind::Mach, rc));
+    for (const BenchmarkId id : {BenchmarkId::Mpeg, BenchmarkId::Mab})
+        results.push_back(
+            sweep.run(benchmarkParams(id), OsKind::Mach, rc));
 
     const MachineParams mp = MachineParams::decstation3100();
     const ComponentCpiTables tables =
         ComponentCpiTables::average(results, mp);
 
-    AllocationSearch search(AreaModel(), 250000.0);
-    const auto ranked = search.rank(tables, 2);
+    const SearchSpace search_space(tables, AreaModel(), 250000.0, 2);
+    const auto ranked =
+        ExhaustiveStrategy().search(search_space).allocations;
     ASSERT_GT(ranked.size(), 100u);
 
     const Allocation &best = ranked.front();
@@ -120,20 +122,20 @@ TEST(EndToEnd, TraceFileReplayIsBitIdentical)
     Cache live_cache(cp);
     {
         System system(wl, OsKind::Ultrix, 31);
-        TraceFileWriter writer(path);
+        RecordedTrace trace;
         MemRef r;
         for (int i = 0; i < 200000; ++i) {
             system.next(r);
-            writer.put(r);
+            trace.append(r);
             live_cache.access(r.paddr, r.kind);
         }
+        store::writeTrace(path, trace);
     }
 
     Cache replay_cache(cp);
-    TraceFileReader reader(path);
-    MemRef r;
-    while (reader.next(r))
+    store::readTrace(path).replay([&](const MemRef &r) {
         replay_cache.access(r.paddr, r.kind);
+    });
 
     EXPECT_EQ(live_cache.stats().totalAccesses(),
               replay_cache.stats().totalAccesses());
@@ -155,14 +157,15 @@ TEST(EndToEnd, LargerBudgetNeverHurtsTheOptimum)
     RunConfig rc;
     rc.references = 300000;
     const std::vector<SweepResult> results = {
-        sweep.run(BenchmarkId::Mab, OsKind::Mach, rc)};
+        sweep.run(benchmarkParams(BenchmarkId::Mab), OsKind::Mach, rc)};
     const ComponentCpiTables tables = ComponentCpiTables::average(
         results, MachineParams::decstation3100());
 
     double prev_best = 1e9;
     for (double budget : {80000.0, 150000.0, 250000.0, 400000.0}) {
-        AllocationSearch search(AreaModel(), budget);
-        const auto ranked = search.rank(tables, 2);
+        const SearchSpace search_space(tables, AreaModel(), budget, 2);
+        const auto ranked =
+            ExhaustiveStrategy().search(search_space).allocations;
         ASSERT_FALSE(ranked.empty()) << budget;
         EXPECT_LE(ranked.front().cpi, prev_best + 1e-12) << budget;
         prev_best = ranked.front().cpi;

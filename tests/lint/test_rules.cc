@@ -16,7 +16,7 @@
 #include <string>
 
 #include "lint/lint.hh"
-#include "tests/obs/jsonlite.hh"
+#include "tests/api/json_path.hh"
 
 namespace oma::lint
 {
@@ -692,20 +692,28 @@ void f() {
     ASSERT_EQ(report.findings.size(), 1u);
     std::ostringstream os;
     printSarif(report, os);
-    omatest::JsonLite json;
-    ASSERT_TRUE(json.parse(os.str())) << os.str();
-    EXPECT_EQ(json.str("version"), "2.1.0");
-    EXPECT_EQ(json.str("runs.#.tool.driver.name"), "oma_lint");
-    EXPECT_EQ(json.str("runs.#.results.#.ruleId"), "no-wallclock");
-    EXPECT_EQ(json.str("runs.#.results.#.level"), "error");
-    EXPECT_EQ(json.str("runs.#.results.#.locations.#.physicalLocation"
-                       ".artifactLocation.uri"),
+    api::JsonValue json;
+    std::string error;
+    ASSERT_TRUE(api::parseJson(os.str(), json, error))
+        << error << "\n" << os.str();
+    EXPECT_EQ(api::jsonString(json, "version"), "2.1.0");
+    EXPECT_EQ(api::jsonString(json, "runs.0.tool.driver.name"),
+              "oma_lint");
+    const api::JsonValue *results = api::jsonAt(json, "runs.0.results");
+    ASSERT_NE(results, nullptr);
+    ASSERT_EQ(results->array.size(), 1u);
+    EXPECT_EQ(api::jsonString(json, "runs.0.results.0.ruleId"),
+              "no-wallclock");
+    EXPECT_EQ(api::jsonString(json, "runs.0.results.0.level"), "error");
+    EXPECT_EQ(api::jsonString(json, "runs.0.results.0.locations.0"
+                                    ".physicalLocation.artifactLocation.uri"),
               "src/core/foo.cc");
-    EXPECT_EQ(json.num("runs.#.results.#.locations.#.physicalLocation"
-                       ".region.startLine"),
+    EXPECT_EQ(api::jsonNumber(json, "runs.0.results.0.locations.0"
+                                    ".physicalLocation.region.startLine"),
               3.0);
     // The message carries the fixit hint.
-    EXPECT_NE(json.str("runs.#.results.#.message.text").find("fix: "),
+    EXPECT_NE(api::jsonString(json, "runs.0.results.0.message.text")
+                  .find("fix: "),
               std::string::npos);
 }
 
@@ -715,13 +723,25 @@ TEST(LintSarif, DeclaresEveryRuleEvenWhenClean)
     ASSERT_TRUE(report.clean());
     std::ostringstream os;
     printSarif(report, os);
-    omatest::JsonLite json;
-    ASSERT_TRUE(json.parse(os.str())) << os.str();
-    // Arrays share one ".#" path: the recorded id is the last rule
-    // emitted, proving the rules array was populated in order.
-    EXPECT_EQ(json.str("runs.#.tool.driver.rules.#.id"),
-              "shared-state");
-    EXPECT_FALSE(json.has("runs.#.results.#.ruleId"));
+    api::JsonValue json;
+    std::string error;
+    ASSERT_TRUE(api::parseJson(os.str(), json, error))
+        << error << "\n" << os.str();
+    // Every rule is declared, in registration order, ending with
+    // shared-state.
+    const auto rules = makeDefaultRules();
+    const api::JsonValue *declared =
+        api::jsonAt(json, "runs.0.tool.driver.rules");
+    ASSERT_NE(declared, nullptr);
+    ASSERT_EQ(declared->array.size(), rules.size());
+    for (std::size_t i = 0; i < rules.size(); ++i) {
+        EXPECT_EQ(api::jsonString(declared->array[i], "id"),
+                  rules[i]->name());
+    }
+    EXPECT_EQ(rules.back()->name(), "shared-state");
+    const api::JsonValue *results = api::jsonAt(json, "runs.0.results");
+    ASSERT_NE(results, nullptr);
+    EXPECT_TRUE(results->array.empty());
 }
 
 // ---------------------------------------------------------------- //

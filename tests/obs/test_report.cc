@@ -1,8 +1,9 @@
 /**
  * @file
  * Run-report serialization tests: the JSON output must be
- * schema-valid (oma-run-report-v1), the CSV flat and complete, and
- * save() must honor the OMA_RUN_REPORT / OMA_RUN_REPORT_DIR knobs.
+ * schema-valid (oma-run-report-v1) as the strict api::parseJson reads
+ * it, the CSV flat and complete, and save() must honor the
+ * OMA_RUN_REPORT / OMA_RUN_REPORT_DIR knobs.
  */
 
 #include <gtest/gtest.h>
@@ -15,14 +16,16 @@
 #include <string>
 
 #include "obs/report.hh"
-#include "tests/obs/jsonlite.hh"
+#include "tests/api/json_path.hh"
 
 namespace oma::obs
 {
 namespace
 {
 
-using omatest::JsonLite;
+using api::jsonAt;
+using api::jsonNumber;
+using api::jsonString;
 
 RunReport
 sampleReport()
@@ -47,6 +50,15 @@ toJson(const RunReport &report)
     return os.str();
 }
 
+/** Strictly parse @p text into @p doc, failing the test on error. */
+void
+parse(const std::string &text, api::JsonValue &doc)
+{
+    std::string error;
+    ASSERT_TRUE(api::parseJson(text, doc, error)) << error << "\n"
+                                                  << text;
+}
+
 TEST(RunReportDeath, RejectsUnsafeNames)
 {
     // The name becomes a file name verbatim; anything outside
@@ -66,48 +78,51 @@ TEST(RunReport, FileNameFollowsTheBenchConvention)
 
 TEST(RunReport, JsonIsWellFormedAndSchemaTagged)
 {
-    JsonLite doc;
-    ASSERT_TRUE(doc.parse(toJson(sampleReport())));
-    EXPECT_EQ(doc.str("schema"), "oma-run-report-v1");
-    EXPECT_EQ(doc.str("name"), "unit_sample");
+    api::JsonValue doc;
+    ASSERT_NO_FATAL_FAILURE(parse(toJson(sampleReport()), doc));
+    EXPECT_EQ(jsonString(doc, "schema"), "oma-run-report-v1");
+    EXPECT_EQ(jsonString(doc, "name"), "unit_sample");
     // All four sections are present even when some are empty.
-    EXPECT_TRUE(doc.has("meta"));
-    EXPECT_TRUE(doc.has("counters"));
-    EXPECT_TRUE(doc.has("gauges"));
-    EXPECT_TRUE(doc.has("histograms"));
+    EXPECT_NE(jsonAt(doc, "meta"), nullptr);
+    EXPECT_NE(jsonAt(doc, "counters"), nullptr);
+    EXPECT_NE(jsonAt(doc, "gauges"), nullptr);
+    EXPECT_NE(jsonAt(doc, "histograms"), nullptr);
 }
 
 TEST(RunReport, JsonCarriesEveryMetric)
 {
-    JsonLite doc;
-    ASSERT_TRUE(doc.parse(toJson(sampleReport())));
-    EXPECT_EQ(doc.str("meta.benchmark"), "mab");
-    EXPECT_EQ(doc.str("meta.os"), "mach3");
-    EXPECT_DOUBLE_EQ(doc.num("counters.icache/misses"), 42.0);
-    EXPECT_DOUBLE_EQ(doc.num("counters.dcache/misses"), 7.0);
-    EXPECT_DOUBLE_EQ(doc.num("gauges.rate/refs_per_sec"), 1.5e6);
-    EXPECT_DOUBLE_EQ(doc.num("gauges.time_ms/total"), 12.5);
-    EXPECT_DOUBLE_EQ(doc.num("histograms.tlb/refills.count"), 2.0);
-    EXPECT_DOUBLE_EQ(doc.num("histograms.tlb/refills.sum"), 303.0);
-    EXPECT_DOUBLE_EQ(doc.num("histograms.tlb/refills.min"), 3.0);
-    EXPECT_DOUBLE_EQ(doc.num("histograms.tlb/refills.max"), 300.0);
-    EXPECT_TRUE(doc.has("histograms.tlb/refills.buckets"));
+    api::JsonValue doc;
+    ASSERT_NO_FATAL_FAILURE(parse(toJson(sampleReport()), doc));
+    EXPECT_EQ(jsonString(doc, "meta.benchmark"), "mab");
+    EXPECT_EQ(jsonString(doc, "meta.os"), "mach3");
+    EXPECT_DOUBLE_EQ(jsonNumber(doc, "counters.icache/misses"), 42.0);
+    EXPECT_DOUBLE_EQ(jsonNumber(doc, "counters.dcache/misses"), 7.0);
+    EXPECT_DOUBLE_EQ(jsonNumber(doc, "gauges.rate/refs_per_sec"), 1.5e6);
+    EXPECT_DOUBLE_EQ(jsonNumber(doc, "gauges.time_ms/total"), 12.5);
+    EXPECT_DOUBLE_EQ(jsonNumber(doc, "histograms.tlb/refills.count"),
+                     2.0);
+    EXPECT_DOUBLE_EQ(jsonNumber(doc, "histograms.tlb/refills.sum"),
+                     303.0);
+    EXPECT_DOUBLE_EQ(jsonNumber(doc, "histograms.tlb/refills.min"), 3.0);
+    EXPECT_DOUBLE_EQ(jsonNumber(doc, "histograms.tlb/refills.max"),
+                     300.0);
+    EXPECT_NE(jsonAt(doc, "histograms.tlb/refills.buckets"), nullptr);
 }
 
 TEST(RunReport, EmptyReportIsStillValidJson)
 {
-    JsonLite doc;
-    ASSERT_TRUE(doc.parse(toJson(RunReport("empty"))));
-    EXPECT_EQ(doc.str("schema"), "oma-run-report-v1");
+    api::JsonValue doc;
+    ASSERT_NO_FATAL_FAILURE(parse(toJson(RunReport("empty")), doc));
+    EXPECT_EQ(jsonString(doc, "schema"), "oma-run-report-v1");
 }
 
 TEST(RunReport, EscapesHostileMetaStrings)
 {
     RunReport report("escapes");
     report.meta["cmd"] = "a\"b\\c\nd\te";
-    JsonLite doc;
-    ASSERT_TRUE(doc.parse(toJson(report)));
-    EXPECT_EQ(doc.str("meta.cmd"), "a\"b\\c\nd\te");
+    api::JsonValue doc;
+    ASSERT_NO_FATAL_FAILURE(parse(toJson(report), doc));
+    EXPECT_EQ(jsonString(doc, "meta.cmd"), "a\"b\\c\nd\te");
 }
 
 TEST(RunReport, NonFiniteGaugesSerializeAsStrings)
@@ -120,11 +135,11 @@ TEST(RunReport, NonFiniteGaugesSerializeAsStrings)
                        -std::numeric_limits<double>::infinity());
     report.metrics.set("g/nan",
                        std::numeric_limits<double>::quiet_NaN());
-    JsonLite doc;
-    ASSERT_TRUE(doc.parse(toJson(report)));
-    EXPECT_EQ(doc.str("gauges.g/pos"), "inf");
-    EXPECT_EQ(doc.str("gauges.g/neg"), "-inf");
-    EXPECT_EQ(doc.str("gauges.g/nan"), "nan");
+    api::JsonValue doc;
+    ASSERT_NO_FATAL_FAILURE(parse(toJson(report), doc));
+    EXPECT_EQ(jsonString(doc, "gauges.g/pos"), "inf");
+    EXPECT_EQ(jsonString(doc, "gauges.g/neg"), "-inf");
+    EXPECT_EQ(jsonString(doc, "gauges.g/nan"), "nan");
 }
 
 TEST(RunReport, SerializationIsDeterministic)
@@ -160,9 +175,9 @@ TEST(RunReport, SaveWritesIntoTheRequestedDirectory)
     ASSERT_TRUE(in.good());
     std::ostringstream read_back;
     read_back << in.rdbuf();
-    JsonLite doc;
-    EXPECT_TRUE(doc.parse(read_back.str()));
-    EXPECT_EQ(doc.str("name"), "unit_sample");
+    api::JsonValue doc;
+    ASSERT_NO_FATAL_FAILURE(parse(read_back.str(), doc));
+    EXPECT_EQ(jsonString(doc, "name"), "unit_sample");
     std::remove(path.c_str());
 }
 

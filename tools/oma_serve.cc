@@ -13,7 +13,10 @@
  *  * Otherwise the daemon binds a Unix-domain socket (`--socket`),
  *    answers one connection at a time (the client half-closes after
  *    its last line) and keeps running until a control line
- *    `{"schema":"oma-control-v1","cmd":"shutdown"}` arrives.
+ *    `{"schema":"oma-control-v1","cmd":"shutdown"}` arrives. A client
+ *    that hangs up before reading its answers costs only its own
+ *    connection: the failed read or write is dropped with a warning
+ *    and counted in `serve/client_errors`.
  *
  * Identical lines in one batch coalesce onto a single computation
  * (`serve/dedup_hits`), repeated questions across batches are served
@@ -24,6 +27,7 @@
  */
 
 #include <cerrno>
+#include <csignal>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -188,11 +192,11 @@ splitLines(const std::string &text)
     return lines;
 }
 
-/** Read until EOF on @p fd. */
-std::string
-readAll(int fd)
+/** Read until EOF on client @p fd into @p text; false (with a
+ * warning) when the client connection fails first. */
+bool
+readAll(int fd, std::string &text)
 {
-    std::string text;
     char buf[4096];
     while (true) {
         const ssize_t n = ::read(fd, buf, sizeof buf);
@@ -201,14 +205,18 @@ readAll(int fd)
             continue;
         }
         if (n == 0)
-            return text;
+            return true;
         if (errno == EINTR)
             continue;
-        fatal(std::string("oma_serve: read: ") + std::strerror(errno));
+        warn(std::string("oma_serve: dropping client: read: ") +
+             std::strerror(errno));
+        return false;
     }
 }
 
-void
+/** Write all of @p data to client @p fd; false (with a warning) when
+ * the client connection fails first, e.g. it already hung up. */
+bool
 writeAll(int fd, std::string_view data)
 {
     while (!data.empty()) {
@@ -219,8 +227,11 @@ writeAll(int fd, std::string_view data)
         }
         if (errno == EINTR)
             continue;
-        fatal(std::string("oma_serve: write: ") + std::strerror(errno));
+        warn(std::string("oma_serve: dropping client: write: ") +
+             std::strerror(errno));
+        return false;
     }
+    return true;
 }
 
 int
@@ -272,15 +283,20 @@ serveSocket(api::QueryEngine &engine, const std::string &path,
             fatal(std::string("oma_serve: accept: ") +
                   std::strerror(errno));
         }
-        const std::string text = readAll(client_fd);
-        const std::vector<std::string> answers = serveBatch(
-            engine, splitLines(text), observation, shutdown);
-        std::string reply;
-        for (const std::string &answer : answers) {
-            reply += answer;
-            reply.push_back('\n');
+        std::string text;
+        bool ok = readAll(client_fd, text);
+        if (ok) {
+            const std::vector<std::string> answers = serveBatch(
+                engine, splitLines(text), observation, shutdown);
+            std::string reply;
+            for (const std::string &answer : answers) {
+                reply += answer;
+                reply.push_back('\n');
+            }
+            ok = writeAll(client_fd, reply);
         }
-        writeAll(client_fd, reply);
+        if (!ok)
+            observation->metrics.add("serve/client_errors");
         ::close(client_fd);
     }
     ::close(listen_fd);
@@ -295,6 +311,9 @@ int
 main(int argc, char **argv)
 {
     const ServeOptions opt = parseOptions(argc, argv);
+    // A client that hangs up early must fail our write with EPIPE,
+    // not kill the daemon.
+    std::signal(SIGPIPE, SIG_IGN);
     api::QueryEngineConfig config;
     config.storeDir = opt.storeDir;
     config.maxInflight = opt.maxInflight;
