@@ -1,12 +1,12 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulator substrates:
- * cache access, TLB/MMU translation, Cheetah stack simulation, the
- * synthetic trace generator, and a full machine step. The paper's
- * methodology contrast — kernel-based simulation at millions of
- * references per second vs trace-driven at tens of thousands — is
+ * cache access, TLB/MMU translation, the one-pass Cheetah cache
+ * engine, the synthetic trace generator, and a full machine step. The
+ * paper's methodology contrast — kernel-based simulation at millions
+ * of references per second vs trace-driven at tens of thousands — is
  * mirrored by the one-pass sweeps (BM_FaTlbSweepAllSizes,
- * BM_CheetahAllAssoc) next to the per-configuration replays here.
+ * BM_CachePass) next to the per-configuration replays here.
  */
 
 #include <benchmark/benchmark.h>
@@ -96,18 +96,6 @@ BM_FaTlbSweepAllSizes(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FaTlbSweepAllSizes);
-
-void
-BM_CheetahAllAssoc(benchmark::State &state)
-{
-    const auto trace = sampleTrace(1 << 18);
-    Cheetah cheetah(128, 16, 8);
-    std::size_t i = 0;
-    for (auto _ : state)
-        cheetah.access(trace[i++ & (trace.size() - 1)].paddr);
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CheetahAllAssoc);
 
 void
 BM_TraceGeneration(benchmark::State &state)
@@ -285,10 +273,14 @@ replayKernelTrace()
 }
 
 /**
- * The tentpole comparison: one sweep replay leg (I-cache fetches,
- * D-cache data, one MMU) driven per-reference through the scalar
- * views vs through the batched chunk kernels, over the same
- * recording. Arg(0) (scalar) is registered before Arg(1) (batched)
+ * The batched-kernel comparison: one configuration each of an
+ * I-cache (fetches), a D-cache (data) and an MMU, driven
+ * per-reference through the scalar views vs through the batched
+ * chunk kernels, over the same recording. (The sweep replays its LRU
+ * write-through caches through the one-pass engine, BM_CachePass;
+ * these kernels serve every other cache slot, the per-slot replays
+ * the tests compare it with, and the TLBs.) Arg(0) (scalar) is
+ * registered before Arg(1) (batched)
  * so the batched run can report its measured speedup; the run report
  * gains the `replay/speedup_vs_scalar` gauge the CI replay-
  * equivalence job gates on, plus the v3 encoded footprint
@@ -311,8 +303,8 @@ BM_ReplayKernel(benchmark::State &state)
         Cache icache(cp), dcache(cp);
         Mmu mmu(tp, TlbPenalties());
         if (batched) {
-            replayFetchBatched(trace, icache);
-            replayCachedDataBatched(trace, dcache);
+            replayCacheStream(trace, CacheStream::Fetch, icache);
+            replayCacheStream(trace, CacheStream::Data, dcache);
             replayTranslateBatched(trace, mmu);
         } else {
             trace.replayFetchPaddrs([&](std::uint64_t paddr) {
@@ -363,6 +355,76 @@ BM_ReplayKernel(benchmark::State &state)
                             int64_t(3 * trace.size()));
 }
 BENCHMARK(BM_ReplayKernel)
+    ->Arg(0)
+    ->Arg(1)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+/**
+ * The sweep's cache engine against the per-slot replay it replaced:
+ * one line size's Table 5 geometries (5 capacities x 4
+ * associativities) on both cache streams of the shared recording.
+ * Arg(0) replays each geometry on its own Cache, stream by stream;
+ * Arg(1) runs one Cheetah pass per stream and derives every
+ * geometry's counters from it. Arg(0) is registered first so Arg(1)
+ * can report its measured speedup as the `replay/one_pass_speedup`
+ * gauge the CI replay-equivalence job gates on.
+ */
+void
+BM_CachePass(benchmark::State &state)
+{
+    static double per_slot_seconds = 0.0;
+    const RecordedTrace &trace = replayKernelTrace();
+    const bool one_pass = state.range(0) != 0;
+
+    std::vector<CacheGeometry> geoms;
+    for (const CacheGeometry &geom : ConfigSpace().cacheGeometries())
+        if (geom.lineWords() == 4)
+            geoms.push_back(geom);
+
+    const auto t0 = std::chrono::steady_clock::now();
+    for (auto _ : state) {
+        std::uint64_t misses = 0;
+        for (const CacheStream stream :
+             {CacheStream::Fetch, CacheStream::Data}) {
+            if (one_pass) {
+                Cheetah pass(geoms);
+                replayCacheStream(trace, stream, pass);
+                for (const CacheGeometry &geom : geoms)
+                    misses += pass.stats(geom).totalMisses();
+                continue;
+            }
+            for (const CacheGeometry &geom : geoms) {
+                CacheParams p;
+                p.geom = geom;
+                Cache cache(p);
+                replayCacheStream(trace, stream, cache);
+                misses += cache.stats().totalMisses();
+            }
+        }
+        benchmark::DoNotOptimize(misses);
+    }
+    const double per_iter = state.iterations()
+        ? std::chrono::duration<double>(
+              std::chrono::steady_clock::now() - t0)
+                .count() /
+            double(state.iterations())
+        : 0.0;
+
+    state.counters["one_pass"] = one_pass ? 1.0 : 0.0;
+    state.counters["geometries"] = double(geoms.size());
+    if (!one_pass) {
+        per_slot_seconds = per_iter;
+    } else if (per_slot_seconds > 0.0 && per_iter > 0.0) {
+        const double speedup = per_slot_seconds / per_iter;
+        state.counters["one_pass_speedup"] = speedup;
+        if (g_report != nullptr)
+            g_report->metrics().set("replay/one_pass_speedup", speedup);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            int64_t(2 * trace.size()));
+}
+BENCHMARK(BM_CachePass)
     ->Arg(0)
     ->Arg(1)
     ->UseRealTime()

@@ -1,70 +1,218 @@
 /**
  * @file
- * Implementation of the all-associativity stack simulator.
+ * Implementation of the one-pass multi-configuration LRU simulator.
  */
 
 #include "cache/cheetah.hh"
 
+#include <algorithm>
+#include <utility>
+
 #include "support/bits.hh"
 #include "support/logging.hh"
+#include "trace/recorded.hh"
 
 namespace oma
 {
 
-Cheetah::Cheetah(std::uint64_t sets, std::uint64_t line_bytes,
-                 std::uint64_t max_ways)
-    : _sets(sets), _lineShift(floorLog2(line_bytes)),
-      _indexBits(floorLog2(sets)), _maxWays(max_ways),
-      _stacks(sets), _distHist(max_ways, 0)
+namespace
 {
-    fatalIf(!isPowerOfTwo(sets), "Cheetah set count must be power of two");
-    fatalIf(!isPowerOfTwo(line_bytes),
-            "Cheetah line size must be power of two");
-    fatalIf(max_ways == 0, "Cheetah needs max_ways >= 1");
-    for (auto &stack : _stacks)
-        stack.reserve(max_ways);
+
+/** An unused stack entry. No line equals it: a line is a byte
+ * address shifted right by at least two bits (lines hold whole
+ * words). */
+constexpr std::uint64_t noLine = ~std::uint64_t(0);
+
+/** Unsorted cold lines tolerated before a merge. */
+constexpr std::size_t coldTailLimit = 4096;
+
+} // namespace
+
+Cheetah::Cheetah(const std::vector<CacheGeometry> &geoms)
+    : _lastLine(noLine)
+{
+    fatalIf(geoms.empty(), "Cheetah needs at least one cache geometry");
+    const std::uint64_t line_bytes = geoms.front().lineBytes;
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> shapes;
+    for (const CacheGeometry &geom : geoms) {
+        geom.validate();
+        fatalIf(geom.lineBytes != line_bytes,
+                "Cheetah geometries must share one line size: " +
+                    geom.describe());
+        shapes.emplace_back(geom.numSets(), geom.assoc);
+    }
+    _lineShift = floorLog2(line_bytes);
+
+    // One level per set count, as deep as its largest associativity
+    // (the shapes sort by set count, then ways).
+    std::sort(shapes.begin(), shapes.end());
+    for (const auto &[sets, ways] : shapes) {
+        if (_levels.empty() || _levels.back().setMask != sets - 1) {
+            _levels.emplace_back();
+            _levels.back().setMask = sets - 1;
+        }
+        _levels.back().ways = ways;
+    }
+    for (Level &level : _levels) {
+        level.stacks.assign((level.setMask + 1) * level.ways, noLine);
+        level.depthHits.assign(numRefKinds * level.ways, 0);
+    }
 }
 
 void
-Cheetah::access(std::uint64_t addr)
+Cheetah::step(std::uint64_t line, unsigned kind)
 {
-    ++_accesses;
-    const std::uint64_t line = addr >> _lineShift;
-    const std::uint64_t set = line & (_sets - 1);
-    const std::uint64_t tag = line >> _indexBits;
-    auto &stack = _stacks[set];
+    ++_accesses[kind];
+    if (line == _lastLine) {
+        ++_levels.front().mruHits[kind];
+        return;
+    }
+    _lastLine = line;
 
-    // Find the tag's depth; shift shallower entries down one slot.
-    for (std::size_t d = 0; d < stack.size(); ++d) {
-        if (stack[d] == tag) {
-            ++_distHist[d];
-            for (std::size_t i = d; i > 0; --i)
-                stack[i] = stack[i - 1];
-            stack[0] = tag;
+    bool seen = false;
+    for (Level &level : _levels) {
+        std::uint64_t *stack =
+            level.stacks.data() + (line & level.setMask) * level.ways;
+        if (stack[0] == line) {
+            ++level.mruHits[kind];
             return;
         }
+        std::size_t d = 1;
+        while (d < level.ways && stack[d] != line)
+            ++d;
+        if (d < level.ways) {
+            ++level.depthHits[kind * level.ways + d];
+            seen = true;
+        } else {
+            d = level.ways - 1; // a miss: the LRU entry falls off
+        }
+        for (; d > 0; --d)
+            stack[d] = stack[d - 1];
+        stack[0] = line;
     }
+    if (!seen)
+        _coldLines.push_back(line);
+}
 
-    // Miss at every associativity of interest.
-    ++_deepMisses;
-    if (_touched.insert(line).second)
-        ++_compulsory;
-    if (stack.size() < _maxWays)
-        stack.push_back(0);
-    for (std::size_t i = stack.size() - 1; i > 0; --i)
-        stack[i] = stack[i - 1];
-    stack[0] = tag;
+void
+Cheetah::access(std::uint64_t paddr, RefKind kind)
+{
+    step(paddr >> _lineShift, unsigned(kind));
+    if (_coldLines.size() - _coldSorted >
+        std::max(_coldSorted, coldTailLimit))
+        mergeColdLines();
+}
+
+template <bool Fetch>
+void
+Cheetah::replayBatch(const std::uint32_t *paddr,
+                     const std::uint8_t *flags, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i) {
+        const unsigned kind = Fetch
+            ? unsigned(RefKind::IFetch)
+            : unsigned(flags[i] & RecordedTrace::kindMask);
+        step(std::uint64_t(paddr[i]) >> _lineShift, kind);
+    }
+    mergeColdLines();
+}
+
+void
+Cheetah::replayFetchBatch(const std::uint32_t *paddr, std::size_t n)
+{
+    replayBatch<true>(paddr, nullptr, n);
+}
+
+void
+Cheetah::replayDataBatch(const std::uint32_t *paddr,
+                         const std::uint8_t *flags, std::size_t n)
+{
+    replayBatch<false>(paddr, flags, n);
+}
+
+void
+Cheetah::mergeColdLines()
+{
+    if (_coldSorted == _coldLines.size())
+        return;
+    const auto tail = _coldLines.begin() + std::ptrdiff_t(_coldSorted);
+    std::sort(tail, _coldLines.end());
+    std::inplace_merge(_coldLines.begin(), tail, _coldLines.end());
+    _coldLines.erase(std::unique(_coldLines.begin(), _coldLines.end()),
+                     _coldLines.end());
+    _coldSorted = _coldLines.size();
 }
 
 std::uint64_t
-Cheetah::misses(std::uint64_t ways) const
+Cheetah::accesses() const
 {
-    panicIf(ways == 0 || ways > _maxWays,
-            "Cheetah::misses ways out of range");
-    std::uint64_t hits = 0;
-    for (std::uint64_t d = 0; d < ways; ++d)
-        hits += _distHist[d];
-    return _accesses - hits;
+    std::uint64_t total = 0;
+    for (const std::uint64_t n : _accesses)
+        total += n;
+    return total;
+}
+
+std::uint64_t
+Cheetah::compulsoryMisses() const
+{
+    // Count the unsorted tail's lines the sorted prefix lacks.
+    const auto sorted_end =
+        _coldLines.begin() + std::ptrdiff_t(_coldSorted);
+    std::vector<std::uint64_t> tail(sorted_end, _coldLines.end());
+    std::sort(tail.begin(), tail.end());
+    tail.erase(std::unique(tail.begin(), tail.end()), tail.end());
+    std::uint64_t distinct = _coldSorted;
+    for (const std::uint64_t line : tail)
+        if (!std::binary_search(_coldLines.begin(), sorted_end, line))
+            ++distinct;
+    return distinct;
+}
+
+const Cheetah::Level *
+Cheetah::levelFor(const CacheGeometry &geom) const
+{
+    if (!geom.check().empty() ||
+        geom.lineBytes != std::uint64_t(1) << _lineShift)
+        return nullptr;
+    for (const Level &level : _levels) {
+        if (level.setMask == geom.numSets() - 1)
+            return geom.assoc <= level.ways ? &level : nullptr;
+    }
+    return nullptr;
+}
+
+bool
+Cheetah::simulates(const CacheParams &params)
+{
+    return params.repl == ReplacementPolicy::Lru &&
+        params.write == WritePolicy::WriteThrough &&
+        params.alloc == AllocPolicy::WriteAllocate;
+}
+
+CacheStats
+Cheetah::stats(const CacheGeometry &geom) const
+{
+    const Level *level = levelFor(geom);
+    panicIf(level == nullptr,
+            "Cheetah::stats: geometry out of range: " + geom.describe());
+    CacheStats s;
+    for (unsigned k = 0; k < numRefKinds; ++k) {
+        // MRU at a smaller set count is MRU here too.
+        std::uint64_t hits = 0;
+        for (const Level *l = _levels.data(); l <= level; ++l)
+            hits += l->mruHits[k];
+        for (std::size_t d = 1; d < geom.assoc; ++d)
+            hits += level->depthHits[k * level->ways + d];
+        s.accesses[k] = _accesses[k];
+        s.misses[k] = _accesses[k] - hits;
+    }
+    // Write-allocate: every miss fills. Write-through: nothing is
+    // dirty, and every store forwards its word.
+    s.lineFills = s.totalMisses();
+    s.writebacks = 0;
+    s.writeThroughWords = _accesses[unsigned(RefKind::Store)];
+    s.compulsoryMisses = compulsoryMisses();
+    return s;
 }
 
 } // namespace oma

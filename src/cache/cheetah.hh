@@ -1,79 +1,117 @@
 /**
  * @file
- * Cheetah-style all-associativity cache simulation.
+ * Cheetah-style one-pass simulation of many LRU caches.
  *
- * Single-pass simulation of every associativity 1..W for a fixed set
- * count and line size, exploiting the LRU inclusion property through
- * per-set Mattson stack distances [Sugumar93]. With one set this also
- * yields the miss counts of every fully-associative LRU structure of
- * capacity 1..W entries in one pass, which is how the TLB-size sweeps
- * (Figure 7) are accelerated.
+ * One pass over a reference stream yields the exact CacheStats of
+ * every LRU, write-through, write-allocate cache of one line size, at
+ * every power-of-two set count and associativity asked for. It keeps
+ * one truncated Mattson LRU stack per set and set count and counts
+ * hits by stack depth [Sugumar93]: a reference at depth d hits every
+ * cache of that set count with more than d ways.
+ *
+ * With bit-selection indexing, the lines of one set at 2S sets are a
+ * subset of the lines of one set at S sets (Hill & Smith's set
+ * refinement), so a line's LRU depth never grows with the set count.
+ * The walk over set counts therefore stops at the first one where the
+ * reference is MRU, and a reference to the stream's previous line is
+ * MRU at every set count and touches no stack at all.
  */
 
 #ifndef OMA_CACHE_CHEETAH_HH
 #define OMA_CACHE_CHEETAH_HH
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
+
+#include "area/geometry.hh"
+#include "cache/cache.hh"
+#include "trace/memref.hh"
 
 namespace oma
 {
 
 /**
- * All-associativity LRU simulator for a fixed (sets, line) shape.
+ * All-set-count, all-associativity LRU simulator for one line size.
  */
 class Cheetah
 {
   public:
     /**
-     * @param sets Number of sets (power of two).
-     * @param line_bytes Line size in bytes (power of two); use 1 to
-     *        treat addresses as pre-formed keys (e.g. TLB pages).
-     * @param max_ways Largest associativity of interest.
+     * @param geoms The caches to report. All share one line size;
+     *        each set count keeps stacks as deep as the largest
+     *        associativity that uses it.
      */
-    Cheetah(std::uint64_t sets, std::uint64_t line_bytes,
-            std::uint64_t max_ways);
+    explicit Cheetah(const std::vector<CacheGeometry> &geoms);
 
     /** Observe one access. */
-    void access(std::uint64_t addr);
+    void access(std::uint64_t paddr, RefKind kind);
+
+    /** Batched form of access(paddr[i], RefKind::IFetch). */
+    void replayFetchBatch(const std::uint32_t *paddr, std::size_t n);
+
+    /** Batched form of access(paddr[i], kind_i), kind_i the RefKind
+     * in the low bits of the trace flag byte flags[i]. */
+    void replayDataBatch(const std::uint32_t *paddr,
+                         const std::uint8_t *flags, std::size_t n);
 
     /** Total observed accesses. */
-    [[nodiscard]] std::uint64_t accesses() const { return _accesses; }
+    [[nodiscard]] std::uint64_t accesses() const;
 
-    /** Misses a cache with @p ways ways would have had. */
-    [[nodiscard]] std::uint64_t misses(std::uint64_t ways) const;
+    /** Distinct lines observed: the compulsory misses of every cache
+     * of this line size. */
+    [[nodiscard]] std::uint64_t compulsoryMisses() const;
 
-    /** Miss ratio at associativity @p ways. */
-    [[nodiscard]] double
-    missRatio(std::uint64_t ways) const
-    {
-        return _accesses == 0
-            ? 0.0
-            : double(misses(ways)) / double(_accesses);
-    }
+    /**
+     * The counters a Cache of geometry @p geom and policies the pass
+     * simulates() would have after the same accesses. Panics unless
+     * @p geom was one of the constructor's geometries, or shares a
+     * set count and line size with one and has no more ways.
+     */
+    [[nodiscard]] CacheStats stats(const CacheGeometry &geom) const;
 
-    /** First-touch (compulsory) misses, identical for every ways. */
-    [[nodiscard]] std::uint64_t compulsoryMisses() const { return _compulsory; }
-
-    [[nodiscard]] std::uint64_t maxWays() const { return _maxWays; }
+    /** Whether a pass reports caches of @p params' policies exactly:
+     * LRU replacement, write-through and write-allocate. */
+    [[nodiscard]] static bool simulates(const CacheParams &params);
 
   private:
-    std::uint64_t _sets;
-    unsigned _lineShift;
-    unsigned _indexBits;
-    std::uint64_t _maxWays;
-    /** Per-set MRU-first tag stacks, truncated at _maxWays. */
-    std::vector<std::vector<std::uint64_t>> _stacks;
-    /** distHist[d] = hits at stack depth d (0 = MRU). */
-    std::vector<std::uint64_t> _distHist;
-    std::uint64_t _deepMisses = 0; //!< Distance > _maxWays or cold.
-    std::uint64_t _accesses = 0;
-    std::uint64_t _compulsory = 0;
-    /** Lines ever seen, for compulsory-miss classification. */
-    // oma-lint: allow(ordered-results): membership test via insert()
-    // only; never iterated, so traversal order cannot reach results.
-    std::unordered_set<std::uint64_t> _touched;
+    /** The stacks and depth histograms of one set count. */
+    struct Level
+    {
+        std::uint64_t setMask = 0;
+        std::size_t ways = 0;
+        /** sets x ways lines, set-major, MRU first. */
+        std::vector<std::uint64_t> stacks;
+        /** Hits at depth d >= 1, at [kind * ways + d]. */
+        std::vector<std::uint64_t> depthHits;
+        /** References of each kind that were MRU here, so at every
+         * larger set count too. */
+        std::uint64_t mruHits[numRefKinds] = {};
+    };
+
+    /** The one access body: @p line at every set count. */
+    void step(std::uint64_t line, unsigned kind);
+
+    template <bool Fetch>
+    void replayBatch(const std::uint32_t *paddr,
+                     const std::uint8_t *flags, std::size_t n);
+
+    /** The level that reports @p geom, or nullptr. */
+    const Level *levelFor(const CacheGeometry &geom) const;
+
+    /** Sort and deduplicate _coldLines. */
+    void mergeColdLines();
+
+    unsigned _lineShift = 0;
+    /** Levels by increasing set count. */
+    std::vector<Level> _levels;
+    std::uint64_t _accesses[numRefKinds] = {};
+    /** Line of the previous access. */
+    std::uint64_t _lastLine;
+    /** Lines found in no stack: every first touch, plus re-touches
+     * of lines every stack has evicted. Sorted and unique up to
+     * _coldSorted; the rest is appended since. */
+    std::vector<std::uint64_t> _coldLines;
+    std::size_t _coldSorted = 0;
 };
 
 } // namespace oma

@@ -7,57 +7,49 @@
 
 #include <vector>
 
-#include "tlb/mips_va.hh"
-
 namespace oma
 {
 
+namespace
+{
+
+/** Stream every chunk's compacted @p stream into @p sim, a Cache or
+ * a Cheetah (both offer the same two batch kernels). */
+template <typename Sim>
 std::uint64_t
-replayFetchBatched(const RecordedTrace &trace, Cache &cache)
+replayStream(const RecordedTrace &trace, CacheStream stream, Sim &sim)
 {
     std::vector<std::uint32_t> paddr;
+    std::vector<std::uint8_t> flags;
     paddr.reserve(RecordedTrace::chunkRefs);
+    if (stream == CacheStream::Data)
+        flags.reserve(RecordedTrace::chunkRefs);
     std::uint64_t delivered = 0;
     for (std::size_t c = 0; c < trace.numChunks(); ++c) {
-        const TraceChunkView v = trace.chunkView(c);
-        paddr.clear();
-        for (std::size_t i = 0; i < v.size; ++i) {
-            if (RefKind(v.flags[i] & RecordedTrace::kindMask) ==
-                RefKind::IFetch) {
-                paddr.push_back(v.paddr[i]);
-            }
-        }
-        cache.replayFetchBatch(paddr.data(), paddr.size());
+        compactCacheStream(trace.chunkView(c), stream, paddr, flags);
+        if (stream == CacheStream::Fetch)
+            sim.replayFetchBatch(paddr.data(), paddr.size());
+        else
+            sim.replayDataBatch(paddr.data(), flags.data(), paddr.size());
         delivered += paddr.size();
     }
     return delivered;
 }
 
+} // namespace
+
 std::uint64_t
-replayCachedDataBatched(const RecordedTrace &trace, Cache &cache)
+replayCacheStream(const RecordedTrace &trace, CacheStream stream,
+                  Cache &cache)
 {
-    std::vector<std::uint32_t> paddr;
-    std::vector<std::uint8_t> flags;
-    paddr.reserve(RecordedTrace::chunkRefs);
-    flags.reserve(RecordedTrace::chunkRefs);
-    std::uint64_t delivered = 0;
-    for (std::size_t c = 0; c < trace.numChunks(); ++c) {
-        const TraceChunkView v = trace.chunkView(c);
-        paddr.clear();
-        flags.clear();
-        for (std::size_t i = 0; i < v.size; ++i) {
-            if (RefKind(v.flags[i] & RecordedTrace::kindMask) !=
-                    RefKind::IFetch &&
-                !isUncached(std::uint64_t(v.vaddr[i]))) {
-                paddr.push_back(v.paddr[i]);
-                flags.push_back(v.flags[i]);
-            }
-        }
-        cache.replayDataBatch(paddr.data(), flags.data(),
-                              paddr.size());
-        delivered += paddr.size();
-    }
-    return delivered;
+    return replayStream(trace, stream, cache);
+}
+
+std::uint64_t
+replayCacheStream(const RecordedTrace &trace, CacheStream stream,
+                  Cheetah &pass)
+{
+    return replayStream(trace, stream, pass);
 }
 
 } // namespace oma

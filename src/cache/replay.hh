@@ -1,21 +1,21 @@
 /**
  * @file
- * Batched trace-replay drivers for the cache simulator.
+ * Batched trace-replay drivers for the cache simulators.
  *
- * The sweep engines used to push every reference through a per-ref
- * callback (RecordedTrace::replayFetchPaddrs and friends), paying a
- * filter branch and a lambda call per reference per configuration.
- * These drivers instead walk the trace one storage chunk at a time,
- * compact the surviving references into contiguous stride buffers
- * (paddr, and for data replays the packed flag byte), and hand each
- * buffer to the cache's batched kernel — which runs the geometry's
- * compile-time-specialized inner loop. The compaction pass touches
- * each column once per chunk; the kernel then streams a dense array.
+ * The drivers walk a recording one storage chunk at a time, compact
+ * the references of one cache stream into contiguous buffers
+ * (compactCacheStream: paddr, and for data replays the packed flag
+ * byte), and hand each buffer to the simulator's batched kernel. The
+ * compaction pass touches each column once per chunk; the kernel then
+ * streams a dense array.
  *
- * Both drivers visit exactly the references the per-ref views visit,
- * in the same order, through the same access body — so their counter
- * streams are bitwise-identical to the scalar path by construction
- * (tests/core/test_batched_replay.cc).
+ * A Cache replays one configuration; a Cheetah replays every LRU
+ * write-through write-allocate configuration of one line size in one
+ * pass. Both see exactly the references the per-ref views
+ * (RecordedTrace::replayFetchPaddrs, replayCachedData) visit, in the
+ * same order, so their counters are bitwise-identical to the scalar
+ * path (tests/core/test_batched_replay.cc,
+ * tests/cache/test_cheetah_differential.cc).
  */
 
 #ifndef OMA_CACHE_REPLAY_HH
@@ -24,31 +24,27 @@
 #include <cstdint>
 
 #include "cache/cache.hh"
+#include "cache/cheetah.hh"
 #include "trace/recorded.hh"
 
 namespace oma
 {
 
 /**
- * Replay every instruction fetch in @p trace through @p cache's
- * batched kernel (the batched form of replayFetchPaddrs +
- * access(paddr, IFetch)).
+ * Replay @p stream of @p trace through @p cache's batched kernel.
  *
  * @return References delivered to the cache.
  */
-std::uint64_t replayFetchBatched(const RecordedTrace &trace,
-                                 Cache &cache);
+std::uint64_t replayCacheStream(const RecordedTrace &trace,
+                                CacheStream stream, Cache &cache);
 
 /**
- * Replay every cached data access in @p trace — loads and stores
- * surviving the kseg1 (uncached) filter — through @p cache's batched
- * kernel (the batched form of replayCachedData + access(paddr,
- * kind)).
+ * Replay @p stream of @p trace through one multi-configuration pass.
  *
- * @return References delivered to the cache.
+ * @return References delivered to the pass.
  */
-std::uint64_t replayCachedDataBatched(const RecordedTrace &trace,
-                                      Cache &cache);
+std::uint64_t replayCacheStream(const RecordedTrace &trace,
+                                CacheStream stream, Cheetah &pass);
 
 } // namespace oma
 

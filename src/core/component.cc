@@ -119,61 +119,38 @@ namespace
 
 /**
  * Cache adapter: the fetch stream (ICache) or the cached-data stream
- * (DCache) through a Cache's batched kernels, exactly as the classic
- * sweep legs run them (cache/replay.cc compacts identically).
+ * (DCache) through a Cache's batched kernels, filtered by the same
+ * compactCacheStream the one-pass sweep replays through.
  */
 class CacheComponent final : public ComponentReplayer
 {
   public:
-    CacheComponent(const CacheParams &params, bool fetch_stream)
-        : _cache(params), _fetchStream(fetch_stream)
+    CacheComponent(const CacheParams &params, CacheStream stream)
+        : _cache(params), _stream(stream)
     {
         _paddr.reserve(RecordedTrace::chunkRefs);
-        if (!fetch_stream)
+        if (stream == CacheStream::Data)
             _flags.reserve(RecordedTrace::chunkRefs);
     }
 
     void
     access(const MemRef &ref) override
     {
-        if (_fetchStream) {
-            if (!ref.isFetch())
-                return;
-            _cache.access(ref.paddr, RefKind::IFetch);
-        } else {
-            if (ref.isFetch() || isUncached(ref.vaddr))
-                return;
-            _cache.access(ref.paddr, ref.kind);
-        }
+        if (!inCacheStream(_stream, ref.kind, ref.vaddr))
+            return;
+        _cache.access(ref.paddr, ref.kind);
         ++_delivered;
     }
 
     void
     replay(const TraceChunkView &chunk) override
     {
-        _paddr.clear();
-        if (_fetchStream) {
-            for (std::size_t i = 0; i < chunk.size; ++i) {
-                const RefKind kind =
-                    RefKind(chunk.flags[i] & RecordedTrace::kindMask);
-                if (kind == RefKind::IFetch)
-                    _paddr.push_back(chunk.paddr[i]);
-            }
+        compactCacheStream(chunk, _stream, _paddr, _flags);
+        if (_stream == CacheStream::Fetch)
             _cache.replayFetchBatch(_paddr.data(), _paddr.size());
-        } else {
-            _flags.clear();
-            for (std::size_t i = 0; i < chunk.size; ++i) {
-                const RefKind kind =
-                    RefKind(chunk.flags[i] & RecordedTrace::kindMask);
-                if (kind != RefKind::IFetch &&
-                    !isUncached(std::uint64_t(chunk.vaddr[i]))) {
-                    _paddr.push_back(chunk.paddr[i]);
-                    _flags.push_back(chunk.flags[i]);
-                }
-            }
+        else
             _cache.replayDataBatch(_paddr.data(), _flags.data(),
                                    _paddr.size());
-        }
         _delivered += _paddr.size();
     }
 
@@ -191,7 +168,7 @@ class CacheComponent final : public ComponentReplayer
 
   private:
     Cache _cache;
-    bool _fetchStream;
+    CacheStream _stream;
     std::vector<std::uint32_t> _paddr;
     std::vector<std::uint8_t> _flags;
     std::uint64_t _delivered = 0;
@@ -454,10 +431,10 @@ makeComponent(const ComponentSlot &slot,
     switch (slot.kind) {
       case ComponentKind::ICache:
         return std::make_unique<CacheComponent>(
-            std::get<CacheParams>(slot.params), true);
+            std::get<CacheParams>(slot.params), CacheStream::Fetch);
       case ComponentKind::DCache:
         return std::make_unique<CacheComponent>(
-            std::get<CacheParams>(slot.params), false);
+            std::get<CacheParams>(slot.params), CacheStream::Data);
       case ComponentKind::Tlb:
         return std::make_unique<TlbComponent>(
             std::get<TlbParams>(slot.params),

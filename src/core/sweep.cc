@@ -5,8 +5,11 @@
 
 #include "core/sweep.hh"
 
+#include <map>
 #include <memory>
+#include <utility>
 
+#include "cache/replay.hh"
 #include "obs/export.hh"
 #include "store/codec.hh"
 #include "support/logging.hh"
@@ -66,6 +69,24 @@ traceKey(const Fingerprint &base)
     Fingerprint key = base;
     key.str("artifact", "trace");
     return key;
+}
+
+/** Whether a Cheetah pass reports @p slot: an I- or D-cache slot
+ * whose policies the pass simulates. */
+bool
+inCachePass(const ComponentSlot &slot)
+{
+    return (slot.kind == ComponentKind::ICache ||
+            slot.kind == ComponentKind::DCache) &&
+        Cheetah::simulates(std::get<CacheParams>(slot.params));
+}
+
+/** The cache stream a cache slot replays. */
+CacheStream
+cacheStream(const ComponentSlot &slot)
+{
+    return slot.kind == ComponentKind::ICache ? CacheStream::Fetch
+                                              : CacheStream::Data;
 }
 
 } // namespace
@@ -171,17 +192,20 @@ ComponentSweep::sweepTasks(const TraceSource &trace_source,
                            const Fingerprint &base_key) const
 {
     // One flat task index across the reference machine (task 0) and
-    // every component slot (task s + 1) keeps every lane busy; each
-    // task owns its private simulator and writes only its own result
-    // slot, so the results are bitwise identical for any thread
-    // count. Every component streams the packed trace columns through
-    // its batched replay body (core/component.hh) — the same access
-    // body as the scalar path, so batching cannot change any counter.
-    // With the store enabled, a task whose shard is stored loads it
-    // (exact integer counters, so a hit reproduces the live slot
-    // bit-for-bit) and a replayed task persists its shard right after
-    // simulating — which is what makes a killed sweep resume at its
-    // last completed shard.
+    // every component slot (task s + 1). Replay runs per work item on
+    // the pool: one task on its private simulator, or every missing
+    // LRU write-through write-allocate I- or D-cache task of one line
+    // size in one private Cheetah pass, whose counters equal the
+    // per-slot Cache's bit for bit. Each item writes only its own
+    // tasks' result slots, so the results are bitwise identical for
+    // any thread count. Every simulator streams the packed trace
+    // columns through its batched replay body (core/component.hh,
+    // cache/replay.hh) — the same access body as the scalar path, so
+    // batching cannot change any counter. With the store enabled, a
+    // task whose shard is stored loads it (exact integer counters, so
+    // a hit reproduces the live slot bit-for-bit) and a replayed task
+    // persists its shard right after simulating — which is what
+    // makes a killed sweep resume at its last completed item.
     const std::size_t n_slots = _slots.size();
     const std::size_t n_tasks = 1 + n_slots;
 
@@ -295,6 +319,32 @@ ComponentSweep::sweepTasks(const TraceSource &trace_source,
             store->put(shard_key(task), payload);
     };
 
+    // Simulate a group of cache tasks of one stream and line size in
+    // one Cheetah pass, then persist each member's shard.
+    const auto replay_pass = [&](const std::vector<std::size_t> &tasks,
+                                 const RecordedTrace &trace) {
+        std::vector<CacheGeometry> geoms;
+        geoms.reserve(tasks.size());
+        for (const std::size_t task : tasks)
+            geoms.push_back(
+                std::get<CacheParams>(_slots[task - 1].params).geom);
+        Cheetah pass(geoms);
+        const std::uint64_t delivered = replayCacheStream(
+            trace, cacheStream(_slots[tasks.front() - 1]), pass);
+        for (std::size_t i = 0; i < tasks.size(); ++i) {
+            const std::size_t task = tasks[i];
+            result._stats[task - 1] = pass.stats(geoms[i]);
+            if (store != nullptr)
+                store->put(shard_key(task),
+                           encodeComponentCounters(
+                               result._stats[task - 1]));
+            if (observation != nullptr)
+                shards[task].add("replay/batched_refs", delivered);
+        }
+        if (observation != nullptr)
+            shards[tasks.front()].add("replay/cache_passes");
+    };
+
     // Export a finished task's counters and tick progress.
     const auto finish = [&](std::size_t task) {
         if (observation == nullptr)
@@ -335,12 +385,35 @@ ComponentSweep::sweepTasks(const TraceSource &trace_source,
         });
     }
 
-    std::vector<std::size_t> missing;
-    for (std::size_t task = 0; task < n_tasks; ++task)
-        if (loaded[task] == 0)
-            missing.push_back(task);
+    // The replay work, one pool index per item: a single task, or
+    // every missing pass-eligible cache task of one (stream, line
+    // size), which one Cheetah pass reports at once. An item sits at
+    // its first task's position.
+    struct WorkItem
+    {
+        bool pass = false;
+        std::vector<std::size_t> tasks;
+    };
+    std::vector<WorkItem> work;
+    std::map<std::pair<ComponentKind, std::uint64_t>, std::size_t>
+        pass_items;
+    for (std::size_t task = 0; task < n_tasks; ++task) {
+        if (loaded[task] != 0)
+            continue;
+        if (task == 0 || !inCachePass(_slots[task - 1])) {
+            work.push_back({false, {task}});
+            continue;
+        }
+        const ComponentSlot &slot = _slots[task - 1];
+        const auto [it, added] = pass_items.try_emplace(
+            {slot.kind, std::get<CacheParams>(slot.params).geom.lineBytes},
+            work.size());
+        if (added)
+            work.push_back({true, {}});
+        work[it->second].tasks.push_back(task);
+    }
 
-    if (missing.empty()) {
+    if (work.empty()) {
         if (observation != nullptr)
             observation->metrics.add("sweep/trace_skips");
     } else {
@@ -349,9 +422,14 @@ ComponentSweep::sweepTasks(const TraceSource &trace_source,
         if (observation != nullptr)
             span = std::make_unique<obs::Span>(observation->metrics,
                                                "sweep/replay");
-        pool.parallelFor(0, missing.size(), [&](std::size_t i) {
-            replay(missing[i], trace);
-            finish(missing[i]);
+        pool.parallelFor(0, work.size(), [&](std::size_t i) {
+            const WorkItem &item = work[i];
+            if (item.pass)
+                replay_pass(item.tasks, trace);
+            else
+                replay(item.tasks.front(), trace);
+            for (const std::size_t task : item.tasks)
+                finish(task);
         });
         span.reset();
         if (observation != nullptr) {

@@ -334,11 +334,15 @@ struct SweepResult
  * once into a compact RecordedTrace (serially, so the workload RNG
  * advances exactly as in a legacy single-pass run, with OS page
  * invalidations recorded inline at their trace position), then the
- * reference machine and every cache and TLB geometry replay the
- * recording on private simulator instances. RunConfig::threads picks
- * the lane count for the replays; serial (threads = 1) runs the same
- * per-configuration replays inline, so results are bitwise identical
- * for any thread count. A recording loaded from a trace file
+ * reference machine and every component replay the recording on
+ * private simulator instances. The I- and D-cache slots with LRU,
+ * write-through and write-allocate (every slot a SweepGrid builds)
+ * replay as one Cheetah pass per (stream, line size), which yields
+ * each slot's exact CacheStats (`replay/cache_passes` counts the
+ * passes); every other slot replays on its own simulator.
+ * RunConfig::threads picks the lane count for the replays; serial
+ * (threads = 1) runs the same replays inline, so results are bitwise
+ * identical for any thread count. A recording loaded from a trace file
  * (store::readTrace) can be swept directly via the RecordedTrace
  * overload.
  *

@@ -7,16 +7,17 @@
  * alternative TLB configurations on line [Uhlig93]. Our equivalent
  * consumes the reference stream of the modelled machine and maintains
  * one independent Mmu (TLB + page metadata) per configuration, plus a
- * fast fully-associative size sweep built on the Cheetah stack
- * simulator that mirrors Tapeworm's "one pass, many sizes" use.
+ * fast fully-associative size sweep that mirrors Tapeworm's "one
+ * pass, many sizes" use. FaTlbSweep keeps its own LRU stack of
+ * (vpn, asid) keys; it does not use the Cheetah cache engine.
  */
 
 #ifndef OMA_TLB_TAPEWORM_HH
 #define OMA_TLB_TAPEWORM_HH
 
+#include <unordered_set>
 #include <vector>
 
-#include "cache/cheetah.hh"
 #include "tlb/mmu.hh"
 
 namespace oma

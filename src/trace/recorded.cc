@@ -38,6 +38,24 @@ RecordedTrace::chunkView(std::size_t c) const
 }
 
 void
+compactCacheStream(const TraceChunkView &chunk, CacheStream stream,
+                   std::vector<std::uint32_t> &paddr,
+                   std::vector<std::uint8_t> &flags)
+{
+    paddr.clear();
+    flags.clear();
+    for (std::size_t i = 0; i < chunk.size; ++i) {
+        const RefKind kind =
+            RefKind(chunk.flags[i] & RecordedTrace::kindMask);
+        if (!inCacheStream(stream, kind, chunk.vaddr[i]))
+            continue;
+        paddr.push_back(chunk.paddr[i]);
+        if (stream == CacheStream::Data)
+            flags.push_back(chunk.flags[i]);
+    }
+}
+
+void
 RecordedTrace::newChunk()
 {
     Chunk c;

@@ -28,7 +28,8 @@
  *   physical addresses only; replayCachedData() yields data accesses
  *   surviving the kseg1 (uncached) filter. One recording therefore
  *   replaces the three redundant per-consumer vectors the sweep
- *   engine used to materialize.
+ *   engine used to materialize. Both views and every batched cache
+ *   replay (compactCacheStream) filter through inCacheStream().
  */
 
 #ifndef OMA_TRACE_RECORDED_HH
@@ -76,6 +77,34 @@ struct TraceChunkView
     /** Trace-wide index of the chunk's first reference. */
     std::uint64_t baseIndex;
 };
+
+/** The two reference streams a cache replays from one recording. */
+enum class CacheStream : std::uint8_t
+{
+    Fetch, //!< Every instruction fetch.
+    Data,  //!< Loads and stores outside kseg1 (the uncached segment).
+};
+
+/**
+ * Whether a reference of @p kind at @p vaddr belongs to @p stream:
+ * the one filter every cache replay of a recording applies.
+ */
+constexpr bool
+inCacheStream(CacheStream stream, RefKind kind, std::uint64_t vaddr)
+{
+    return stream == CacheStream::Fetch
+        ? kind == RefKind::IFetch
+        : kind != RefKind::IFetch && !isUncached(vaddr);
+}
+
+/**
+ * Compact the references of @p chunk that @p stream carries into
+ * @p paddr, in order, and (for the data stream) their flag bytes into
+ * @p flags. Both vectors are cleared first.
+ */
+void compactCacheStream(const TraceChunkView &chunk, CacheStream stream,
+                        std::vector<std::uint32_t> &paddr,
+                        std::vector<std::uint8_t> &flags);
 
 /** A compact recorded reference stream with inline events. */
 class RecordedTrace
@@ -192,7 +221,9 @@ class RecordedTrace
     {
         for (const Chunk &c : _chunks) {
             for (std::size_t i = 0; i < c.size(); ++i) {
-                if (RefKind(c.flags[i] & kindMask) == RefKind::IFetch)
+                if (inCacheStream(CacheStream::Fetch,
+                                  RefKind(c.flags[i] & kindMask),
+                                  c.vaddr[i]))
                     fn(std::uint64_t(c.paddr[i]));
             }
         }
@@ -207,10 +238,8 @@ class RecordedTrace
         for (const Chunk &c : _chunks) {
             for (std::size_t i = 0; i < c.size(); ++i) {
                 const RefKind kind = RefKind(c.flags[i] & kindMask);
-                if (kind != RefKind::IFetch &&
-                    !isUncached(std::uint64_t(c.vaddr[i]))) {
+                if (inCacheStream(CacheStream::Data, kind, c.vaddr[i]))
                     fn(std::uint64_t(c.paddr[i]), kind);
-                }
             }
         }
     }

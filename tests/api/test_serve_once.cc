@@ -8,7 +8,8 @@
  * allocation query answered cold, answered store-warm, answered as a
  * concurrent duplicate, and answered at a different thread count all
  * yield bitwise-identical response lines. In socket mode, a client
- * that hangs up without reading must not take the daemon down.
+ * that hangs up without reading, stalls mid-line or sends more than a
+ * connection may must cost only its own connection.
  */
 
 #include <gtest/gtest.h>
@@ -26,6 +27,7 @@
 #include <vector>
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -271,14 +273,20 @@ sendAll(int fd, const std::string &text)
     return true;
 }
 
-/** One client session: send @p text, half-close, read to EOF. */
+/** One client session on connection @p fd: send @p text, half-close,
+ * read to EOF, close. A daemon that sends nothing for 30 s ends the
+ * read, so a stalled daemon fails the test instead of hanging it. */
 std::string
-converse(const std::string &socket_path, const std::string &text)
+converse(int fd, const std::string &text)
 {
-    const int fd = connectTo(socket_path);
     EXPECT_GE(fd, 0) << "connect: " << std::strerror(errno);
     if (fd < 0)
         return "";
+    timeval timeout{};
+    timeout.tv_sec = 30;
+    EXPECT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                           sizeof timeout),
+              0);
     EXPECT_TRUE(sendAll(fd, text));
     ::shutdown(fd, SHUT_WR);
     std::string reply;
@@ -290,43 +298,131 @@ converse(const std::string &socket_path, const std::string &text)
     return reply;
 }
 
-/** Kills and reaps the daemon @p pid unless the test reaped it. */
-struct Reaper
+/**
+ * An oma_serve daemon listening on a socket in its own scratch
+ * directory (store, log and run report live there too). Killed and
+ * reaped on destruction unless shutdown() saw it exit.
+ */
+class Daemon
 {
-    pid_t pid;
-    ~Reaper()
+  public:
+    explicit Daemon(const std::string &name, const std::string &args = "")
+        : dir(scratchDir(name)), socket(dir + "/serve.sock")
     {
-        if (pid > 0) {
-            ::kill(pid, SIGKILL);
-            ::waitpid(pid, nullptr, 0);
+        const std::string command = "exec env OMA_RUN_REPORT_DIR='" +
+            dir + "' '" OMA_SERVE_BIN "' --socket '" + socket +
+            "' --store-dir '" + dir + "/store' " + args + " 2>'" + dir +
+            "/serve.log'";
+        _pid = ::fork();
+        if (_pid == 0) {
+            ::execl("/bin/sh", "sh", "-c", command.c_str(),
+                    static_cast<char *>(nullptr));
+            ::_exit(127);
         }
     }
+
+    ~Daemon()
+    {
+        if (_pid > 0) {
+            ::kill(_pid, SIGKILL);
+            ::waitpid(_pid, nullptr, 0);
+        }
+        fs::remove_all(dir);
+    }
+
+    Daemon(const Daemon &) = delete;
+    Daemon &operator=(const Daemon &) = delete;
+
+    [[nodiscard]] bool started() const { return _pid > 0; }
+
+    /** A connection to the daemon, retried while it starts; -1 if it
+     * never listened. */
+    [[nodiscard]] int
+    connect() const
+    {
+        int fd = -1;
+        for (int attempt = 0; attempt < 200 && fd < 0; ++attempt) {
+            fd = connectTo(socket);
+            if (fd < 0)
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(50));
+        }
+        return fd;
+    }
+
+    /** Send a shutdown line and expect its ack, a clean exit and the
+     * socket file gone. */
+    void
+    shutdown()
+    {
+        const std::vector<std::string> ack = splitLines(converse(
+            connect(),
+            "{\"schema\":\"oma-control-v1\",\"cmd\":\"shutdown\"}\n"));
+        ASSERT_EQ(ack.size(), 1u);
+        EXPECT_NE(ack.front().find("oma-control-v1"), std::string::npos);
+        int status = 0;
+        pid_t waited = 0;
+        for (int attempt = 0; attempt < 600 && waited == 0; ++attempt) {
+            waited = ::waitpid(_pid, &status, WNOHANG);
+            if (waited == 0)
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(50));
+        }
+        ASSERT_EQ(waited, _pid) << "daemon did not exit after shutdown";
+        _pid = 0;
+        ASSERT_TRUE(WIFEXITED(status)) << "status " << status;
+        EXPECT_EQ(WEXITSTATUS(status), 0);
+        EXPECT_FALSE(fs::exists(socket));
+    }
+
+    /** The daemon's standard error so far. */
+    [[nodiscard]] std::string
+    log() const
+    {
+        std::stringstream text;
+        text << std::ifstream(dir + "/serve.log").rdbuf();
+        return text.str();
+    }
+
+    /** serve/client_errors in the run report saved at shutdown. */
+    [[nodiscard]] double
+    clientErrors() const
+    {
+        std::stringstream report;
+        report << std::ifstream(dir + "/BENCH_oma_serve.json").rdbuf();
+        JsonValue doc;
+        std::string error;
+        EXPECT_TRUE(parseJson(report.str(), doc, error)) << error;
+        return jsonNumber(doc, "counters.serve/client_errors");
+    }
+
+    const std::string dir;
+    const std::string socket;
+
+  private:
+    pid_t _pid = -1;
 };
+
+/** Expect @p reply to be exactly one decodable answer line. */
+void
+expectOneAnswer(const std::string &reply)
+{
+    const std::vector<std::string> answers = splitLines(reply);
+    ASSERT_EQ(answers.size(), 1u) << reply;
+    AllocationResponse response;
+    std::string error;
+    EXPECT_TRUE(decodeResponse(answers.front(), response, error))
+        << error;
+}
 
 TEST(ServeSocket, ClientHangingUpEarlyDoesNotKillTheDaemon)
 {
-    const std::string dir = scratchDir("socket");
-    const std::string socket_path = dir + "/serve.sock";
-    const std::string command = "exec env OMA_RUN_REPORT_DIR='" + dir +
-        "' '" OMA_SERVE_BIN "' --socket '" + socket_path +
-        "' --store-dir '" + dir + "/store' 2>'" + dir + "/serve.log'";
-    const pid_t daemon = ::fork();
-    ASSERT_GE(daemon, 0);
-    if (daemon == 0) {
-        ::execl("/bin/sh", "sh", "-c", command.c_str(),
-                static_cast<char *>(nullptr));
-        ::_exit(127);
-    }
-    Reaper reaper{daemon};
+    Daemon daemon("socket");
+    ASSERT_TRUE(daemon.started());
 
     // The first client to get through sends 50 questions, half-closes
     // and hangs up without reading, so the daemon's reply write fails.
-    int rude = -1;
-    for (int attempt = 0; attempt < 200 && rude < 0; ++attempt) {
-        rude = connectTo(socket_path);
-        if (rude < 0)
-            std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
+    const int rude = daemon.connect();
     ASSERT_GE(rude, 0) << "daemon never listened: "
                        << std::strerror(errno);
     std::string questions;
@@ -338,46 +434,63 @@ TEST(ServeSocket, ClientHangingUpEarlyDoesNotKillTheDaemon)
     ::close(rude);
 
     // The daemon is still there for the next client: exactly one
-    // answer line for its one question...
-    const std::vector<std::string> answers =
-        splitLines(converse(socket_path, line + "\n"));
-    ASSERT_EQ(answers.size(), 1u);
-    AllocationResponse response;
-    std::string error;
-    EXPECT_TRUE(decodeResponse(answers.front(), response, error))
-        << error;
-
-    // ...and a shutdown line makes it exit cleanly.
-    const std::vector<std::string> ack = splitLines(converse(
-        socket_path,
-        "{\"schema\":\"oma-control-v1\",\"cmd\":\"shutdown\"}\n"));
-    ASSERT_EQ(ack.size(), 1u);
-    EXPECT_NE(ack.front().find("oma-control-v1"), std::string::npos);
-    int status = 0;
-    pid_t waited = 0;
-    for (int attempt = 0; attempt < 600 && waited == 0; ++attempt) {
-        waited = ::waitpid(daemon, &status, WNOHANG);
-        if (waited == 0)
-            std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-    ASSERT_EQ(waited, daemon) << "daemon did not exit after shutdown";
-    reaper.pid = 0;
-    ASSERT_TRUE(WIFEXITED(status)) << "status " << status;
-    EXPECT_EQ(WEXITSTATUS(status), 0);
-    EXPECT_FALSE(fs::exists(socket_path));
+    // answer line for its one question, and a shutdown line makes it
+    // exit cleanly.
+    expectOneAnswer(converse(daemon.connect(), line + "\n"));
+    daemon.shutdown();
 
     // The dropped client was warned about and counted, and the run
     // report was saved on the way out.
-    std::stringstream log;
-    log << std::ifstream(dir + "/serve.log").rdbuf();
-    EXPECT_NE(log.str().find("dropping client"), std::string::npos)
-        << log.str();
-    std::stringstream report;
-    report << std::ifstream(dir + "/BENCH_oma_serve.json").rdbuf();
-    JsonValue doc;
-    ASSERT_TRUE(parseJson(report.str(), doc, error)) << error;
-    EXPECT_EQ(jsonNumber(doc, "counters.serve/client_errors"), 1.0);
-    fs::remove_all(dir);
+    EXPECT_NE(daemon.log().find("dropping client"), std::string::npos)
+        << daemon.log();
+    EXPECT_EQ(daemon.clientErrors(), 1.0);
+}
+
+TEST(ServeSocket, StalledClientIsDroppedAfterTheTimeout)
+{
+    Daemon daemon("stall");
+    ASSERT_TRUE(daemon.started());
+
+    // The first client sends half a question and then neither
+    // finishes the line nor half-closes; it keeps the connection
+    // open until the end of the test.
+    const int stalled = daemon.connect();
+    ASSERT_GE(stalled, 0) << "daemon never listened: "
+                          << std::strerror(errno);
+    const std::string line = encodeRequest(table6Query());
+    EXPECT_TRUE(sendAll(stalled, line.substr(0, line.size() / 2)));
+
+    // The client queued behind it still gets exactly one answer.
+    expectOneAnswer(converse(daemon.connect(), line + "\n"));
+    daemon.shutdown();
+    ::close(stalled);
+
+    EXPECT_NE(daemon.log().find("timed out"), std::string::npos)
+        << daemon.log();
+    EXPECT_EQ(daemon.clientErrors(), 1.0);
+}
+
+TEST(ServeSocket, OversizedConnectionEarnsOneErrorLine)
+{
+    // --max-batch 1 caps a connection at (1 + 1) x 64 KiB.
+    Daemon daemon("oversize", "--max-batch 1");
+    ASSERT_TRUE(daemon.started());
+
+    // One byte past the cap, all blank lines: only the size counts.
+    const std::size_t limit = 2 * 64 * 1024;
+    const std::vector<std::string> refusal =
+        splitLines(converse(daemon.connect(), std::string(limit + 1, '\n')));
+    ASSERT_EQ(refusal.size(), 1u);
+    EXPECT_NE(refusal.front().find("oma-error-v1"), std::string::npos);
+    EXPECT_NE(refusal.front().find(std::to_string(limit)),
+              std::string::npos)
+        << refusal.front();
+
+    // The next client gets its answer.
+    expectOneAnswer(
+        converse(daemon.connect(), encodeRequest(table6Query()) + "\n"));
+    daemon.shutdown();
+    EXPECT_EQ(daemon.clientErrors(), 1.0);
 }
 
 TEST(ServeOnce, ControlLinesAreAcknowledged)

@@ -1,11 +1,12 @@
 /**
  * @file
- * Tests for the Cheetah all-associativity engine, including
- * equivalence with the direct cache simulator.
+ * Tests for the Cheetah one-pass LRU engine, including equivalence
+ * with the direct cache simulator.
  */
 
 #include <gtest/gtest.h>
 
+#include <tuple>
 #include <vector>
 
 #include "cache/cache.hh"
@@ -27,29 +28,43 @@ randomStream(std::uint64_t seed, std::size_t n, std::uint64_t span)
     return addrs;
 }
 
+/** Every power-of-two associativity up to @p max_ways at @p sets
+ * sets of @p line bytes. */
+std::vector<CacheGeometry>
+waysColumn(std::uint64_t sets, std::uint64_t line, std::uint64_t max_ways)
+{
+    std::vector<CacheGeometry> geoms;
+    for (std::uint64_t ways = 1; ways <= max_ways; ways *= 2)
+        geoms.emplace_back(sets * line * ways, line, ways);
+    return geoms;
+}
+
 TEST(Cheetah, SimpleStackDistances)
 {
-    Cheetah sim(1, 16, 4);
+    const std::vector<CacheGeometry> geoms = waysColumn(1, 16, 4);
+    Cheetah sim(geoms);
     // A B A -> A misses, B misses, A hits at depth 1.
-    sim.access(0x00);
-    sim.access(0x10);
-    sim.access(0x00);
+    sim.access(0x00, RefKind::Load);
+    sim.access(0x10, RefKind::Load);
+    sim.access(0x00, RefKind::Load);
     EXPECT_EQ(sim.accesses(), 3u);
-    EXPECT_EQ(sim.misses(1), 3u); // 1-entry: the re-reference misses
-    EXPECT_EQ(sim.misses(2), 2u); // 2 entries: re-reference hits
-    EXPECT_EQ(sim.misses(4), 2u);
+    // 1 way: the re-reference misses; 2 and 4 ways: it hits.
+    EXPECT_EQ(sim.stats(geoms[0]).totalMisses(), 3u);
+    EXPECT_EQ(sim.stats(geoms[1]).totalMisses(), 2u);
+    EXPECT_EQ(sim.stats(geoms[2]).totalMisses(), 2u);
     EXPECT_EQ(sim.compulsoryMisses(), 2u);
 }
 
 TEST(Cheetah, MissesMonotoneInWays)
 {
-    Cheetah sim(16, 16, 8);
+    const std::vector<CacheGeometry> geoms = waysColumn(16, 16, 8);
+    Cheetah sim(geoms);
     for (std::uint64_t addr : randomStream(3, 50000, 1 << 16))
-        sim.access(addr);
+        sim.access(addr, RefKind::Load);
     std::uint64_t prev = ~0ULL;
-    for (std::uint64_t ways = 1; ways <= 8; ++ways) {
-        EXPECT_LE(sim.misses(ways), prev);
-        prev = sim.misses(ways);
+    for (const CacheGeometry &geom : geoms) {
+        EXPECT_LE(sim.stats(geom).totalMisses(), prev);
+        prev = sim.stats(geom).totalMisses();
     }
 }
 
@@ -62,30 +77,38 @@ class CheetahEquivalence
 TEST_P(CheetahEquivalence, MatchesDirectLruSimulatorExactly)
 {
     const auto [sets, seed] = GetParam();
-    const std::uint64_t line = 16;
-    const std::uint64_t max_ways = 8;
-    Cheetah sim(sets, line, max_ways);
+    const std::vector<CacheGeometry> geoms = waysColumn(sets, 16, 8);
+    Cheetah sim(geoms);
 
     std::vector<Cache> direct;
-    for (std::uint64_t ways = 1; ways <= max_ways; ways *= 2) {
+    for (const CacheGeometry &geom : geoms) {
         CacheParams p;
-        p.geom = CacheGeometry(sets * line * ways, line, ways);
+        p.geom = geom;
         direct.emplace_back(p);
     }
 
+    Rng kinds(seed + 100);
     for (std::uint64_t addr : randomStream(seed, 30000, 1 << 18)) {
-        sim.access(addr);
+        const RefKind kind =
+            kinds.chance(0.25) ? RefKind::Store : RefKind::Load;
+        sim.access(addr, kind);
         for (auto &cache : direct)
-            cache.access(addr, RefKind::Load);
+            cache.access(addr, kind);
     }
 
-    std::size_t i = 0;
-    for (std::uint64_t ways = 1; ways <= max_ways; ways *= 2, ++i) {
-        EXPECT_EQ(sim.misses(ways), direct[i].stats().totalMisses())
-            << "sets=" << sets << " ways=" << ways;
+    for (std::size_t i = 0; i < geoms.size(); ++i) {
+        const CacheStats got = sim.stats(geoms[i]);
+        const CacheStats &want = direct[i].stats();
+        SCOPED_TRACE(geoms[i].describe());
+        for (unsigned k = 0; k < numRefKinds; ++k) {
+            EXPECT_EQ(got.accesses[k], want.accesses[k]);
+            EXPECT_EQ(got.misses[k], want.misses[k]);
+        }
+        EXPECT_EQ(got.lineFills, want.lineFills);
+        EXPECT_EQ(got.writebacks, want.writebacks);
+        EXPECT_EQ(got.writeThroughWords, want.writeThroughWords);
+        EXPECT_EQ(got.compulsoryMisses, want.compulsoryMisses);
     }
-    EXPECT_EQ(sim.compulsoryMisses(),
-              direct[0].stats().compulsoryMisses);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -95,39 +118,48 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Cheetah, FullyAssociativeModeSweepsTlbSizes)
 {
-    // sets=1, line=1: keys are used directly, which is how FA TLB
-    // size sweeps run (vpn as the key).
-    Cheetah sim(1, 1, 64);
+    // One set: every fully-associative LRU structure of 1..64
+    // entries in one pass, as a TLB-size sweep would use it (one
+    // 4-byte line per key).
+    const std::vector<CacheGeometry> geoms = waysColumn(1, 4, 64);
+    Cheetah sim(geoms);
     Rng rng(9);
-    std::vector<std::uint64_t> keys(20000);
-    for (auto &k : keys)
-        k = rng.zipf(256, 1.0);
-    for (std::uint64_t k : keys)
-        sim.access(k);
+    for (int i = 0; i < 20000; ++i)
+        sim.access(rng.zipf(256, 1.0) * 4, RefKind::Load);
 
-    // Cross-check one size against a direct fully-associative cache
-    // of 32 entries with 1-byte lines... the Cache requires >= 4-byte
-    // lines, so use a hand LRU check instead: monotone + bounded.
-    EXPECT_GE(sim.misses(1), sim.misses(32));
-    EXPECT_GE(sim.misses(32), sim.misses(64));
-    EXPECT_GE(sim.misses(64), sim.compulsoryMisses());
+    std::uint64_t prev = ~0ULL;
+    for (const CacheGeometry &geom : geoms) {
+        const std::uint64_t misses = sim.stats(geom).totalMisses();
+        EXPECT_LE(misses, prev);
+        EXPECT_GE(misses, sim.compulsoryMisses());
+        prev = misses;
+    }
+    EXPECT_LE(sim.compulsoryMisses(), 256u);
 }
 
 TEST(Cheetah, AccessCountsAreExact)
 {
-    Cheetah sim(4, 16, 2);
+    Cheetah sim(waysColumn(4, 16, 2));
     for (int i = 0; i < 123; ++i)
-        sim.access(i * 4);
+        sim.access(i * 4, RefKind::IFetch);
     EXPECT_EQ(sim.accesses(), 123u);
 }
 
 TEST(CheetahDeath, WaysOutOfRange)
 {
-    Cheetah sim(4, 16, 2);
-    sim.access(0);
-    // The result is discarded on purpose: the call must die first.
-    EXPECT_DEATH((void)sim.misses(3), "out of range");
-    EXPECT_DEATH((void)sim.misses(0), "out of range");
+    Cheetah sim(waysColumn(4, 16, 2));
+    sim.access(0, RefKind::Load);
+    EXPECT_EQ(sim.stats(CacheGeometry(4 * 16 * 2, 16, 2)).totalMisses(),
+              1u);
+    // More ways, another set count or another line size than the
+    // pass tracks. The result is discarded on purpose: the call must
+    // die first.
+    EXPECT_DEATH((void)sim.stats(CacheGeometry(4 * 16 * 4, 16, 4)),
+                 "out of range");
+    EXPECT_DEATH((void)sim.stats(CacheGeometry(8 * 16, 16, 1)),
+                 "out of range");
+    EXPECT_DEATH((void)sim.stats(CacheGeometry(4 * 32, 32, 1)),
+                 "out of range");
 }
 
 } // namespace

@@ -220,7 +220,7 @@ TEST(BatchedReplay, CacheKernelsMatchScalarOnRecordedTrace)
         {
             Cache batched(p);
             const std::uint64_t refs =
-                replayFetchBatched(trace, batched);
+                replayCacheStream(trace, CacheStream::Fetch, batched);
             SCOPED_TRACE(batched.batchKernelName());
             expectSameCacheStats(scalarFetchReplay(trace, p),
                                  batched.stats());
@@ -229,7 +229,7 @@ TEST(BatchedReplay, CacheKernelsMatchScalarOnRecordedTrace)
         {
             Cache batched(p);
             const std::uint64_t refs =
-                replayCachedDataBatched(trace, batched);
+                replayCacheStream(trace, CacheStream::Data, batched);
             SCOPED_TRACE(batched.batchKernelName());
             expectSameCacheStats(scalarDataReplay(trace, p),
                                  batched.stats());
@@ -253,11 +253,11 @@ TEST(BatchedReplay, CacheKernelsMatchScalarOnRandomizedTraces)
         for (const CacheParams &p : diffParams()) {
             SCOPED_TRACE(p.geom.describe());
             Cache fetch(p);
-            replayFetchBatched(trace, fetch);
+            replayCacheStream(trace, CacheStream::Fetch, fetch);
             expectSameCacheStats(scalarFetchReplay(trace, p),
                                  fetch.stats());
             Cache data(p);
-            replayCachedDataBatched(trace, data);
+            replayCacheStream(trace, CacheStream::Data, data);
             expectSameCacheStats(scalarDataReplay(trace, p),
                                  data.stats());
         }

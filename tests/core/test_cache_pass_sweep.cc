@@ -1,0 +1,173 @@
+/**
+ * @file
+ * Sweep-level proof of the one-pass cache engine: a ComponentSweep
+ * mixing pass-eligible cache slots (LRU, write-through,
+ * write-allocate; several line sizes on both streams, one group with
+ * a single member) with a FIFO slot, a write-back slot and one slot
+ * of every other kind must report exactly what replaying each slot
+ * on its own simulator reports — at 1 and 4 threads, on a cold and
+ * on a warm store — and `replay/cache_passes` must count one pass
+ * per (stream, line size) group on a cold store and none on a warm
+ * one.
+ */
+
+#include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <filesystem>
+#include <string>
+#include <vector>
+
+#include <unistd.h>
+
+#include "core/component.hh"
+#include "core/sweep.hh"
+#include "obs/metrics.hh"
+#include "workload/system.hh"
+
+namespace oma
+{
+namespace
+{
+
+CacheParams
+lru(std::uint64_t kbytes, std::uint64_t line_words, std::uint64_t ways)
+{
+    CacheParams p;
+    p.geom = CacheGeometry::fromWords(kbytes * 1024, line_words, ways);
+    return p;
+}
+
+/** The mixed slot list, and how many pass groups it forms. */
+std::vector<ComponentSlot>
+mixedSlots()
+{
+    std::vector<ComponentSlot> slots;
+    // I-cache groups: 4-word lines (three geometries) and 8-word
+    // lines (two).
+    slots.push_back(ComponentSlot::icache(lru(4, 4, 1)));
+    slots.push_back(ComponentSlot::icache(lru(8, 8, 2)));
+    slots.push_back(ComponentSlot::icache(lru(8, 4, 2)));
+    slots.push_back(ComponentSlot::icache(lru(2, 4, 8)));
+    slots.push_back(ComponentSlot::icache(lru(2, 8, 1)));
+    // A FIFO I-cache slot of a grouped line size replays alone.
+    CacheParams fifo = lru(4, 4, 2);
+    fifo.repl = ReplacementPolicy::Fifo;
+    slots.push_back(ComponentSlot::icache(fifo));
+    // D-cache groups: 4-word lines (two) and 1-word lines (one).
+    slots.push_back(ComponentSlot::dcache(lru(4, 4, 2)));
+    slots.push_back(ComponentSlot::dcache(lru(16, 4, 1)));
+    slots.push_back(ComponentSlot::dcache(lru(8, 1, 4)));
+    // A write-back D-cache slot of a grouped line size replays alone.
+    CacheParams write_back = lru(4, 4, 1);
+    write_back.write = WritePolicy::WriteBack;
+    slots.push_back(ComponentSlot::dcache(write_back));
+
+    TlbParams tlb;
+    tlb.geom = TlbGeometry(64, 2);
+    slots.push_back(ComponentSlot::tlb(tlb));
+    VictimParams victim;
+    victim.l1 = CacheGeometry::fromWords(4 * 1024, 4, 1);
+    victim.entries = 4;
+    slots.push_back(ComponentSlot::victim(victim));
+    WriteBufferParams wb;
+    wb.entries = 2;
+    slots.push_back(ComponentSlot::writeBuffer(wb));
+    HierarchyParams split;
+    split.l1i.geom = CacheGeometry::fromWords(4 * 1024, 4, 2);
+    split.l1d.geom = CacheGeometry::fromWords(2 * 1024, 4, 2);
+    split.l2.geom = CacheGeometry::fromWords(16 * 1024, 8, 4);
+    split.hasL2 = true;
+    slots.push_back(ComponentSlot::hierarchy(split));
+    return slots;
+}
+
+/** (icache, 4 words), (icache, 8 words), (dcache, 4 words),
+ * (dcache, 1 word). */
+constexpr std::uint64_t mixedGroups = 4;
+
+/** The counters @p result reports for slot @p s of mixedSlots(). */
+ComponentCounters
+sweptCounters(const SweepResult &result,
+              const std::vector<ComponentSlot> &slots, std::size_t s)
+{
+    std::size_t i = 0;
+    for (std::size_t t = 0; t < s; ++t)
+        i += slots[t].kind == slots[s].kind ? 1 : 0;
+    switch (slots[s].kind) {
+      case ComponentKind::ICache:
+        return result.icache(i).stats;
+      case ComponentKind::DCache:
+        return result.dcache(i).stats;
+      case ComponentKind::Tlb:
+        return result.tlb(i).stats;
+      case ComponentKind::Victim:
+        return result.victim(i).stats;
+      case ComponentKind::WriteBuffer:
+        return result.writeBuffer(i).stats;
+      case ComponentKind::Hierarchy:
+        return result.hierarchy(i).stats;
+    }
+    return {};
+}
+
+TEST(CachePassSweep, MatchesPerSlotReplayColdAndWarmAtAnyThreadCount)
+{
+    const std::vector<ComponentSlot> slots = mixedSlots();
+    const ComponentSweep sweep(slots);
+    const WorkloadParams &workload = benchmarkParams(BenchmarkId::Mpeg);
+    RunConfig rc;
+    rc.references = 80000;
+    rc.seed = 42;
+
+    // The oracle: every slot on its own simulator over the recording
+    // the sweep makes.
+    System system(workload, OsKind::Mach, rc.seed);
+    const RecordedTrace trace = system.record(rc.references);
+    const MachineParams mp = MachineParams::decstation3100();
+    std::vector<std::string> expected;
+    for (const ComponentSlot &slot : slots) {
+        const auto component = makeComponent(slot, mp);
+        replayComponent(trace, *component);
+        expected.push_back(encodeComponentCounters(component->counters()));
+    }
+    const auto expect_oracle = [&](const SweepResult &result) {
+        ASSERT_EQ(result.componentCount(), slots.size());
+        for (std::size_t s = 0; s < slots.size(); ++s) {
+            SCOPED_TRACE(slots[s].describe());
+            EXPECT_EQ(encodeComponentCounters(
+                          sweptCounters(result, slots, s)),
+                      expected[s]);
+        }
+    };
+
+    ::unsetenv("OMA_STORE_DIR");
+    for (unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        rc.threads = threads;
+        rc.storeDir = testing::TempDir() + "/oma_cache_pass." +
+            std::to_string(::getpid()) + "." + std::to_string(threads);
+        std::filesystem::remove_all(rc.storeDir);
+
+        obs::Observation cold_obs;
+        expect_oracle(sweep.run(workload, OsKind::Mach, rc, &cold_obs));
+        EXPECT_EQ(cold_obs.metrics.counter("replay/cache_passes"),
+                  mixedGroups);
+        EXPECT_EQ(cold_obs.metrics.counter("sweep/records"), 1u);
+
+        obs::Observation warm_obs;
+        expect_oracle(sweep.run(workload, OsKind::Mach, rc, &warm_obs));
+        EXPECT_EQ(warm_obs.metrics.counter("replay/cache_passes"), 0u);
+        EXPECT_EQ(warm_obs.metrics.counter("store/misses"), 0u);
+
+        // Storeless, straight from the recording.
+        obs::Observation live_obs;
+        expect_oracle(sweep.run(trace, threads, &live_obs));
+        EXPECT_EQ(live_obs.metrics.counter("replay/cache_passes"),
+                  mixedGroups);
+        std::filesystem::remove_all(rc.storeDir);
+    }
+}
+
+} // namespace
+} // namespace oma

@@ -16,7 +16,12 @@
  *    `{"schema":"oma-control-v1","cmd":"shutdown"}` arrives. A client
  *    that hangs up before reading its answers costs only its own
  *    connection: the failed read or write is dropped with a warning
- *    and counted in `serve/client_errors`.
+ *    and counted in `serve/client_errors`. So does a client that
+ *    stalls (every read and write on a connection times out after
+ *    clientTimeoutSeconds, so a client that never half-closes or
+ *    never reads cannot stall the accept loop) and one that sends
+ *    more than (max-batch + 1) x 64 KiB, which first gets one
+ *    `oma-error-v1` line naming the limit.
  *
  * Identical lines in one batch coalesce onto a single computation
  * (`serve/dedup_hits`), repeated questions across batches are served
@@ -28,18 +33,22 @@
 
 #include <cerrno>
 #include <csignal>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include "api/json.hh"
 #include "api/query_engine.hh"
+#include "api/request.hh"
 #include "obs/report.hh"
 #include "support/logging.hh"
 
@@ -47,6 +56,15 @@ namespace
 {
 
 using namespace oma;
+
+/** Seconds one client read or write may block before the daemon
+ * drops that client. */
+constexpr int clientTimeoutSeconds = 3;
+
+/** Bytes a connection may send per request line it may have admitted
+ * (plus one line's worth): a default Table 6 request line is about
+ * 670 bytes. */
+constexpr std::size_t connectionBytesPerLine = 64 * 1024;
 
 struct ServeOptions
 {
@@ -77,7 +95,9 @@ usage()
         << "  --max-inflight N  distinct requests computed\n"
         << "                  concurrently per batch (default 4)\n"
         << "  --max-batch N   requests admitted per batch; the rest\n"
-        << "                  are refused with an error (default 64)\n"
+        << "                  are refused with an error (default 64).\n"
+        << "                  A connection may send at most\n"
+        << "                  (N + 1) x 64 KiB\n"
         << "  --report NAME   run-report name (default oma_serve)\n";
 }
 
@@ -192,30 +212,67 @@ splitLines(const std::string &text)
     return lines;
 }
 
-/** Read until EOF on client @p fd into @p text; false (with a
- * warning) when the client connection fails first. */
+/** Why a client read or write failed, for the drop warning. */
+std::string
+clientIoError()
+{
+    if (errno == EAGAIN || errno == EWOULDBLOCK)
+        return "timed out after " + std::to_string(clientTimeoutSeconds) +
+            " s";
+    return std::strerror(errno);
+}
+
+/** Bound every read and write on client @p fd by
+ * clientTimeoutSeconds; false (with a warning) if the socket refuses. */
 bool
-readAll(int fd, std::string &text)
+setClientTimeouts(int fd)
+{
+    timeval timeout{};
+    timeout.tv_sec = clientTimeoutSeconds;
+    if (::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                     sizeof timeout) == 0 &&
+        ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout,
+                     sizeof timeout) == 0)
+        return true;
+    warn(std::string("oma_serve: dropping client: setsockopt: ") +
+         std::strerror(errno));
+    return false;
+}
+
+/** How reading a client's batch ended. */
+enum class ReadEnd
+{
+    Eof,       //!< The client half-closed: serve the batch.
+    Failed,    //!< The read failed or timed out (already warned).
+    OverLimit, //!< The client sent more than the connection limit.
+};
+
+/** Read until EOF on client @p fd into @p text, or until the
+ * connection sends more than @p limit bytes. */
+ReadEnd
+readAll(int fd, std::size_t limit, std::string &text)
 {
     char buf[4096];
     while (true) {
         const ssize_t n = ::read(fd, buf, sizeof buf);
         if (n > 0) {
             text.append(buf, std::size_t(n));
+            if (text.size() > limit)
+                return ReadEnd::OverLimit;
             continue;
         }
         if (n == 0)
-            return true;
+            return ReadEnd::Eof;
         if (errno == EINTR)
             continue;
-        warn(std::string("oma_serve: dropping client: read: ") +
-             std::strerror(errno));
-        return false;
+        warn("oma_serve: dropping client: read: " + clientIoError());
+        return ReadEnd::Failed;
     }
 }
 
 /** Write all of @p data to client @p fd; false (with a warning) when
- * the client connection fails first, e.g. it already hung up. */
+ * the client connection fails first, e.g. it already hung up or
+ * stopped reading. */
 bool
 writeAll(int fd, std::string_view data)
 {
@@ -227,11 +284,49 @@ writeAll(int fd, std::string_view data)
         }
         if (errno == EINTR)
             continue;
-        warn(std::string("oma_serve: dropping client: write: ") +
-             std::strerror(errno));
+        warn("oma_serve: dropping client: write: " + clientIoError());
         return false;
     }
     return true;
+}
+
+/** Read, answer and reply to one accepted client; false when the
+ * client was dropped. */
+bool
+serveClient(api::QueryEngine &engine, int fd, std::size_t max_batch,
+            obs::Observation *observation, bool &shutdown)
+{
+    if (!setClientTimeouts(fd))
+        return false;
+    // Saturate: --max-batch is any positive 64-bit value.
+    const std::size_t limit =
+        max_batch < SIZE_MAX / connectionBytesPerLine - 1
+        ? (max_batch + 1) * connectionBytesPerLine
+        : SIZE_MAX;
+    std::string text;
+    switch (readAll(fd, limit, text)) {
+      case ReadEnd::Eof:
+        break;
+      case ReadEnd::Failed:
+        return false;
+      case ReadEnd::OverLimit: {
+        const std::string refusal = "connection sent more than " +
+            std::to_string(limit) + " bytes, the limit of (max-batch " +
+            std::to_string(max_batch) + " + 1) x " +
+            std::to_string(connectionBytesPerLine) + " bytes";
+        warn("oma_serve: dropping client: " + refusal);
+        (void)writeAll(fd, api::encodeError(refusal) + "\n");
+        return false;
+      }
+    }
+    const std::vector<std::string> answers =
+        serveBatch(engine, splitLines(text), observation, shutdown);
+    std::string reply;
+    for (const std::string &answer : answers) {
+        reply += answer;
+        reply.push_back('\n');
+    }
+    return writeAll(fd, reply);
 }
 
 int
@@ -253,7 +348,7 @@ serveOnce(api::QueryEngine &engine, obs::Observation *observation)
 
 int
 serveSocket(api::QueryEngine &engine, const std::string &path,
-            obs::Observation *observation)
+            std::size_t max_batch, obs::Observation *observation)
 {
     fatalIf(path.size() >= sizeof(sockaddr_un{}.sun_path),
             "oma_serve: socket path too long: " + path);
@@ -283,19 +378,8 @@ serveSocket(api::QueryEngine &engine, const std::string &path,
             fatal(std::string("oma_serve: accept: ") +
                   std::strerror(errno));
         }
-        std::string text;
-        bool ok = readAll(client_fd, text);
-        if (ok) {
-            const std::vector<std::string> answers = serveBatch(
-                engine, splitLines(text), observation, shutdown);
-            std::string reply;
-            for (const std::string &answer : answers) {
-                reply += answer;
-                reply.push_back('\n');
-            }
-            ok = writeAll(client_fd, reply);
-        }
-        if (!ok)
+        if (!serveClient(engine, client_fd, max_batch, observation,
+                         shutdown))
             observation->metrics.add("serve/client_errors");
         ::close(client_fd);
     }
@@ -330,7 +414,8 @@ main(int argc, char **argv)
 
     const int rc = opt.once
         ? serveOnce(engine, &observation)
-        : serveSocket(engine, opt.socketPath, &observation);
+        : serveSocket(engine, opt.socketPath, opt.maxBatch,
+                      &observation);
 
     report.metrics.merge(observation.metrics);
     const std::string path = report.save();
