@@ -11,6 +11,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 
@@ -19,10 +20,10 @@
 #include "bench/common.hh"
 #include "cache/cheetah.hh"
 #include "cache/replay.hh"
+#include "core/component.hh"
 #include "core/search.hh"
 #include "machine/machine.hh"
 #include "store/codec.hh"
-#include "tlb/replay.hh"
 #include "tlb/tapeworm.hh"
 #include "workload/system.hh"
 
@@ -272,83 +273,132 @@ replayKernelTrace()
     return trace;
 }
 
-/**
- * The batched-kernel comparison: one configuration each of an
- * I-cache (fetches), a D-cache (data) and an MMU, driven
- * per-reference through the scalar views vs through the batched
- * chunk kernels, over the same recording. (The sweep replays its LRU
- * write-through caches through the one-pass engine, BM_CachePass;
- * these kernels serve every other cache slot, the per-slot replays
- * the tests compare it with, and the TLBs.) Arg(0) (scalar) is
- * registered before Arg(1) (batched)
- * so the batched run can report its measured speedup; the run report
- * gains the `replay/speedup_vs_scalar` gauge the CI replay-
- * equivalence job gates on, plus the v3 encoded footprint
- * (`trace/bytes_per_ref`, `trace/encoded_bytes`).
- */
-void
-BM_ReplayKernel(benchmark::State &state)
+/** Wall seconds one call of @p fn takes. */
+template <typename Fn>
+double
+secondsOf(Fn &&fn)
 {
-    static double scalar_seconds = 0.0;
-    const RecordedTrace &trace = replayKernelTrace();
-    const bool batched = state.range(0) != 0;
-
-    CacheParams cp;
-    cp.geom = CacheGeometry::fromWords(8 * 1024, 4, 2);
-    TlbParams tp;
-    tp.geom = TlbGeometry::fullyAssoc(64);
-
     const auto t0 = std::chrono::steady_clock::now();
-    for (auto _ : state) {
-        Cache icache(cp), dcache(cp);
-        Mmu mmu(tp, TlbPenalties());
-        if (batched) {
-            replayCacheStream(trace, CacheStream::Fetch, icache);
-            replayCacheStream(trace, CacheStream::Data, dcache);
-            replayTranslateBatched(trace, mmu);
-        } else {
-            trace.replayFetchPaddrs([&](std::uint64_t paddr) {
-                icache.access(paddr, RefKind::IFetch);
-            });
-            trace.replayCachedData(
-                [&](std::uint64_t paddr, RefKind kind) {
-                    dcache.access(paddr, kind);
-                });
-            trace.replay(
-                [&](const MemRef &ref) { mmu.translate(ref); },
-                [&](const TraceEvent &e) {
-                    mmu.invalidatePage(e.vpn, e.asid, e.global);
-                });
-        }
+    fn();
+    return std::chrono::duration<double>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
+}
+
+/** The slots BM_ReplayKernel replays: one I-cache, one D-cache and
+ * one MMU. */
+struct ReplayKernelSlots
+{
+    CacheParams cache;
+    TlbParams tlb;
+    MachineParams machine = MachineParams::decstation3100();
+
+    ReplayKernelSlots()
+    {
+        cache.geom = CacheGeometry::fromWords(8 * 1024, 4, 2);
+        tlb.geom = TlbGeometry::fullyAssoc(64);
+    }
+
+    /** Each raw simulator driven one reference at a time through
+     * RecordedTrace's per-reference views. */
+    void
+    replayScalar(const RecordedTrace &trace) const
+    {
+        Cache icache(cache), dcache(cache);
+        Mmu mmu(tlb, machine.tlbPenalties);
+        trace.replayFetchPaddrs([&](std::uint64_t paddr) {
+            icache.access(paddr, RefKind::IFetch);
+        });
+        trace.replayCachedData([&](std::uint64_t paddr, RefKind kind) {
+            dcache.access(paddr, kind);
+        });
+        trace.replay([&](const MemRef &ref) { mmu.translate(ref); },
+                     [&](const TraceEvent &e) {
+                         mmu.invalidatePage(e.vpn, e.asid, e.global);
+                     });
         benchmark::DoNotOptimize(icache.stats().totalMisses() +
                                  dcache.stats().totalMisses() +
                                  mmu.stats().totalMisses());
     }
-    const double per_iter = state.iterations()
-        ? std::chrono::duration<double>(
-              std::chrono::steady_clock::now() - t0)
-                .count() /
-            double(state.iterations())
-        : 0.0;
+
+    /** The same three slots through the sweep's per-slot path. */
+    void
+    replayBatched(const RecordedTrace &trace) const
+    {
+        for (const ComponentSlot &slot :
+             {ComponentSlot::icache(cache), ComponentSlot::dcache(cache),
+              ComponentSlot::tlb(tlb)}) {
+            const std::unique_ptr<ComponentReplayer> component =
+                makeComponent(slot, machine);
+            replayComponent(trace, *component);
+            benchmark::DoNotOptimize(component->counters());
+        }
+    }
+};
+
+/** Interleaved scalar/batched rounds behind the speedup gauge. */
+constexpr int replayKernelRounds = 9;
+
+/**
+ * The chunked-replay comparison: one I-cache (fetches), one D-cache
+ * (data) and one MMU, driven per-reference through the scalar views
+ * (Arg(0)) vs through makeComponent + replayComponent (Arg(1)), the
+ * path the sweep runs for every slot outside the one-pass engine
+ * (BM_CachePass), over the same recording. After its timed loop the
+ * batched run times replayKernelRounds more rounds of both arms,
+ * alternating which runs first, and reports the median of the
+ * per-round scalar/batched ratios as `speedup_vs_scalar`: arms timed
+ * back to back share the machine's load, so their ratio is steadier
+ * than one of two runs taken seconds apart. The run report gains the
+ * `replay/speedup_vs_scalar` gauge the CI replay-equivalence job gates
+ * on, plus the v3 encoded footprint (`trace/bytes_per_ref`,
+ * `trace/encoded_bytes`).
+ */
+void
+BM_ReplayKernel(benchmark::State &state)
+{
+    const RecordedTrace &trace = replayKernelTrace();
+    const bool batched = state.range(0) != 0;
+    const ReplayKernelSlots slots;
+
+    for (auto _ : state) {
+        if (batched)
+            slots.replayBatched(trace);
+        else
+            slots.replayScalar(trace);
+    }
 
     state.counters["batched"] = batched ? 1.0 : 0.0;
-    if (!batched) {
-        scalar_seconds = per_iter;
-    } else if (scalar_seconds > 0.0 && per_iter > 0.0) {
-        const double speedup = scalar_seconds / per_iter;
+    if (batched) {
+        const auto scalar_arm = [&] { slots.replayScalar(trace); };
+        const auto batched_arm = [&] { slots.replayBatched(trace); };
+        std::vector<double> ratios;
+        for (int round = 0; round < replayKernelRounds; ++round) {
+            double scalar_s = 0.0, batched_s = 0.0;
+            if (round % 2 == 0) {
+                scalar_s = secondsOf(scalar_arm);
+                batched_s = secondsOf(batched_arm);
+            } else {
+                batched_s = secondsOf(batched_arm);
+                scalar_s = secondsOf(scalar_arm);
+            }
+            ratios.push_back(scalar_s / batched_s);
+        }
+        std::nth_element(ratios.begin(),
+                         ratios.begin() + replayKernelRounds / 2,
+                         ratios.end());
+        const double speedup = ratios[replayKernelRounds / 2];
         state.counters["speedup_vs_scalar"] = speedup;
         if (g_report != nullptr) {
             g_report->metrics().set("replay/speedup_vs_scalar",
                                     speedup);
+            const std::string encoded = store::encodeTrace(trace);
+            g_report->metrics().add("trace/encoded_bytes",
+                                    encoded.size());
+            g_report->metrics().set("trace/bytes_per_ref",
+                                    double(encoded.size()) /
+                                        double(trace.size()));
         }
-    }
-    if (batched && g_report != nullptr) {
-        const std::string encoded = store::encodeTrace(trace);
-        g_report->metrics().add("trace/encoded_bytes",
-                                encoded.size());
-        g_report->metrics().set("trace/bytes_per_ref",
-                                double(encoded.size()) /
-                                    double(trace.size()));
     }
     // Three replay legs consume the full stream each iteration.
     state.SetItemsProcessed(state.iterations() *
@@ -364,7 +414,9 @@ BENCHMARK(BM_ReplayKernel)
  * The sweep's cache engine against the per-slot replay it replaced:
  * one line size's Table 5 geometries (5 capacities x 4
  * associativities) on both cache streams of the shared recording.
- * Arg(0) replays each geometry on its own Cache, stream by stream;
+ * Arg(0) replays each geometry as its own I- or D-cache slot
+ * (makeComponent + replayComponent, the per-slot path), stream by
+ * stream;
  * Arg(1) runs one Cheetah pass per stream and derives every
  * geometry's counters from it. Arg(0) is registered first so Arg(1)
  * can report its measured speedup as the `replay/one_pass_speedup`
@@ -377,6 +429,7 @@ BM_CachePass(benchmark::State &state)
     const RecordedTrace &trace = replayKernelTrace();
     const bool one_pass = state.range(0) != 0;
 
+    const MachineParams machine = MachineParams::decstation3100();
     std::vector<CacheGeometry> geoms;
     for (const CacheGeometry &geom : ConfigSpace().cacheGeometries())
         if (geom.lineWords() == 4)
@@ -397,9 +450,14 @@ BM_CachePass(benchmark::State &state)
             for (const CacheGeometry &geom : geoms) {
                 CacheParams p;
                 p.geom = geom;
-                Cache cache(p);
-                replayCacheStream(trace, stream, cache);
-                misses += cache.stats().totalMisses();
+                const std::unique_ptr<ComponentReplayer> component =
+                    makeComponent(stream == CacheStream::Fetch
+                                      ? ComponentSlot::icache(p)
+                                      : ComponentSlot::dcache(p),
+                                  machine);
+                replayComponent(trace, *component);
+                misses += std::get<CacheStats>(component->counters())
+                              .totalMisses();
             }
         }
         benchmark::DoNotOptimize(misses);

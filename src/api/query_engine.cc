@@ -27,6 +27,22 @@ count(obs::Observation *observation, const char *name,
         observation->metrics.add(name, delta);
 }
 
+/**
+ * validate()'s check of `threads`, the one request field the response
+ * key leaves out. answerBatch() applies it to every line before
+ * grouping, because lines that differ only in `threads` share one
+ * group and its leader's answer.
+ */
+bool
+threadsWithinLimit(const AllocationRequest &request, std::string &error)
+{
+    if (request.threads <= QueryEngine::maxRequestThreads)
+        return true;
+    error = "request.threads: at most " +
+        std::to_string(QueryEngine::maxRequestThreads) + " lanes";
+    return false;
+}
+
 } // namespace
 
 SweepGrid
@@ -78,11 +94,19 @@ QueryEngine::validate(const AllocationRequest &request,
                 "under max_cache_ways";
         return false;
     }
-    if (request.strategy == Strategy::Annealing &&
-        (request.annealing.chains == 0 ||
-         request.annealing.iterations == 0)) {
+    if (!threadsWithinLimit(request, error))
+        return false;
+    if (request.strategy != Strategy::Annealing)
+        return true;
+    if (request.annealing.chains == 0 ||
+        request.annealing.iterations == 0) {
         error = "request.annealing: chains and iterations must be "
                 "positive";
+        return false;
+    }
+    if (request.annealing.chains > maxAnnealingChains) {
+        error = "request.annealing.chains: at most " +
+            std::to_string(maxAnnealingChains) + " chains";
         return false;
     }
     return true;
@@ -270,7 +294,8 @@ QueryEngine::answerBatch(const std::vector<std::string> &request_lines,
         ++admitted;
         AllocationRequest request;
         std::string error;
-        if (!decodeRequest(request_lines[i], request, error)) {
+        if (!decodeRequest(request_lines[i], request, error) ||
+            !threadsWithinLimit(request, error)) {
             count(observation, "serve/requests");
             count(observation, "serve/rejected");
             answers[i] = encodeError(error);

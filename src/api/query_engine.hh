@@ -160,8 +160,18 @@ class QueryEngine
          const ComponentCpiTables &tables,
          obs::Observation *observation = nullptr) const;
 
+    /** Most lanes one request may ask for (`threads`). Each lane is
+     * a pool thread, so a larger count would exhaust memory before
+     * any work starts. */
+    static constexpr unsigned maxRequestThreads = 256;
+
+    /** Most chains one annealing request may ask for; each chain
+     * holds its own search state. */
+    static constexpr unsigned maxAnnealingChains = 1024;
+
     /** Semantic validation beyond the codec (non-empty mix and
-     * grid, positive budget/references...); false sets @p error. */
+     * grid, positive budget/references, threads and annealing chains
+     * within their limits...); false sets @p error. */
     [[nodiscard]] static bool validate(const AllocationRequest &request,
                                        std::string &error);
 

@@ -5,6 +5,7 @@
 
 #include "api/request.hh"
 
+#include <limits>
 #include <utility>
 
 #include "api/json.hh"
@@ -65,6 +66,20 @@ class ObjectReader
             return false;
         if (!value->asU64(out))
             return fail(name, "expected an unsigned integer");
+        return true;
+    }
+
+    /** u64() for a field held in an unsigned: a value that does not
+     * fit is an error, not a truncation. */
+    bool
+    u32(std::string_view name, unsigned &out)
+    {
+        std::uint64_t wide = 0;
+        if (!u64(name, wide))
+            return false;
+        if (wide > std::numeric_limits<unsigned>::max())
+            return fail(name, "does not fit an unsigned 32-bit integer");
+        out = unsigned(wide);
         return true;
     }
 
@@ -460,20 +475,16 @@ decodeRequest(std::string_view json, AllocationRequest &out,
     }
 
     ObjectReader ra(r.get("annealing"), "request.annealing", error);
-    std::uint64_t chains = 0;
     const bool anneal_ok = ra.u64("seed", out.annealing.seed) &&
-        ra.u64("chains", chains) &&
+        ra.u32("chains", out.annealing.chains) &&
         ra.u64("iterations", out.annealing.iterations) &&
         ra.real("initial_temp", out.annealing.initialTemp) &&
         ra.real("final_temp", out.annealing.finalTemp);
     if (!anneal_ok || !ra.finish())
         return false;
-    out.annealing.chains = unsigned(chains);
 
-    std::uint64_t threads = 0;
-    if (!r.u64("top_k", out.topK) || !r.u64("threads", threads))
+    if (!r.u64("top_k", out.topK) || !r.u32("threads", out.threads))
         return false;
-    out.threads = unsigned(threads);
     return r.finish();
 }
 

@@ -7,7 +7,6 @@
 
 #include "support/bits.hh"
 #include "support/logging.hh"
-#include "trace/recorded.hh"
 
 namespace oma
 {
@@ -22,7 +21,6 @@ Cache::Cache(const CacheParams &params)
     _indexBits = floorLog2(sets);
     _ways = _params.geom.assoc;
     _lines.assign(sets * _ways, Line());
-    selectKernels();
 }
 
 std::uint64_t
@@ -75,24 +73,21 @@ Cache::victimWay(std::size_t set_base)
     panic("unreachable replacement policy");
 }
 
-template <unsigned Ways, unsigned LineShift>
 bool
-Cache::accessOne(std::uint64_t paddr, RefKind kind)
+Cache::access(std::uint64_t paddr, RefKind kind)
 {
-    const std::size_t ways = Ways == 0 ? _ways : Ways;
-    const unsigned line_shift = LineShift == 0 ? _lineShift : LineShift;
     ++_tick;
-    const std::uint64_t line = paddr >> line_shift;
+    const std::uint64_t line = lineNumber(paddr);
     const std::uint64_t set = line & _setMask;
     const std::uint64_t tag = line >> _indexBits;
-    const std::size_t base = set * ways;
+    const std::size_t base = set * _ways;
     const bool is_store = kind == RefKind::Store;
 
     ++_stats.accesses[unsigned(kind)];
     if (is_store && _params.write == WritePolicy::WriteThrough)
         ++_stats.writeThroughWords;
 
-    for (std::size_t w = 0; w < ways; ++w) {
+    for (std::size_t w = 0; w < _ways; ++w) {
         Line &l = _lines[base + w];
         if (l.valid && l.tag == tag) {
             if (_params.repl == ReplacementPolicy::Lru)
@@ -128,100 +123,6 @@ Cache::missFill(std::uint64_t line, std::size_t base,
     l.stamp = _tick;
     l.dirty = is_store && _params.write == WritePolicy::WriteBack;
     return false;
-}
-
-bool
-Cache::access(std::uint64_t paddr, RefKind kind)
-{
-    return accessOne<0, 0>(paddr, kind);
-}
-
-template <unsigned Ways, unsigned LineShift>
-void
-Cache::fetchKernel(const std::uint32_t *paddr, const std::uint8_t *,
-                   std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        accessOne<Ways, LineShift>(paddr[i], RefKind::IFetch);
-}
-
-template <unsigned Ways, unsigned LineShift>
-void
-Cache::dataKernel(const std::uint32_t *paddr,
-                  const std::uint8_t *flags, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        accessOne<Ways, LineShift>(
-            paddr[i], RefKind(flags[i] & RecordedTrace::kindMask));
-    }
-}
-
-const std::vector<Cache::KernelEntry> &
-Cache::kernelTable()
-{
-    // One row per pow2 (associativity, line-words) pair in the
-    // modelled design space: the paper sweeps 4-128 byte lines
-    // (1-32 words) at associativities 1-8.
-#define OMA_CACHE_KERNEL(WAYS, WORDS, SHIFT)                       \
-    KernelEntry{WAYS, WORDS, &Cache::fetchKernel<WAYS, SHIFT>,     \
-                &Cache::dataKernel<WAYS, SHIFT>,                   \
-                "w" #WAYS "x" #WORDS "w"}
-    static const std::vector<KernelEntry> table = {
-        OMA_CACHE_KERNEL(1, 1, 2),  OMA_CACHE_KERNEL(1, 2, 3),
-        OMA_CACHE_KERNEL(1, 4, 4),  OMA_CACHE_KERNEL(1, 8, 5),
-        OMA_CACHE_KERNEL(1, 16, 6), OMA_CACHE_KERNEL(1, 32, 7),
-        OMA_CACHE_KERNEL(2, 1, 2),  OMA_CACHE_KERNEL(2, 2, 3),
-        OMA_CACHE_KERNEL(2, 4, 4),  OMA_CACHE_KERNEL(2, 8, 5),
-        OMA_CACHE_KERNEL(2, 16, 6), OMA_CACHE_KERNEL(2, 32, 7),
-        OMA_CACHE_KERNEL(4, 1, 2),  OMA_CACHE_KERNEL(4, 2, 3),
-        OMA_CACHE_KERNEL(4, 4, 4),  OMA_CACHE_KERNEL(4, 8, 5),
-        OMA_CACHE_KERNEL(4, 16, 6), OMA_CACHE_KERNEL(4, 32, 7),
-        OMA_CACHE_KERNEL(8, 1, 2),  OMA_CACHE_KERNEL(8, 2, 3),
-        OMA_CACHE_KERNEL(8, 4, 4),  OMA_CACHE_KERNEL(8, 8, 5),
-        OMA_CACHE_KERNEL(8, 16, 6), OMA_CACHE_KERNEL(8, 32, 7),
-    };
-#undef OMA_CACHE_KERNEL
-    return table;
-}
-
-void
-Cache::selectKernels()
-{
-    _fetchKernel = &Cache::fetchKernel<0, 0>;
-    _dataKernel = &Cache::dataKernel<0, 0>;
-    _kernelName = "generic";
-    for (const KernelEntry &e : kernelTable()) {
-        if (e.ways == _ways &&
-            std::uint64_t(e.lineWords) * 4 == _params.geom.lineBytes) {
-            _fetchKernel = e.fetch;
-            _dataKernel = e.data;
-            _kernelName = e.name;
-            return;
-        }
-    }
-}
-
-std::vector<std::pair<unsigned, unsigned>>
-Cache::specializedGeometries()
-{
-    std::vector<std::pair<unsigned, unsigned>> out;
-    out.reserve(kernelTable().size());
-    for (const KernelEntry &e : kernelTable())
-        out.emplace_back(e.ways, e.lineWords);
-    return out;
-}
-
-void
-Cache::replayFetchBatch(const std::uint32_t *paddr, std::size_t n)
-{
-    (this->*_fetchKernel)(paddr, nullptr, n);
-}
-
-void
-Cache::replayDataBatch(const std::uint32_t *paddr,
-                       const std::uint8_t *flags, std::size_t n)
-{
-    (this->*_dataKernel)(paddr, flags, n);
 }
 
 void

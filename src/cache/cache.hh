@@ -10,17 +10,12 @@
  * CPI model (misses by reference kind, lines fetched, words written
  * through to memory, write-backs).
  *
- * Two access paths share one inner body (accessOne): the scalar
- * access() the live System drives, and the batched replay kernels
- * (replayFetchBatch / replayDataBatch) the trace-replay engines
- * stream packed RecordedTrace columns through. The batched kernels
- * are specialized at compile time for the power-of-two
- * (associativity, line-size) pairs the paper's design space sweeps —
- * the way loop unrolls and the line shift becomes an immediate — and
- * dispatched once at construction; odd geometries fall back to the
- * generic loop. Because every path funnels through the same body,
- * the scalar and batched replays are bitwise-identical by
- * construction (tests/core/test_batched_replay.cc holds the proof).
+ * Every caller (the live Machine, the hierarchies and the sweep's
+ * per-slot replay, core/component.hh) drives the one access() body,
+ * one reference at a time. The sweep replays its LRU write-through
+ * write-allocate slots through the one-pass engine instead
+ * (cache/cheetah.hh), which reports bitwise the counters this body
+ * would (tests/cache/test_cheetah_differential.cc).
  */
 
 #ifndef OMA_CACHE_CACHE_HH
@@ -28,7 +23,6 @@
 
 #include <cstdint>
 #include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "area/geometry.hh"
@@ -150,39 +144,6 @@ class Cache
      */
     bool access(std::uint64_t paddr, RefKind kind);
 
-    /**
-     * Batched instruction-fetch replay over a packed paddr column:
-     * exactly equivalent to access(paddr[i], RefKind::IFetch) for
-     * each i in [0, n), through the kernel chosen at construction.
-     */
-    void replayFetchBatch(const std::uint32_t *paddr, std::size_t n);
-
-    /**
-     * Batched data replay over packed paddr and trace-flag columns:
-     * exactly equivalent to access(paddr[i], kind_i) where kind_i is
-     * the RefKind packed in the low bits of flags[i].
-     */
-    void replayDataBatch(const std::uint32_t *paddr,
-                         const std::uint8_t *flags, std::size_t n);
-
-    /**
-     * Name of the inner-loop kernel the batched replays use:
-     * "w<assoc>x<words>w" for a compile-time specialization,
-     * "generic" for the runtime fallback.
-     */
-    [[nodiscard]] const char *batchKernelName() const
-    {
-        return _kernelName;
-    }
-
-    /**
-     * Every (associativity, line-words) pair with a compile-time
-     * batch kernel, in dispatch-table order. Geometry coverage tests
-     * assert each entry is actually selectable.
-     */
-    static std::vector<std::pair<unsigned, unsigned>>
-    specializedGeometries();
-
     /** Hit test without updating replacement or statistics. */
     [[nodiscard]] bool probe(std::uint64_t paddr) const;
 
@@ -216,55 +177,16 @@ class Cache
 
     std::uint64_t lineNumber(std::uint64_t paddr) const;
 
-    /**
-     * The one access body every path shares. A non-zero Ways /
-     * LineShift is a compile-time constant (the way loop unrolls and
-     * the shift becomes an immediate); zero reads the runtime field,
-     * which holds the same value — so specialization can never
-     * change behaviour, only code generation.
-     */
-    template <unsigned Ways, unsigned LineShift>
-    bool accessOne(std::uint64_t paddr, RefKind kind);
-
-    /** The cold miss tail of accessOne (kept out of line so the hit
-     * loop stays small enough to unroll and inline). */
+    /** The miss tail of access() (kept out of line so the hit path
+     * stays small). */
     bool missFill(std::uint64_t line, std::size_t base,
                   std::uint64_t tag, RefKind kind, bool is_store);
-
-    template <unsigned Ways, unsigned LineShift>
-    void fetchKernel(const std::uint32_t *paddr, const std::uint8_t *,
-                     std::size_t n);
-    template <unsigned Ways, unsigned LineShift>
-    void dataKernel(const std::uint32_t *paddr,
-                    const std::uint8_t *flags, std::size_t n);
-
-    using BatchFn = void (Cache::*)(const std::uint32_t *,
-                                    const std::uint8_t *, std::size_t);
-
-    struct KernelEntry
-    {
-        unsigned ways;
-        unsigned lineWords;
-        BatchFn fetch;
-        BatchFn data;
-        const char *name;
-    };
-
-    /** The compile-time specialization grid (one row per pow2
-     * (assoc, line-words) pair in the modelled design space). */
-    static const std::vector<KernelEntry> &kernelTable();
-
-    /** Pick the batch kernels for this geometry (constructor). */
-    void selectKernels();
 
     CacheParams _params;
     std::uint64_t _setMask;
     unsigned _lineShift;
     unsigned _indexBits;
     std::size_t _ways;
-    BatchFn _fetchKernel = nullptr;
-    BatchFn _dataKernel = nullptr;
-    const char *_kernelName = "generic";
     std::vector<Line> _lines; //!< sets x ways, set-major.
     std::uint64_t _tick = 0;
     Rng _rng;

@@ -1,6 +1,6 @@
 /**
  * @file
- * Implementation of the batched cache replay drivers.
+ * Implementation of the one-pass cache replay driver.
  */
 
 #include "cache/replay.hh"
@@ -10,14 +10,9 @@
 namespace oma
 {
 
-namespace
-{
-
-/** Stream every chunk's compacted @p stream into @p sim, a Cache or
- * a Cheetah (both offer the same two batch kernels). */
-template <typename Sim>
 std::uint64_t
-replayStream(const RecordedTrace &trace, CacheStream stream, Sim &sim)
+replayCacheStream(const RecordedTrace &trace, CacheStream stream,
+                  Cheetah &pass)
 {
     std::vector<std::uint32_t> paddr;
     std::vector<std::uint8_t> flags;
@@ -28,28 +23,12 @@ replayStream(const RecordedTrace &trace, CacheStream stream, Sim &sim)
     for (std::size_t c = 0; c < trace.numChunks(); ++c) {
         compactCacheStream(trace.chunkView(c), stream, paddr, flags);
         if (stream == CacheStream::Fetch)
-            sim.replayFetchBatch(paddr.data(), paddr.size());
+            pass.replayFetchBatch(paddr.data(), paddr.size());
         else
-            sim.replayDataBatch(paddr.data(), flags.data(), paddr.size());
+            pass.replayDataBatch(paddr.data(), flags.data(), paddr.size());
         delivered += paddr.size();
     }
     return delivered;
-}
-
-} // namespace
-
-std::uint64_t
-replayCacheStream(const RecordedTrace &trace, CacheStream stream,
-                  Cache &cache)
-{
-    return replayStream(trace, stream, cache);
-}
-
-std::uint64_t
-replayCacheStream(const RecordedTrace &trace, CacheStream stream,
-                  Cheetah &pass)
-{
-    return replayStream(trace, stream, pass);
 }
 
 } // namespace oma

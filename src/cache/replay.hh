@@ -1,21 +1,16 @@
 /**
  * @file
- * Batched trace-replay drivers for the cache simulators.
+ * Batched trace-replay driver for the one-pass cache engine.
  *
- * The drivers walk a recording one storage chunk at a time, compact
+ * The driver walks a recording one storage chunk at a time, compacts
  * the references of one cache stream into contiguous buffers
  * (compactCacheStream: paddr, and for data replays the packed flag
- * byte), and hand each buffer to the simulator's batched kernel. The
- * compaction pass touches each column once per chunk; the kernel then
- * streams a dense array.
- *
- * A Cache replays one configuration; a Cheetah replays every LRU
- * write-through write-allocate configuration of one line size in one
- * pass. Both see exactly the references the per-ref views
- * (RecordedTrace::replayFetchPaddrs, replayCachedData) visit, in the
- * same order, so their counters are bitwise-identical to the scalar
- * path (tests/core/test_batched_replay.cc,
- * tests/cache/test_cheetah_differential.cc).
+ * byte), and hands each buffer to a Cheetah pass, which reports every
+ * LRU write-through write-allocate configuration of one line size.
+ * The pass sees exactly the references the per-slot CacheComponent
+ * (core/component.hh) and the per-ref views
+ * (RecordedTrace::replayFetchPaddrs, replayCachedData) deliver, in
+ * the same order (tests/cache/test_cheetah_differential.cc).
  */
 
 #ifndef OMA_CACHE_REPLAY_HH
@@ -23,20 +18,11 @@
 
 #include <cstdint>
 
-#include "cache/cache.hh"
 #include "cache/cheetah.hh"
 #include "trace/recorded.hh"
 
 namespace oma
 {
-
-/**
- * Replay @p stream of @p trace through @p cache's batched kernel.
- *
- * @return References delivered to the cache.
- */
-std::uint64_t replayCacheStream(const RecordedTrace &trace,
-                                CacheStream stream, Cache &cache);
 
 /**
  * Replay @p stream of @p trace through one multi-configuration pass.

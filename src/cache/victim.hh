@@ -94,19 +94,6 @@ class VictimCache
      */
     int access(std::uint64_t paddr);
 
-    /**
-     * Batched form of access(): simulate @p n physical addresses in
-     * order. Funnels through the same access() body, so the counter
-     * stream is bitwise-identical to n scalar calls by construction
-     * (the replayable-component contract, core/component.hh).
-     */
-    void
-    replayFetchBatch(const std::uint32_t *paddr, std::size_t n)
-    {
-        for (std::size_t i = 0; i < n; ++i)
-            access(std::uint64_t(paddr[i]));
-    }
-
     const VictimStats &stats() const { return _stats; }
     const CacheGeometry &l1Geometry() const { return _geom; }
     std::uint64_t victimEntries() const { return _victim.size(); }

@@ -1,15 +1,13 @@
 /**
  * @file
- * Implementation of the replayable-component concept: the concrete
- * adapter for every simulator kind, the chunked/scalar replay
- * drivers, and the store codec shims.
+ * Implementation of the replayable-component interface: the concrete
+ * adapter for every simulator kind, the chunked replay driver, and
+ * the store codec shims.
  *
- * Each adapter funnels its batched replay() and its scalar access()
- * through the underlying simulator's one access body, so the two
- * paths produce bitwise-identical counters by construction — the
- * same contract the cache and TLB replay kernels carry
- * (cache/replay.hh, tlb/replay.hh), extended here to the victim
- * cache, the standalone write buffer and the hierarchies.
+ * Each adapter filters a chunk to its stream (inCacheStream for the
+ * cache kinds, the filter the one-pass engine and RecordedTrace's
+ * views apply too) and feeds the survivors to its simulator's one
+ * access body in trace order.
  */
 
 #include "core/component.hh"
@@ -19,7 +17,6 @@
 
 #include "store/codec.hh"
 #include "support/logging.hh"
-#include "tlb/mips_va.hh"
 
 namespace oma
 {
@@ -119,8 +116,8 @@ namespace
 
 /**
  * Cache adapter: the fetch stream (ICache) or the cached-data stream
- * (DCache) through a Cache's batched kernels, filtered by the same
- * compactCacheStream the one-pass sweep replays through.
+ * (DCache) through a Cache, filtered by the same inCacheStream the
+ * one-pass sweep's compactCacheStream applies.
  */
 class CacheComponent final : public ComponentReplayer
 {
@@ -128,30 +125,24 @@ class CacheComponent final : public ComponentReplayer
     CacheComponent(const CacheParams &params, CacheStream stream)
         : _cache(params), _stream(stream)
     {
-        _paddr.reserve(RecordedTrace::chunkRefs);
-        if (stream == CacheStream::Data)
-            _flags.reserve(RecordedTrace::chunkRefs);
     }
 
     void
-    access(const MemRef &ref) override
+    replay(TraceChunkView chunk) override
     {
-        if (!inCacheStream(_stream, ref.kind, ref.vaddr))
-            return;
-        _cache.access(ref.paddr, ref.kind);
-        ++_delivered;
-    }
-
-    void
-    replay(const TraceChunkView &chunk) override
-    {
-        compactCacheStream(chunk, _stream, _paddr, _flags);
-        if (_stream == CacheStream::Fetch)
-            _cache.replayFetchBatch(_paddr.data(), _paddr.size());
-        else
-            _cache.replayDataBatch(_paddr.data(), _flags.data(),
-                                   _paddr.size());
-        _delivered += _paddr.size();
+        // Locals, not members, in the loop: the out-of-line access()
+        // would make the compiler reload a member on every reference.
+        const CacheStream stream = _stream;
+        std::uint64_t delivered = 0;
+        for (std::size_t i = 0; i < chunk.size; ++i) {
+            const RefKind kind =
+                RefKind(chunk.flags[i] & RecordedTrace::kindMask);
+            if (!inCacheStream(stream, kind, chunk.vaddr[i]))
+                continue;
+            _cache.access(chunk.paddr[i], kind);
+            ++delivered;
+        }
+        _delivered += delivered;
     }
 
     [[nodiscard]] ComponentCounters
@@ -169,8 +160,6 @@ class CacheComponent final : public ComponentReplayer
   private:
     Cache _cache;
     CacheStream _stream;
-    std::vector<std::uint32_t> _paddr;
-    std::vector<std::uint8_t> _flags;
     std::uint64_t _delivered = 0;
 };
 
@@ -189,16 +178,7 @@ class TlbComponent final : public ComponentReplayer
     }
 
     void
-    access(const MemRef &ref) override
-    {
-        _mmu.translatePacked(std::uint32_t(ref.vaddr),
-                             std::uint8_t(ref.asid),
-                             RecordedTrace::packFlags(ref));
-        ++_delivered;
-    }
-
-    void
-    replay(const TraceChunkView &chunk) override
+    replay(TraceChunkView chunk) override
     {
         for (std::size_t i = 0; i < chunk.size; ++i)
             _mmu.translatePacked(chunk.vaddr[i], chunk.asid[i],
@@ -242,30 +222,19 @@ class VictimComponent final : public ComponentReplayer
   public:
     explicit VictimComponent(const VictimParams &params) : _vc(params)
     {
-        _paddr.reserve(RecordedTrace::chunkRefs);
     }
 
     void
-    access(const MemRef &ref) override
+    replay(TraceChunkView chunk) override
     {
-        if (!ref.isFetch())
-            return;
-        _vc.access(ref.paddr);
-        ++_delivered;
-    }
-
-    void
-    replay(const TraceChunkView &chunk) override
-    {
-        _paddr.clear();
         for (std::size_t i = 0; i < chunk.size; ++i) {
             const RefKind kind =
                 RefKind(chunk.flags[i] & RecordedTrace::kindMask);
-            if (kind == RefKind::IFetch)
-                _paddr.push_back(chunk.paddr[i]);
+            if (!inCacheStream(CacheStream::Fetch, kind, chunk.vaddr[i]))
+                continue;
+            _vc.access(chunk.paddr[i]);
+            ++_delivered;
         }
-        _vc.replayFetchBatch(_paddr.data(), _paddr.size());
-        _delivered += _paddr.size();
     }
 
     [[nodiscard]] ComponentCounters
@@ -282,7 +251,6 @@ class VictimComponent final : public ComponentReplayer
 
   private:
     VictimCache _vc;
-    std::vector<std::uint32_t> _paddr;
     std::uint64_t _delivered = 0;
 };
 
@@ -297,14 +265,7 @@ class WriteBufferComponent final : public ComponentReplayer
     }
 
     void
-    access(const MemRef &ref) override
-    {
-        _sim.observe(ref.kind);
-        ++_delivered;
-    }
-
-    void
-    replay(const TraceChunkView &chunk) override
+    replay(TraceChunkView chunk) override
     {
         for (std::size_t i = 0; i < chunk.size; ++i)
             _sim.observe(
@@ -330,11 +291,11 @@ class WriteBufferComponent final : public ComponentReplayer
 };
 
 /**
- * Hierarchy adapter: fetches plus cached data through a UnifiedCache
- * or TwoLevelCache. Fetches are always delivered (like the I-cache
- * component); data references pass the kseg1 filter (like the
- * D-cache component), so hierarchy counters compose with the split
- * legs' semantics.
+ * Hierarchy adapter: both cache streams, interleaved in trace order,
+ * through a UnifiedCache or TwoLevelCache. Fetches are always
+ * delivered (like the I-cache component); data references pass the
+ * kseg1 filter (like the D-cache component), so hierarchy counters
+ * compose with the split legs' semantics.
  */
 class HierarchyComponent final : public ComponentReplayer
 {
@@ -350,19 +311,21 @@ class HierarchyComponent final : public ComponentReplayer
     }
 
     void
-    access(const MemRef &ref) override
+    replay(TraceChunkView chunk) override
     {
-        accessOne(ref.vaddr, ref.paddr, ref.kind);
-    }
-
-    void
-    replay(const TraceChunkView &chunk) override
-    {
-        for (std::size_t i = 0; i < chunk.size; ++i)
-            accessOne(std::uint64_t(chunk.vaddr[i]),
-                      std::uint64_t(chunk.paddr[i]),
-                      RefKind(chunk.flags[i] &
-                              RecordedTrace::kindMask));
+        for (std::size_t i = 0; i < chunk.size; ++i) {
+            const RefKind kind =
+                RefKind(chunk.flags[i] & RecordedTrace::kindMask);
+            const std::uint32_t vaddr = chunk.vaddr[i];
+            if (!inCacheStream(CacheStream::Fetch, kind, vaddr) &&
+                !inCacheStream(CacheStream::Data, kind, vaddr))
+                continue;
+            if (_unified != nullptr)
+                _unified->access(chunk.paddr[i], kind);
+            else
+                _split->access(chunk.paddr[i], kind);
+            ++_delivered;
+        }
     }
 
     [[nodiscard]] ComponentCounters
@@ -379,28 +342,10 @@ class HierarchyComponent final : public ComponentReplayer
     }
 
   private:
-    void
-    accessOne(std::uint64_t vaddr, std::uint64_t paddr, RefKind kind)
-    {
-        if (kind != RefKind::IFetch && isUncached(vaddr))
-            return;
-        if (_unified != nullptr)
-            _unified->access(paddr, kind);
-        else
-            _split->access(paddr, kind);
-        ++_delivered;
-    }
-
     std::unique_ptr<UnifiedCache> _unified;
     std::unique_ptr<TwoLevelCache> _split;
     std::uint64_t _delivered = 0;
 };
-
-static_assert(ReplayableComponent<CacheComponent>);
-static_assert(ReplayableComponent<TlbComponent>);
-static_assert(ReplayableComponent<VictimComponent>);
-static_assert(ReplayableComponent<WriteBufferComponent>);
-static_assert(ReplayableComponent<HierarchyComponent>);
 
 /** Variant alternative of ComponentCounters that @p kind reports. */
 std::size_t
@@ -465,9 +410,8 @@ replayComponent(const RecordedTrace &trace,
 
     // Slice each chunk at event positions so every event fires
     // immediately before the reference it is pinned to — the order
-    // the live hook produced and the scalar replay reproduces.
-    // Events pinned past the final reference never fire, matching
-    // RecordedTrace::replay.
+    // the live hook produced. Events pinned past the final reference
+    // never fire, matching RecordedTrace::replay.
     const std::vector<TraceEvent> &events = trace.events();
     std::size_t e = 0;
     for (std::size_t c = 0; c < trace.numChunks(); ++c) {
@@ -496,16 +440,6 @@ replayComponent(const RecordedTrace &trace,
             done = stop;
         }
     }
-    return trace.size();
-}
-
-std::uint64_t
-replayComponentScalar(const RecordedTrace &trace,
-                      ComponentReplayer &component)
-{
-    trace.replay(
-        [&component](const MemRef &ref) { component.access(ref); },
-        [&component](const TraceEvent &ev) { component.event(ev); });
     return trace.size();
 }
 

@@ -1,39 +1,36 @@
 /**
  * @file
- * The replayable-component concept: one uniform surface for every
+ * The replayable-component interface: one uniform surface for every
  * simulator the sweep engine measures.
  *
- * A replayable component is anything that can consume a recorded
- * reference stream and report exact counters:
+ * A replayable component consumes a recorded reference stream and
+ * reports exact counters:
  *
  *  - a *parameter struct* carrying `fingerprint()` (keys the artifact
  *    store) — CacheParams, TlbParams, VictimParams, WriteBufferParams
  *    or HierarchyParams, bundled with a ComponentKind in a
  *    ComponentSlot;
- *  - scalar `access(const MemRef &)` — one reference through the
- *    simulator's own access body;
- *  - chunked `replay(const TraceChunkView &)` — one packed column
- *    chunk through the *same* access body, so batched and scalar
- *    counter streams are bitwise-identical by construction (the PR 6
- *    contract, proven differentially in
- *    tests/core/test_component_replay.cc at 1 and 4 threads, cold and
- *    warm store);
+ *  - chunked `replay(TraceChunkView)` — one packed column chunk,
+ *    filtered to the component's stream and fed to the simulator's
+ *    one access body, one reference at a time;
  *  - ordered `counters()` — the component's exact integer counters as
  *    a ComponentCounters variant, which the store codec persists
  *    (store/codec.hh) and the obs exporters name deterministically.
  *
- * ComponentSweep replays a heterogeneous list of ComponentSlots
- * (core/sweep.hh); the search strategies rank the extension
- * components alongside the paper's three-way grid
- * (core/search_strategy.hh). The concrete
- * adapters live in component.cc and are checked against the
- * ReplayableComponent concept at compile time.
+ * replayComponent() is the one driver that replays a recording
+ * through a single component. tests/core/test_component_replay.cc
+ * holds it bitwise equal, for every kind, to a test-only oracle that
+ * drives each raw simulator through RecordedTrace's per-reference
+ * views. ComponentSweep replays a heterogeneous list of
+ * ComponentSlots (core/sweep.hh); the search strategies rank the
+ * extension components alongside the paper's three-way grid
+ * (core/search_strategy.hh). The concrete adapters live in
+ * component.cc.
  */
 
 #ifndef OMA_CORE_COMPONENT_HH
 #define OMA_CORE_COMPONENT_HH
 
-#include <concepts>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -109,20 +106,19 @@ struct ComponentSlot
 };
 
 /**
- * A type-erased replayable component instance: the runtime face of
- * the concept, used by the sweep engine to drive any slot through one
- * replay loop. Obtain instances from makeComponent().
+ * A type-erased replayable component instance, used by the sweep
+ * engine to drive any slot through one replay loop. Obtain instances
+ * from makeComponent().
  */
 class ComponentReplayer
 {
   public:
     virtual ~ComponentReplayer() = default;
 
-    /** Observe one reference through the scalar access body. */
-    virtual void access(const MemRef &ref) = 0;
-
-    /** Observe one packed column chunk through the same body. */
-    virtual void replay(const TraceChunkView &chunk) = 0;
+    /** Observe one packed column chunk through the simulator's one
+     * access body. The view is taken by value so the loop can keep
+     * its column pointers in registers across that body's calls. */
+    virtual void replay(TraceChunkView chunk) = 0;
 
     /** Apply one trace event (page invalidation). No-op for
      * components that do not track virtual mappings. */
@@ -147,21 +143,6 @@ class ComponentReplayer
 };
 
 /**
- * The compile-time contract the concrete adapters satisfy: scalar
- * access, chunked replay, and ordered counters. component.cc
- * static_asserts every adapter against it.
- */
-template <typename C>
-concept ReplayableComponent =
-    requires(C c, const C cc, const MemRef &ref,
-             const TraceChunkView &chunk) {
-        c.access(ref);
-        c.replay(chunk);
-        { cc.counters() } -> std::same_as<ComponentCounters>;
-        { cc.delivered() } -> std::same_as<std::uint64_t>;
-    };
-
-/**
  * Instantiate the simulator for @p slot. @p reference_machine
  * supplies the kind-independent context a component needs beyond its
  * own parameters (today: the TLB miss-handler penalties).
@@ -180,17 +161,6 @@ makeComponent(const ComponentSlot &slot,
  */
 std::uint64_t replayComponent(const RecordedTrace &trace,
                               ComponentReplayer &component);
-
-/**
- * Scalar reference replay: every reference through access(), one at
- * a time, events interleaved at their positions. Exists for the
- * differential tests — it must produce counters bitwise-identical to
- * replayComponent() for every component kind.
- *
- * @return References examined (the trace length).
- */
-std::uint64_t replayComponentScalar(const RecordedTrace &trace,
-                                    ComponentReplayer &component);
 
 /** Encode a counters variant for the artifact store (raw integer
  * counters only; the store key, not the payload, carries the kind). */

@@ -199,13 +199,12 @@ ComponentSweep::sweepTasks(const TraceSource &trace_source,
     // per-slot Cache's bit for bit. Each item writes only its own
     // tasks' result slots, so the results are bitwise identical for
     // any thread count. Every simulator streams the packed trace
-    // columns through its batched replay body (core/component.hh,
-    // cache/replay.hh) — the same access body as the scalar path, so
-    // batching cannot change any counter. With the store enabled, a
-    // task whose shard is stored loads it (exact integer counters, so
-    // a hit reproduces the live slot bit-for-bit) and a replayed task
-    // persists its shard right after simulating — which is what
-    // makes a killed sweep resume at its last completed item.
+    // columns chunk by chunk (core/component.hh, cache/replay.hh).
+    // With the store enabled, a task whose shard is stored loads it
+    // (exact integer counters, so a hit reproduces the live slot
+    // bit-for-bit) and a replayed task persists its shard right after
+    // simulating — which is what makes a killed sweep resume at its
+    // last completed item.
     const std::size_t n_slots = _slots.size();
     const std::size_t n_tasks = 1 + n_slots;
 

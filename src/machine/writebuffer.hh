@@ -159,10 +159,9 @@ class WriteBuffer
  * absorb; cache-miss interactions are second-order and configuration-
  * coupled, which is exactly what a per-component table must not be.)
  *
- * Every reference kind is observed through one observe() body; the
- * batched chunk replay (core/component.hh) funnels through the same
- * body, so scalar and batched counter streams are bitwise-identical
- * by construction.
+ * Every reference kind is observed through one observe() body, which
+ * the write-buffer component's chunk replay (core/component.hh) drives
+ * one reference at a time.
  */
 class WriteBufferSim
 {

@@ -28,8 +28,8 @@
  *   physical addresses only; replayCachedData() yields data accesses
  *   surviving the kseg1 (uncached) filter. One recording therefore
  *   replaces the three redundant per-consumer vectors the sweep
- *   engine used to materialize. Both views and every batched cache
- *   replay (compactCacheStream) filter through inCacheStream().
+ *   engine used to materialize. Both views, the cache components and
+ *   the one-pass cache driver filter through inCacheStream().
  */
 
 #ifndef OMA_TRACE_RECORDED_HH
@@ -62,9 +62,10 @@ struct TraceEvent
  * A borrowed, read-only view of one storage chunk's packed columns.
  * The pointers alias the trace's own column vectors and stay valid
  * until the trace is mutated or destroyed. This is the input format
- * of the batched replay kernels (cache/replay.hh, tlb/replay.hh) and
- * of the v3 chunk codec (trace/codec.hh): consumers stream whole
- * columns instead of decoding one MemRef per reference.
+ * of the component replay driver (core/component.hh), the one-pass
+ * cache driver (cache/replay.hh) and the v3 chunk codec
+ * (trace/codec.hh): consumers stream whole columns instead of
+ * decoding one MemRef per reference.
  */
 struct TraceChunkView
 {

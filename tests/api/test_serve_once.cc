@@ -234,6 +234,62 @@ TEST(ServeOnce, UnbuildableGeometryEarnsAnErrorNotAnExit)
     }
 }
 
+/** @p line with the value of its first `"field":` member, up to the
+ * next ',' or '}', replaced by @p value. */
+std::string
+withField(std::string line, const std::string &field,
+          const std::string &value)
+{
+    const std::string key = "\"" + field + "\":";
+    const std::size_t start = line.find(key);
+    EXPECT_NE(start, std::string::npos) << field;
+    const std::size_t from = start + key.size();
+    const std::size_t to = line.find_first_of(",}", from);
+    return line.replace(from, to - from, value);
+}
+
+TEST(ServeOnce, OutOfRangeThreadsAndChainsEarnErrorsNotAnAbort)
+{
+    // Values past 2^32 used to be truncated (4294967297 ran 1 lane or
+    // 1 chain); values that fit but exceed the engine's limits used
+    // to end the daemon with std::bad_alloc and no output at all.
+    AllocationRequest annealing = table6Query();
+    annealing.strategy = Strategy::Annealing;
+    annealing.annealing.iterations = 1;
+    const std::string exhaustive = encodeRequest(table6Query());
+    const std::string annealed = encodeRequest(annealing);
+    struct Case
+    {
+        const char *field;
+        std::string line;
+    };
+    const Case cases[] = {
+        {"threads", withField(exhaustive, "threads", "4294967297")},
+        {"chains", withField(annealed, "chains", "4294967297")},
+        {"threads", withField(exhaustive, "threads", "4294967295")},
+        {"chains", withField(annealed, "chains", "4294967295")},
+    };
+    std::string input = exhaustive + "\n";
+    for (const Case &c : cases)
+        input += c.line + "\n";
+    input += exhaustive + "\n";
+
+    const std::string store = scratchDir("limits");
+    const std::vector<std::string> lines = serveOnce(store, input);
+    ASSERT_EQ(lines.size(), 6u);
+    AllocationResponse response;
+    std::string error;
+    EXPECT_TRUE(decodeResponse(lines[0], response, error)) << error;
+    EXPECT_EQ(lines[5], lines[0]);
+    for (std::size_t i = 0; i < 4; ++i) {
+        SCOPED_TRACE(cases[i].line);
+        EXPECT_NE(lines[i + 1].find("oma-error-v1"), std::string::npos);
+        EXPECT_NE(lines[i + 1].find(cases[i].field), std::string::npos)
+            << lines[i + 1];
+    }
+    fs::remove_all(store);
+}
+
 /** A connected client socket to @p path, or -1 (errno set). */
 int
 connectTo(const std::string &path)
