@@ -55,10 +55,7 @@ measureMachTables(const oma::ConfigSpace &space,
 {
     using namespace oma;
     SweepSuiteSpec spec;
-    spec.icacheGeoms = space.cacheGeometries();
-    spec.dcacheGeoms = space.cacheGeometries();
-    spec.tlbGeoms = space.tlbGeometries();
-    spec.components = space.extensionSlots();
+    spec.grid = api::SweepGrid::fromSpace(space);
     spec.oses = {OsKind::Mach};
     spec.announce = true;
     const auto runs = runSweepSuite(spec, report);

@@ -40,9 +40,9 @@ main()
 
     omabench::BenchReport report("dcache");
     omabench::SweepSuiteSpec spec;
-    spec.icacheGeoms = {CacheGeometry::fromWords(8 * 1024, 4, 1)};
-    spec.dcacheGeoms = geoms;
-    spec.tlbGeoms = {TlbGeometry::fullyAssoc(64)};
+    spec.grid.icacheGeoms = {CacheGeometry::fromWords(8 * 1024, 4, 1)};
+    spec.grid.dcacheGeoms = geoms;
+    spec.grid.tlbGeoms = {TlbGeometry::fullyAssoc(64)};
     spec.progressLabel = "D-cache grid sweep";
     for (const auto &[os, results] :
          omabench::runSweepSuite(spec, &report)) {

@@ -87,7 +87,7 @@ main()
     omabench::BenchReport report("ext_hierarchy");
     omabench::SweepSuiteSpec spec;
     for (const Organization &o : orgs)
-        spec.components.push_back(ComponentSlot::hierarchy(o.params));
+        spec.grid.components.push_back(ComponentSlot::hierarchy(o.params));
     spec.progressLabel = "hierarchy sweep";
     const auto runs = omabench::runSweepSuite(spec, &report);
 

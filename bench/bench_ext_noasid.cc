@@ -5,47 +5,45 @@
  * the R2000 tags entries with a 6-bit ASID. This bench measures TLB
  * refill CPI with and without ASIDs across TLB sizes under both OS
  * models — quantifying how a multiple-API system, which crosses
- * address spaces on every service, depends on ASIDs.
+ * address spaces on every service, depends on ASIDs. Every
+ * configuration is a TLB slot of one sweep per workload and OS.
  */
 
 #include <iostream>
+#include <iterator>
 
 #include "bench/common.hh"
 #include "support/table.hh"
-#include "tlb/tapeworm.hh"
-#include "workload/system.hh"
 
 using namespace oma;
 
 namespace
 {
 
-double
-suiteRefillCpi(OsKind os, std::uint64_t entries, bool flush,
-               std::uint64_t refs)
+constexpr std::uint64_t tlbSizes[] = {32, 64, 128, 256};
+
+/**
+ * Suite-average TLB refill CPI of every slot of @p grid under @p os:
+ * one sweep per workload, whose slots all replay one recording.
+ */
+std::vector<double>
+suiteRefillCpi(const api::QueryEngine &engine, OsKind os,
+               const api::SweepGrid &grid, std::uint64_t refs,
+               omabench::BenchReport &report)
 {
-    double total = 0.0;
-    for (BenchmarkId id : allBenchmarks()) {
-        TlbParams p;
-        p.geom = TlbGeometry::fullyAssoc(entries);
-        p.flushOnAsidSwitch = flush;
-        Mmu mmu(p, TlbPenalties());
-        System system(benchmarkParams(id), os, 42);
-        system.setInvalidateHook(
-            [&](std::uint64_t vpn, std::uint32_t asid, bool global) {
-                mmu.invalidatePage(vpn, asid, global);
-            });
-        MemRef ref;
-        std::uint64_t instructions = 0;
-        for (std::uint64_t i = 0; i < refs; ++i) {
-            system.next(ref);
-            instructions += ref.isFetch();
-            mmu.translate(ref);
-        }
-        total += double(mmu.stats().refillCycles()) /
-            double(instructions);
-    }
-    return total / double(numBenchmarks);
+    api::AllocationRequest request;
+    request.os = os;
+    request.references = refs;
+    request.seed = 42;
+    const std::vector<SweepResult> results =
+        engine.sweep(request, report.observation(), &grid);
+    for (const SweepResult &r : results)
+        report.addReferences(r.references);
+    return omabench::suiteAverage(
+        results, grid.components.size(),
+        [](const SweepResult &r, std::size_t i) {
+            return r.tlb(i).cpi();
+        });
 }
 
 } // namespace
@@ -60,25 +58,35 @@ main()
 
     omabench::BenchReport report("ext_noasid");
     const std::uint64_t refs = omabench::benchReferences() / 3;
+    // Each FA size twice: tagged with ASIDs, then flushed on every
+    // address-space switch.
+    api::SweepGrid grid;
+    for (std::uint64_t entries : tlbSizes) {
+        for (const bool flush : {false, true}) {
+            TlbParams p;
+            p.geom = TlbGeometry::fullyAssoc(entries);
+            p.flushOnAsidSwitch = flush;
+            grid.components.push_back(ComponentSlot::tlb(p));
+        }
+    }
+    const api::QueryEngine engine;
+    const std::vector<double> ultrix =
+        suiteRefillCpi(engine, OsKind::Ultrix, grid, refs, report);
+    const std::vector<double> mach =
+        suiteRefillCpi(engine, OsKind::Mach, grid, refs, report);
+
     TextTable table({"TLB (FA)", "Ultrix ASIDs", "Ultrix flush",
                      "Mach ASIDs", "Mach flush"});
-    for (std::uint64_t entries : {32, 64, 128, 256}) {
-        const double uy = suiteRefillCpi(OsKind::Ultrix, entries,
-                                         false, refs);
-        const double un = suiteRefillCpi(OsKind::Ultrix, entries,
-                                         true, refs);
-        const double my = suiteRefillCpi(OsKind::Mach, entries, false,
-                                         refs);
-        const double mn = suiteRefillCpi(OsKind::Mach, entries, true,
-                                         refs);
-        report.addReferences(4 * refs * numBenchmarks);
+    for (std::size_t k = 0; k < std::size(tlbSizes); ++k) {
+        const double uy = ultrix[2 * k], un = ultrix[2 * k + 1];
+        const double my = mach[2 * k], mn = mach[2 * k + 1];
         const std::string slug =
-            "noasid/" + std::to_string(entries) + "e";
+            "noasid/" + std::to_string(tlbSizes[k]) + "e";
         report.metrics().set(slug + "/ultrix_asid_cpi", uy);
         report.metrics().set(slug + "/ultrix_flush_cpi", un);
         report.metrics().set(slug + "/mach_asid_cpi", my);
         report.metrics().set(slug + "/mach_flush_cpi", mn);
-        table.addRow({std::to_string(entries), fmtFixed(uy, 3),
+        table.addRow({std::to_string(tlbSizes[k]), fmtFixed(uy, 3),
                       fmtFixed(un, 3), fmtFixed(my, 3),
                       fmtFixed(mn, 3)});
     }

@@ -54,12 +54,12 @@ main()
     for (std::uint64_t kb : kbSizes) {
         CacheParams two_way;
         two_way.geom = CacheGeometry(kb * 1024, lineBytes, 2);
-        spec.icacheGeoms.push_back(two_way.geom);
+        spec.grid.icacheGeoms.push_back(two_way.geom);
         for (std::uint64_t entries : victimDepths) {
             VictimParams p;
             p.l1 = CacheGeometry(kb * 1024, lineBytes, 1);
             p.entries = entries;
-            spec.components.push_back(ComponentSlot::victim(p));
+            spec.grid.components.push_back(ComponentSlot::victim(p));
         }
     }
     spec.oses = {OsKind::Mach};

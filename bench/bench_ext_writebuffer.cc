@@ -43,7 +43,7 @@ main()
     for (std::uint64_t entries : depths) {
         WriteBufferParams p;
         p.entries = entries;
-        spec.components.push_back(ComponentSlot::writeBuffer(p));
+        spec.grid.components.push_back(ComponentSlot::writeBuffer(p));
     }
     spec.progressLabel = "write-buffer sweep";
     const auto runs = omabench::runSweepSuite(spec, &report);

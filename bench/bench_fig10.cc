@@ -62,9 +62,9 @@ main()
 
     omabench::BenchReport report("fig10");
     omabench::SweepSuiteSpec spec;
-    spec.icacheGeoms = geoms;
-    spec.dcacheGeoms = {CacheGeometry::fromWords(8 * 1024, 4, 1)};
-    spec.tlbGeoms = {TlbGeometry::fullyAssoc(64)};
+    spec.grid.icacheGeoms = geoms;
+    spec.grid.dcacheGeoms = {CacheGeometry::fromWords(8 * 1024, 4, 1)};
+    spec.grid.tlbGeoms = {TlbGeometry::fullyAssoc(64)};
     spec.progressLabel = "set-associative I-cache sweep";
     for (const auto &[os, results] :
          omabench::runSweepSuite(spec, &report)) {

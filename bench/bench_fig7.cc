@@ -1,20 +1,19 @@
 /**
  * @file
  * Figure 7: total TLB service time vs TLB size — fully-associative
- * TLBs, benchmark suite under Mach, Tapeworm methodology. Simulated
- * service cycles are scaled to each benchmark's nominal full-run
- * instruction count (the paper's benchmarks run 100-200 s each) and
- * summed over the suite.
+ * TLBs, benchmark suite under Mach, Tapeworm methodology: every TLB
+ * size is a TLB slot of one sweep per workload, replaying one
+ * recording with the OS's page invalidations pinned in place.
+ * Simulated service cycles are scaled to each benchmark's nominal
+ * full-run instruction count (the paper's benchmarks run 100-200 s
+ * each) and summed over the suite.
  */
 
 #include <iostream>
 #include <string>
 
 #include "bench/common.hh"
-#include "obs/export.hh"
 #include "support/table.hh"
-#include "tlb/tapeworm.hh"
-#include "workload/system.hh"
 
 using namespace oma;
 
@@ -27,8 +26,16 @@ main()
 
     omabench::BenchReport report("fig7");
     const std::vector<std::uint64_t> sizes = {32, 64, 128, 256, 512};
-    const TlbPenalties penalties;
-    const std::uint64_t refs = omabench::benchReferences();
+    const TlbPenalties penalties =
+        MachineParams::decstation3100().tlbPenalties;
+
+    omabench::SweepSuiteSpec spec;
+    for (std::uint64_t entries : sizes)
+        spec.grid.tlbGeoms.push_back(TlbGeometry::fullyAssoc(entries));
+    spec.oses = {OsKind::Mach};
+    spec.progressLabel = "TLB size sweep";
+    const auto runs = omabench::runSweepSuite(spec, &report);
+    const std::vector<SweepResult> &results = runs.front().results;
 
     // seconds[size][class]
     std::vector<std::array<double, numMissClasses>> seconds(
@@ -36,44 +43,19 @@ main()
     for (auto &row : seconds)
         row.fill(0.0);
 
-    for (BenchmarkId id : allBenchmarks()) {
-        const WorkloadParams &wl = benchmarkParams(id);
-        System system(wl, OsKind::Mach, 42);
-
-        std::vector<TlbParams> configs;
-        for (std::uint64_t entries : sizes) {
-            TlbParams p;
-            p.geom = TlbGeometry::fullyAssoc(entries);
-            configs.push_back(p);
-        }
-        Tapeworm tapeworm(configs, penalties);
-        system.setInvalidateHook(
-            [&](std::uint64_t vpn, std::uint32_t asid, bool global) {
-                tapeworm.invalidatePage(vpn, asid, global);
-            });
-
-        MemRef ref;
-        std::uint64_t instructions = 0;
-        for (std::uint64_t i = 0; i < refs; ++i) {
-            system.next(ref);
-            instructions += ref.isFetch();
-            tapeworm.observe(ref);
-        }
-
+    for (std::size_t w = 0; w < results.size(); ++w) {
+        const WorkloadParams &wl = benchmarkParams(spec.workloads[w]);
+        const SweepResult &r = results[w];
         const double scale =
-            wl.nominalInstructions / double(instructions);
+            wl.nominalInstructions / double(r.instructions);
         for (std::size_t s = 0; s < sizes.size(); ++s) {
-            const MmuStats &stats = tapeworm.at(s).stats();
+            const MmuStats &stats = r.tlb(s).stats;
             for (unsigned c = 0; c < numMissClasses; ++c) {
                 seconds[s][c] += double(stats.cycles[c]) * scale /
                     penalties.clockHz;
             }
         }
-        obs::exportTapeworm(report.metrics(),
-                            "tapeworm/" + std::string(wl.name),
-                            tapeworm);
-        report.addReferences(refs);
-        std::cout << "  [swept " << wl.name << ": " << instructions
+        std::cout << "  [swept " << wl.name << ": " << r.instructions
                   << " instructions, scale x"
                   << fmtFixed(scale, 0) << "]\n";
     }

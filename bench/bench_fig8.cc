@@ -1,17 +1,15 @@
 /**
  * @file
  * Figure 8: set-associative TLB performance relative to a 256-entry
- * fully-associative TLB — video_play under Mach. Values above 1.0
- * mean more service time than the reference.
+ * fully-associative TLB — video_play under Mach, every TLB a slot of
+ * one sweep. Values above 1.0 mean more service time than the
+ * reference.
  */
 
 #include <iostream>
 
 #include "bench/common.hh"
-#include "obs/export.hh"
 #include "support/table.hh"
-#include "tlb/tapeworm.hh"
-#include "workload/system.hh"
 
 using namespace oma;
 
@@ -27,48 +25,27 @@ main()
     const std::vector<std::uint64_t> sizes = {64, 128, 256, 512};
     const std::vector<std::uint64_t> ways = {1, 2, 4, 8};
 
-    std::vector<TlbParams> configs;
-    {
-        TlbParams reference;
-        reference.geom = TlbGeometry::fullyAssoc(256);
-        configs.push_back(reference);
-    }
-    for (std::uint64_t entries : sizes) {
-        for (std::uint64_t w : ways) {
-            TlbParams p;
-            p.geom = TlbGeometry(entries, w);
-            configs.push_back(p);
-        }
-    }
-
-    Tapeworm tapeworm(configs, TlbPenalties());
-    System system(benchmarkParams(BenchmarkId::VideoPlay),
-                  OsKind::Mach, 42);
-    system.setInvalidateHook(
-        [&](std::uint64_t vpn, std::uint32_t asid, bool global) {
-            tapeworm.invalidatePage(vpn, asid, global);
-        });
-
-    MemRef ref;
-    const std::uint64_t refs = omabench::benchReferences();
-    for (std::uint64_t i = 0; i < refs; ++i) {
-        system.next(ref);
-        tapeworm.observe(ref);
-    }
-
-    obs::exportTapeworm(report.metrics(), "tapeworm", tapeworm);
-    report.addReferences(refs);
+    omabench::SweepSuiteSpec spec;
+    spec.grid.tlbGeoms.push_back(TlbGeometry::fullyAssoc(256));
+    for (std::uint64_t entries : sizes)
+        for (std::uint64_t w : ways)
+            spec.grid.tlbGeoms.emplace_back(entries, w);
+    spec.oses = {OsKind::Mach};
+    spec.workloads = {BenchmarkId::VideoPlay};
+    spec.progressLabel = "set-associative TLB sweep";
+    const auto runs = omabench::runSweepSuite(spec, &report);
+    const SweepResult &r = runs.front().results.front();
 
     const double reference_cycles =
-        double(tapeworm.at(0).stats().totalServiceCycles());
+        double(r.tlb(0).stats.totalServiceCycles());
 
     TextTable table({"Entries", "1-way", "2-way", "4-way", "8-way"});
     std::size_t idx = 1;
     for (std::uint64_t entries : sizes) {
         std::vector<std::string> row = {std::to_string(entries)};
         for (std::size_t w = 0; w < ways.size(); ++w, ++idx) {
-            const double cycles = double(
-                tapeworm.at(idx).stats().totalServiceCycles());
+            const double cycles =
+                double(r.tlb(idx).stats.totalServiceCycles());
             row.push_back(fmtFixed(cycles / reference_cycles, 2));
         }
         table.addRow(row);

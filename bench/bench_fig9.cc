@@ -66,9 +66,9 @@ main()
     const MachineParams mp = MachineParams::decstation3100();
 
     omabench::SweepSuiteSpec spec;
-    spec.icacheGeoms = geoms;
-    spec.dcacheGeoms = {CacheGeometry::fromWords(8 * 1024, 4, 1)};
-    spec.tlbGeoms = {TlbGeometry::fullyAssoc(64)};
+    spec.grid.icacheGeoms = geoms;
+    spec.grid.dcacheGeoms = {CacheGeometry::fromWords(8 * 1024, 4, 1)};
+    spec.grid.tlbGeoms = {TlbGeometry::fullyAssoc(64)};
     spec.progressLabel = "I-cache grid sweep";
     for (const auto &[os, results] :
          omabench::runSweepSuite(spec, &report)) {

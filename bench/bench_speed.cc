@@ -5,8 +5,8 @@
  * engine, the synthetic trace generator, and a full machine step. The
  * paper's methodology contrast — kernel-based simulation at millions
  * of references per second vs trace-driven at tens of thousands — is
- * mirrored by the one-pass sweeps (BM_FaTlbSweepAllSizes,
- * BM_CachePass) next to the per-configuration replays here.
+ * mirrored by the one-pass cache sweep (BM_CachePass) next to the
+ * per-configuration replays here.
  */
 
 #include <benchmark/benchmark.h>
@@ -24,7 +24,6 @@
 #include "core/search.hh"
 #include "machine/machine.hh"
 #include "store/codec.hh"
-#include "tlb/tapeworm.hh"
 #include "workload/system.hh"
 
 using namespace oma;
@@ -84,19 +83,6 @@ BM_MmuTranslate(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MmuTranslate);
-
-void
-BM_FaTlbSweepAllSizes(benchmark::State &state)
-{
-    // One pass, every FA TLB size up to 512 — the Tapeworm trick.
-    const auto trace = sampleTrace(1 << 18);
-    FaTlbSweep sweep(512);
-    std::size_t i = 0;
-    for (auto _ : state)
-        sweep.observe(trace[i++ & (trace.size() - 1)]);
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_FaTlbSweepAllSizes);
 
 void
 BM_TraceGeneration(benchmark::State &state)

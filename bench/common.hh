@@ -178,12 +178,10 @@ class BenchReport
  */
 struct SweepSuiteSpec
 {
-    std::vector<oma::CacheGeometry> icacheGeoms;
-    std::vector<oma::CacheGeometry> dcacheGeoms;
-    std::vector<oma::TlbGeometry> tlbGeoms;
-    /** Extension components (victim caches, write buffers,
-     * hierarchies) appended after the classic grid. */
-    std::vector<oma::ComponentSlot> components;
+    /** The swept grid; its extension components (victim caches,
+     * write buffers, hierarchies, extra TLB slots) follow the classic
+     * axes. */
+    oma::api::SweepGrid grid;
     std::vector<oma::OsKind> oses = {oma::OsKind::Ultrix,
                                      oma::OsKind::Mach};
     std::vector<oma::BenchmarkId> workloads = oma::allBenchmarks();
@@ -217,14 +215,10 @@ runSweepSuite(const SweepSuiteSpec &spec, BenchReport *report)
 {
     using namespace oma;
     api::QueryEngine engine; // store root from OMA_STORE_DIR
-    api::SweepGrid grid;
-    grid.icacheGeoms = spec.icacheGeoms;
-    grid.dcacheGeoms = spec.dcacheGeoms;
-    grid.tlbGeoms = spec.tlbGeoms;
-    grid.components = spec.components;
-    const std::uint64_t tasks = 1 + spec.icacheGeoms.size() +
-        spec.dcacheGeoms.size() + spec.tlbGeoms.size() +
-        spec.components.size();
+    const api::SweepGrid &grid = spec.grid;
+    const std::uint64_t tasks = 1 + grid.icacheGeoms.size() +
+        grid.dcacheGeoms.size() + grid.tlbGeoms.size() +
+        grid.components.size();
     if (report != nullptr)
         report->armProgress(std::uint64_t(spec.oses.size()) *
                                 spec.workloads.size() * tasks,
@@ -237,9 +231,9 @@ runSweepSuite(const SweepSuiteSpec &spec, BenchReport *report)
             if (spec.announce)
                 std::cout << "  [sweeping " << benchmarkName(id)
                           << " under " << osKindName(os) << ": "
-                          << spec.icacheGeoms.size() << " I-cache, "
-                          << spec.dcacheGeoms.size() << " D-cache, "
-                          << spec.tlbGeoms.size()
+                          << grid.icacheGeoms.size() << " I-cache, "
+                          << grid.dcacheGeoms.size() << " D-cache, "
+                          << grid.tlbGeoms.size()
                           << " TLB configurations]\n";
             api::AllocationRequest request;
             request.workloads = {id};

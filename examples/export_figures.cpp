@@ -20,7 +20,6 @@
 #include "area/mqf.hh"
 #include "core/sweep.hh"
 #include "support/logging.hh"
-#include "tlb/tapeworm.hh"
 
 using namespace oma;
 
@@ -59,44 +58,44 @@ exportAreas(const std::filesystem::path &dir)
     }
 }
 
+/** One sweep of @p grid under Mach per workload of @p workloads. */
+std::vector<SweepResult>
+sweepMach(const std::vector<BenchmarkId> &workloads,
+          const api::SweepGrid &grid, std::uint64_t refs)
+{
+    api::AllocationRequest request;
+    request.workloads = workloads;
+    request.os = OsKind::Mach;
+    request.references = refs;
+    return api::QueryEngine().sweep(request, nullptr, &grid);
+}
+
 void
 exportFig7(const std::filesystem::path &dir, std::uint64_t refs)
 {
     const std::vector<std::uint64_t> sizes = {32, 64, 128, 256, 512};
-    const TlbPenalties penalties;
+    const TlbPenalties penalties =
+        MachineParams::decstation3100().tlbPenalties;
     std::vector<std::array<double, numMissClasses>> seconds(
         sizes.size());
     for (auto &row : seconds)
         row.fill(0.0);
 
-    for (BenchmarkId id : allBenchmarks()) {
-        const WorkloadParams &wl = benchmarkParams(id);
-        System system(wl, OsKind::Mach, 42);
-        std::vector<TlbParams> configs;
-        for (std::uint64_t entries : sizes) {
-            TlbParams p;
-            p.geom = TlbGeometry::fullyAssoc(entries);
-            configs.push_back(p);
-        }
-        Tapeworm tapeworm(configs, penalties);
-        system.setInvalidateHook(
-            [&](std::uint64_t vpn, std::uint32_t asid, bool global) {
-                tapeworm.invalidatePage(vpn, asid, global);
-            });
-        MemRef ref;
-        std::uint64_t instructions = 0;
-        for (std::uint64_t i = 0; i < refs; ++i) {
-            system.next(ref);
-            instructions += ref.isFetch();
-            tapeworm.observe(ref);
-        }
+    api::SweepGrid grid;
+    for (std::uint64_t entries : sizes)
+        grid.tlbGeoms.push_back(TlbGeometry::fullyAssoc(entries));
+    const std::vector<BenchmarkId> workloads = allBenchmarks();
+    const std::vector<SweepResult> results =
+        sweepMach(workloads, grid, refs);
+    for (std::size_t w = 0; w < results.size(); ++w) {
+        const SweepResult &r = results[w];
         const double scale =
-            wl.nominalInstructions / double(instructions);
+            benchmarkParams(workloads[w]).nominalInstructions /
+            double(r.instructions);
         for (std::size_t s = 0; s < sizes.size(); ++s) {
             for (unsigned c = 0; c < numMissClasses; ++c) {
-                seconds[s][c] +=
-                    double(tapeworm.at(s).stats().cycles[c]) * scale /
-                    penalties.clockHz;
+                seconds[s][c] += double(r.tlb(s).stats.cycles[c]) *
+                    scale / penalties.clockHz;
             }
         }
     }
@@ -174,35 +173,17 @@ exportIcacheGrids(const std::filesystem::path &dir, std::uint64_t refs)
 void
 exportFig8(const std::filesystem::path &dir, std::uint64_t refs)
 {
-    std::vector<TlbParams> configs;
-    {
-        TlbParams reference;
-        reference.geom = TlbGeometry::fullyAssoc(256);
-        configs.push_back(reference);
-    }
     const std::vector<std::uint64_t> sizes = {64, 128, 256, 512};
     const std::vector<std::uint64_t> ways = {1, 2, 4, 8};
-    for (std::uint64_t entries : sizes) {
-        for (std::uint64_t w : ways) {
-            TlbParams p;
-            p.geom = TlbGeometry(entries, w);
-            configs.push_back(p);
-        }
-    }
-    Tapeworm tapeworm(configs, TlbPenalties());
-    System system(benchmarkParams(BenchmarkId::VideoPlay),
-                  OsKind::Mach, 42);
-    system.setInvalidateHook(
-        [&](std::uint64_t vpn, std::uint32_t asid, bool global) {
-            tapeworm.invalidatePage(vpn, asid, global);
-        });
-    MemRef ref;
-    for (std::uint64_t i = 0; i < refs; ++i) {
-        system.next(ref);
-        tapeworm.observe(ref);
-    }
+    api::SweepGrid grid;
+    grid.tlbGeoms.push_back(TlbGeometry::fullyAssoc(256));
+    for (std::uint64_t entries : sizes)
+        for (std::uint64_t w : ways)
+            grid.tlbGeoms.emplace_back(entries, w);
+    const SweepResult r =
+        sweepMach({BenchmarkId::VideoPlay}, grid, refs).front();
     const double reference =
-        double(tapeworm.at(0).stats().totalServiceCycles());
+        double(r.tlb(0).stats.totalServiceCycles());
 
     std::ofstream out = open(dir, "fig8_tlb_relative.csv");
     out << "entries,ways,relative\n";
@@ -210,9 +191,7 @@ exportFig8(const std::filesystem::path &dir, std::uint64_t refs)
     for (std::uint64_t entries : sizes) {
         for (std::uint64_t w : ways) {
             out << entries << "," << w << ","
-                << double(tapeworm.at(idx++)
-                              .stats()
-                              .totalServiceCycles()) /
+                << double(r.tlb(idx++).stats.totalServiceCycles()) /
                     reference
                 << "\n";
         }

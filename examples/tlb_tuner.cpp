@@ -1,9 +1,9 @@
 /**
  * @file
  * Example: TLB tuning for one workload — the Section 5.2 analysis as
- * a tool. Sweeps TLB sizes and associativities with Tapeworm, prints
- * service time against MQF area, and recommends the cheapest
- * configuration within 5% of the best service time.
+ * a tool. Sweeps TLB sizes and associativities as the TLB slots of
+ * one sweep, prints refill CPI against MQF area, and recommends the
+ * cheapest configuration within 5% of the best refill CPI.
  *
  * Usage: tlb_tuner [benchmark] [ultrix|mach] [references]
  */
@@ -12,11 +12,10 @@
 #include <iostream>
 #include <string>
 
+#include "api/query_engine.hh"
 #include "area/mqf.hh"
 #include "support/logging.hh"
 #include "support/table.hh"
-#include "tlb/tapeworm.hh"
-#include "workload/system.hh"
 
 using namespace oma;
 
@@ -54,43 +53,27 @@ main(int argc, char **argv)
             geoms.push_back(TlbGeometry::fullyAssoc(entries));
     }
 
-    std::vector<TlbParams> params;
-    for (const auto &g : geoms) {
-        TlbParams p;
-        p.geom = g;
-        params.push_back(p);
-    }
-    Tapeworm tapeworm(params, TlbPenalties());
-
-    System system(benchmarkParams(id), os, 42);
-    system.setInvalidateHook(
-        [&](std::uint64_t vpn, std::uint32_t asid, bool global) {
-            tapeworm.invalidatePage(vpn, asid, global);
-        });
-    MemRef ref;
-    std::uint64_t instructions = 0;
-    for (std::uint64_t i = 0; i < refs; ++i) {
-        system.next(ref);
-        instructions += ref.isFetch();
-        tapeworm.observe(ref);
-    }
+    api::SweepGrid grid;
+    grid.tlbGeoms = geoms;
+    api::AllocationRequest request;
+    request.workloads = {id};
+    request.os = os;
+    request.references = refs;
+    const SweepResult result =
+        api::QueryEngine().sweep(request, nullptr, &grid).front();
 
     AreaModel area;
     TextTable table({"TLB", "Refill CPI", "Area (rbe)",
                      "user misses", "kernel misses"});
     double best_cpi = 1e9;
     for (std::size_t i = 0; i < geoms.size(); ++i)
-        best_cpi = std::min(best_cpi,
-                            double(tapeworm.at(i).stats()
-                                       .refillCycles()) /
-                                double(instructions));
+        best_cpi = std::min(best_cpi, result.tlb(i).cpi());
 
     std::size_t pick = 0;
     double pick_area = 1e18;
     for (std::size_t i = 0; i < geoms.size(); ++i) {
-        const MmuStats &s = tapeworm.at(i).stats();
-        const double cpi =
-            double(s.refillCycles()) / double(instructions);
+        const MmuStats &s = result.tlb(i).stats;
+        const double cpi = result.tlb(i).cpi();
         const double a = area.tlbArea(geoms[i]);
         table.addRow({geoms[i].describe(), fmtFixed(cpi, 4),
                       fmtGrouped(std::uint64_t(a)),

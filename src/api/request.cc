@@ -8,10 +8,10 @@
 #include <limits>
 #include <utility>
 
-#include "api/json.hh"
 #include "os/osmodel.hh"
 #include "store/codec.hh"
 #include "store/store.hh"
+#include "support/json.hh"
 #include "workload/workload.hh"
 
 namespace oma::api

@@ -127,6 +127,23 @@ ConfigSpace::check() const
     const auto blame = [](const char *fields, const std::string &why) {
         return std::string("space.") + fields + ": " + why;
     };
+    const struct
+    {
+        const char *field;
+        const std::vector<std::uint64_t> &values;
+        std::uint64_t limit;
+    } limits[] = {
+        {"tlb_entries", tlbEntries, maxTlbEntries},
+        {"cache_kbytes", cacheKBytes, maxCacheKBytes},
+        {"victim_entries", victimEntries, maxVictimEntries},
+        {"l2_kbytes", l2KBytes, maxCacheKBytes},
+    };
+    for (const auto &axis : limits)
+        for (const std::uint64_t v : axis.values)
+            if (v > axis.limit)
+                return blame(axis.field,
+                             std::to_string(v) + " exceeds the limit of " +
+                                 std::to_string(axis.limit));
     for (const TlbGeometry &g : tlbGeometries())
         if (const std::string why = g.check(); !why.empty())
             return blame("tlb_entries/tlb_ways", why);

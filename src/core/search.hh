@@ -103,13 +103,25 @@ struct ConfigSpace
      * grid plus modest victim / write-buffer / L2 axes. */
     [[nodiscard]] static ConfigSpace extended();
 
+    // Request limits (docs/MODEL.md §14): the largest sizes a space
+    // may ask for, far above every grid in the repository (64-KB
+    // caches and L2s, 512-entry TLBs, 8-line victim buffers). The
+    // simulators allocate these sizes in full before any reference.
+
+    /** Largest cache or L2 capacity, in KB (16 MB). */
+    static constexpr std::uint64_t maxCacheKBytes = 16 * 1024;
+    /** Largest TLB entry count. */
+    static constexpr std::uint64_t maxTlbEntries = 64 * 1024;
+    /** Largest victim-buffer line count. */
+    static constexpr std::uint64_t maxVictimEntries = 1024;
+
     /**
      * Empty when the sweep can build every geometry and component of
      * the space, else the first one it could not, as
      * "space.<fields>: <why>" naming the axes that produced it (the
-     * wire names of AllocationRequest). The simulators validate the
-     * same things fatally, so a space that fails here must never
-     * reach a sweep.
+     * wire names of AllocationRequest). Sizes past the request limits
+     * fail first. The simulators validate the rest fatally, so a
+     * space that fails here must never reach a sweep.
      */
     [[nodiscard]] std::string check() const;
 

@@ -8,7 +8,9 @@
  * D-cache miss ratios from trace-driven simulation and TLB service
  * cycles from Tapeworm, plus a configuration-independent base (write
  * buffer and non-memory stalls). ComponentSweep produces exactly
- * those tables.
+ * those tables; its TLB slots are the Tapeworm equivalent, one Mmu
+ * per configuration replaying the recording with the OS's page
+ * invalidations pinned in place.
  *
  * Results are consumed through per-configuration views —
  * `result.icache(i)`, `result.dcache(i)`, `result.tlb(i)` — each
@@ -33,7 +35,7 @@
 #include "obs/metrics.hh"
 #include "store/store.hh"
 #include "support/logging.hh"
-#include "tlb/tapeworm.hh"
+#include "tlb/mmu.hh"
 #include "trace/recorded.hh"
 #include "workload/system.hh"
 

@@ -7,11 +7,12 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <ostream>
 #include <sstream>
+
+#include "support/json.hh"
 
 namespace fs = std::filesystem;
 
@@ -474,101 +475,65 @@ printReport(const LintReport &report, bool fixits, std::ostream &os)
        << report.filesScanned << " file(s)\n";
 }
 
-namespace
-{
-
-/** @p text as a JSON string literal, quotes included. */
-std::string
-jsonQuote(const std::string &text)
-{
-    std::string out = "\"";
-    for (const char c : text) {
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
-    return out;
-}
-
-} // namespace
-
 void
 printSarif(const LintReport &report, std::ostream &os)
 {
-    os << "{\n"
-       << "  \"$schema\": "
-          "\"https://json.schemastore.org/sarif-2.1.0.json\",\n"
-       << "  \"version\": \"2.1.0\",\n"
-       << "  \"runs\": [\n"
-       << "    {\n"
-       << "      \"tool\": {\n"
-       << "        \"driver\": {\n"
-       << "          \"name\": \"oma_lint\",\n"
-       << "          \"informationUri\": "
-          "\"docs/STATIC_ANALYSIS.md\",\n"
-       << "          \"rules\": [\n";
+    std::string out = "{\n"
+                      "  \"$schema\": "
+                      "\"https://json.schemastore.org/sarif-2.1.0.json\",\n"
+                      "  \"version\": \"2.1.0\",\n"
+                      "  \"runs\": [\n"
+                      "    {\n"
+                      "      \"tool\": {\n"
+                      "        \"driver\": {\n"
+                      "          \"name\": \"oma_lint\",\n"
+                      "          \"informationUri\": "
+                      "\"docs/STATIC_ANALYSIS.md\",\n"
+                      "          \"rules\": [\n";
     const auto rules = makeDefaultRules();
     for (std::size_t i = 0; i < rules.size(); ++i) {
-        os << "            {\n"
-           << "              \"id\": "
-           << jsonQuote(std::string(rules[i]->name())) << ",\n"
-           << "              \"shortDescription\": {\"text\": "
-           << jsonQuote(std::string(rules[i]->rationale())) << "}\n"
-           << "            }" << (i + 1 < rules.size() ? "," : "")
-           << "\n";
+        out += "            {\n              \"id\": ";
+        appendJsonString(out, rules[i]->name());
+        out += ",\n              \"shortDescription\": {\"text\": ";
+        appendJsonString(out, rules[i]->rationale());
+        out += "}\n            }";
+        out += i + 1 < rules.size() ? ",\n" : "\n";
     }
-    os << "          ]\n"
-       << "        }\n"
-       << "      },\n"
-       << "      \"results\": [\n";
+    out += "          ]\n"
+           "        }\n"
+           "      },\n"
+           "      \"results\": [\n";
     const auto &findings = report.findings;
     for (std::size_t i = 0; i < findings.size(); ++i) {
         const Finding &f = findings[i];
         std::string text = f.message;
         if (!f.fixit.empty())
             text += "; fix: " + f.fixit;
-        os << "        {\n"
-           << "          \"ruleId\": " << jsonQuote(f.rule) << ",\n"
-           << "          \"level\": \"error\",\n"
-           << "          \"message\": {\"text\": " << jsonQuote(text)
-           << "},\n"
-           << "          \"locations\": [\n"
-           << "            {\n"
-           << "              \"physicalLocation\": {\n"
-           << "                \"artifactLocation\": {\"uri\": "
-           << jsonQuote(f.file) << "},\n"
-           << "                \"region\": {\"startLine\": "
-           << (f.line == 0 ? 1 : f.line) << "}\n"
-           << "              }\n"
-           << "            }\n"
-           << "          ]\n"
-           << "        }" << (i + 1 < findings.size() ? "," : "")
-           << "\n";
+        out += "        {\n          \"ruleId\": ";
+        appendJsonString(out, f.rule);
+        out += ",\n          \"level\": \"error\",\n"
+               "          \"message\": {\"text\": ";
+        appendJsonString(out, text);
+        out += "},\n"
+               "          \"locations\": [\n"
+               "            {\n"
+               "              \"physicalLocation\": {\n"
+               "                \"artifactLocation\": {\"uri\": ";
+        appendJsonString(out, f.file);
+        out += "},\n                \"region\": {\"startLine\": ";
+        appendJsonU64(out, f.line == 0 ? 1 : f.line);
+        out += "}\n"
+               "              }\n"
+               "            }\n"
+               "          ]\n"
+               "        }";
+        out += i + 1 < findings.size() ? ",\n" : "\n";
     }
-    os << "      ]\n"
-       << "    }\n"
-       << "  ]\n"
-       << "}\n";
+    out += "      ]\n"
+           "    }\n"
+           "  ]\n"
+           "}\n";
+    os << out;
 }
 
 std::vector<std::string>

@@ -29,7 +29,7 @@
 #include "obs/metrics.hh"
 #include "store/store.hh"
 #include "support/threadpool.hh"
-#include "tlb/tapeworm.hh"
+#include "tlb/mmu.hh"
 #include "trace/recorded.hh"
 
 namespace oma::obs
@@ -58,16 +58,6 @@ exportMmuStats(MetricRegistry &m, const std::string &prefix,
     m.add(prefix + "/service_cycles", s.totalServiceCycles());
     m.add(prefix + "/refill_cycles", s.refillCycles());
     m.add(prefix + "/asid_flushes", s.asidFlushes);
-}
-
-/** Summed counters of every configuration in a Tapeworm bank. */
-inline void
-exportTapeworm(MetricRegistry &m, const std::string &prefix,
-               const Tapeworm &tapeworm)
-{
-    for (std::size_t i = 0; i < tapeworm.size(); ++i)
-        exportMmuStats(m, prefix, tapeworm.at(i).stats());
-    m.add(prefix + "/configs", tapeworm.size());
 }
 
 /** Monster-style stall attribution counters under `<prefix>/...`. */

@@ -11,6 +11,7 @@
 #include <fstream>
 #include <ostream>
 
+#include "support/json.hh"
 #include "support/logging.hh"
 
 namespace oma::obs
@@ -19,80 +20,67 @@ namespace oma::obs
 namespace
 {
 
-/** JSON-escape @p s (quotes, backslashes, control characters). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (const char c : s) {
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        case '\r':
-            out += "\\r";
-            break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x",
-                              unsigned(static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
 /**
- * Shortest-round-trip decimal for @p v. JSON has no literal for
- * non-finite values, so those serialize as strings ("inf"/"nan") —
- * reports must stay parseable whatever a gauge held.
+ * Append gauge @p v. JSON has no literal for non-finite values, so
+ * those serialize as strings ("inf"/"-inf"/"nan") — reports must stay
+ * parseable whatever a gauge held.
  */
-std::string
-jsonNumber(double v)
+void
+appendGauge(std::string &out, double v)
 {
-    if (!std::isfinite(v))
-        return v > 0 ? "\"inf\"" : (v < 0 ? "\"-inf\"" : "\"nan\"");
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
+    if (std::isfinite(v))
+        appendJsonReal(out, v);
+    else
+        appendJsonString(out, v > 0 ? "inf" : (v < 0 ? "-inf" : "nan"));
 }
 
 void
-writeHistogram(std::ostream &os, const Histogram &h,
-               const char *indent)
+appendHistogram(std::string &out, const Histogram &h)
 {
-    os << "{\n"
-       << indent << "  \"count\": " << h.count << ",\n"
-       << indent << "  \"sum\": " << h.sum << ",\n"
-       << indent << "  \"min\": " << (h.count ? h.min : 0) << ",\n"
-       << indent << "  \"max\": " << (h.count ? h.max : 0) << ",\n"
-       << indent << "  \"mean\": " << jsonNumber(h.mean()) << ",\n"
-       << indent << "  \"buckets\": {";
-    bool first = true;
+    out += "{\"count\": ";
+    appendJsonU64(out, h.count);
+    out += ", \"sum\": ";
+    appendJsonU64(out, h.sum);
+    out += ", \"min\": ";
+    appendJsonU64(out, h.count ? h.min : 0);
+    out += ", \"max\": ";
+    appendJsonU64(out, h.count ? h.max : 0);
+    out += ", \"mean\": ";
+    appendGauge(out, h.mean());
+    out += ", \"buckets\": {";
+    const char *sep = "";
     for (unsigned b = 0; b < Histogram::numBuckets; ++b) {
         if (h.buckets[b] == 0)
             continue;
-        if (!first)
-            os << ", ";
-        first = false;
-        os << "\"" << Histogram::bucketBound(b)
-           << "\": " << h.buckets[b];
+        out += sep;
+        sep = ", ";
+        out += '"';
+        appendJsonU64(out, Histogram::bucketBound(b));
+        out += "\": ";
+        appendJsonU64(out, h.buckets[b]);
     }
-    os << "}\n" << indent << "}";
+    out += "}}";
+}
+
+/** Append top-level member `"name": {...}` holding one `"key": value`
+ * line per entry of @p members, each value written by @p value. */
+template <typename Members, typename Value>
+void
+appendObject(std::string &out, const char *name, const Members &members,
+             Value value)
+{
+    out += ",\n  ";
+    appendJsonString(out, name);
+    out += ": {";
+    const char *sep = "\n    ";
+    for (const auto &[key, v] : members) {
+        out += sep;
+        sep = ",\n    ";
+        appendJsonString(out, key);
+        out += ": ";
+        value(out, v);
+    }
+    out += members.empty() ? "}" : "\n  }";
 }
 
 } // namespace
@@ -113,37 +101,18 @@ RunReport::RunReport(std::string report_name)
 void
 RunReport::writeJson(std::ostream &os) const
 {
-    os << "{\n  \"schema\": \"oma-run-report-v1\",\n  \"name\": \""
-       << jsonEscape(name) << "\",\n  \"meta\": {";
-    bool first = true;
-    for (const auto &[key, value] : meta) {
-        os << (first ? "" : ",") << "\n    \"" << jsonEscape(key)
-           << "\": \"" << jsonEscape(value) << "\"";
-        first = false;
-    }
-    os << (first ? "" : "\n  ") << "},\n  \"counters\": {";
-    first = true;
-    for (const auto &[key, value] : metrics.counters()) {
-        os << (first ? "" : ",") << "\n    \"" << jsonEscape(key)
-           << "\": " << value;
-        first = false;
-    }
-    os << (first ? "" : "\n  ") << "},\n  \"gauges\": {";
-    first = true;
-    for (const auto &[key, value] : metrics.gauges()) {
-        os << (first ? "" : ",") << "\n    \"" << jsonEscape(key)
-           << "\": " << jsonNumber(value);
-        first = false;
-    }
-    os << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
-    first = true;
-    for (const auto &[key, hist] : metrics.histograms()) {
-        os << (first ? "" : ",") << "\n    \"" << jsonEscape(key)
-           << "\": ";
-        writeHistogram(os, hist, "    ");
-        first = false;
-    }
-    os << (first ? "" : "\n  ") << "}\n}\n";
+    std::string out = "{\n  \"schema\": \"oma-run-report-v1\",\n  \"name\": ";
+    appendJsonString(out, name);
+    appendObject(out, "meta", meta,
+                 [](std::string &o, const std::string &v) {
+                     appendJsonString(o, v);
+                 });
+    appendObject(out, "counters", metrics.counters(), appendJsonU64);
+    appendObject(out, "gauges", metrics.gauges(), appendGauge);
+    appendObject(out, "histograms", metrics.histograms(),
+                 appendHistogram);
+    out += "\n}\n";
+    os << out;
 }
 
 void

@@ -136,7 +136,8 @@ struct MmuStats
 /**
  * The software-managed MMU: a Tlb plus the OS page metadata needed to
  * classify misses. Owns its page state so independently configured
- * Mmu instances can replay the same reference stream (Tapeworm).
+ * Mmu instances can replay the same reference stream (the TLB slots
+ * of a ComponentSweep, core/sweep.hh).
  */
 class Mmu
 {

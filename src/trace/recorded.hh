@@ -3,10 +3,10 @@
  * A compact, replayable recording of a reference stream.
  *
  * The paper's methodology is trace-centric: Monster captured one
- * reference stream and every analysis (cache sweeps, Tapeworm TLB
- * measurement, stall attribution) consumed that same stream.
- * RecordedTrace is the in-memory equivalent — one recording, many
- * consumers:
+ * reference stream and the cache and stall analyses consumed that
+ * same stream. RecordedTrace is the in-memory equivalent — one
+ * recording, many consumers, including the sweep's TLB slots that
+ * stand in for Tapeworm:
  *
  * * *Packed columnar storage.* References are stored column-wise in
  *   fixed-size chunks: 32-bit virtual and physical addresses, an

@@ -2,7 +2,7 @@
  * @file
  * Path lookups into a parsed JSON document, so tests can check JSON
  * output (run reports, SARIF logs) with the production strict parser
- * of api/json.hh.
+ * of support/json.hh, under the query API's spelling (api/json.hh).
  */
 
 #ifndef OMA_TESTS_API_JSON_PATH_HH

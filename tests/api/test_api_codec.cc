@@ -15,8 +15,8 @@
 #include <string>
 #include <vector>
 
-#include "api/json.hh"
 #include "api/request.hh"
+#include "support/json.hh"
 
 namespace oma::api
 {

@@ -1,6 +1,6 @@
 /**
  * @file
- * Strict JSON parser/writer tests (src/api/json).
+ * Strict JSON parser/writer tests (src/support/json).
  *
  * The wire grammar is deliberately narrow — no duplicate keys, no
  * trailing garbage, bounded nesting, raw number tokens preserved —
@@ -13,9 +13,9 @@
 
 #include <string>
 
-#include "api/json.hh"
+#include "support/json.hh"
 
-namespace oma::api
+namespace oma
 {
 namespace
 {
@@ -173,4 +173,4 @@ TEST(ApiJson, AppendHelpersEscapeAndFormat)
 }
 
 } // namespace
-} // namespace oma::api
+} // namespace oma

@@ -12,7 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,6 +28,7 @@
 #include "core/search_strategy.hh"
 #include "core/sweep.hh"
 #include "obs/metrics.hh"
+#include "support/fingerprint.hh"
 
 namespace oma::api
 {
@@ -339,6 +343,80 @@ TEST(QueryEngine, ValidateNamesTheOffendingField)
     request.maxCacheWays = 0;
     EXPECT_FALSE(QueryEngine::validate(request, error));
     EXPECT_NE(error.find("max_cache_ways"), std::string::npos);
+}
+
+/** The files under @p root, as sorted relative paths. */
+std::vector<std::string>
+storeFiles(const std::string &root)
+{
+    std::vector<std::string> paths;
+    for (const auto &entry : fs::recursive_directory_iterator(root))
+        if (entry.is_regular_file())
+            paths.push_back(
+                fs::relative(entry.path(), root).generic_string());
+    std::sort(paths.begin(), paths.end());
+    return paths;
+}
+
+/** One digest of every (relative path, file bytes) pair of
+ * @p paths under @p root, in the given order. */
+std::string
+storeDigest(const std::string &root,
+            const std::vector<std::string> &paths)
+{
+    Fingerprint digest;
+    for (const std::string &path : paths) {
+        std::ifstream in(fs::path(root) / path, std::ios::binary);
+        const std::string bytes((std::istreambuf_iterator<char>(in)),
+                                std::istreambuf_iterator<char>());
+        digest.str(path, bytes);
+    }
+    return digest.hex();
+}
+
+TEST(QueryEngine, StoreBytesArePinned)
+{
+    // Every file a cold answer leaves in an empty store (the two
+    // traces, every replay shard and the response) is pinned byte
+    // for byte, at any thread count. Store payloads hold integers and
+    // doubles in host byte order, so the goldens are those of an
+    // x86-64 (little-endian) host. A deliberate format change
+    // regenerates them and says so in the change log.
+    struct Question
+    {
+        const char *name;
+        ConfigSpace space;
+        std::size_t files;
+        const char *digest;
+    };
+    const Question questions[] = {
+        {"classic", ConfigSpace(), 519,
+         "ff8fab1a37ac78fca1690b1256699fed"},
+        {"extended", ConfigSpace::extended(), 561,
+         "78ad66c90c3e3d049955b2f1d1dc6155"},
+    };
+    for (const Question &q : questions) {
+        for (const unsigned threads : {1u, 4u}) {
+            SCOPED_TRACE(testing::Message()
+                         << q.name << " threads " << threads);
+            AllocationRequest request;
+            request.workloads = {BenchmarkId::Mab, BenchmarkId::Mpeg};
+            request.references = 20000;
+            request.space = q.space;
+            request.threads = threads;
+            QueryEngineConfig config;
+            config.storeDir = storeRoot(std::string("bytes_") + q.name +
+                                        std::to_string(threads));
+            QueryEngine engine(config);
+            const std::string answer = engine.answer(request);
+            EXPECT_EQ(answer.find("oma-error-v1"), std::string::npos);
+            const std::vector<std::string> paths =
+                storeFiles(config.storeDir);
+            EXPECT_EQ(paths.size(), q.files);
+            EXPECT_EQ(storeDigest(config.storeDir, paths), q.digest);
+            fs::remove_all(config.storeDir);
+        }
+    }
 }
 
 } // namespace

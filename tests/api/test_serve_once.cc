@@ -214,6 +214,18 @@ TEST(ServeOnce, UnbuildableGeometryEarnsAnErrorNotAnExit)
              r.space.l2KBytes = {64};
              r.space.hierL1Ways = 3;
          }},
+        // Sizes past the request limits: each used to end the daemon
+        // with std::bad_alloc and no output at all.
+        {"cache_kbytes",
+         [](AllocationRequest &r) { r.space.cacheKBytes = {1ULL << 30}; }},
+        {"tlb_entries",
+         [](AllocationRequest &r) { r.space.tlbEntries = {1ULL << 40}; }},
+        {"l2_kbytes",
+         [](AllocationRequest &r) { r.space.l2KBytes = {1ULL << 30}; }},
+        {"victim_entries",
+         [](AllocationRequest &r) {
+             r.space.victimEntries = {1ULL << 40};
+         }},
     };
     const std::string good = encodeRequest(table6Query());
     for (const Case &c : cases) {

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "core/sweep.hh"
 #include "store/codec.hh"
@@ -147,6 +148,83 @@ TEST_P(RecordReplay, LiveMemoryAndFileSweepsAgree)
         expectSameSweepResult(live, file);
     }
     std::remove(path.c_str());
+}
+
+TEST_P(RecordReplay, LiveHookMmusMatchSweptTlbSlots)
+{
+    // The oracle is a live TLB bank: one Mmu per configuration, fed
+    // System::next, with each OS page invalidation delivered through
+    // the hook the moment it fires. The sweep's TLB slots replay one
+    // recording with those invalidations pinned in place. Every
+    // counter must match, as must the instruction count the TLB
+    // figures divide by. A pin one reference late moves no counter on
+    // these streams (the OS fires its invalidations as a step starts,
+    // on pages the step's first reference does not touch), so the pins
+    // themselves are held to the hook's positions too.
+    const OsKind os = GetParam();
+    const std::uint64_t refs = 90000, seed = 42;
+    std::vector<TlbParams> configs;
+    for (const TlbGeometry &geom : tlbSubset()) {
+        TlbParams p;
+        p.geom = geom;
+        configs.push_back(p);
+    }
+    TlbParams flushing;
+    flushing.geom = TlbGeometry::fullyAssoc(64);
+    flushing.flushOnAsidSwitch = true;
+    configs.push_back(flushing);
+
+    std::vector<Mmu> live;
+    for (const TlbParams &p : configs)
+        live.emplace_back(p, MachineParams::decstation3100().tlbPenalties);
+    System system(benchmarkParams(BenchmarkId::Mpeg), os, seed);
+    std::vector<TraceEvent> fired;
+    std::uint64_t index = 0;
+    system.setInvalidateHook(
+        [&](std::uint64_t vpn, std::uint32_t asid, bool global) {
+            fired.push_back({index, vpn, asid, global});
+            for (Mmu &mmu : live)
+                mmu.invalidatePage(vpn, asid, global);
+        });
+    MemRef ref;
+    std::uint64_t fetches = 0;
+    for (; index < refs; ++index) {
+        system.next(ref);
+        fetches += ref.isFetch();
+        for (Mmu &mmu : live)
+            mmu.translate(ref);
+    }
+
+    const std::vector<TraceEvent> pinned =
+        System(benchmarkParams(BenchmarkId::Mpeg), os, seed)
+            .record(refs)
+            .events();
+    ASSERT_FALSE(fired.empty());
+    ASSERT_EQ(pinned.size(), fired.size());
+    for (std::size_t e = 0; e < fired.size(); ++e) {
+        EXPECT_EQ(pinned[e].index, fired[e].index) << "event " << e;
+        EXPECT_EQ(pinned[e].vpn, fired[e].vpn) << "event " << e;
+        EXPECT_EQ(pinned[e].asid, fired[e].asid) << "event " << e;
+        EXPECT_EQ(pinned[e].global, fired[e].global) << "event " << e;
+    }
+
+    std::vector<ComponentSlot> slots;
+    for (const TlbParams &p : configs)
+        slots.push_back(ComponentSlot::tlb(p));
+    const ComponentSweep sweep(slots);
+    for (unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(testing::Message() << "threads " << threads);
+        RunConfig rc;
+        rc.references = refs;
+        rc.seed = seed;
+        rc.threads = threads;
+        const SweepResult swept =
+            sweep.run(benchmarkParams(BenchmarkId::Mpeg), os, rc);
+        EXPECT_EQ(swept.instructions, fetches);
+        ASSERT_EQ(swept.tlbCount(), live.size());
+        for (std::size_t i = 0; i < live.size(); ++i)
+            expectSameMmuStats(live[i].stats(), swept.tlb(i).stats, i);
+    }
 }
 
 TEST_P(RecordReplay, RecordingCarriesInvalidationEvents)

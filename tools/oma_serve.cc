@@ -46,10 +46,10 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include "api/json.hh"
 #include "api/query_engine.hh"
 #include "api/request.hh"
 #include "obs/report.hh"
+#include "support/json.hh"
 #include "support/logging.hh"
 
 namespace
@@ -144,16 +144,16 @@ parseOptions(int argc, char **argv)
 bool
 isShutdownLine(const std::string &line)
 {
-    api::JsonValue value;
+    JsonValue value;
     std::string error;
-    if (!api::parseJson(line, value, error))
+    if (!parseJson(line, value, error))
         return false;
-    const api::JsonValue *schema = value.find("schema");
-    const api::JsonValue *cmd = value.find("cmd");
+    const JsonValue *schema = value.find("schema");
+    const JsonValue *cmd = value.find("cmd");
     return schema != nullptr && cmd != nullptr &&
-        schema->kind == api::JsonValue::Kind::String &&
+        schema->kind == JsonValue::Kind::String &&
         schema->string == "oma-control-v1" &&
-        cmd->kind == api::JsonValue::Kind::String &&
+        cmd->kind == JsonValue::Kind::String &&
         cmd->string == "shutdown";
 }
 
