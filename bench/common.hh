@@ -94,7 +94,7 @@ class BenchReport
 
     ~BenchReport() { finish(); }
 
-    /** The sink to pass into ComponentSweep::run / rank(). */
+    /** The sink to pass to QueryEngine's sweep() and rank(). */
     [[nodiscard]] oma::obs::Observation *
     observation()
     {

@@ -19,12 +19,12 @@ namespace oma::api
 namespace
 {
 
-void
-count(obs::Observation *observation, const char *name,
-      std::uint64_t delta = 1)
+/** The observation an entry point records into: the caller's, or
+ * the calling thread's scratch sink when the caller passed none. */
+obs::Observation &
+sink(obs::Observation *observation)
 {
-    if (observation != nullptr)
-        observation->metrics.add(name, delta);
+    return observation != nullptr ? *observation : obs::Observation::none();
 }
 
 /**
@@ -77,6 +77,11 @@ QueryEngine::validate(const AllocationRequest &request,
         error = "request.references: must be positive";
         return false;
     }
+    if (request.references > maxReferences) {
+        error = "request.references: at most " +
+            std::to_string(maxReferences) + " per workload";
+        return false;
+    }
     if (!(request.budgetRbe > 0.0)) {
         error = "request.budget_rbe: must be positive";
         return false;
@@ -127,12 +132,12 @@ QueryEngine::sweep(const AllocationRequest &request,
     for (const ComponentSlot &slot : grid->components)
         sweep.addComponent(slot);
     const RunConfig rc = request.runConfig(_config.storeDir);
+    obs::Observation &into = sink(observation);
     std::vector<SweepResult> results;
     results.reserve(request.workloads.size());
     for (const BenchmarkId id : request.workloads)
         results.push_back(
-            sweep.run(benchmarkParams(id), request.os, rc,
-                      observation));
+            sweep.run(benchmarkParams(id), request.os, rc, into));
     return results;
 }
 
@@ -151,7 +156,7 @@ QueryEngine::replay(const AllocationRequest &request,
                          grid->tlbGeoms);
     for (const ComponentSlot &slot : grid->components)
         sweep.addComponent(slot);
-    return sweep.run(trace, request.threads, observation);
+    return sweep.run(trace, request.threads, sink(observation));
 }
 
 ComponentCpiTables
@@ -171,13 +176,14 @@ QueryEngine::rank(const AllocationRequest &request,
 {
     const SearchSpace space(tables, AreaModel(), request.budgetRbe,
                             request.maxCacheWays);
+    obs::Observation &into = sink(observation);
     SearchResult result;
     if (request.strategy == Strategy::Annealing) {
         result = AnnealingStrategy(request.annealing)
-                     .search(space, request.threads, observation);
+                     .search(space, request.threads, into);
     } else {
-        result = ExhaustiveStrategy(true, request.topK)
-                     .search(space, request.threads, observation);
+        result = ExhaustiveStrategy(request.topK)
+                     .search(space, request.threads, into);
     }
     AllocationResponse response;
     response.strategy = request.strategy;
@@ -196,35 +202,31 @@ QueryEngine::rank(const AllocationRequest &request,
 
 std::string
 QueryEngine::computeAnswer(const AllocationRequest &request,
-                           obs::Observation *observation) const
+                           obs::Observation &observation) const
 {
-    std::unique_ptr<obs::Span> span;
-    if (observation != nullptr)
-        span = std::make_unique<obs::Span>(observation->metrics,
-                                           "serve/compute");
-    const ComponentCpiTables tables = measure(request, observation);
-    return encodeResponse(rank(request, tables, observation));
+    obs::Span span(observation.metrics, "serve/compute");
+    const ComponentCpiTables tables = measure(request, &observation);
+    return encodeResponse(rank(request, tables, &observation));
 }
 
 std::string
 QueryEngine::answer(const AllocationRequest &request,
                     obs::Observation *observation)
 {
-    std::unique_ptr<obs::Span> span;
-    if (observation != nullptr)
-        span = std::make_unique<obs::Span>(observation->metrics,
-                                           "serve/answer");
-    count(observation, "serve/requests");
+    obs::Observation &into = sink(observation);
+    obs::MetricRegistry &m = into.metrics;
+    obs::Span span(m, "serve/answer");
+    m.add("serve/requests");
     std::string error;
     if (!validate(request, error)) {
-        count(observation, "serve/rejected");
+        m.add("serve/rejected");
         return encodeError(error);
     }
     const Fingerprint key = request.responseKey();
     if (_store != nullptr) {
         std::string payload;
         if (_store->get(key, payload)) {
-            count(observation, "serve/warm_hits");
+            m.add("serve/warm_hits");
             return payload;
         }
     }
@@ -233,16 +235,16 @@ QueryEngine::answer(const AllocationRequest &request,
     // warm path nothing — and keeps one bad line from reaching a
     // sweep, where the same check is fatal to the whole process.
     if (const std::string bad = request.space.check(); !bad.empty()) {
-        count(observation, "serve/rejected");
+        m.add("serve/rejected");
         return encodeError("request." + bad);
     }
     InflightTable::Lease lease = inflightTable().join(key);
     if (!lease.leader()) {
-        count(observation, "serve/dedup_hits");
+        m.add("serve/dedup_hits");
         return lease.payload();
     }
-    const std::string payload = computeAnswer(request, observation);
-    count(observation, "serve/computed");
+    const std::string payload = computeAnswer(request, into);
+    m.add("serve/computed");
     if (_store != nullptr)
         _store->put(key, payload);
     lease.publish(payload);
@@ -256,8 +258,9 @@ QueryEngine::answerJson(std::string_view request_json,
     AllocationRequest request;
     std::string error;
     if (!decodeRequest(request_json, request, error)) {
-        count(observation, "serve/requests");
-        count(observation, "serve/rejected");
+        obs::MetricRegistry &m = sink(observation).metrics;
+        m.add("serve/requests");
+        m.add("serve/rejected");
         return encodeError(error);
     }
     return answer(request, observation);
@@ -267,7 +270,8 @@ std::vector<std::string>
 QueryEngine::answerBatch(const std::vector<std::string> &request_lines,
                          obs::Observation *observation)
 {
-    count(observation, "serve/batches");
+    obs::MetricRegistry &m = sink(observation).metrics;
+    m.add("serve/batches");
     std::vector<std::string> answers(request_lines.size());
 
     // Group decodable requests by response key deterministically
@@ -284,8 +288,8 @@ QueryEngine::answerBatch(const std::vector<std::string> &request_lines,
     std::size_t admitted = 0;
     for (std::size_t i = 0; i < request_lines.size(); ++i) {
         if (admitted >= _config.maxBatch) {
-            count(observation, "serve/requests");
-            count(observation, "serve/rejected");
+            m.add("serve/requests");
+            m.add("serve/rejected");
             answers[i] = encodeError(
                 "batch admission limit (" +
                 std::to_string(_config.maxBatch) + ") exceeded");
@@ -296,8 +300,8 @@ QueryEngine::answerBatch(const std::vector<std::string> &request_lines,
         std::string error;
         if (!decodeRequest(request_lines[i], request, error) ||
             !threadsWithinLimit(request, error)) {
-            count(observation, "serve/requests");
-            count(observation, "serve/rejected");
+            m.add("serve/requests");
+            m.add("serve/rejected");
             answers[i] = encodeError(error);
             continue;
         }
@@ -311,8 +315,8 @@ QueryEngine::answerBatch(const std::vector<std::string> &request_lines,
             }
         }
         if (joined) {
-            count(observation, "serve/requests");
-            count(observation, "serve/dedup_hits");
+            m.add("serve/requests");
+            m.add("serve/dedup_hits");
             continue;
         }
         groups.push_back(
@@ -332,8 +336,7 @@ QueryEngine::answerBatch(const std::vector<std::string> &request_lines,
         });
     }
     for (std::size_t g = 0; g < groups.size(); ++g) {
-        if (observation != nullptr)
-            observation->metrics.merge(shards[g].metrics);
+        m.merge(shards[g].metrics);
         for (const std::size_t line : groups[g].lines)
             answers[line] = group_answers[g];
     }

@@ -38,11 +38,16 @@
  * per call (`serve/rejected`) and computes distinct requests on at
  * most maxInflight concurrent lanes; each lane still honours the
  * request's own `threads` knob for its sweeps.
+ *
+ * Every entry point takes an optional obs::Observation pointer;
+ * nullptr means obs::Observation::none(), the calling thread's
+ * scratch sink, so the engines below always record.
  */
 
 #ifndef OMA_API_QUERY_ENGINE_HH
 #define OMA_API_QUERY_ENGINE_HH
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -95,9 +100,10 @@ class QueryEngine
     /**
      * Answer one request: warm-serve, coalesce or compute (see file
      * header). Returns the response JSON, or an `oma-error-v1`
-     * payload for an invalid request. The observation collects the
-     * serve counters plus the underlying sweep/search metrics;
-     * attaching one never changes the answer.
+     * payload for an invalid request. The observation (nullptr:
+     * Observation::none()) collects the serve counters plus the
+     * underlying sweep/search metrics; which one is passed never
+     * changes the answer.
      */
     [[nodiscard]] std::string
     answer(const AllocationRequest &request,
@@ -169,8 +175,14 @@ class QueryEngine
      * holds its own search state. */
     static constexpr unsigned maxAnnealingChains = 1024;
 
+    /** Most references one request may ask for per workload: 20x
+     * the largest count the repository runs, and about 1 GB for one
+     * packed recording (~10 B/ref). A larger count would record for
+     * hours or exhaust memory before any answer. */
+    static constexpr std::uint64_t maxReferences = 100000000;
+
     /** Semantic validation beyond the codec (non-empty mix and
-     * grid, positive budget/references, threads and annealing chains
+     * grid, positive budget, references, threads and annealing chains
      * within their limits...); false sets @p error. */
     [[nodiscard]] static bool validate(const AllocationRequest &request,
                                        std::string &error);
@@ -192,7 +204,7 @@ class QueryEngine
     /** Simulate + encode (the leader's path; no store/dedupe). */
     [[nodiscard]] std::string
     computeAnswer(const AllocationRequest &request,
-                  obs::Observation *observation) const;
+                  obs::Observation &observation) const;
 
     /** The dedupe table: the store's when present, else our own
      * (storeless engines still coalesce concurrent duplicates). */

@@ -94,6 +94,21 @@ struct CacheStats
     /** Misses to lines never previously resident (compulsory). */
     std::uint64_t compulsoryMisses = 0;
 
+    /** Add @p other's counts field by field. */
+    CacheStats &
+    operator+=(const CacheStats &other)
+    {
+        for (unsigned k = 0; k < numRefKinds; ++k) {
+            accesses[k] += other.accesses[k];
+            misses[k] += other.misses[k];
+        }
+        lineFills += other.lineFills;
+        writebacks += other.writebacks;
+        writeThroughWords += other.writeThroughWords;
+        compulsoryMisses += other.compulsoryMisses;
+        return *this;
+    }
+
     [[nodiscard]] std::uint64_t
     totalAccesses() const
     {

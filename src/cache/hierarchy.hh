@@ -38,6 +38,20 @@ struct HierarchyStats
     std::uint64_t portConflicts = 0; //!< Unified-L1 structural hazards.
     std::uint64_t stallCycles = 0;
 
+    /** Add @p other's counts field by field. */
+    HierarchyStats &
+    operator+=(const HierarchyStats &other)
+    {
+        instructions += other.instructions;
+        dataRefs += other.dataRefs;
+        l1Misses += other.l1Misses;
+        l2Hits += other.l2Hits;
+        l2Misses += other.l2Misses;
+        portConflicts += other.portConflicts;
+        stallCycles += other.stallCycles;
+        return *this;
+    }
+
     double
     cpiContribution() const
     {

@@ -50,6 +50,17 @@ struct VictimStats
     std::uint64_t victimHits = 0; //!< Conflict misses swapped back.
     std::uint64_t misses = 0;     //!< Went to memory.
 
+    /** Add @p other's counts field by field. */
+    VictimStats &
+    operator+=(const VictimStats &other)
+    {
+        accesses += other.accesses;
+        l1Hits += other.l1Hits;
+        victimHits += other.victimHits;
+        misses += other.misses;
+        return *this;
+    }
+
     double
     missRatio() const
     {

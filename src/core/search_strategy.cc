@@ -9,7 +9,6 @@
 #include <cmath>
 #include <limits>
 #include <map>
-#include <memory>
 #include <optional>
 #include <tuple>
 #include <utility>
@@ -232,12 +231,9 @@ rankedBefore(const Scored &x, const Scored &y)
 
 SearchResult
 ExhaustiveStrategy::search(const SearchSpace &space, unsigned threads,
-                           obs::Observation *observation) const
+                           obs::Observation &observation) const
 {
-    std::unique_ptr<obs::Span> span;
-    if (observation != nullptr)
-        span = std::make_unique<obs::Span>(observation->metrics,
-                                           "search/exhaustive");
+    obs::Span span(observation.metrics, "search/exhaustive");
 
     const double budget = space.budget();
     const auto &tlb_area = space.tlbAreas();
@@ -248,7 +244,6 @@ ExhaustiveStrategy::search(const SearchSpace &space, unsigned threads,
     const ComponentCpiTables &tables = space.tables();
     const double min_d = space.minDArea();
     const double min_wb = space.minWbArea();
-    const bool prune = _prune;
     const std::uint64_t top_k = _topK;
 
     // Score one TLB-geometry shard: exactly the serial enumeration
@@ -258,8 +253,8 @@ ExhaustiveStrategy::search(const SearchSpace &space, unsigned threads,
     // area with the remaining axes' minima *in the concrete
     // accumulation order*, so the floor equals the area of the
     // cheapest candidate in the subgrid: a pruned subgrid contains
-    // only candidates the budget test would reject one by one, and
-    // the kept set is identical with pruning on or off. Partial CPI
+    // only candidates the budget test would reject one by one, so
+    // the kept set is the unpruned enumeration's. Partial CPI
     // sums follow SearchSpace::cpi()'s left-to-right order, so every
     // kept CPI is bitwise the one materialize() reports.
     //
@@ -298,23 +293,15 @@ ExhaustiveStrategy::search(const SearchSpace &space, unsigned threads,
         const double t_cpi = tables.baseCpi + tables.tlbCpi[t];
         for (std::size_t ip = 0; ip < i_options.size(); ++ip) {
             const double ti_area = tlb_area[t] + i_options[ip].area;
-            if (prune) {
-                if ((ti_area + min_d) + min_wb > budget) {
-                    ++shard.pruned;
-                    continue;
-                }
-            } else if (ti_area > budget) {
+            if ((ti_area + min_d) + min_wb > budget) {
+                ++shard.pruned;
                 continue;
             }
             const double ti_cpi = t_cpi + i_options[ip].cpi;
             for (std::size_t dp = 0; dp < d_options.size(); ++dp) {
                 const double tid_area = ti_area + d_options[dp].area;
-                if (prune) {
-                    if (tid_area + min_wb > budget) {
-                        ++shard.pruned;
-                        continue;
-                    }
-                } else if (tid_area > budget) {
+                if (tid_area + min_wb > budget) {
+                    ++shard.pruned;
                     continue;
                 }
                 const double tid_cpi = ti_cpi + d_options[dp].cpi;
@@ -329,12 +316,8 @@ ExhaustiveStrategy::search(const SearchSpace &space, unsigned threads,
         }
         for (std::size_t hp = 0; hp < hier_options.size(); ++hp) {
             const double th_area = tlb_area[t] + hier_options[hp].area;
-            if (prune) {
-                if (th_area + min_wb > budget) {
-                    ++shard.pruned;
-                    continue;
-                }
-            } else if (th_area > budget) {
+            if (th_area + min_wb > budget) {
+                ++shard.pruned;
                 continue;
             }
             const double th_cpi = t_cpi + hier_options[hp].cpi;
@@ -350,8 +333,7 @@ ExhaustiveStrategy::search(const SearchSpace &space, unsigned threads,
 
     parallelFor(threads, 0, shards.size(), [&](std::size_t t) {
         score_shard(t);
-        if (observation != nullptr && observation->progress != nullptr)
-            observation->progress->tick();
+        observation.tick();
     });
 
     // Merge the shards in TLB order and rank: rankedBefore() is a
@@ -380,15 +362,13 @@ ExhaustiveStrategy::search(const SearchSpace &space, unsigned threads,
         result.allocations.back().rank = result.allocations.size();
     }
 
-    if (observation != nullptr) {
-        obs::MetricRegistry &m = observation->metrics;
-        m.add("search/shards", shards.size());
-        m.add("search/candidates", result.candidates);
-        m.add("search/evaluations", result.evaluations);
-        m.add("search/pruned_subspaces", result.prunedSubspaces);
-        m.add("search/in_budget", result.inBudget);
-        obs::exportRanking(m, result.allocations);
-    }
+    obs::MetricRegistry &m = observation.metrics;
+    m.add("search/shards", shards.size());
+    m.add("search/candidates", result.candidates);
+    m.add("search/evaluations", result.evaluations);
+    m.add("search/pruned_subspaces", result.prunedSubspaces);
+    m.add("search/in_budget", result.inBudget);
+    obs::exportRanking(m, result.allocations);
     return result;
 }
 
@@ -985,12 +965,9 @@ polish(const SearchSpace &s, const NeighborIndex &n,
 
 SearchResult
 AnnealingStrategy::search(const SearchSpace &space, unsigned threads,
-                          obs::Observation *observation) const
+                          obs::Observation &observation) const
 {
-    std::unique_ptr<obs::Span> span;
-    if (observation != nullptr)
-        span = std::make_unique<obs::Span>(observation->metrics,
-                                           "search/annealing");
+    obs::Span span(observation.metrics, "search/annealing");
 
     SearchResult result;
     result.candidates = space.candidateCount();
@@ -1007,9 +984,7 @@ AnnealingStrategy::search(const SearchSpace &space, unsigned threads,
             const std::uint64_t chain_seed =
                 mix64(_config.seed ^ mix64(c + 1));
             outcomes[c] = runChain(space, index, _config, chain_seed);
-            if (observation != nullptr &&
-                observation->progress != nullptr)
-                observation->progress->tick();
+            observation.tick();
         });
 
         bool found = false;
@@ -1032,13 +1007,11 @@ AnnealingStrategy::search(const SearchSpace &space, unsigned threads,
     }
     result.inBudget = result.allocations.size();
 
-    if (observation != nullptr) {
-        obs::MetricRegistry &m = observation->metrics;
-        m.add("search/candidates", result.candidates);
-        m.add("search/evaluations", result.evaluations);
-        m.add("search/pruned_subspaces", result.prunedSubspaces);
-        obs::exportRanking(m, result.allocations);
-    }
+    obs::MetricRegistry &m = observation.metrics;
+    m.add("search/candidates", result.candidates);
+    m.add("search/evaluations", result.evaluations);
+    m.add("search/pruned_subspaces", result.prunedSubspaces);
+    obs::exportRanking(m, result.allocations);
     return result;
 }
 

@@ -15,14 +15,15 @@
  *  - ExhaustiveStrategy: the classic enumeration, refactored behind
  *    the interface with *bitwise-unchanged* output (same emission
  *    order, same floating-point accumulation order, same tie order
- *    as a stable sort by CPI), plus monotone cost-bound pruning: the
- *    MQF area model is monotone in entries/ways/capacity, so a
- *    per-axis area floor can reject a whole subgrid before any
- *    candidate in it is scored. Pruning only ever skips candidates
- *    that the budget test would reject individually, so the ranking
- *    is identical with it on or off. Asked for the top K only, it
- *    counts every in-budget candidate but keeps and materializes
- *    just K per TLB shard.
+ *    as a stable sort by CPI), always with monotone cost-bound
+ *    pruning: the MQF area model is monotone in entries/ways/
+ *    capacity, so a per-axis area floor can reject a whole subgrid
+ *    before any candidate in it is scored. Pruning only ever skips
+ *    candidates that the budget test would reject individually, so
+ *    the ranking is the stable sort by CPI of every in-budget
+ *    candidate (tests/core/test_search_strategy.cc holds it to that
+ *    oracle). Asked for the top K only, it counts every in-budget
+ *    candidate but keeps and materializes just K per TLB shard.
  *
  *  - AnnealingStrategy: seeded simulated annealing with typed
  *    mutation operators (grow/shrink capacity, step ways/line, swap
@@ -46,6 +47,7 @@
 #include <vector>
 
 #include "core/search.hh"
+#include "obs/metrics.hh"
 
 namespace oma
 {
@@ -242,8 +244,8 @@ struct SearchResult
  *
  * Contract shared by every implementation: the returned allocations
  * are a pure function of (space, strategy configuration) — thread
- * count, repetition and attached observation never change them —
- * and search() reports its work volume through the result's
+ * count, repetition and the observation recorded into never change
+ * them — and search() reports its work volume through the result's
  * counters (mirrored into the observation as `search/candidates`,
  * `search/evaluations` and `search/pruned_subspaces`).
  */
@@ -260,12 +262,14 @@ class SearchStrategy
      *
      * @param threads Execution lanes; 0 = one per hardware thread,
      *        1 = serial. Never affects the returned allocations.
-     * @param observation Optional metrics/progress sink; attaching
-     *        one never changes the result.
+     * @param observation Metrics/progress sink the search always
+     *        records into; the default is the calling thread's
+     *        scratch Observation::none(). Never changes the result.
      */
     [[nodiscard]] virtual SearchResult
     search(const SearchSpace &space, unsigned threads = 0,
-           obs::Observation *observation = nullptr) const = 0;
+           obs::Observation &observation =
+               obs::Observation::none()) const = 0;
 };
 
 /**
@@ -275,9 +279,8 @@ class SearchStrategy
  * buffer) order then hierarchy allocations in (TLB, hierarchy,
  * write buffer) order, sharded by TLB geometry, and ranks them by
  * CPI with ties in that emission order — the order a stable sort of
- * the unpruned enumeration gives, for every thread count, with
- * pruning on or off (pruned subgrids contain only over-budget
- * candidates).
+ * the unpruned enumeration gives, for every thread count (pruned
+ * subgrids contain only over-budget candidates).
  *
  * Top-K contract: with @p top_k nonzero each TLB shard keeps only
  * its best top_k candidates and only the merged best top_k are
@@ -291,9 +294,7 @@ class ExhaustiveStrategy final : public SearchStrategy
   public:
     /** @param top_k Allocations returned, best first (0 = every
      *        in-budget one). */
-    explicit ExhaustiveStrategy(bool prune = true,
-                                std::uint64_t top_k = 0)
-        : _prune(prune), _topK(top_k)
+    explicit ExhaustiveStrategy(std::uint64_t top_k = 0) : _topK(top_k)
     {
     }
 
@@ -303,14 +304,12 @@ class ExhaustiveStrategy final : public SearchStrategy
         return "exhaustive";
     }
 
-    [[nodiscard]] bool pruning() const { return _prune; }
-
     [[nodiscard]] SearchResult
     search(const SearchSpace &space, unsigned threads = 0,
-           obs::Observation *observation = nullptr) const override;
+           obs::Observation &observation =
+               obs::Observation::none()) const override;
 
   private:
-    bool _prune;
     std::uint64_t _topK;
 };
 
@@ -369,7 +368,8 @@ class AnnealingStrategy final : public SearchStrategy
 
     [[nodiscard]] SearchResult
     search(const SearchSpace &space, unsigned threads = 0,
-           obs::Observation *observation = nullptr) const override;
+           obs::Observation &observation =
+               obs::Observation::none()) const override;
 
   private:
     AnnealingConfig _config;

@@ -7,7 +7,10 @@
 
 #include <map>
 #include <memory>
+#include <numeric>
+#include <type_traits>
 #include <utility>
+#include <variant>
 
 #include "cache/replay.hh"
 #include "obs/export.hh"
@@ -121,11 +124,12 @@ ComponentSweep::ComponentSweep(std::vector<ComponentSlot> slots,
 SweepResult
 ComponentSweep::run(const WorkloadParams &workload, OsKind os,
                     const RunConfig &run,
-                    obs::Observation *observation) const
+                    obs::Observation &observation) const
 {
     const std::unique_ptr<ArtifactStore> store =
         ArtifactStore::open(run.storeDir);
     const Fingerprint base = sweepBaseKey(workload, os, run);
+    obs::MetricRegistry &m = observation.metrics;
 
     // The record phase (serial), run only when some shard must be
     // replayed: capture the stream once. The workload RNG and the OS
@@ -141,27 +145,22 @@ ComponentSweep::run(const WorkloadParams &workload, OsKind os,
             std::string payload;
             if (store->get(traceKey(base), payload) &&
                 store::decodeTrace(payload, trace)) {
-                if (observation != nullptr) {
-                    observation->metrics.add("store/trace_hits");
-                    observation->metrics.add("sweep/record_skips");
-                }
+                m.add("store/trace_hits");
+                m.add("sweep/record_skips");
                 return trace;
             }
         }
         System system(workload, os, run.seed);
-        if (observation != nullptr) {
-            obs::Span span(observation->metrics, "sweep/record");
+        {
+            obs::Span span(m, "sweep/record");
             trace = system.record(run.references);
-            observation->metrics.add("sweep/records");
-        } else {
-            trace = system.record(run.references);
+            m.add("sweep/records");
         }
         if (store != nullptr) {
             const std::string payload = store::encodeTrace(trace);
             store->put(traceKey(base), payload);
-            if (observation != nullptr)
-                obs::exportEncodedTrace(observation->metrics, "trace",
-                                        payload.size(), trace.size());
+            obs::exportEncodedTrace(m, "trace", payload.size(),
+                                    trace.size());
         }
         return trace;
     };
@@ -169,15 +168,14 @@ ComponentSweep::run(const WorkloadParams &workload, OsKind os,
     SweepResult result =
         sweepTasks(load_trace, ThreadPool::resolveThreads(run.threads),
                    observation, store.get(), base);
-    if (store != nullptr && observation != nullptr)
-        obs::exportArtifactStore(observation->metrics, "store",
-                                 *store);
+    if (store != nullptr)
+        obs::exportArtifactStore(m, "store", *store);
     return result;
 }
 
 SweepResult
 ComponentSweep::run(const RecordedTrace &trace, unsigned threads,
-                    obs::Observation *observation) const
+                    obs::Observation &observation) const
 {
     return sweepTasks([&trace]() -> const RecordedTrace & { return trace; },
                       ThreadPool::resolveThreads(threads), observation,
@@ -187,7 +185,7 @@ ComponentSweep::run(const RecordedTrace &trace, unsigned threads,
 SweepResult
 ComponentSweep::sweepTasks(const TraceSource &trace_source,
                            unsigned threads,
-                           obs::Observation *observation,
+                           obs::Observation &observation,
                            const ArtifactStore *store,
                            const Fingerprint &base_key) const
 {
@@ -239,11 +237,9 @@ ComponentSweep::sweepTasks(const TraceSource &trace_source,
         }
     }
 
-    // Per-task metric shards: each task writes only its own slot, so
-    // the post-loop merge (in task order) is a pure function of the
-    // work — never of the schedule or lane count.
-    std::vector<obs::MetricRegistry> shards(
-        observation != nullptr ? n_tasks : 0);
+    // References each replayed task's simulator was fed; like the
+    // counters, written only by the task's own work item.
+    std::vector<std::uint64_t> delivered(n_tasks, 0);
 
     // The store key of a task's shard. Component keys reproduce the
     // historical per-kind keys exactly (kind name + per-kind index +
@@ -309,10 +305,8 @@ ComponentSweep::sweepTasks(const TraceSource &trace_source,
                 makeComponent(_slots[task - 1], _refMachine);
             replayComponent(trace, *component);
             result._stats[task - 1] = component->counters();
+            delivered[task] = component->delivered();
             payload = encodeComponentCounters(result._stats[task - 1]);
-            if (observation != nullptr)
-                shards[task].add("replay/batched_refs",
-                                 component->delivered());
         }
         if (store != nullptr)
             store->put(shard_key(task), payload);
@@ -328,42 +322,17 @@ ComponentSweep::sweepTasks(const TraceSource &trace_source,
             geoms.push_back(
                 std::get<CacheParams>(_slots[task - 1].params).geom);
         Cheetah pass(geoms);
-        const std::uint64_t delivered = replayCacheStream(
+        const std::uint64_t stream_refs = replayCacheStream(
             trace, cacheStream(_slots[tasks.front() - 1]), pass);
         for (std::size_t i = 0; i < tasks.size(); ++i) {
             const std::size_t task = tasks[i];
             result._stats[task - 1] = pass.stats(geoms[i]);
+            delivered[task] = stream_refs;
             if (store != nullptr)
                 store->put(shard_key(task),
                            encodeComponentCounters(
                                result._stats[task - 1]));
-            if (observation != nullptr)
-                shards[task].add("replay/batched_refs", delivered);
         }
-        if (observation != nullptr)
-            shards[tasks.front()].add("replay/cache_passes");
-    };
-
-    // Export a finished task's counters and tick progress.
-    const auto finish = [&](std::size_t task) {
-        if (observation == nullptr)
-            return;
-        if (task == 0) {
-            const StallCounters stalls{
-                machine.instructions, machine.icacheStall,
-                machine.dcacheStall, machine.wbStall, machine.tlbStall};
-            obs::exportStallCounters(shards[task], "machine", stalls);
-            obs::exportWriteBufferCounters(shards[task], "wb",
-                                           machine.wbStores,
-                                           machine.wbStallCycles);
-        } else {
-            const ComponentSlot &slot = _slots[task - 1];
-            obs::exportComponentCounters(shards[task],
-                                         componentKindName(slot.kind),
-                                         result._stats[task - 1]);
-        }
-        if (observation->progress != nullptr)
-            observation->progress->tick();
     };
 
     ThreadPool pool(threads);
@@ -373,14 +342,11 @@ ComponentSweep::sweepTasks(const TraceSource &trace_source,
     // is needed at all; a miss is just a failed open, so a cold sweep
     // pays little for probing first.
     if (store != nullptr) {
-        std::unique_ptr<obs::Span> span;
-        if (observation != nullptr)
-            span = std::make_unique<obs::Span>(observation->metrics,
-                                               "sweep/load");
+        obs::Span span(observation.metrics, "sweep/load");
         pool.parallelFor(0, n_tasks, [&](std::size_t task) {
             loaded[task] = load(task) ? 1 : 0;
             if (loaded[task] != 0)
-                finish(task);
+                observation.tick();
         });
     }
 
@@ -412,37 +378,57 @@ ComponentSweep::sweepTasks(const TraceSource &trace_source,
         work[it->second].tasks.push_back(task);
     }
 
+    obs::MetricRegistry &m = observation.metrics;
     if (work.empty()) {
-        if (observation != nullptr)
-            observation->metrics.add("sweep/trace_skips");
+        m.add("sweep/trace_skips");
     } else {
         const RecordedTrace &trace = trace_source();
-        std::unique_ptr<obs::Span> span;
-        if (observation != nullptr)
-            span = std::make_unique<obs::Span>(observation->metrics,
-                                               "sweep/replay");
-        pool.parallelFor(0, work.size(), [&](std::size_t i) {
-            const WorkItem &item = work[i];
-            if (item.pass)
-                replay_pass(item.tasks, trace);
-            else
-                replay(item.tasks.front(), trace);
-            for (const std::size_t task : item.tasks)
-                finish(task);
-        });
-        span.reset();
-        if (observation != nullptr) {
-            obs::exportRecordedTrace(observation->metrics, "trace",
-                                     trace);
-            observation->metrics.add("sweep/replays");
+        {
+            obs::Span span(m, "sweep/replay");
+            pool.parallelFor(0, work.size(), [&](std::size_t i) {
+                const WorkItem &item = work[i];
+                if (item.pass)
+                    replay_pass(item.tasks, trace);
+                else
+                    replay(item.tasks.front(), trace);
+                for (std::size_t t = 0; t < item.tasks.size(); ++t)
+                    observation.tick();
+            });
         }
+        obs::exportRecordedTrace(m, "trace", trace);
+        m.add("sweep/replays");
+        // The reference machine feeds no replay counter.
+        if (work.size() > 1 || work.front().tasks.front() != 0)
+            m.add("replay/batched_refs",
+                  std::accumulate(delivered.begin(), delivered.end(),
+                                  std::uint64_t(0)));
+        if (!pass_items.empty())
+            m.add("replay/cache_passes", pass_items.size());
     }
+    obs::exportThreadPool(m, "threadpool", pool);
 
-    if (observation != nullptr) {
-        obs::MetricRegistry &m = observation->metrics;
-        obs::exportThreadPool(m, "threadpool", pool);
-        for (const obs::MetricRegistry &shard : shards)
-            m.merge(shard);
+    // The counters, exported once per kind from the finished slots
+    // (summed in task order) and once for the reference machine.
+    obs::exportStallCounters(m, "machine",
+                             {machine.instructions, machine.icacheStall,
+                              machine.dcacheStall, machine.wbStall,
+                              machine.tlbStall});
+    obs::exportWriteBufferCounters(m, "wb", machine.wbStores,
+                                   machine.wbStallCycles);
+    for (std::size_t k = 0; k < numComponentKinds; ++k) {
+        const std::vector<std::size_t> &index = result._kindIndex[k];
+        if (index.empty())
+            continue;
+        ComponentCounters total = result._stats[index.front()];
+        for (std::size_t j = 1; j < index.size(); ++j)
+            std::visit(
+                [&](auto &sum) {
+                    sum += std::get<std::decay_t<decltype(sum)>>(
+                        result._stats[index[j]]);
+                },
+                total);
+        obs::exportComponentCounters(
+            m, componentKindName(ComponentKind(k)), total);
     }
 
     result.instructions = machine.instructions;

@@ -393,17 +393,19 @@ class ComponentSweep
     }
 
     /**
-     * Run the sweep. An optional obs::Observation collects component
-     * counters (merged over per-task shards in task order), phase
-     * timings, store hit/miss counters and progress ticks; attaching
-     * one never changes the SweepResult
+     * Run the sweep, recording into @p observation (the calling
+     * thread's scratch Observation::none() by default): each kind's
+     * counters summed over its slots in task order, exported once
+     * after the parallel phase, plus phase timings, store hit/miss
+     * counters and one progress tick per task. Which observation the
+     * sweep records into never changes the SweepResult
      * (tests/core/test_observed_sweep.cc holds bitwise identity at 1
      * and 4 threads).
      */
     [[nodiscard]] SweepResult
     run(const WorkloadParams &workload, OsKind os,
         const RunConfig &run = RunConfig(),
-        obs::Observation *observation = nullptr) const;
+        obs::Observation &observation = obs::Observation::none()) const;
 
     /**
      * Sweep an existing recording (e.g. System::record output or a
@@ -415,7 +417,7 @@ class ComponentSweep
      */
     [[nodiscard]] SweepResult
     run(const RecordedTrace &trace, unsigned threads = 0,
-        obs::Observation *observation = nullptr) const;
+        obs::Observation &observation = obs::Observation::none()) const;
 
   private:
     /** Yields the recording; called at most once, and only when some
@@ -426,7 +428,7 @@ class ComponentSweep
      * task's stored shard it can, then replay the rest over the
      * recording. Storeless (@p store nullptr), every task replays. */
     SweepResult sweepTasks(const TraceSource &trace, unsigned threads,
-                           obs::Observation *observation,
+                           obs::Observation &observation,
                            const ArtifactStore *store,
                            const Fingerprint &base_key) const;
 

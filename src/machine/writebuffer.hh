@@ -57,6 +57,16 @@ struct WriteBufferStats
     std::uint64_t stores = 0;
     std::uint64_t stallCycles = 0; //!< Buffer-full stalls.
 
+    /** Add @p other's counts field by field. */
+    WriteBufferStats &
+    operator+=(const WriteBufferStats &other)
+    {
+        instructions += other.instructions;
+        stores += other.stores;
+        stallCycles += other.stallCycles;
+        return *this;
+    }
+
     /** Write-buffer stall cycles per instruction. */
     [[nodiscard]] double
     cpiContribution() const

@@ -6,8 +6,8 @@
  * MmuStats, StallCounters...); these helpers copy them into a
  * MetricRegistry under the naming scheme of docs/OBSERVABILITY.md.
  * Exporting is a read-only snapshot — components never observe the
- * registry — which is what keeps metrics-on and metrics-off runs
- * bitwise identical.
+ * registry — which is what keeps a run's results bitwise independent
+ * of the observation it records into.
  *
  * Header-only by design: the obs library proper depends only on
  * support, while these inline adapters may name any component type;
@@ -73,7 +73,7 @@ exportStallCounters(MetricRegistry &m, const std::string &prefix,
 }
 
 /** Write-buffer counters under `<prefix>/...` from raw values (the
- * artifact-store warm path replays counters without a WriteBuffer). */
+ * sweep keeps the reference machine's as plain counters). */
 inline void
 exportWriteBufferCounters(MetricRegistry &m, const std::string &prefix,
                           std::uint64_t stores,
@@ -81,15 +81,6 @@ exportWriteBufferCounters(MetricRegistry &m, const std::string &prefix,
 {
     m.add(prefix + "/stores", stores);
     m.add(prefix + "/stall_cycles", stall_cycles);
-}
-
-/** Write-buffer counters under `<prefix>/...`. */
-inline void
-exportWriteBuffer(MetricRegistry &m, const std::string &prefix,
-                  const WriteBuffer &wb)
-{
-    exportWriteBufferCounters(m, prefix, wb.stores(),
-                              wb.stallCycles());
 }
 
 /** Victim-cache counters under `<prefix>/...`. */
@@ -197,10 +188,10 @@ exportBaseline(MetricRegistry &m, const std::string &prefix,
  * Sweep totals: per-component event sums over every configuration
  * in the sweep, plus per-configuration miss-count histograms (the
  * distribution across the design grid — deterministic, since the
- * samples are counters, not timings). The per-configuration event
- * counters themselves are exported by the engine into its
- * Observation during the run; this helper adds only what the result
- * object carries on top, so merging both never double-counts.
+ * samples are counters, not timings). The per-kind event counters
+ * themselves are exported by the engine into its Observation at the
+ * end of the run; this helper adds only what the result object
+ * carries on top, so merging both never double-counts.
  */
 inline void
 exportSweepResult(MetricRegistry &m, const SweepResult &r)

@@ -21,6 +21,13 @@ MetricRegistry::merge(const MetricRegistry &shard)
         _histograms[name].merge(hist);
 }
 
+Observation &
+Observation::none()
+{
+    thread_local Observation scratch;
+    return scratch;
+}
+
 Progress::Callback
 Progress::informSink(std::string what)
 {

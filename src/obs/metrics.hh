@@ -12,13 +12,14 @@
  *
  * Determinism contract (docs/OBSERVABILITY.md):
  *
- * * Metrics never feed back into simulation. An engine run with an
- *   Observation attached produces bitwise-identical results to one
- *   run without (tests/core/test_observed_sweep.cc holds this at 1
- *   and 4 threads).
- * * Counters and histograms exported from parallel engines are
- *   collected per lane-independent shard and merged in deterministic
- *   shard order, so event counts are identical for any thread count.
+ * * Metrics never feed back into simulation. An engine run into a
+ *   caller's Observation produces bitwise-identical results to one
+ *   run into Observation::none() (tests/core/test_observed_sweep.cc
+ *   holds this at 1 and 4 threads).
+ * * Parallel engines write only per-task result slots on their
+ *   lanes and export counters from the finished result after the
+ *   parallel phase, summed in task order, so event counts are
+ *   identical for any thread count.
  * * Only timing values (Span gauges, rates derived from them) read
  *   the wall clock, exclusively through oma::Clock (support/clock.hh);
  *   they vary run to run and are reported, never compared.
@@ -195,10 +196,10 @@ class MetricRegistry
 
     /**
      * Fold @p shard into this registry: counters and histograms sum,
-     * gauges take the shard's value (last write wins). Parallel
-     * engines call this over their per-task shards in task order, so
-     * the merged registry is a pure function of the work, not of the
-     * schedule.
+     * gauges take the shard's value (last write wins).
+     * QueryEngine::answerBatch calls this over its per-question
+     * registries in group order, so the merged registry is a pure
+     * function of the batch, not of the schedule.
      */
     void merge(const MetricRegistry &shard);
 
@@ -320,14 +321,31 @@ class Progress
 /**
  * The observation sink an instrumented engine fills: pass one to
  * ComponentSweep::run / SearchStrategy::search to collect metrics
- * and (optionally) progress. Attaching an Observation never changes
- * engine results — only what gets reported about them.
+ * and (optionally) progress. Engines always record into one; a
+ * caller that wants nothing passes none(). Which Observation an
+ * engine records into never changes its results — only what gets
+ * reported about them.
  */
 struct Observation
 {
     MetricRegistry metrics;
     /** Optional progress sink; off (null) by default. */
     Progress *progress = nullptr;
+
+    /** Report one finished unit to the progress sink, if any.
+     * Thread-safe: Progress::tick() is. */
+    void
+    tick() const
+    {
+        if (progress != nullptr)
+            progress->tick();
+    }
+
+    /** The calling thread's scratch observation, the default sink of
+     * every engine: it records like any other and nothing reads it.
+     * Thread-local, so concurrent unobserved callers never share a
+     * registry. */
+    static Observation &none();
 };
 
 } // namespace oma::obs

@@ -93,6 +93,19 @@ struct MmuStats
     /** Whole-TLB flushes taken on ASID switches (ASID-less mode). */
     std::uint64_t asidFlushes = 0;
 
+    /** Add @p other's counts field by field. */
+    MmuStats &
+    operator+=(const MmuStats &other)
+    {
+        translations += other.translations;
+        for (unsigned c = 0; c < numMissClasses; ++c) {
+            counts[c] += other.counts[c];
+            cycles[c] += other.cycles[c];
+        }
+        asidFlushes += other.asidFlushes;
+        return *this;
+    }
+
     [[nodiscard]] std::uint64_t
     totalServiceCycles() const
     {

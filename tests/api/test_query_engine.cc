@@ -90,13 +90,13 @@ TEST(QueryEngine, AnswerMatchesTheEnginesDrivenDirectly)
     std::vector<SweepResult> results;
     for (const BenchmarkId id : request.workloads)
         results.push_back(
-            sweep.run(benchmarkParams(id), request.os, rc, nullptr));
+            sweep.run(benchmarkParams(id), request.os, rc));
     const ComponentCpiTables tables = ComponentCpiTables::average(
         results, MachineParams::decstation3100());
     const SearchSpace space(tables, AreaModel(), request.budgetRbe,
                             request.maxCacheWays);
     SearchResult direct =
-        ExhaustiveStrategy().search(space, request.threads, nullptr);
+        ExhaustiveStrategy().search(space, request.threads);
 
     AllocationResponse expected;
     expected.strategy = request.strategy;
@@ -332,6 +332,14 @@ TEST(QueryEngine, ValidateNamesTheOffendingField)
     request.references = 0;
     EXPECT_FALSE(QueryEngine::validate(request, error));
     EXPECT_NE(error.find("references"), std::string::npos);
+
+    // The reference cap is inclusive; the question itself is never
+    // run here (it would record 10^8 references per workload).
+    request.references = QueryEngine::maxReferences;
+    EXPECT_TRUE(QueryEngine::validate(request, error)) << error;
+    request.references = QueryEngine::maxReferences + 1;
+    EXPECT_FALSE(QueryEngine::validate(request, error));
+    EXPECT_EQ(error, "request.references: at most 100000000 per workload");
 
     request = tinyRequest();
     request.space.tlbEntries.clear();

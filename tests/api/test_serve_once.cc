@@ -21,6 +21,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -32,6 +33,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "api/query_engine.hh"
 #include "api/request.hh"
 #include "tests/api/json_path.hh"
 
@@ -264,7 +266,9 @@ TEST(ServeOnce, OutOfRangeThreadsAndChainsEarnErrorsNotAnAbort)
 {
     // Values past 2^32 used to be truncated (4294967297 ran 1 lane or
     // 1 chain); values that fit but exceed the engine's limits used
-    // to end the daemon with std::bad_alloc and no output at all.
+    // to end the daemon with std::bad_alloc and no output at all, and
+    // 2^40 references recorded without an answer for as long as
+    // anyone waited.
     AllocationRequest annealing = table6Query();
     annealing.strategy = Strategy::Annealing;
     annealing.annealing.iterations = 1;
@@ -280,7 +284,13 @@ TEST(ServeOnce, OutOfRangeThreadsAndChainsEarnErrorsNotAnAbort)
         {"chains", withField(annealed, "chains", "4294967297")},
         {"threads", withField(exhaustive, "threads", "4294967295")},
         {"chains", withField(annealed, "chains", "4294967295")},
+        {"references",
+         withField(exhaustive, "references", "1099511627776")},
+        {"references",
+         withField(exhaustive, "references",
+                   std::to_string(QueryEngine::maxReferences + 1))},
     };
+    constexpr std::size_t n_cases = std::size(cases);
     std::string input = exhaustive + "\n";
     for (const Case &c : cases)
         input += c.line + "\n";
@@ -288,12 +298,12 @@ TEST(ServeOnce, OutOfRangeThreadsAndChainsEarnErrorsNotAnAbort)
 
     const std::string store = scratchDir("limits");
     const std::vector<std::string> lines = serveOnce(store, input);
-    ASSERT_EQ(lines.size(), 6u);
+    ASSERT_EQ(lines.size(), n_cases + 2);
     AllocationResponse response;
     std::string error;
     EXPECT_TRUE(decodeResponse(lines[0], response, error)) << error;
-    EXPECT_EQ(lines[5], lines[0]);
-    for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(lines[n_cases + 1], lines[0]);
+    for (std::size_t i = 0; i < n_cases; ++i) {
         SCOPED_TRACE(cases[i].line);
         EXPECT_NE(lines[i + 1].find("oma-error-v1"), std::string::npos);
         EXPECT_NE(lines[i + 1].find(cases[i].field), std::string::npos)

@@ -23,6 +23,7 @@
 #include "core/component.hh"
 #include "core/sweep.hh"
 #include "obs/metrics.hh"
+#include "tests/core/sweep_equal.hh"
 #include "workload/system.hh"
 
 namespace oma
@@ -86,31 +87,6 @@ mixedSlots()
  * (dcache, 1 word). */
 constexpr std::uint64_t mixedGroups = 4;
 
-/** The counters @p result reports for slot @p s of mixedSlots(). */
-ComponentCounters
-sweptCounters(const SweepResult &result,
-              const std::vector<ComponentSlot> &slots, std::size_t s)
-{
-    std::size_t i = 0;
-    for (std::size_t t = 0; t < s; ++t)
-        i += slots[t].kind == slots[s].kind ? 1 : 0;
-    switch (slots[s].kind) {
-      case ComponentKind::ICache:
-        return result.icache(i).stats;
-      case ComponentKind::DCache:
-        return result.dcache(i).stats;
-      case ComponentKind::Tlb:
-        return result.tlb(i).stats;
-      case ComponentKind::Victim:
-        return result.victim(i).stats;
-      case ComponentKind::WriteBuffer:
-        return result.writeBuffer(i).stats;
-      case ComponentKind::Hierarchy:
-        return result.hierarchy(i).stats;
-    }
-    return {};
-}
-
 TEST(CachePassSweep, MatchesPerSlotReplayColdAndWarmAtAnyThreadCount)
 {
     const std::vector<ComponentSlot> slots = mixedSlots();
@@ -133,10 +109,12 @@ TEST(CachePassSweep, MatchesPerSlotReplayColdAndWarmAtAnyThreadCount)
     }
     const auto expect_oracle = [&](const SweepResult &result) {
         ASSERT_EQ(result.componentCount(), slots.size());
+        std::size_t seen[numComponentKinds] = {};
         for (std::size_t s = 0; s < slots.size(); ++s) {
             SCOPED_TRACE(slots[s].describe());
-            EXPECT_EQ(encodeComponentCounters(
-                          sweptCounters(result, slots, s)),
+            const ComponentKind kind = slots[s].kind;
+            EXPECT_EQ(encodeComponentCounters(sweptCounters(
+                          result, kind, seen[std::size_t(kind)]++)),
                       expected[s]);
         }
     };
@@ -150,19 +128,19 @@ TEST(CachePassSweep, MatchesPerSlotReplayColdAndWarmAtAnyThreadCount)
         std::filesystem::remove_all(rc.storeDir);
 
         obs::Observation cold_obs;
-        expect_oracle(sweep.run(workload, OsKind::Mach, rc, &cold_obs));
+        expect_oracle(sweep.run(workload, OsKind::Mach, rc, cold_obs));
         EXPECT_EQ(cold_obs.metrics.counter("replay/cache_passes"),
                   mixedGroups);
         EXPECT_EQ(cold_obs.metrics.counter("sweep/records"), 1u);
 
         obs::Observation warm_obs;
-        expect_oracle(sweep.run(workload, OsKind::Mach, rc, &warm_obs));
+        expect_oracle(sweep.run(workload, OsKind::Mach, rc, warm_obs));
         EXPECT_EQ(warm_obs.metrics.counter("replay/cache_passes"), 0u);
         EXPECT_EQ(warm_obs.metrics.counter("store/misses"), 0u);
 
         // Storeless, straight from the recording.
         obs::Observation live_obs;
-        expect_oracle(sweep.run(trace, threads, &live_obs));
+        expect_oracle(sweep.run(trace, threads, live_obs));
         EXPECT_EQ(live_obs.metrics.counter("replay/cache_passes"),
                   mixedGroups);
         std::filesystem::remove_all(rc.storeDir);

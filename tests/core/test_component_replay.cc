@@ -17,7 +17,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -27,6 +26,7 @@
 #include "core/component.hh"
 #include "core/sweep.hh"
 #include "support/rng.hh"
+#include "tests/core/sweep_equal.hh"
 #include "tlb/mips_va.hh"
 #include "workload/system.hh"
 
@@ -426,44 +426,6 @@ TEST(ComponentReplay, ScalarMatchesChunkedWithEventsAtChunkSeams)
 
 // ----- sweeps against the oracle -----
 
-/** Bitwise double equality (== would conflate -0.0 and 0.0). */
-bool
-sameBits(double a, double b)
-{
-    return std::memcmp(&a, &b, sizeof a) == 0;
-}
-
-/** The sweep-level totals of @p a and @p b agree bitwise. */
-void
-expectSameTotals(const SweepResult &a, const SweepResult &b)
-{
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.references, b.references);
-    EXPECT_TRUE(sameBits(a.wbCpi, b.wbCpi));
-    EXPECT_TRUE(sameBits(a.otherCpi, b.otherCpi));
-}
-
-/** The counters @p r holds for the @p i-th swept slot of @p kind. */
-ComponentCounters
-sweptCounters(const SweepResult &r, ComponentKind kind, std::size_t i)
-{
-    switch (kind) {
-      case ComponentKind::ICache:
-        return r.icache(i).stats;
-      case ComponentKind::DCache:
-        return r.dcache(i).stats;
-      case ComponentKind::Tlb:
-        return r.tlb(i).stats;
-      case ComponentKind::Victim:
-        return r.victim(i).stats;
-      case ComponentKind::WriteBuffer:
-        return r.writeBuffer(i).stats;
-      case ComponentKind::Hierarchy:
-        return r.hierarchy(i).stats;
-    }
-    return {};
-}
-
 /** Every slot of @p sweep, in task order, holds the oracle's counters
  * for @p trace in @p result. */
 void
@@ -498,7 +460,7 @@ TEST(BatchedReplay, SweepMatchesScalarExpectationAcrossThreads)
     const RecordedTrace trace = system.record(60000);
     const SweepResult serial = sweep.run(trace, 1);
     const SweepResult parallel = sweep.run(trace, 4);
-    expectSameTotals(serial, parallel);
+    expectSameSweep(serial, parallel);
     for (const SweepResult *result : {&serial, &parallel}) {
         SCOPED_TRACE(result == &serial ? "1 thread" : "4 threads");
         expectSweepMatchesOracle(sweep, *result, trace);
@@ -548,10 +510,10 @@ expectColdAndWarmMatchOracle(const ComponentSweep &sweep, OsKind os,
     const SweepResult cold = sweep.run(mpeg, os, rc);
     rc.threads = 4;
     obs::Observation warm_obs;
-    const SweepResult warm = sweep.run(mpeg, os, rc, &warm_obs);
+    const SweepResult warm = sweep.run(mpeg, os, rc, warm_obs);
     EXPECT_EQ(warm_obs.metrics.counter("store/misses"), 0u);
     EXPECT_EQ(warm_obs.metrics.counter("sweep/records"), 0u);
-    expectSameTotals(cold, warm);
+    expectSameSweep(cold, warm);
     {
         SCOPED_TRACE("cold");
         expectSweepMatchesOracle(sweep, cold, trace);

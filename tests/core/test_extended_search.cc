@@ -10,44 +10,14 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
-
 #include "core/search_strategy.hh"
+#include "tests/core/sweep_equal.hh"
 #include "workload/system.hh"
 
 namespace oma
 {
 namespace
 {
-
-/** Bitwise double equality (== would conflate -0.0 and 0.0). */
-bool
-sameBits(double a, double b)
-{
-    return std::memcmp(&a, &b, sizeof a) == 0;
-}
-
-void
-expectSameAllocations(const std::vector<Allocation> &a,
-                      const std::vector<Allocation> &b)
-{
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        SCOPED_TRACE(i);
-        ASSERT_EQ(a[i].rank, b[i].rank);
-        ASSERT_EQ(a[i].tlb.entries, b[i].tlb.entries);
-        ASSERT_EQ(a[i].tlb.assoc, b[i].tlb.assoc);
-        ASSERT_EQ(a[i].icache.capacityBytes, b[i].icache.capacityBytes);
-        ASSERT_EQ(a[i].icache.assoc, b[i].icache.assoc);
-        ASSERT_EQ(a[i].dcache.capacityBytes, b[i].dcache.capacityBytes);
-        ASSERT_EQ(a[i].victimEntries, b[i].victimEntries);
-        ASSERT_EQ(a[i].wbEntries, b[i].wbEntries);
-        ASSERT_EQ(a[i].hasL2, b[i].hasL2);
-        ASSERT_EQ(a[i].unified, b[i].unified);
-        ASSERT_TRUE(sameBits(a[i].cpi, b[i].cpi));
-        ASSERT_TRUE(sameBits(a[i].areaRbe, b[i].areaRbe));
-    }
-}
 
 TEST(ExtendedSearch, DefaultSpaceHasNoExtensions)
 {

@@ -8,77 +8,15 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
-
 #include "core/search_strategy.hh"
 #include "core/sweep.hh"
 #include "support/rng.hh"
+#include "tests/core/sweep_equal.hh"
 
 namespace oma
 {
 namespace
 {
-
-void
-expectSameCacheStats(const CacheStats &a, const CacheStats &b,
-                     const char *what, std::size_t i)
-{
-    for (unsigned k = 0; k < numRefKinds; ++k) {
-        ASSERT_EQ(a.accesses[k], b.accesses[k]) << what << " " << i;
-        ASSERT_EQ(a.misses[k], b.misses[k]) << what << " " << i;
-    }
-    ASSERT_EQ(a.lineFills, b.lineFills) << what << " " << i;
-    ASSERT_EQ(a.writebacks, b.writebacks) << what << " " << i;
-    ASSERT_EQ(a.writeThroughWords, b.writeThroughWords) << what << " " << i;
-    ASSERT_EQ(a.compulsoryMisses, b.compulsoryMisses) << what << " " << i;
-}
-
-void
-expectSameMmuStats(const MmuStats &a, const MmuStats &b, std::size_t i)
-{
-    ASSERT_EQ(a.translations, b.translations) << "tlb " << i;
-    for (unsigned c = 0; c < numMissClasses; ++c) {
-        ASSERT_EQ(a.counts[c], b.counts[c]) << "tlb " << i;
-        ASSERT_EQ(a.cycles[c], b.cycles[c]) << "tlb " << i;
-    }
-    ASSERT_EQ(a.asidFlushes, b.asidFlushes) << "tlb " << i;
-}
-
-/** Bitwise double equality (== would conflate -0.0 and 0.0). */
-bool
-sameBits(double a, double b)
-{
-    return std::memcmp(&a, &b, sizeof a) == 0;
-}
-
-void
-expectSameSweepResult(const SweepResult &serial, const SweepResult &par)
-{
-    ASSERT_EQ(serial.instructions, par.instructions);
-    ASSERT_EQ(serial.references, par.references);
-    ASSERT_EQ(serial.icacheCount(), par.icacheCount());
-    ASSERT_EQ(serial.dcacheCount(), par.dcacheCount());
-    ASSERT_EQ(serial.tlbCount(), par.tlbCount());
-    for (std::size_t i = 0; i < serial.icacheCount(); ++i)
-        expectSameCacheStats(serial.icache(i).stats,
-                             par.icache(i).stats, "icache", i);
-    for (std::size_t i = 0; i < serial.dcacheCount(); ++i)
-        expectSameCacheStats(serial.dcache(i).stats,
-                             par.dcache(i).stats, "dcache", i);
-    for (std::size_t i = 0; i < serial.tlbCount(); ++i)
-        expectSameMmuStats(serial.tlb(i).stats, par.tlb(i).stats, i);
-    EXPECT_TRUE(sameBits(serial.wbCpi, par.wbCpi));
-    EXPECT_TRUE(sameBits(serial.otherCpi, par.otherCpi));
-
-    // The derived CPI contributions are computed from the counters,
-    // so identical counters imply identical doubles; spot-check.
-    const MachineParams mp = MachineParams::decstation3100();
-    for (std::size_t i = 0; i < serial.icacheCount(); ++i)
-        EXPECT_TRUE(sameBits(serial.icache(i).cpi(mp),
-                             par.icache(i).cpi(mp)));
-    for (std::size_t i = 0; i < serial.tlbCount(); ++i)
-        EXPECT_TRUE(sameBits(serial.tlb(i).cpi(), par.tlb(i).cpi()));
-}
 
 std::vector<CacheGeometry>
 cacheSubset()
@@ -119,7 +57,7 @@ TEST(ParallelSweep, MatchesSerialAcrossThreadCounts)
         const SweepResult par =
             sweepWith(threads, BenchmarkId::Mpeg, OsKind::Mach, 42,
                       120000);
-        expectSameSweepResult(serial, par);
+        expectSameSweep(serial, par);
     }
 }
 
@@ -142,27 +80,7 @@ TEST(ParallelSweep, MatchesSerialAcrossRandomizedWorkloads)
                      << " seed " << seed);
         const SweepResult serial = sweepWith(1, id, os, seed, 80000);
         const SweepResult par = sweepWith(threads, id, os, seed, 80000);
-        expectSameSweepResult(serial, par);
-    }
-}
-
-void
-expectSameRanking(const std::vector<Allocation> &serial,
-                  const std::vector<Allocation> &par)
-{
-    ASSERT_EQ(serial.size(), par.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-        SCOPED_TRACE(i);
-        // Geometry identity pins the tie-break order, not just CPI.
-        ASSERT_TRUE(serial[i].tlb == par[i].tlb);
-        ASSERT_TRUE(serial[i].icache == par[i].icache);
-        ASSERT_TRUE(serial[i].dcache == par[i].dcache);
-        ASSERT_EQ(serial[i].rank, par[i].rank);
-        ASSERT_TRUE(sameBits(serial[i].cpi, par[i].cpi));
-        ASSERT_TRUE(sameBits(serial[i].areaRbe, par[i].areaRbe));
-        ASSERT_TRUE(sameBits(serial[i].tlbCpi, par[i].tlbCpi));
-        ASSERT_TRUE(sameBits(serial[i].icacheCpi, par[i].icacheCpi));
-        ASSERT_TRUE(sameBits(serial[i].dcacheCpi, par[i].dcacheCpi));
+        expectSameSweep(serial, par);
     }
 }
 
@@ -201,7 +119,7 @@ TEST(ParallelSearch, RankMatchesSerialOnTable5Grid)
                                             << " threads " << threads);
             const auto par =
                 exhaustive.search(space, threads).allocations;
-            expectSameRanking(serial, par);
+            expectSameAllocations(serial, par);
         }
     }
 }
@@ -232,7 +150,7 @@ TEST(ParallelSearch, RankMatchesSerialOnMeasuredTables)
         ExhaustiveStrategy().search(serial_space, 1).allocations;
     const auto par = ExhaustiveStrategy().search(par_space, 4).allocations;
     ASSERT_FALSE(serial.empty());
-    expectSameRanking(serial, par);
+    expectSameAllocations(serial, par);
 }
 
 } // namespace

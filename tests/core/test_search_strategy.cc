@@ -1,69 +1,25 @@
 /**
  * @file
  * Tests for the search strategies over the five-component space:
- * the exhaustive ranking is bitwise identical with pruning on or off
- * and at any thread count, cost-bound pruning never discards an
- * in-budget candidate, and the annealing strategy
- * recovers the exhaustive winner deterministically per seed while
- * evaluating a small fraction of the grid.
+ * the exhaustive ranking is bitwise the stable sort by CPI of every
+ * in-budget candidate (cost-bound pruning never discards one) at any
+ * thread count, and the annealing strategy recovers the exhaustive
+ * winner deterministically per seed while evaluating a small
+ * fraction of the grid.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
 
 #include "core/search_strategy.hh"
+#include "tests/core/sweep_equal.hh"
 
 namespace oma
 {
 namespace
 {
-
-/** Bitwise double equality (== would conflate -0.0 and 0.0). */
-bool
-sameBits(double a, double b)
-{
-    return std::memcmp(&a, &b, sizeof a) == 0;
-}
-
-void
-expectSameAllocation(const Allocation &a, const Allocation &b)
-{
-    EXPECT_EQ(a.rank, b.rank);
-    EXPECT_EQ(a.tlb.entries, b.tlb.entries);
-    EXPECT_EQ(a.tlb.assoc, b.tlb.assoc);
-    EXPECT_EQ(a.icache.capacityBytes, b.icache.capacityBytes);
-    EXPECT_EQ(a.icache.lineBytes, b.icache.lineBytes);
-    EXPECT_EQ(a.icache.assoc, b.icache.assoc);
-    EXPECT_EQ(a.dcache.capacityBytes, b.dcache.capacityBytes);
-    EXPECT_EQ(a.dcache.lineBytes, b.dcache.lineBytes);
-    EXPECT_EQ(a.dcache.assoc, b.dcache.assoc);
-    EXPECT_EQ(a.victimEntries, b.victimEntries);
-    EXPECT_EQ(a.wbEntries, b.wbEntries);
-    EXPECT_EQ(a.hasL2, b.hasL2);
-    EXPECT_EQ(a.unified, b.unified);
-    EXPECT_EQ(a.l2.capacityBytes, b.l2.capacityBytes);
-    EXPECT_TRUE(sameBits(a.cpi, b.cpi));
-    EXPECT_TRUE(sameBits(a.areaRbe, b.areaRbe));
-    EXPECT_TRUE(sameBits(a.tlbCpi, b.tlbCpi));
-    EXPECT_TRUE(sameBits(a.icacheCpi, b.icacheCpi));
-    EXPECT_TRUE(sameBits(a.dcacheCpi, b.dcacheCpi));
-    EXPECT_TRUE(sameBits(a.hierarchyCpi, b.hierarchyCpi));
-    EXPECT_TRUE(sameBits(a.wbCpi, b.wbCpi));
-}
-
-void
-expectSameAllocations(const std::vector<Allocation> &a,
-                      const std::vector<Allocation> &b)
-{
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        SCOPED_TRACE(i);
-        expectSameAllocation(a[i], b[i]);
-    }
-}
 
 /** The classic grid with a clean monotone synthetic benefit model.
  * Unlike the fixture of core/test_search.cc, every geometry dimension
@@ -118,6 +74,40 @@ syntheticExtendedTables()
     return tables;
 }
 
+/**
+ * The test oracle for the exhaustive ranking: every in-budget
+ * candidate in emission order (per TLB, split candidates by fetch
+ * side, D-cache and write buffer, then hierarchy candidates by
+ * hierarchy and write buffer), stable-sorted by CPI and ranked — no
+ * pruning, sharding or top-K heap.
+ */
+std::vector<Allocation>
+stableSortedRanking(const SearchSpace &space)
+{
+    std::vector<Allocation> emitted;
+    const auto emit = [&](const SearchCandidate &c) {
+        if (space.inBudget(c))
+            emitted.push_back(space.materialize(c));
+    };
+    for (std::size_t t = 0; t < space.tlbAreas().size(); ++t) {
+        for (std::size_t ip = 0; ip < space.iOptions().size(); ++ip)
+            for (std::size_t dp = 0; dp < space.dOptions().size(); ++dp)
+                for (std::size_t wp = 0; wp < space.wbOptions().size();
+                     ++wp)
+                    emit(SearchCandidate{false, t, ip, dp, wp});
+        for (std::size_t hp = 0; hp < space.hierOptions().size(); ++hp)
+            for (std::size_t wp = 0; wp < space.wbOptions().size(); ++wp)
+                emit(SearchCandidate{true, t, hp, 0, wp});
+    }
+    std::stable_sort(emitted.begin(), emitted.end(),
+                     [](const Allocation &x, const Allocation &y) {
+                         return x.cpi < y.cpi;
+                     });
+    for (std::size_t r = 0; r < emitted.size(); ++r)
+        emitted[r].rank = r + 1;
+    return emitted;
+}
+
 constexpr double kBudget = 250000.0;
 
 TEST(SearchSpace, CountsTheFullGrid)
@@ -146,7 +136,7 @@ TEST(ExhaustiveStrategy, ThreadCountInvariant)
 {
     const ComponentCpiTables tables = syntheticExtendedTables();
     const SearchSpace space(tables, AreaModel(), kBudget);
-    const ExhaustiveStrategy strategy(true);
+    const ExhaustiveStrategy strategy;
     expectSameAllocations(strategy.search(space, 1).allocations,
                           strategy.search(space, 4).allocations);
 }
@@ -154,9 +144,9 @@ TEST(ExhaustiveStrategy, ThreadCountInvariant)
 TEST(ExhaustiveStrategy, PruningOnlySkipsOverBudgetCandidates)
 {
     // Property: on the classic and the extended grid, for a spread of
-    // budgets (some tight enough to prune whole subgrids), the ranking
-    // is bitwise identical with pruning on and off, and pruning never
-    // costs extra evaluations.
+    // budgets (some tight enough to prune whole subgrids), the pruned
+    // ranking is bitwise the unpruned oracle's, and pruning never
+    // evaluates more candidates than the grid holds.
     const std::vector<std::pair<const char *, ComponentCpiTables>>
         fixtures = {{"classic", syntheticTables()},
                     {"extended", syntheticExtendedTables()}};
@@ -164,25 +154,24 @@ TEST(ExhaustiveStrategy, PruningOnlySkipsOverBudgetCandidates)
         for (double budget : {30000.0, 60000.0, 120000.0, 250000.0}) {
             SCOPED_TRACE(testing::Message() << name << " " << budget);
             const SearchSpace space(tables, AreaModel(), budget);
-            const auto pruned = ExhaustiveStrategy(true).search(space);
-            const auto full = ExhaustiveStrategy(false).search(space);
-            expectSameAllocations(pruned.allocations, full.allocations);
-            EXPECT_EQ(pruned.candidates, full.candidates);
-            EXPECT_LE(pruned.evaluations, full.evaluations);
+            const SearchResult pruned = ExhaustiveStrategy().search(space);
+            expectSameAllocations(pruned.allocations,
+                                  stableSortedRanking(space));
+            EXPECT_EQ(pruned.candidates, space.candidateCount());
+            EXPECT_LE(pruned.evaluations, pruned.candidates);
         }
     }
     // A tight budget must actually exercise the floor rejections.
     const ComponentCpiTables tables = syntheticExtendedTables();
     const SearchSpace tight(tables, AreaModel(), 30000.0);
-    EXPECT_GT(ExhaustiveStrategy(true).search(tight).prunedSubspaces,
-              0u);
+    EXPECT_GT(ExhaustiveStrategy().search(tight).prunedSubspaces, 0u);
 }
 
 TEST(ExhaustiveStrategy, LooseBudgetEvaluatesEverything)
 {
     const ComponentCpiTables tables = syntheticTables();
     const SearchSpace space(tables, AreaModel(), 1e12);
-    const auto result = ExhaustiveStrategy(true).search(space);
+    const auto result = ExhaustiveStrategy().search(space);
     EXPECT_EQ(result.evaluations, result.candidates);
     EXPECT_EQ(result.prunedSubspaces, 0u);
     EXPECT_EQ(result.allocations.size(), result.candidates);
@@ -220,23 +209,6 @@ tieHeavyTables()
     return tables;
 }
 
-/** Field-for-field bitwise equality of two allocations (one bool, so
- * comparing a million-entry ranking stays cheap). */
-bool
-sameAllocationBits(const Allocation &a, const Allocation &b)
-{
-    return a.rank == b.rank && a.tlb == b.tlb && a.icache == b.icache &&
-        a.dcache == b.dcache && a.victimEntries == b.victimEntries &&
-        a.wbEntries == b.wbEntries && a.hasL2 == b.hasL2 &&
-        a.unified == b.unified && a.l2 == b.l2 &&
-        sameBits(a.areaRbe, b.areaRbe) && sameBits(a.cpi, b.cpi) &&
-        sameBits(a.tlbCpi, b.tlbCpi) &&
-        sameBits(a.icacheCpi, b.icacheCpi) &&
-        sameBits(a.dcacheCpi, b.dcacheCpi) &&
-        sameBits(a.hierarchyCpi, b.hierarchyCpi) &&
-        sameBits(a.wbCpi, b.wbCpi);
-}
-
 TEST(ExhaustiveStrategy, TopKIsThePrefixOfTheFullRanking)
 {
     // Differential: for every fixture, K and lane count the top-K
@@ -262,19 +234,16 @@ TEST(ExhaustiveStrategy, TopKIsThePrefixOfTheFullRanking)
                 SCOPED_TRACE(testing::Message()
                              << "k=" << k << " threads=" << threads);
                 const SearchResult top =
-                    ExhaustiveStrategy(true, k).search(space, threads);
+                    ExhaustiveStrategy(k).search(space, threads);
                 EXPECT_EQ(top.inBudget, n);
                 EXPECT_EQ(top.candidates, full.candidates);
                 EXPECT_EQ(top.evaluations, full.evaluations);
                 EXPECT_EQ(top.prunedSubspaces, full.prunedSubspaces);
                 ASSERT_EQ(top.allocations.size(), std::min(k, n));
-                for (std::size_t i = 0; i < top.allocations.size(); ++i) {
-                    if (!sameAllocationBits(top.allocations[i],
-                                            full.allocations[i])) {
-                        ADD_FAILURE() << "rank " << i + 1 << " differs";
-                        break;
-                    }
-                }
+                for (std::size_t i = 0; i < top.allocations.size(); ++i)
+                    ASSERT_TRUE(sameAllocation(top.allocations[i],
+                                               full.allocations[i]))
+                        << "rank " << i + 1;
             }
         }
     }
@@ -290,33 +259,13 @@ TEST(ExhaustiveStrategy, TieHeavyRankingFollowsEmissionOrder)
     // sort of the unpruned enumeration.
     const ComponentCpiTables tables = tieHeavyTables();
     const SearchSpace space(tables, AreaModel(), kBudget);
-    std::vector<Allocation> emitted;
-    const auto emit = [&](const SearchCandidate &c) {
-        if (space.inBudget(c))
-            emitted.push_back(space.materialize(c));
-    };
-    for (std::size_t t = 0; t < space.tlbAreas().size(); ++t) {
-        for (std::size_t ip = 0; ip < space.iOptions().size(); ++ip)
-            for (std::size_t dp = 0; dp < space.dOptions().size(); ++dp)
-                for (std::size_t wp = 0; wp < space.wbOptions().size();
-                     ++wp)
-                    emit(SearchCandidate{false, t, ip, dp, wp});
-        for (std::size_t hp = 0; hp < space.hierOptions().size(); ++hp)
-            for (std::size_t wp = 0; wp < space.wbOptions().size(); ++wp)
-                emit(SearchCandidate{true, t, hp, 0, wp});
-    }
-    std::stable_sort(emitted.begin(), emitted.end(),
-                     [](const Allocation &x, const Allocation &y) {
-                         return x.cpi < y.cpi;
-                     });
-    for (std::size_t r = 0; r < emitted.size(); ++r)
-        emitted[r].rank = r + 1;
-    const SearchResult ranked = ExhaustiveStrategy(false).search(space, 4);
+    const std::vector<Allocation> emitted = stableSortedRanking(space);
+    const SearchResult ranked = ExhaustiveStrategy().search(space, 4);
     ASSERT_EQ(ranked.allocations.size(), emitted.size());
     std::size_t ties = 0;
     std::size_t mixed_ties = 0;
     for (std::size_t i = 0; i < emitted.size(); ++i) {
-        ASSERT_TRUE(sameAllocationBits(ranked.allocations[i], emitted[i]))
+        ASSERT_TRUE(sameAllocation(ranked.allocations[i], emitted[i]))
             << "rank " << i + 1;
         if (i > 0 && sameBits(emitted[i].cpi, emitted[i - 1].cpi)) {
             ++ties;
@@ -337,8 +286,8 @@ TEST(AnnealingStrategy, RecoversExhaustiveWinnerOnClassicGrid)
     ASSERT_FALSE(exhaustive.allocations.empty());
     const auto annealed = AnnealingStrategy().search(space);
     ASSERT_EQ(annealed.allocations.size(), 1u);
-    expectSameAllocation(annealed.allocations.front(),
-                         exhaustive.allocations.front());
+    EXPECT_TRUE(sameAllocation(annealed.allocations.front(),
+                               exhaustive.allocations.front()));
     // The whole point: well under a tenth of the grid evaluated.
     EXPECT_LT(annealed.evaluations, annealed.candidates / 10);
     EXPECT_GT(annealed.evaluations, 0u);
@@ -352,8 +301,8 @@ TEST(AnnealingStrategy, RecoversExhaustiveWinnerOnExtendedGrid)
     ASSERT_FALSE(exhaustive.allocations.empty());
     const auto annealed = AnnealingStrategy().search(space);
     ASSERT_EQ(annealed.allocations.size(), 1u);
-    expectSameAllocation(annealed.allocations.front(),
-                         exhaustive.allocations.front());
+    EXPECT_TRUE(sameAllocation(annealed.allocations.front(),
+                               exhaustive.allocations.front()));
     EXPECT_LT(annealed.evaluations, annealed.candidates / 10);
 }
 
@@ -387,8 +336,8 @@ TEST(AnnealingStrategy, DifferentSeedsConvergeToTheSameWinner)
         config.seed = seed;
         const auto result = AnnealingStrategy(config).search(space);
         ASSERT_EQ(result.allocations.size(), 1u);
-        expectSameAllocation(result.allocations.front(),
-                             reference.allocations.front());
+        EXPECT_TRUE(sameAllocation(result.allocations.front(),
+                                   reference.allocations.front()));
     }
 }
 
@@ -402,7 +351,7 @@ TEST(AnnealingStrategy, HonorsAssociativityRestriction)
     const Allocation &best = annealed.allocations.front();
     EXPECT_LE(best.icache.assoc, 2u);
     EXPECT_LE(best.dcache.assoc, 2u);
-    expectSameAllocation(best, exhaustive.allocations.front());
+    EXPECT_TRUE(sameAllocation(best, exhaustive.allocations.front()));
 }
 
 TEST(AnnealingStrategy, PruningNeverDiscardsTheOptimum)
@@ -418,8 +367,8 @@ TEST(AnnealingStrategy, PruningNeverDiscardsTheOptimum)
         ASSERT_FALSE(exhaustive.allocations.empty());
         const auto annealed = AnnealingStrategy().search(space);
         ASSERT_EQ(annealed.allocations.size(), 1u);
-        expectSameAllocation(annealed.allocations.front(),
-                             exhaustive.allocations.front());
+        EXPECT_TRUE(sameAllocation(annealed.allocations.front(),
+                                   exhaustive.allocations.front()));
         EXPECT_GT(annealed.prunedSubspaces, 0u);
     }
 }

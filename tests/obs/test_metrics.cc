@@ -163,9 +163,9 @@ TEST(MetricRegistry, MergeSumsCountersAndHistograms)
 
 TEST(MetricRegistry, ShardMergeIsOrderIndependentForCounters)
 {
-    // The parallel engines merge shards in task order; for counters
-    // and histograms any order must give the same totals, so the
-    // schedule cannot leak into the report.
+    // QueryEngine::answerBatch merges per-question registries in
+    // group order; for counters and histograms any order must give
+    // the same totals, so the schedule cannot leak into the report.
     std::vector<MetricRegistry> shards(4);
     for (std::size_t i = 0; i < shards.size(); ++i) {
         shards[i].add("work/items", i + 1);
