@@ -114,6 +114,11 @@ QueryEngine::validate(const AllocationRequest &request,
             std::to_string(maxAnnealingChains) + " chains";
         return false;
     }
+    if (request.annealing.iterations > maxAnnealingIterations) {
+        error = "request.annealing.iterations: at most " +
+            std::to_string(maxAnnealingIterations) + " per chain";
+        return false;
+    }
     return true;
 }
 
@@ -238,7 +243,7 @@ QueryEngine::answer(const AllocationRequest &request,
         m.add("serve/rejected");
         return encodeError("request." + bad);
     }
-    InflightTable::Lease lease = inflightTable().join(key);
+    InflightTable::Lease lease = _inflight.join(key);
     if (!lease.leader()) {
         m.add("serve/dedup_hits");
         return lease.payload();

@@ -175,6 +175,11 @@ class QueryEngine
      * holds its own search state. */
     static constexpr unsigned maxAnnealingChains = 1024;
 
+    /** Most proposals one annealing chain may make: 500x the default
+     * of 2,000. Even maxAnnealingChains chains of this many finish in
+     * bounded time; 2^32 proposals ran for as long as anyone waited. */
+    static constexpr std::uint64_t maxAnnealingIterations = 1000000;
+
     /** Most references one request may ask for per workload: 20x
      * the largest count the repository runs, and about 1 GB for one
      * packed recording (~10 B/ref). A larger count would record for
@@ -183,7 +188,7 @@ class QueryEngine
 
     /** Semantic validation beyond the codec (non-empty mix and
      * grid, positive budget, references, threads and annealing chains
-     * within their limits...); false sets @p error. */
+     * and iterations within their limits...); false sets @p error. */
     [[nodiscard]] static bool validate(const AllocationRequest &request,
                                        std::string &error);
 
@@ -206,17 +211,10 @@ class QueryEngine
     computeAnswer(const AllocationRequest &request,
                   obs::Observation &observation) const;
 
-    /** The dedupe table: the store's when present, else our own
-     * (storeless engines still coalesce concurrent duplicates). */
-    [[nodiscard]] InflightTable &
-    inflightTable()
-    {
-        return _store != nullptr ? _store->inflight() : _inflight;
-    }
-
     QueryEngineConfig _config;
     std::unique_ptr<ArtifactStore> _store;
-    InflightTable _inflight; //!< Used only when storeless.
+    /** The dedupe table; storeless engines coalesce too. */
+    InflightTable _inflight;
 };
 
 } // namespace oma::api

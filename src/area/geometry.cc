@@ -23,7 +23,9 @@ CacheGeometry::check() const
     if (!isPowerOfTwo(assoc))
         return "cache associativity must be a power of two: " +
             describe();
-    if (capacityBytes < lineBytes * assoc)
+    // Divide rather than multiply: lineBytes * assoc can wrap to 0
+    // (2^63 ways of 32-byte lines) and pass a zero-set geometry.
+    if (assoc > capacityBytes / lineBytes)
         return "cache needs at least one set: " + describe();
     return {};
 }

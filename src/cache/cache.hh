@@ -94,19 +94,23 @@ struct CacheStats
     /** Misses to lines never previously resident (compulsory). */
     std::uint64_t compulsoryMisses = 0;
 
-    /** Add @p other's counts field by field. */
-    CacheStats &
-    operator+=(const CacheStats &other)
+    /** The word a stored payload begins with (store/codec.hh). */
+    static constexpr std::uint64_t shapeWord = numRefKinds;
+
+    /** Call @p f(name, s.field...) for every counter, in store-payload
+     * order, under its run-report name: the one list the store codec,
+     * the obs exporter and the sweep's per-kind sums walk. Passing two
+     * records walks them side by side (a sum into the first). */
+    template <class F, class... S>
+    static void
+    forEachCounter(F &&f, S &&...s)
     {
-        for (unsigned k = 0; k < numRefKinds; ++k) {
-            accesses[k] += other.accesses[k];
-            misses[k] += other.misses[k];
-        }
-        lineFills += other.lineFills;
-        writebacks += other.writebacks;
-        writeThroughWords += other.writeThroughWords;
-        compulsoryMisses += other.compulsoryMisses;
-        return *this;
+        f("accesses", s.accesses...);
+        f("misses", s.misses...);
+        f("line_fills", s.lineFills...);
+        f("writebacks", s.writebacks...);
+        f("write_through_words", s.writeThroughWords...);
+        f("compulsory_misses", s.compulsoryMisses...);
     }
 
     [[nodiscard]] std::uint64_t

@@ -38,18 +38,19 @@ struct HierarchyStats
     std::uint64_t portConflicts = 0; //!< Unified-L1 structural hazards.
     std::uint64_t stallCycles = 0;
 
-    /** Add @p other's counts field by field. */
-    HierarchyStats &
-    operator+=(const HierarchyStats &other)
+    /** Call @p f(name, s.field...) for every counter, in store-payload
+     * order, under its run-report name (CacheStats::forEachCounter). */
+    template <class F, class... S>
+    static void
+    forEachCounter(F &&f, S &&...s)
     {
-        instructions += other.instructions;
-        dataRefs += other.dataRefs;
-        l1Misses += other.l1Misses;
-        l2Hits += other.l2Hits;
-        l2Misses += other.l2Misses;
-        portConflicts += other.portConflicts;
-        stallCycles += other.stallCycles;
-        return *this;
+        f("instructions", s.instructions...);
+        f("data_refs", s.dataRefs...);
+        f("l1_misses", s.l1Misses...);
+        f("l2_hits", s.l2Hits...);
+        f("l2_misses", s.l2Misses...);
+        f("port_conflicts", s.portConflicts...);
+        f("stall_cycles", s.stallCycles...);
     }
 
     double

@@ -50,15 +50,16 @@ struct VictimStats
     std::uint64_t victimHits = 0; //!< Conflict misses swapped back.
     std::uint64_t misses = 0;     //!< Went to memory.
 
-    /** Add @p other's counts field by field. */
-    VictimStats &
-    operator+=(const VictimStats &other)
+    /** Call @p f(name, s.field...) for every counter, in store-payload
+     * order, under its run-report name (CacheStats::forEachCounter). */
+    template <class F, class... S>
+    static void
+    forEachCounter(F &&f, S &&...s)
     {
-        accesses += other.accesses;
-        l1Hits += other.l1Hits;
-        victimHits += other.victimHits;
-        misses += other.misses;
-        return *this;
+        f("accesses", s.accesses...);
+        f("l1_hits", s.l1Hits...);
+        f("victim_hits", s.victimHits...);
+        f("misses", s.misses...);
     }
 
     double

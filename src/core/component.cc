@@ -12,7 +12,6 @@
 
 #include "core/component.hh"
 
-#include <type_traits>
 #include <vector>
 
 #include "store/codec.hh"
@@ -347,26 +346,6 @@ class HierarchyComponent final : public ComponentReplayer
     std::uint64_t _delivered = 0;
 };
 
-/** Variant alternative of ComponentCounters that @p kind reports. */
-std::size_t
-countersIndexFor(ComponentKind kind)
-{
-    switch (kind) {
-      case ComponentKind::ICache:
-      case ComponentKind::DCache:
-        return 0; // CacheStats
-      case ComponentKind::Tlb:
-        return 1; // MmuStats
-      case ComponentKind::Victim:
-        return 2; // VictimStats
-      case ComponentKind::WriteBuffer:
-        return 3; // WriteBufferStats
-      case ComponentKind::Hierarchy:
-        return 4; // HierarchyStats
-    }
-    return 0;
-}
-
 } // namespace
 
 std::unique_ptr<ComponentReplayer>
@@ -447,20 +426,7 @@ std::string
 encodeComponentCounters(const ComponentCounters &counters)
 {
     return std::visit(
-        [](const auto &s) -> std::string {
-            using T = std::decay_t<decltype(s)>;
-            if constexpr (std::is_same_v<T, CacheStats>)
-                return store::encodeCacheStats(s);
-            else if constexpr (std::is_same_v<T, MmuStats>)
-                return store::encodeMmuStats(s);
-            else if constexpr (std::is_same_v<T, VictimStats>)
-                return store::encodeVictimStats(s);
-            else if constexpr (std::is_same_v<T, WriteBufferStats>)
-                return store::encodeWriteBufferStats(s);
-            else
-                return store::encodeHierarchyStats(s);
-        },
-        counters);
+        [](const auto &s) { return store::encodeCounters(s); }, counters);
 }
 
 bool
@@ -468,48 +434,28 @@ decodeComponentCounters(std::string_view payload, ComponentKind kind,
                         ComponentCounters &counters)
 {
     // The payload carries no kind tag: the store key already
-    // fingerprints the kind (and the byte layouts are framed by the
-    // per-type decoders), so shards written by the pre-component
+    // fingerprints the kind, so shards written by the pre-component
     // engine decode unchanged.
-    switch (countersIndexFor(kind)) {
-      case 0: {
-        CacheStats s;
-        if (!store::decodeCacheStats(payload, s))
+    const auto decode = [&](auto s) {
+        if (!store::decodeCounters(payload, s))
             return false;
         counters = s;
         return true;
-      }
-      case 1: {
-        MmuStats s;
-        if (!store::decodeMmuStats(payload, s))
-            return false;
-        counters = s;
-        return true;
-      }
-      case 2: {
-        VictimStats s;
-        if (!store::decodeVictimStats(payload, s))
-            return false;
-        counters = s;
-        return true;
-      }
-      case 3: {
-        WriteBufferStats s;
-        if (!store::decodeWriteBufferStats(payload, s))
-            return false;
-        counters = s;
-        return true;
-      }
-      case 4: {
-        HierarchyStats s;
-        if (!store::decodeHierarchyStats(payload, s))
-            return false;
-        counters = s;
-        return true;
-      }
-      default:
-        return false;
+    };
+    switch (kind) {
+      case ComponentKind::ICache:
+      case ComponentKind::DCache:
+        return decode(CacheStats());
+      case ComponentKind::Tlb:
+        return decode(MmuStats());
+      case ComponentKind::Victim:
+        return decode(VictimStats());
+      case ComponentKind::WriteBuffer:
+        return decode(WriteBufferStats());
+      case ComponentKind::Hierarchy:
+        return decode(HierarchyStats());
     }
+    return false;
 }
 
 } // namespace oma

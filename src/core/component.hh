@@ -14,8 +14,9 @@
  *    filtered to the component's stream and fed to the simulator's
  *    one access body, one reference at a time;
  *  - ordered `counters()` — the component's exact integer counters as
- *    a ComponentCounters variant, which the store codec persists
- *    (store/codec.hh) and the obs exporters name deterministically.
+ *    a ComponentCounters variant. Each record lists its fields once,
+ *    in forEachCounter(); the store codec (store/codec.hh), the obs
+ *    exporter and the sweep's per-kind sums all walk that list.
  *
  * replayComponent() is the one driver that replays a recording
  * through a single component. tests/core/test_component_replay.cc

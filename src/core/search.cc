@@ -34,8 +34,11 @@ ConfigSpace::cacheGeometries(std::uint64_t max_ways) const
                     continue;
                 const CacheGeometry geom =
                     CacheGeometry::fromWords(kb * 1024, line, ways);
-                if (geom.capacityBytes < geom.lineBytes * geom.assoc)
-                    continue; // needs at least one set
+                // Needs at least one set (divided, so no product
+                // wraps; a zero line size is left to check()).
+                if (geom.lineBytes != 0 &&
+                    geom.assoc > geom.capacityBytes / geom.lineBytes)
+                    continue;
                 geoms.push_back(geom);
             }
         }

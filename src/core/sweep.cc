@@ -8,7 +8,6 @@
 #include <map>
 #include <memory>
 #include <numeric>
-#include <type_traits>
 #include <utility>
 #include <variant>
 
@@ -90,6 +89,21 @@ cacheStream(const ComponentSlot &slot)
 {
     return slot.kind == ComponentKind::ICache ? CacheStream::Fetch
                                               : CacheStream::Data;
+}
+
+/** Add one listed counter of a slot into its kind's sum. */
+void
+addCounter(std::uint64_t &sum, std::uint64_t value)
+{
+    sum += value;
+}
+
+template <std::size_t N>
+void
+addCounter(std::uint64_t (&sum)[N], const std::uint64_t (&value)[N])
+{
+    for (std::size_t i = 0; i < N; ++i)
+        sum[i] += value[i];
 }
 
 } // namespace
@@ -274,7 +288,7 @@ ComponentSweep::sweepTasks(const TraceSource &trace_source,
         if (store == nullptr || !store->get(shard_key(task), payload))
             return false;
         if (task == 0)
-            return store::decodeMachineShard(payload, machine);
+            return store::decodeCounters(payload, machine);
         return decodeComponentCounters(payload, _slots[task - 1].kind,
                                        result._stats[task - 1]);
     };
@@ -299,7 +313,7 @@ ComponentSweep::sweepTasks(const TraceSource &trace_source,
             machine.wbStallCycles = m.writeBuffer().stallCycles();
             machine.references = trace.size();
             machine.otherCpi = trace.otherCpi();
-            payload = store::encodeMachineShard(machine);
+            payload = store::encodeCounters(machine);
         } else {
             const std::unique_ptr<ComponentReplayer> component =
                 makeComponent(_slots[task - 1], _refMachine);
@@ -419,16 +433,19 @@ ComponentSweep::sweepTasks(const TraceSource &trace_source,
         const std::vector<std::size_t> &index = result._kindIndex[k];
         if (index.empty())
             continue;
-        ComponentCounters total = result._stats[index.front()];
-        for (std::size_t j = 1; j < index.size(); ++j)
-            std::visit(
-                [&](auto &sum) {
-                    sum += std::get<std::decay_t<decltype(sum)>>(
-                        result._stats[index[j]]);
-                },
-                total);
-        obs::exportComponentCounters(
-            m, componentKindName(ComponentKind(k)), total);
+        std::visit(
+            [&](auto total) {
+                using Stats = decltype(total);
+                for (std::size_t j = 1; j < index.size(); ++j)
+                    Stats::forEachCounter(
+                        [](const char *, auto &sum, const auto &value) {
+                            addCounter(sum, value);
+                        },
+                        total, std::get<Stats>(result._stats[index[j]]));
+                obs::exportCounters(
+                    m, componentKindName(ComponentKind(k)), total);
+            },
+            result._stats[index.front()]);
     }
 
     result.instructions = machine.instructions;

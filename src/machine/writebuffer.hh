@@ -57,14 +57,15 @@ struct WriteBufferStats
     std::uint64_t stores = 0;
     std::uint64_t stallCycles = 0; //!< Buffer-full stalls.
 
-    /** Add @p other's counts field by field. */
-    WriteBufferStats &
-    operator+=(const WriteBufferStats &other)
+    /** Call @p f(name, s.field...) for every counter, in store-payload
+     * order, under its run-report name (CacheStats::forEachCounter). */
+    template <class F, class... S>
+    static void
+    forEachCounter(F &&f, S &&...s)
     {
-        instructions += other.instructions;
-        stores += other.stores;
-        stallCycles += other.stallCycles;
-        return *this;
+        f("instructions", s.instructions...);
+        f("stores", s.stores...);
+        f("stall_cycles", s.stallCycles...);
     }
 
     /** Write-buffer stall cycles per instruction. */

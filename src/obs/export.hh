@@ -5,6 +5,9 @@
  * Each simulation component keeps its own counters (CacheStats,
  * MmuStats, StallCounters...); these helpers copy them into a
  * MetricRegistry under the naming scheme of docs/OBSERVABILITY.md.
+ * A component's counter names come from its record's
+ * forEachCounter() list, the list the store codec also walks, so
+ * exportCounters() is the one exporter for all five records.
  * Exporting is a read-only snapshot — components never observe the
  * registry — which is what keeps a run's results bitwise independent
  * of the observation it records into.
@@ -18,9 +21,10 @@
 #ifndef OMA_OBS_EXPORT_HH
 #define OMA_OBS_EXPORT_HH
 
+#include <iterator>
+#include <numeric>
 #include <string>
 #include <type_traits>
-#include <variant>
 
 #include "core/experiment.hh"
 #include "core/search.hh"
@@ -35,29 +39,32 @@
 namespace oma::obs
 {
 
-/** Cache event counters under `<prefix>/...`. */
+/**
+ * A counter record's fields under `<prefix>/<name>`, named by the
+ * record's forEachCounter() list (cache/cache.hh), an array as its
+ * sum; for the MMU also the derived `refill_cycles`. One template
+ * serves CacheStats, MmuStats, VictimStats, WriteBufferStats and
+ * HierarchyStats, so a counter added to a list is exported by name.
+ */
+template <class Stats>
 inline void
-exportCacheStats(MetricRegistry &m, const std::string &prefix,
-                 const CacheStats &s)
+exportCounters(MetricRegistry &m, const std::string &prefix,
+               const Stats &s)
 {
-    m.add(prefix + "/accesses", s.totalAccesses());
-    m.add(prefix + "/misses", s.totalMisses());
-    m.add(prefix + "/line_fills", s.lineFills);
-    m.add(prefix + "/writebacks", s.writebacks);
-    m.add(prefix + "/write_through_words", s.writeThroughWords);
-    m.add(prefix + "/compulsory_misses", s.compulsoryMisses);
-}
-
-/** MMU/TLB event and cycle counters under `<prefix>/...`. */
-inline void
-exportMmuStats(MetricRegistry &m, const std::string &prefix,
-               const MmuStats &s)
-{
-    m.add(prefix + "/translations", s.translations);
-    m.add(prefix + "/misses", s.totalMisses());
-    m.add(prefix + "/service_cycles", s.totalServiceCycles());
-    m.add(prefix + "/refill_cycles", s.refillCycles());
-    m.add(prefix + "/asid_flushes", s.asidFlushes);
+    Stats::forEachCounter(
+        [&m, &prefix](const char *name, const auto &field) {
+            std::uint64_t total = 0;
+            if constexpr (std::is_array_v<
+                              std::remove_reference_t<decltype(field)>>)
+                total = std::accumulate(std::begin(field),
+                                        std::end(field), total);
+            else
+                total = field;
+            m.add(prefix + "/" + name, total);
+        },
+        s);
+    if constexpr (std::is_same_v<Stats, MmuStats>)
+        m.add(prefix + "/refill_cycles", s.refillCycles());
 }
 
 /** Monster-style stall attribution counters under `<prefix>/...`. */
@@ -81,65 +88,6 @@ exportWriteBufferCounters(MetricRegistry &m, const std::string &prefix,
 {
     m.add(prefix + "/stores", stores);
     m.add(prefix + "/stall_cycles", stall_cycles);
-}
-
-/** Victim-cache counters under `<prefix>/...`. */
-inline void
-exportVictimStats(MetricRegistry &m, const std::string &prefix,
-                  const VictimStats &s)
-{
-    m.add(prefix + "/accesses", s.accesses);
-    m.add(prefix + "/l1_hits", s.l1Hits);
-    m.add(prefix + "/victim_hits", s.victimHits);
-    m.add(prefix + "/misses", s.misses);
-}
-
-/** Standalone write-buffer component counters under `<prefix>/...`. */
-inline void
-exportWriteBufferSimStats(MetricRegistry &m,
-                          const std::string &prefix,
-                          const WriteBufferStats &s)
-{
-    m.add(prefix + "/instructions", s.instructions);
-    m.add(prefix + "/stores", s.stores);
-    m.add(prefix + "/stall_cycles", s.stallCycles);
-}
-
-/** Hierarchy counters under `<prefix>/...`. */
-inline void
-exportHierarchyStats(MetricRegistry &m, const std::string &prefix,
-                     const HierarchyStats &s)
-{
-    m.add(prefix + "/instructions", s.instructions);
-    m.add(prefix + "/data_refs", s.dataRefs);
-    m.add(prefix + "/l1_misses", s.l1Misses);
-    m.add(prefix + "/l2_hits", s.l2Hits);
-    m.add(prefix + "/l2_misses", s.l2Misses);
-    m.add(prefix + "/port_conflicts", s.portConflicts);
-    m.add(prefix + "/stall_cycles", s.stallCycles);
-}
-
-/** Any replayable component's counters under `<prefix>/...`
- * (dispatches on the ComponentCounters alternative). */
-inline void
-exportComponentCounters(MetricRegistry &m, const std::string &prefix,
-                        const ComponentCounters &counters)
-{
-    std::visit(
-        [&m, &prefix](const auto &s) {
-            using T = std::decay_t<decltype(s)>;
-            if constexpr (std::is_same_v<T, CacheStats>)
-                exportCacheStats(m, prefix, s);
-            else if constexpr (std::is_same_v<T, MmuStats>)
-                exportMmuStats(m, prefix, s);
-            else if constexpr (std::is_same_v<T, VictimStats>)
-                exportVictimStats(m, prefix, s);
-            else if constexpr (std::is_same_v<T, WriteBufferStats>)
-                exportWriteBufferSimStats(m, prefix, s);
-            else
-                exportHierarchyStats(m, prefix, s);
-        },
-        counters);
 }
 
 /** Recording shape: reference/event counts and packed size. */
@@ -178,7 +126,7 @@ exportBaseline(MetricRegistry &m, const std::string &prefix,
 {
     m.add(prefix + "/instructions", r.instructions);
     m.add(prefix + "/references", r.references);
-    exportMmuStats(m, prefix + "/tlb", r.mmu);
+    exportCounters(m, prefix + "/tlb", r.mmu);
     m.set(prefix + "/icache_miss_ratio", r.icacheMissRatio);
     m.set(prefix + "/dcache_miss_ratio", r.dcacheMissRatio);
     m.set(prefix + "/cpi", r.cpi.cpi);

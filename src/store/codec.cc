@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
 #include <vector>
 
 #include "store/store.hh"
@@ -19,31 +20,13 @@ namespace oma::store
 namespace
 {
 
+/** Append @p v's raw host-order bytes: an integer, a double's bits,
+ * or an integer array element by element. */
+template <class T>
 void
-appendU8(std::string &out, std::uint8_t v)
+appendRaw(std::string &out, const T &v)
 {
-    out.push_back(char(v));
-}
-
-void
-appendU32(std::string &out, std::uint32_t v)
-{
-    char buf[sizeof v];
-    std::memcpy(buf, &v, sizeof v);
-    out.append(buf, sizeof v);
-}
-
-void
-appendU64(std::string &out, std::uint64_t v)
-{
-    char buf[sizeof v];
-    std::memcpy(buf, &v, sizeof v);
-    out.append(buf, sizeof v);
-}
-
-void
-appendF64(std::string &out, double v)
-{
+    static_assert(std::is_arithmetic_v<std::remove_all_extents_t<T>>);
     char buf[sizeof v];
     std::memcpy(buf, &v, sizeof v);
     out.append(buf, sizeof v);
@@ -55,30 +38,11 @@ class Reader
   public:
     explicit Reader(std::string_view in) : _in(in) {}
 
+    /** Read the next sizeof(v) bytes into @p v, as appendRaw()
+     * wrote them. */
+    template <class T>
     bool
-    u8(std::uint8_t &v)
-    {
-        if (remaining() < sizeof v)
-            return fail();
-        v = std::uint8_t(_in[_pos]);
-        _pos += sizeof v;
-        return true;
-    }
-
-    bool
-    u32(std::uint32_t &v)
-    {
-        return raw(&v, sizeof v);
-    }
-
-    bool
-    u64(std::uint64_t &v)
-    {
-        return raw(&v, sizeof v);
-    }
-
-    bool
-    f64(double &v)
+    get(T &v)
     {
         return raw(&v, sizeof v);
     }
@@ -148,25 +112,25 @@ encodeTrace(const RecordedTrace &trace)
     // delta/varint payload per column chunk. Events come first so
     // the decoder can interleave them while streaming the chunks.
     std::string out;
-    appendU64(out, trace.size());
-    appendU64(out, trace.events().size());
-    appendF64(out, trace.otherCpi());
+    appendRaw(out, trace.size());
+    appendRaw(out, std::uint64_t(trace.events().size()));
+    appendRaw(out, trace.otherCpi());
     const std::size_t events_start = out.size();
     for (const TraceEvent &e : trace.events()) {
-        appendU64(out, e.index);
-        appendU64(out, e.vpn);
-        appendU32(out, e.asid);
-        appendU8(out, e.global ? 1 : 0);
+        appendRaw(out, e.index);
+        appendRaw(out, e.vpn);
+        appendRaw(out, e.asid);
+        appendRaw(out, std::uint8_t(e.global ? 1 : 0));
     }
-    appendU32(out, trace::fnv1a32(
+    appendRaw(out, trace::fnv1a32(
                        std::string_view(out).substr(events_start)));
     for (std::size_t c = 0; c < trace.numChunks(); ++c) {
         const TraceChunkView v = trace.chunkView(c);
         const std::string chunk = trace::encodeColumns(
             v.vaddr, v.paddr, v.asid, v.flags, v.size);
-        appendU32(out, std::uint32_t(v.size));
-        appendU32(out, std::uint32_t(chunk.size()));
-        appendU32(out, trace::fnv1a32(chunk));
+        appendRaw(out, std::uint32_t(v.size));
+        appendRaw(out, std::uint32_t(chunk.size()));
+        appendRaw(out, trace::fnv1a32(chunk));
         out += chunk;
     }
     return out;
@@ -178,7 +142,7 @@ decodeTrace(std::string_view payload, RecordedTrace &trace)
     Reader r(payload);
     std::uint64_t size = 0, event_count = 0;
     double other_cpi = 0.0;
-    if (!r.u64(size) || !r.u64(event_count) || !r.f64(other_cpi))
+    if (!r.get(size) || !r.get(event_count) || !r.get(other_cpi))
         return false;
 
     // The event section precedes the chunks, but
@@ -190,7 +154,7 @@ decodeTrace(std::string_view payload, RecordedTrace &trace)
     std::string_view event_bytes;
     std::uint32_t events_sum = 0;
     if (!r.bytes(std::size_t(event_count) * 21, event_bytes) ||
-        !r.u32(events_sum) ||
+        !r.get(events_sum) ||
         trace::fnv1a32(event_bytes) != events_sum) {
         return false;
     }
@@ -201,8 +165,8 @@ decodeTrace(std::string_view payload, RecordedTrace &trace)
         for (std::uint64_t i = 0; i < event_count; ++i) {
             TraceEvent e{};
             std::uint8_t global = 0;
-            if (!ev.u64(e.index) || !ev.u64(e.vpn) || !ev.u32(e.asid) ||
-                !ev.u8(global)) {
+            if (!ev.get(e.index) || !ev.get(e.vpn) || !ev.get(e.asid) ||
+                !ev.get(global)) {
                 return false;
             }
             e.global = global != 0;
@@ -224,8 +188,8 @@ decodeTrace(std::string_view payload, RecordedTrace &trace)
                                     size - index));
         std::uint32_t ref_count = 0, chunk_bytes = 0, chunk_sum = 0;
         std::string_view chunk;
-        if (!r.u32(ref_count) || !r.u32(chunk_bytes) ||
-            !r.u32(chunk_sum) || ref_count != expect ||
+        if (!r.get(ref_count) || !r.get(chunk_bytes) ||
+            !r.get(chunk_sum) || ref_count != expect ||
             !r.bytes(chunk_bytes, chunk) ||
             trace::fnv1a32(chunk) != chunk_sum ||
             !trace::decodeColumns(chunk, expect, cols)) {
@@ -284,188 +248,49 @@ readTrace(const std::string &path)
     return trace;
 }
 
+template <class Stats>
 std::string
-encodeCacheStats(const CacheStats &s)
+encodeCounters(const Stats &s)
 {
     std::string out;
-    appendU64(out, numRefKinds);
-    for (unsigned k = 0; k < numRefKinds; ++k)
-        appendU64(out, s.accesses[k]);
-    for (unsigned k = 0; k < numRefKinds; ++k)
-        appendU64(out, s.misses[k]);
-    appendU64(out, s.lineFills);
-    appendU64(out, s.writebacks);
-    appendU64(out, s.writeThroughWords);
-    appendU64(out, s.compulsoryMisses);
+    if constexpr (requires { Stats::shapeWord; })
+        appendRaw(out, Stats::shapeWord);
+    Stats::forEachCounter(
+        [&out](const char *, const auto &field) { appendRaw(out, field); },
+        s);
     return out;
 }
 
+template <class Stats>
 bool
-decodeCacheStats(std::string_view payload, CacheStats &s)
+decodeCounters(std::string_view payload, Stats &s)
 {
     Reader r(payload);
-    std::uint64_t kinds = 0;
-    if (!r.u64(kinds) || kinds != numRefKinds)
-        return false;
-    CacheStats decoded;
-    for (unsigned k = 0; k < numRefKinds; ++k)
-        if (!r.u64(decoded.accesses[k]))
+    if constexpr (requires { Stats::shapeWord; }) {
+        std::uint64_t shape = 0;
+        if (!r.get(shape) || shape != Stats::shapeWord)
             return false;
-    for (unsigned k = 0; k < numRefKinds; ++k)
-        if (!r.u64(decoded.misses[k]))
-            return false;
-    if (!r.u64(decoded.lineFills) || !r.u64(decoded.writebacks) ||
-        !r.u64(decoded.writeThroughWords) ||
-        !r.u64(decoded.compulsoryMisses) || !r.done()) {
-        return false;
     }
-    s = decoded;
-    return true;
-}
-
-std::string
-encodeMmuStats(const MmuStats &s)
-{
-    std::string out;
-    appendU64(out, numMissClasses);
-    appendU64(out, s.translations);
-    for (unsigned c = 0; c < numMissClasses; ++c)
-        appendU64(out, s.counts[c]);
-    for (unsigned c = 0; c < numMissClasses; ++c)
-        appendU64(out, s.cycles[c]);
-    appendU64(out, s.asidFlushes);
-    return out;
-}
-
-bool
-decodeMmuStats(std::string_view payload, MmuStats &s)
-{
-    Reader r(payload);
-    std::uint64_t classes = 0;
-    if (!r.u64(classes) || classes != numMissClasses)
-        return false;
-    MmuStats decoded;
-    if (!r.u64(decoded.translations))
-        return false;
-    for (unsigned c = 0; c < numMissClasses; ++c)
-        if (!r.u64(decoded.counts[c]))
-            return false;
-    for (unsigned c = 0; c < numMissClasses; ++c)
-        if (!r.u64(decoded.cycles[c]))
-            return false;
-    if (!r.u64(decoded.asidFlushes) || !r.done())
+    Stats decoded;
+    Stats::forEachCounter(
+        [&r](const char *, auto &field) { r.get(field); }, decoded);
+    if (!r.done())
         return false;
     s = decoded;
     return true;
 }
 
-std::string
-encodeMachineShard(const MachineShard &s)
-{
-    std::string out;
-    appendU64(out, s.instructions);
-    appendU64(out, s.icacheStall);
-    appendU64(out, s.dcacheStall);
-    appendU64(out, s.wbStall);
-    appendU64(out, s.tlbStall);
-    appendU64(out, s.wbStores);
-    appendU64(out, s.wbStallCycles);
-    appendU64(out, s.references);
-    appendF64(out, s.otherCpi);
-    return out;
-}
-
-bool
-decodeMachineShard(std::string_view payload, MachineShard &s)
-{
-    Reader r(payload);
-    MachineShard decoded;
-    if (!r.u64(decoded.instructions) || !r.u64(decoded.icacheStall) ||
-        !r.u64(decoded.dcacheStall) || !r.u64(decoded.wbStall) ||
-        !r.u64(decoded.tlbStall) || !r.u64(decoded.wbStores) ||
-        !r.u64(decoded.wbStallCycles) || !r.u64(decoded.references) ||
-        !r.f64(decoded.otherCpi) || !r.done()) {
-        return false;
-    }
-    s = decoded;
-    return true;
-}
-
-std::string
-encodeVictimStats(const VictimStats &s)
-{
-    std::string out;
-    appendU64(out, s.accesses);
-    appendU64(out, s.l1Hits);
-    appendU64(out, s.victimHits);
-    appendU64(out, s.misses);
-    return out;
-}
-
-bool
-decodeVictimStats(std::string_view payload, VictimStats &s)
-{
-    Reader r(payload);
-    VictimStats decoded;
-    if (!r.u64(decoded.accesses) || !r.u64(decoded.l1Hits) ||
-        !r.u64(decoded.victimHits) || !r.u64(decoded.misses) ||
-        !r.done()) {
-        return false;
-    }
-    s = decoded;
-    return true;
-}
-
-std::string
-encodeWriteBufferStats(const WriteBufferStats &s)
-{
-    std::string out;
-    appendU64(out, s.instructions);
-    appendU64(out, s.stores);
-    appendU64(out, s.stallCycles);
-    return out;
-}
-
-bool
-decodeWriteBufferStats(std::string_view payload, WriteBufferStats &s)
-{
-    Reader r(payload);
-    WriteBufferStats decoded;
-    if (!r.u64(decoded.instructions) || !r.u64(decoded.stores) ||
-        !r.u64(decoded.stallCycles) || !r.done()) {
-        return false;
-    }
-    s = decoded;
-    return true;
-}
-
-std::string
-encodeHierarchyStats(const HierarchyStats &s)
-{
-    std::string out;
-    appendU64(out, s.instructions);
-    appendU64(out, s.dataRefs);
-    appendU64(out, s.l1Misses);
-    appendU64(out, s.l2Hits);
-    appendU64(out, s.l2Misses);
-    appendU64(out, s.portConflicts);
-    appendU64(out, s.stallCycles);
-    return out;
-}
-
-bool
-decodeHierarchyStats(std::string_view payload, HierarchyStats &s)
-{
-    Reader r(payload);
-    HierarchyStats decoded;
-    if (!r.u64(decoded.instructions) || !r.u64(decoded.dataRefs) ||
-        !r.u64(decoded.l1Misses) || !r.u64(decoded.l2Hits) ||
-        !r.u64(decoded.l2Misses) || !r.u64(decoded.portConflicts) ||
-        !r.u64(decoded.stallCycles) || !r.done()) {
-        return false;
-    }
-    s = decoded;
-    return true;
-}
+template std::string encodeCounters(const CacheStats &);
+template std::string encodeCounters(const MmuStats &);
+template std::string encodeCounters(const VictimStats &);
+template std::string encodeCounters(const WriteBufferStats &);
+template std::string encodeCounters(const HierarchyStats &);
+template std::string encodeCounters(const MachineShard &);
+template bool decodeCounters(std::string_view, CacheStats &);
+template bool decodeCounters(std::string_view, MmuStats &);
+template bool decodeCounters(std::string_view, VictimStats &);
+template bool decodeCounters(std::string_view, WriteBufferStats &);
+template bool decodeCounters(std::string_view, HierarchyStats &);
+template bool decodeCounters(std::string_view, MachineShard &);
 
 } // namespace oma::store

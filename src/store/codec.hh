@@ -4,11 +4,17 @@
  *
  * Two artifact kinds exist today: a complete RecordedTrace (the
  * output of the serial record phase) and one replay shard's exact
- * counters (CacheStats / MmuStats / the reference machine's
- * MachineShard). Every codec stores raw integer counters — never
- * derived ratios — so a decoded shard reproduces the live result and
- * its exported metrics bit-for-bit; that is the store's whole
+ * counters (a component's CacheStats, MmuStats, VictimStats,
+ * WriteBufferStats or HierarchyStats, or the reference machine's
+ * MachineShard). Every codec stores raw counters — never derived
+ * ratios — so a decoded shard reproduces the live result and its
+ * exported metrics bit-for-bit; that is the store's whole
  * bitwise-identity guarantee (tests/core/test_store_sweep.cc).
+ *
+ * One codec serves every counter record: encodeCounters() writes the
+ * record's shape word, when it declares one, then each field its
+ * forEachCounter() lists, in list order. The list fixes the bytes,
+ * not the struct layout, so adding a counter is one edit to the list.
  *
  * Encoding is little-endian-agnostic host byte order via memcpy
  * (entries are per-machine caches; the fingerprint scheme ages them
@@ -65,6 +71,25 @@ struct MachineShard
     std::uint64_t references = 0;
     /** The recording's non-memory stall CPI, stored as raw bits. */
     double otherCpi = 0.0;
+
+    /** Call @p f(name, s.field...) for every field, in store-payload
+     * order (CacheStats::forEachCounter). The first five names are
+     * the sweep's `machine/` counters; the sweep exports the
+     * write-buffer pair as `wb/stores` and `wb/stall_cycles`. */
+    template <class F, class... S>
+    static void
+    forEachCounter(F &&f, S &&...s)
+    {
+        f("instructions", s.instructions...);
+        f("icache_stall", s.icacheStall...);
+        f("dcache_stall", s.dcacheStall...);
+        f("wb_stall", s.wbStall...);
+        f("tlb_stall", s.tlbStall...);
+        f("wb_stores", s.wbStores...);
+        f("wb_stall_cycles", s.wbStallCycles...);
+        f("references", s.references...);
+        f("other_cpi", s.otherCpi...);
+    }
 };
 
 /** Serialize a recording (references, events, otherCpi) through the
@@ -86,39 +111,29 @@ void writeTrace(const std::string &path, const RecordedTrace &trace);
  * as a file of the older ATRACE format). */
 [[nodiscard]] RecordedTrace readTrace(const std::string &path);
 
-[[nodiscard]] std::string encodeCacheStats(const CacheStats &s);
-[[nodiscard]] bool decodeCacheStats(std::string_view payload,
-                                    CacheStats &s);
+/**
+ * Encode a counter record (CacheStats, MmuStats, VictimStats,
+ * WriteBufferStats, HierarchyStats or MachineShard): its shape word,
+ * if it declares one, then every field its forEachCounter() lists,
+ * as raw host-order bytes (an array element by element, a double as
+ * its raw bits).
+ */
+template <class Stats>
+[[nodiscard]] std::string encodeCounters(const Stats &s);
 
-[[nodiscard]] std::string encodeMmuStats(const MmuStats &s);
-[[nodiscard]] bool decodeMmuStats(std::string_view payload,
-                                  MmuStats &s);
+/** Inverse of encodeCounters(); sets @p s only on success.
+ * @retval false on a wrong shape word or any other length than the
+ * record's exact payload size, so a shard of an older layout reads as
+ * a miss and is replayed. */
+template <class Stats>
+[[nodiscard]] bool decodeCounters(std::string_view payload, Stats &s);
 
-[[nodiscard]] std::string encodeMachineShard(const MachineShard &s);
-/** @retval false on any other length than the current 72 bytes, so a
- * shard of the older 56-byte layout reads as a miss and is replayed. */
-[[nodiscard]] bool decodeMachineShard(std::string_view payload,
-                                      MachineShard &s);
-
-// Counter shards of the extension components (victim caches, write
-// buffers, hierarchies) swept as replayable components
-// (core/component.hh). Raw counters only, like every shard codec, so
-// warm reruns and killed-sweep resume reproduce live runs
-// bit-for-bit.
-
-[[nodiscard]] std::string encodeVictimStats(const VictimStats &s);
-[[nodiscard]] bool decodeVictimStats(std::string_view payload,
-                                     VictimStats &s);
-
-[[nodiscard]] std::string
-encodeWriteBufferStats(const WriteBufferStats &s);
-[[nodiscard]] bool decodeWriteBufferStats(std::string_view payload,
-                                          WriteBufferStats &s);
-
-[[nodiscard]] std::string
-encodeHierarchyStats(const HierarchyStats &s);
-[[nodiscard]] bool decodeHierarchyStats(std::string_view payload,
-                                        HierarchyStats &s);
+/** encodeCounters() for the reference machine's shard. */
+[[nodiscard]] inline std::string
+encodeMachineShard(const MachineShard &s)
+{
+    return encodeCounters(s);
+}
 
 } // namespace oma::store
 

@@ -193,19 +193,6 @@ class ArtifactStore
     /** Publish @p payload under @p key (atomic temp-file+rename). */
     void put(const Fingerprint &key, std::string_view payload) const;
 
-    /**
-     * This store's in-process duplicate-computation coalescer. The
-     * table is in-memory per store instance (the cross-process
-     * analogue is the warm get() path), exposed here so engines need
-     * no side channel: the narrow get/put/inflight triple is the
-     * whole public surface of the store.
-     */
-    [[nodiscard]] InflightTable &
-    inflight() const
-    {
-        return _inflightTable;
-    }
-
     /** Absolute path an entry for @p key lives at. */
     [[nodiscard]] std::string entryPath(const Fingerprint &key) const;
 
@@ -265,9 +252,6 @@ class ArtifactStore
      * call out of the store (rank table in sync.hh). */
     mutable Mutex _statsMutex{OMA_LOCK_RANK(lockrank::storeStats)};
     mutable StoreStatsSnapshot _stats OMA_GUARDED_BY(_statsMutex);
-
-    /** Owns its own locking (see InflightTable). */
-    mutable InflightTable _inflightTable;
 };
 
 } // namespace oma

@@ -93,17 +93,19 @@ struct MmuStats
     /** Whole-TLB flushes taken on ASID switches (ASID-less mode). */
     std::uint64_t asidFlushes = 0;
 
-    /** Add @p other's counts field by field. */
-    MmuStats &
-    operator+=(const MmuStats &other)
+    /** The word a stored payload begins with (store/codec.hh). */
+    static constexpr std::uint64_t shapeWord = numMissClasses;
+
+    /** Call @p f(name, s.field...) for every counter, in store-payload
+     * order, under its run-report name (CacheStats::forEachCounter). */
+    template <class F, class... S>
+    static void
+    forEachCounter(F &&f, S &&...s)
     {
-        translations += other.translations;
-        for (unsigned c = 0; c < numMissClasses; ++c) {
-            counts[c] += other.counts[c];
-            cycles[c] += other.cycles[c];
-        }
-        asidFlushes += other.asidFlushes;
-        return *this;
+        f("translations", s.translations...);
+        f("misses", s.counts...);
+        f("service_cycles", s.cycles...);
+        f("asid_flushes", s.asidFlushes...);
     }
 
     [[nodiscard]] std::uint64_t

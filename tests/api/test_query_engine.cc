@@ -351,6 +351,16 @@ TEST(QueryEngine, ValidateNamesTheOffendingField)
     request.maxCacheWays = 0;
     EXPECT_FALSE(QueryEngine::validate(request, error));
     EXPECT_NE(error.find("max_cache_ways"), std::string::npos);
+
+    // The iterations cap is inclusive too; that search is not run.
+    request = tinyRequest();
+    request.strategy = Strategy::Annealing;
+    request.annealing.iterations = QueryEngine::maxAnnealingIterations;
+    EXPECT_TRUE(QueryEngine::validate(request, error)) << error;
+    request.annealing.iterations = QueryEngine::maxAnnealingIterations + 1;
+    EXPECT_FALSE(QueryEngine::validate(request, error));
+    EXPECT_EQ(error, "request.annealing.iterations: at most 1000000 per "
+                     "chain");
 }
 
 /** The files under @p root, as sorted relative paths. */

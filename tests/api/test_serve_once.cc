@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -228,6 +229,19 @@ TEST(ServeOnce, UnbuildableGeometryEarnsAnErrorNotAnExit)
          [](AllocationRequest &r) {
              r.space.victimEntries = {1ULL << 40};
          }},
+        // Line bytes x ways wrapped to 0, so a zero-set geometry
+        // passed the check and the replay ended the daemon with
+        // SIGSEGV and no output at all.
+        {"l2_ways",
+         [](AllocationRequest &r) {
+             r.space.l2KBytes = {64};
+             r.space.l2Ways = 1ULL << 63;
+         }},
+        {"hier_l1_ways",
+         [](AllocationRequest &r) {
+             r.space.l2KBytes = {64};
+             r.space.hierL1Ways = 1ULL << 63;
+         }},
     };
     const std::string good = encodeRequest(table6Query());
     for (const Case &c : cases) {
@@ -248,17 +262,34 @@ TEST(ServeOnce, UnbuildableGeometryEarnsAnErrorNotAnExit)
     }
 }
 
-/** @p line with the value of its first `"field":` member, up to the
- * next ',' or '}', replaced by @p value. */
+/** Where the value of member @p path of @p line begins: the first
+ * `"field":` of a plain field, or the first one after `"object":` of
+ * an `object.field` path. npos when there is none. */
+std::size_t
+fieldAt(const std::string &line, const std::string &path)
+{
+    const std::size_t dot = path.find('.');
+    const std::size_t from = dot == std::string::npos
+        ? 0
+        : line.find("\"" + path.substr(0, dot) + "\":");
+    const std::string key = "\"" + path.substr(dot + 1) + "\":";
+    const std::size_t start = line.find(key, from);
+    return start == std::string::npos ? start : start + key.size();
+}
+
+/** @p line with the value of member @p path (fieldAt()) replaced by
+ * @p value: an array whole, anything else up to the next ',' or '}'. */
 std::string
-withField(std::string line, const std::string &field,
+withField(std::string line, const std::string &path,
           const std::string &value)
 {
-    const std::string key = "\"" + field + "\":";
-    const std::size_t start = line.find(key);
-    EXPECT_NE(start, std::string::npos) << field;
-    const std::size_t from = start + key.size();
-    const std::size_t to = line.find_first_of(",}", from);
+    const std::size_t from = fieldAt(line, path);
+    EXPECT_NE(from, std::string::npos) << path;
+    if (from == std::string::npos)
+        return line;
+    const std::size_t to = line[from] == '['
+        ? line.find(']', from) + 1
+        : line.find_first_of(",}", from);
     return line.replace(from, to - from, value);
 }
 
@@ -267,8 +298,8 @@ TEST(ServeOnce, OutOfRangeThreadsAndChainsEarnErrorsNotAnAbort)
     // Values past 2^32 used to be truncated (4294967297 ran 1 lane or
     // 1 chain); values that fit but exceed the engine's limits used
     // to end the daemon with std::bad_alloc and no output at all, and
-    // 2^40 references recorded without an answer for as long as
-    // anyone waited.
+    // 2^40 references or 2^32 annealing iterations ran without an
+    // answer for as long as anyone waited.
     AllocationRequest annealing = table6Query();
     annealing.strategy = Strategy::Annealing;
     annealing.annealing.iterations = 1;
@@ -289,6 +320,12 @@ TEST(ServeOnce, OutOfRangeThreadsAndChainsEarnErrorsNotAnAbort)
         {"references",
          withField(exhaustive, "references",
                    std::to_string(QueryEngine::maxReferences + 1))},
+        // 2^32 proposals per chain gave no answer within 20 s.
+        {"iterations", withField(annealed, "iterations", "4294967296")},
+        {"iterations",
+         withField(annealed, "iterations",
+                   std::to_string(QueryEngine::maxAnnealingIterations +
+                                  1))},
     };
     constexpr std::size_t n_cases = std::size(cases);
     std::string input = exhaustive + "\n";
@@ -308,6 +345,83 @@ TEST(ServeOnce, OutOfRangeThreadsAndChainsEarnErrorsNotAnAbort)
         EXPECT_NE(lines[i + 1].find("oma-error-v1"), std::string::npos);
         EXPECT_NE(lines[i + 1].find(cases[i].field), std::string::npos)
             << lines[i + 1];
+    }
+    fs::remove_all(store);
+}
+
+TEST(ServeOnce, SingleFieldMutationsEarnOneLineEach)
+{
+    // The request fuzzer. From a small request whose every space
+    // field reaches a simulator, each line changes one field: every
+    // number to 0, 1, 3, 2^32 and 2^63 (the annealing ones under both
+    // strategies), and every space array to empty, to each of those
+    // values alone, to its values twice over and to the 64 powers of
+    // two. Each line must earn exactly one line back, an answer or an
+    // oma-error-v1, and the daemon must exit 0. No line starts many
+    // threads: `threads` of 2^32 and 2^63 fail decoding, and 0, 1
+    // and 3 start at most the hardware lane count.
+    AllocationRequest request = table6Query();
+    request.references = 2000;
+    request.space.victimEntries = {4};
+    request.space.wbEntries = {2, 4};
+    request.space.l2KBytes = {16};
+    const std::string exhaustive = encodeRequest(request);
+    request.strategy = Strategy::Annealing;
+    const std::string annealed = encodeRequest(request);
+
+    const std::string values[] = {"0", "1", "3", "4294967296",
+                                  "9223372036854775808"};
+    std::vector<std::string> lines;
+    for (const char *path :
+         {"references", "seed", "max_cache_ways", "budget_rbe", "top_k",
+          "threads", "space.tlb_full_assoc_max",
+          "space.victim_line_words", "space.wb_drain_cycles",
+          "space.l2_line_words", "space.l2_ways",
+          "space.hier_l1_line_words", "space.hier_l1_ways"})
+        for (const std::string &value : values)
+            lines.push_back(withField(exhaustive, path, value));
+    for (const char *path :
+         {"annealing.seed", "annealing.chains", "annealing.iterations",
+          "annealing.initial_temp", "annealing.final_temp"})
+        for (const std::string &value : values)
+            for (const std::string &base : {exhaustive, annealed})
+                lines.push_back(withField(base, path, value));
+    std::string powers = "[1";
+    for (unsigned bit = 1; bit < 64; ++bit)
+        powers += "," + std::to_string(1ULL << bit);
+    powers += "]";
+    for (const char *field :
+         {"tlb_entries", "tlb_ways", "cache_kbytes", "line_words",
+          "cache_ways", "victim_entries", "wb_entries", "l2_kbytes"}) {
+        const std::string path = std::string("space.") + field;
+        const std::size_t from = fieldAt(exhaustive, path) + 1;
+        const std::string own =
+            exhaustive.substr(from, exhaustive.find(']', from) - from);
+        lines.push_back(withField(exhaustive, path, "[]"));
+        for (const std::string &value : values)
+            lines.push_back(withField(exhaustive, path, "[" + value + "]"));
+        lines.push_back(
+            withField(exhaustive, path, "[" + own + "," + own + "]"));
+        lines.push_back(withField(exhaustive, path, powers));
+    }
+
+    const std::string store = scratchDir("fuzz");
+    const std::size_t batch = QueryEngineConfig().maxBatch;
+    for (std::size_t first = 0; first < lines.size(); first += batch) {
+        const std::size_t last = std::min(lines.size(), first + batch);
+        std::string input;
+        for (std::size_t i = first; i < last; ++i)
+            input += lines[i] + "\n";
+        const std::vector<std::string> answers = serveOnce(store, input);
+        ASSERT_EQ(answers.size(), last - first) << "batch at " << first;
+        for (std::size_t i = first; i < last; ++i) {
+            const std::string &answer = answers[i - first];
+            AllocationResponse response;
+            std::string error;
+            EXPECT_TRUE(answer.find("oma-error-v1") != std::string::npos ||
+                        decodeResponse(answer, response, error))
+                << lines[i] << "\n" << answer;
+        }
     }
     fs::remove_all(store);
 }

@@ -52,9 +52,13 @@ TEST(CacheGeometryDeath, RejectsSubWordLine)
 TEST(CacheGeometryDeath, RejectsZeroSets)
 {
     // 2-KB cache with 32-word (128-B) lines and 32 ways needs 4 KB.
-    CacheGeometry bad = CacheGeometry::fromWords(2048, 32, 32);
-    EXPECT_EXIT(bad.validate(), testing::ExitedWithCode(1),
-                "at least one set");
+    // 16 KB of 8-word lines in 2^63 ways: lines x ways wraps to 0.
+    for (const CacheGeometry &bad :
+         {CacheGeometry::fromWords(2048, 32, 32),
+          CacheGeometry::fromWords(16 * 1024, 8, 1ULL << 63)}) {
+        EXPECT_EXIT(bad.validate(), testing::ExitedWithCode(1),
+                    "at least one set");
+    }
 }
 
 TEST(TlbGeometry, SetAssociative)

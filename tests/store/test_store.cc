@@ -12,8 +12,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -498,77 +498,76 @@ TEST(StoreCodec, TraceFramingMismatchesAreMisses)
     EXPECT_TRUE(store::decodeTrace(payload, out));
 }
 
+/** Give counter @p field distinct nonzero values counted up from
+ * @p next. */
+void
+fillCounter(std::uint64_t &field, std::uint64_t &next)
+{
+    field = next++;
+}
+
+template <std::size_t N>
+void
+fillCounter(std::uint64_t (&field)[N], std::uint64_t &next)
+{
+    for (std::uint64_t &value : field)
+        value = next++;
+}
+
+/** A double gets -0.0: only raw bits keep the sign of zero. */
+void
+fillCounter(double &field, std::uint64_t &)
+{
+    field = -0.0;
+}
+
 TEST(StoreCodec, CounterShardsRoundTrip)
 {
-    CacheStats cs;
-    for (unsigned k = 0; k < numRefKinds; ++k) {
-        cs.accesses[k] = 100 + k;
-        cs.misses[k] = 10 + k;
-    }
-    cs.lineFills = 7;
-    cs.writebacks = 5;
-    cs.writeThroughWords = 3;
-    cs.compulsoryMisses = 2;
-    CacheStats cs2;
-    ASSERT_TRUE(store::decodeCacheStats(store::encodeCacheStats(cs),
-                                        cs2));
-    for (unsigned k = 0; k < numRefKinds; ++k) {
-        EXPECT_EQ(cs2.accesses[k], cs.accesses[k]);
-        EXPECT_EQ(cs2.misses[k], cs.misses[k]);
-    }
-    EXPECT_EQ(cs2.lineFills, cs.lineFills);
-    EXPECT_EQ(cs2.writebacks, cs.writebacks);
-    EXPECT_EQ(cs2.writeThroughWords, cs.writeThroughWords);
-    EXPECT_EQ(cs2.compulsoryMisses, cs.compulsoryMisses);
+    // One table over every counter record. Each round-trips with
+    // every field distinct (compared as raw bytes), its payload size
+    // is pinned, and each framing mismatch (every strict prefix, one
+    // byte too many, a wrong shape word) is a miss that leaves the
+    // record untouched.
+    const auto check = [](const char *name, auto record,
+                          std::size_t size) {
+        SCOPED_TRACE(name);
+        using Stats = decltype(record);
+        std::uint64_t next = 1;
+        Stats::forEachCounter(
+            [&next](const char *, auto &field) { fillCounter(field, next); },
+            record);
+        const std::string payload = store::encodeCounters(record);
+        EXPECT_EQ(payload.size(), size);
 
-    MmuStats ms;
-    ms.translations = 9999;
-    for (unsigned c = 0; c < numMissClasses; ++c) {
-        ms.counts[c] = 11 + c;
-        ms.cycles[c] = 1000 + c;
-    }
-    ms.asidFlushes = 4;
-    MmuStats ms2;
-    ASSERT_TRUE(store::decodeMmuStats(store::encodeMmuStats(ms), ms2));
-    EXPECT_EQ(ms2.translations, ms.translations);
-    for (unsigned c = 0; c < numMissClasses; ++c) {
-        EXPECT_EQ(ms2.counts[c], ms.counts[c]);
-        EXPECT_EQ(ms2.cycles[c], ms.cycles[c]);
-    }
-    EXPECT_EQ(ms2.asidFlushes, ms.asidFlushes);
+        Stats decoded;
+        ASSERT_TRUE(store::decodeCounters(payload, decoded));
+        Stats::forEachCounter(
+            [](const char *field, const auto &want, const auto &got) {
+                EXPECT_EQ(std::memcmp(&want, &got, sizeof want), 0)
+                    << field;
+            },
+            record, decoded);
 
-    store::MachineShard sh;
-    sh.instructions = 1;
-    sh.icacheStall = 2;
-    sh.dcacheStall = 3;
-    sh.wbStall = 4;
-    sh.tlbStall = 5;
-    sh.wbStores = 6;
-    sh.wbStallCycles = 7;
-    sh.references = 8;
-    sh.otherCpi = -0.0; // raw bits survive, sign of zero included
-    store::MachineShard sh2;
-    const std::string machine = store::encodeMachineShard(sh);
-    ASSERT_EQ(machine.size(), 72u);
-    ASSERT_TRUE(store::decodeMachineShard(machine, sh2));
-    EXPECT_EQ(sh2.instructions, 1u);
-    EXPECT_EQ(sh2.icacheStall, 2u);
-    EXPECT_EQ(sh2.dcacheStall, 3u);
-    EXPECT_EQ(sh2.wbStall, 4u);
-    EXPECT_EQ(sh2.tlbStall, 5u);
-    EXPECT_EQ(sh2.wbStores, 6u);
-    EXPECT_EQ(sh2.wbStallCycles, 7u);
-    EXPECT_EQ(sh2.references, 8u);
-    EXPECT_TRUE(std::signbit(sh2.otherCpi));
-    EXPECT_EQ(sh2.otherCpi, 0.0);
-    // The 56-byte layout from before the shard carried the
-    // recording's length and non-memory CPI reads as a miss.
-    EXPECT_FALSE(store::decodeMachineShard(machine.substr(0, 56), sh2));
-
-    // Truncated counter shards are framing mismatches, not UB.
-    EXPECT_FALSE(store::decodeCacheStats("", cs2));
-    EXPECT_FALSE(store::decodeMmuStats("short", ms2));
-    EXPECT_FALSE(store::decodeMachineShard("shorter", sh2));
+        for (std::size_t n = 0; n < payload.size(); ++n)
+            EXPECT_FALSE(store::decodeCounters(
+                std::string_view(payload).substr(0, n), decoded))
+                << n;
+        EXPECT_FALSE(store::decodeCounters(payload + '\0', decoded));
+        if constexpr (requires { Stats::shapeWord; }) {
+            std::string reshaped = payload;
+            reshaped[0] = char(reshaped[0] ^ 1);
+            EXPECT_FALSE(store::decodeCounters(reshaped, decoded));
+        }
+        EXPECT_EQ(store::encodeCounters(decoded), payload);
+    };
+    check("CacheStats", CacheStats(), 88);
+    check("MmuStats", MmuStats(), 104);
+    check("VictimStats", VictimStats(), 32);
+    check("WriteBufferStats", WriteBufferStats(), 24);
+    check("HierarchyStats", HierarchyStats(), 56);
+    // The 56-byte machine shard from before it carried the
+    // recording's length and non-memory CPI is one of the prefixes.
+    check("MachineShard", store::MachineShard(), 72);
 }
 
 } // namespace
