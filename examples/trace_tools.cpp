@@ -160,16 +160,9 @@ cmdSweep(int argc, char **argv)
         TlbGeometry(256, 4)};
 
     const MachineParams mp = MachineParams::decstation3100();
-    api::QueryEngine engine;
-    api::SweepGrid grid;
-    grid.icacheGeoms = cache_geoms;
-    grid.dcacheGeoms = cache_geoms;
-    grid.tlbGeoms = tlb_geoms;
-    api::AllocationRequest request;
-    request.threads = threads;
+    const ComponentSweep sweep(cache_geoms, cache_geoms, tlb_geoms);
     obs::Observation observation;
-    const SweepResult r =
-        engine.replay(request, trace, &observation, &grid);
+    const SweepResult r = sweep.run(trace, threads, observation);
 
     obs::RunReport report("trace_tools_sweep");
     report.meta["trace_file"] = argv[2];

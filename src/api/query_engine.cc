@@ -1,6 +1,7 @@
 /**
  * @file
- * QueryEngine implementation: warm-serve, coalesce or compute.
+ * QueryEngine implementation: warm-serve or compute, one batch
+ * grouped by response key.
  */
 
 #include "api/query_engine.hh"
@@ -69,6 +70,30 @@ bool
 QueryEngine::validate(const AllocationRequest &request,
                       std::string &error)
 {
+    // Array lengths first: every list below is built from them.
+    const ConfigSpace &space = request.space;
+    const struct
+    {
+        const char *field;
+        std::size_t values;
+    } arrays[] = {
+        {"workloads", request.workloads.size()},
+        {"space.tlb_entries", space.tlbEntries.size()},
+        {"space.tlb_ways", space.tlbWays.size()},
+        {"space.cache_kbytes", space.cacheKBytes.size()},
+        {"space.line_words", space.lineWords.size()},
+        {"space.cache_ways", space.cacheWays.size()},
+        {"space.victim_entries", space.victimEntries.size()},
+        {"space.wb_entries", space.wbEntries.size()},
+        {"space.l2_kbytes", space.l2KBytes.size()},
+    };
+    for (const auto &array : arrays) {
+        if (array.values > maxArrayValues) {
+            error = std::string("request.") + array.field + ": at most " +
+                std::to_string(maxArrayValues) + " values";
+            return false;
+        }
+    }
     if (request.workloads.empty()) {
         error = "request.workloads: at least one workload required";
         return false;
@@ -90,13 +115,21 @@ QueryEngine::validate(const AllocationRequest &request,
         error = "request.max_cache_ways: must be positive";
         return false;
     }
-    if (request.space.tlbGeometries().empty()) {
+    if (space.tlbGeometries().empty()) {
         error = "request.space: TLB axis is empty";
         return false;
     }
-    if (request.space.cacheGeometries(request.maxCacheWays).empty()) {
+    if (space.cacheGeometries(request.maxCacheWays).empty()) {
         error = "request.space: no cache geometry is realizable "
                 "under max_cache_ways";
+        return false;
+    }
+    if (const std::uint64_t candidates =
+            space.candidateCount(request.maxCacheWays);
+        candidates > maxCandidates) {
+        error = "request.space: " + std::to_string(candidates) +
+            " candidates exceed the limit of " +
+            std::to_string(maxCandidates);
         return false;
     }
     if (!threadsWithinLimit(request, error))
@@ -146,34 +179,6 @@ QueryEngine::sweep(const AllocationRequest &request,
     return results;
 }
 
-SweepResult
-QueryEngine::replay(const AllocationRequest &request,
-                    const RecordedTrace &trace,
-                    obs::Observation *observation,
-                    const SweepGrid *grid) const
-{
-    SweepGrid derived;
-    if (grid == nullptr) {
-        derived = SweepGrid::fromSpace(request.space);
-        grid = &derived;
-    }
-    ComponentSweep sweep(grid->icacheGeoms, grid->dcacheGeoms,
-                         grid->tlbGeoms);
-    for (const ComponentSlot &slot : grid->components)
-        sweep.addComponent(slot);
-    return sweep.run(trace, request.threads, sink(observation));
-}
-
-ComponentCpiTables
-QueryEngine::measure(const AllocationRequest &request,
-                     obs::Observation *observation,
-                     const SweepGrid *grid) const
-{
-    return ComponentCpiTables::average(
-        this->sweep(request, observation, grid),
-        MachineParams::decstation3100());
-}
-
 AllocationResponse
 QueryEngine::rank(const AllocationRequest &request,
                   const ComponentCpiTables &tables,
@@ -210,13 +215,14 @@ QueryEngine::computeAnswer(const AllocationRequest &request,
                            obs::Observation &observation) const
 {
     obs::Span span(observation.metrics, "serve/compute");
-    const ComponentCpiTables tables = measure(request, &observation);
+    const ComponentCpiTables tables = ComponentCpiTables::average(
+        sweep(request, &observation), MachineParams::decstation3100());
     return encodeResponse(rank(request, tables, &observation));
 }
 
 std::string
 QueryEngine::answer(const AllocationRequest &request,
-                    obs::Observation *observation)
+                    obs::Observation *observation) const
 {
     obs::Observation &into = sink(observation);
     obs::MetricRegistry &m = into.metrics;
@@ -243,37 +249,16 @@ QueryEngine::answer(const AllocationRequest &request,
         m.add("serve/rejected");
         return encodeError("request." + bad);
     }
-    InflightTable::Lease lease = _inflight.join(key);
-    if (!lease.leader()) {
-        m.add("serve/dedup_hits");
-        return lease.payload();
-    }
-    const std::string payload = computeAnswer(request, into);
+    std::string payload = computeAnswer(request, into);
     m.add("serve/computed");
     if (_store != nullptr)
         _store->put(key, payload);
-    lease.publish(payload);
     return payload;
-}
-
-std::string
-QueryEngine::answerJson(std::string_view request_json,
-                        obs::Observation *observation)
-{
-    AllocationRequest request;
-    std::string error;
-    if (!decodeRequest(request_json, request, error)) {
-        obs::MetricRegistry &m = sink(observation).metrics;
-        m.add("serve/requests");
-        m.add("serve/rejected");
-        return encodeError(error);
-    }
-    return answer(request, observation);
 }
 
 std::vector<std::string>
 QueryEngine::answerBatch(const std::vector<std::string> &request_lines,
-                         obs::Observation *observation)
+                         obs::Observation *observation) const
 {
     obs::MetricRegistry &m = sink(observation).metrics;
     m.add("serve/batches");

@@ -12,7 +12,7 @@
  * question this way, so there is one code path to trust instead of
  * three ad-hoc ones.
  *
- * Serving discipline, in order:
+ * Serving discipline: answer() takes one of two paths.
  *
  * 1. *Warm.* The request's content Fingerprint keys the encoded
  *    response in the artifact store; a warm hit is returned without
@@ -22,21 +22,27 @@
  *    simulators can build (ConfigSpace::check()); one that fails
  *    gets an `oma-error-v1` answer naming the request fields, never
  *    a sweep, so it cannot take down the rest of a batch.
- * 2. *Coalesced.* Concurrent identical requests join one in-flight
- *    computation (InflightTable): one leader simulates, followers
- *    carry the identical bytes away (`serve/dedup_hits`).
- * 3. *Computed.* The leader sweeps per workload (store-aware, so
+ * 2. *Computed.* The engine sweeps per workload (store-aware, so
  *    even a cold response reuses warm traces/shards), averages the
- *    component tables, runs the requested strategy and encodes the
- *    top-K answer (`serve/computed`).
+ *    component tables, runs the requested strategy, encodes the
+ *    top-K answer and puts it in the store (`serve/computed`).
+ *
+ * answerBatch() groups a batch's lines by response key before either
+ * path runs, so duplicate lines of one batch cost one answer and
+ * carry its bytes (`serve/dedup_hits`). That is the one place
+ * duplicates coalesce: two threads that call answer() with one key
+ * at once both compute, and their puts of the same bytes race
+ * harmlessly (store/store.hh).
  *
  * Because responses carry content only — no provenance, no timing —
- * all three paths return bitwise-identical bytes, at any thread
- * count (tests/api/test_query_engine.cc, test_serve_once.cc).
+ * every path returns bitwise-identical bytes, at any thread count
+ * (tests/api/test_query_engine.cc, test_serve_once.cc).
  *
- * Admission limits: answerBatch() refuses requests beyond maxBatch
- * per call (`serve/rejected`) and computes distinct requests on at
- * most maxInflight concurrent lanes; each lane still honours the
+ * Admission limits: validate() bounds every request's sizes before
+ * any work (array lengths first, then the candidate count);
+ * answerBatch() refuses requests beyond maxBatch per call
+ * (`serve/rejected`) and computes distinct requests on at most
+ * maxInflight concurrent lanes; each lane still honours the
  * request's own `threads` knob for its sweeps.
  *
  * Every entry point takes an optional obs::Observation pointer;
@@ -50,7 +56,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "api/request.hh"
@@ -65,8 +70,8 @@ namespace oma::api
 struct QueryEngineConfig
 {
     /** Artifact-store root; "" consults OMA_STORE_DIR, and when that
-     * is unset too the engine runs storeless (dedupe still works,
-     * warm serving does not). */
+     * is unset too the engine runs storeless (batch grouping still
+     * works, warm serving does not). */
     std::string storeDir;
     /** Admission limit: distinct requests computed concurrently by
      * one answerBatch() call. */
@@ -98,22 +103,16 @@ class QueryEngine
     explicit QueryEngine(QueryEngineConfig config = QueryEngineConfig());
 
     /**
-     * Answer one request: warm-serve, coalesce or compute (see file
-     * header). Returns the response JSON, or an `oma-error-v1`
-     * payload for an invalid request. The observation (nullptr:
+     * Answer one request: warm-serve or compute (see file header).
+     * Returns the response JSON, or an `oma-error-v1` payload for an
+     * invalid request. The observation (nullptr:
      * Observation::none()) collects the serve counters plus the
      * underlying sweep/search metrics; which one is passed never
      * changes the answer.
      */
     [[nodiscard]] std::string
     answer(const AllocationRequest &request,
-           obs::Observation *observation = nullptr);
-
-    /** answer() for a raw JSON line (daemon wire path): a request
-     * that fails to decode earns an error answer, never a crash. */
-    [[nodiscard]] std::string
-    answerJson(std::string_view request_json,
-               obs::Observation *observation = nullptr);
+           obs::Observation *observation = nullptr) const;
 
     /**
      * Answer a batch of JSON request lines, one answer per line, in
@@ -126,7 +125,7 @@ class QueryEngine
      */
     [[nodiscard]] std::vector<std::string>
     answerBatch(const std::vector<std::string> &request_lines,
-                obs::Observation *observation = nullptr);
+                obs::Observation *observation = nullptr) const;
 
     /**
      * Measurement stage only: one store-aware sweep per workload of
@@ -140,26 +139,12 @@ class QueryEngine
           obs::Observation *observation = nullptr,
           const SweepGrid *grid = nullptr) const;
 
-    /** Replay stage for an existing recording: sweep @p trace over
-     * the request's grid, or @p grid when given (trace_tools'
-     * file-based path; bypasses the store — a bare recording carries
-     * no provenance). */
-    [[nodiscard]] SweepResult
-    replay(const AllocationRequest &request, const RecordedTrace &trace,
-           obs::Observation *observation = nullptr,
-           const SweepGrid *grid = nullptr) const;
-
-    /** sweep() + suite-average: the request's component CPI tables. */
-    [[nodiscard]] ComponentCpiTables
-    measure(const AllocationRequest &request,
-            obs::Observation *observation = nullptr,
-            const SweepGrid *grid = nullptr) const;
-
     /**
      * Ranking stage only, for callers that already hold (possibly
      * hand-adjusted) tables: run the request's strategy under its
      * budget/associativity knobs and return the structured top-K
-     * response. answer() is measure() + rank() + codec + store.
+     * response. answer() is sweep() + ComponentCpiTables::average()
+     * + rank() + codec + store.
      */
     [[nodiscard]] AllocationResponse
     rank(const AllocationRequest &request,
@@ -186,9 +171,21 @@ class QueryEngine
      * hours or exhaust memory before any answer. */
     static constexpr std::uint64_t maxReferences = 100000000;
 
+    /** Most values one request array may hold: `workloads` and each
+     * of the eight `space` arrays. Checked before any geometry list
+     * is built; 8,000 TLB sizes alone once made a 1-GB list. */
+    static constexpr std::size_t maxArrayValues = 64;
+
+    /** Most candidate allocations one request may rank
+     * (ConfigSpace::candidateCount()). Table 6 ranks 244,800 and the
+     * extended space 1,061,276; 64 cache sizes, line sizes and ways
+     * once asked about 10^12. */
+    static constexpr std::uint64_t maxCandidates = 100000000;
+
     /** Semantic validation beyond the codec (non-empty mix and
-     * grid, positive budget, references, threads and annealing chains
-     * and iterations within their limits...); false sets @p error. */
+     * grid, positive budget, array lengths, candidates, references,
+     * threads and annealing chains and iterations within their
+     * limits...); false sets @p error. */
     [[nodiscard]] static bool validate(const AllocationRequest &request,
                                        std::string &error);
 
@@ -206,15 +203,13 @@ class QueryEngine
     }
 
   private:
-    /** Simulate + encode (the leader's path; no store/dedupe). */
+    /** Simulate + encode (the computed path; no store). */
     [[nodiscard]] std::string
     computeAnswer(const AllocationRequest &request,
                   obs::Observation &observation) const;
 
     QueryEngineConfig _config;
     std::unique_ptr<ArtifactStore> _store;
-    /** The dedupe table; storeless engines coalesce too. */
-    InflightTable _inflight;
 };
 
 } // namespace oma::api

@@ -5,6 +5,8 @@
 
 #include "core/search.hh"
 
+#include <algorithm>
+
 namespace oma
 {
 
@@ -110,6 +112,24 @@ ConfigSpace::extensionSlots() const
     for (const HierarchyParams &p : hierarchyConfigs())
         slots.push_back(ComponentSlot::hierarchy(p));
     return slots;
+}
+
+std::uint64_t
+ConfigSpace::candidateCount(std::uint64_t max_cache_ways) const
+{
+    // SearchSpace's axes: the swept caches (cacheGeometries()) within
+    // max_cache_ways on each side, the victim options on the fetch
+    // side, the hierarchies whose L1s are within max_cache_ways, and
+    // one write-buffer option when no depth is swept.
+    std::uint64_t caches = 0;
+    for (const CacheGeometry &g : cacheGeometries())
+        caches += g.assoc <= max_cache_ways ? 1 : 0;
+    std::uint64_t hierarchies = 0;
+    for (const HierarchyParams &p : hierarchyConfigs())
+        hierarchies += p.l1i.geom.assoc <= max_cache_ways ? 1 : 0;
+    const std::uint64_t fetch = caches + victimConfigs().size();
+    return tlbGeometries().size() * (fetch * caches + hierarchies) *
+        std::max<std::uint64_t>(1, wbEntries.size());
 }
 
 ConfigSpace

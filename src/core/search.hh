@@ -91,6 +91,15 @@ struct ConfigSpace
      * victim, write-buffer, hierarchy order. */
     [[nodiscard]] std::vector<ComponentSlot> extensionSlots() const;
 
+    /**
+     * The candidate count SearchSpace::candidateCount() reports for
+     * the tables a sweep of this space measures, ranked under
+     * @p max_cache_ways, from the list sizes alone: no sweep, no
+     * search. Exact while no axis holds more than 64 values.
+     */
+    [[nodiscard]] std::uint64_t
+    candidateCount(std::uint64_t max_cache_ways) const;
+
     /** True when any extension axis is populated. */
     [[nodiscard]] bool
     hasExtensions() const

@@ -228,27 +228,10 @@ ComponentSweep::sweepTasks(const TraceSource &trace_source,
     // the typed per-kind views.
     std::vector<std::size_t> kind_index(n_slots);
     for (std::size_t s = 0; s < n_slots; ++s) {
-        const ComponentSlot &slot = _slots[s];
         std::vector<std::size_t> &index =
-            result._kindIndex[std::size_t(slot.kind)];
+            result._kindIndex[std::size_t(_slots[s].kind)];
         kind_index[s] = index.size();
         index.push_back(s);
-        switch (slot.kind) {
-          case ComponentKind::ICache:
-            result._icacheGeoms.push_back(
-                std::get<CacheParams>(slot.params).geom);
-            break;
-          case ComponentKind::DCache:
-            result._dcacheGeoms.push_back(
-                std::get<CacheParams>(slot.params).geom);
-            break;
-          case ComponentKind::Tlb:
-            result._tlbGeoms.push_back(
-                std::get<TlbParams>(slot.params).geom);
-            break;
-          default:
-            break;
-        }
     }
 
     // References each replayed task's simulator was fed; like the
@@ -464,9 +447,12 @@ ComponentCpiTables::average(const std::vector<SweepResult> &results,
     panicIf(results.empty(), "cannot average zero sweep results");
     ComponentCpiTables tables;
     const SweepResult &first = results.front();
-    tables.icacheGeoms = first.icacheGeometries();
-    tables.dcacheGeoms = first.dcacheGeometries();
-    tables.tlbGeoms = first.tlbGeometries();
+    for (std::size_t i = 0; i < first.icacheCount(); ++i)
+        tables.icacheGeoms.push_back(first.icache(i).geom);
+    for (std::size_t i = 0; i < first.dcacheCount(); ++i)
+        tables.dcacheGeoms.push_back(first.dcache(i).geom);
+    for (std::size_t i = 0; i < first.tlbCount(); ++i)
+        tables.tlbGeoms.push_back(first.tlb(i).geom);
     tables.icacheCpi.assign(tables.icacheGeoms.size(), 0.0);
     tables.dcacheCpi.assign(tables.dcacheGeoms.size(), 0.0);
     tables.tlbCpi.assign(tables.tlbGeoms.size(), 0.0);

@@ -173,8 +173,8 @@ struct SweepResult
     {
         const std::size_t s =
             kindSlot(ComponentKind::ICache, i, "icache");
-        return {_icacheGeoms[i], std::get<CacheStats>(_stats[s]),
-                instructions};
+        return {std::get<CacheParams>(_slots[s].params).geom,
+                std::get<CacheStats>(_stats[s]), instructions};
     }
 
     /** View of D-cache configuration @p i (fatal when out of range). */
@@ -183,8 +183,8 @@ struct SweepResult
     {
         const std::size_t s =
             kindSlot(ComponentKind::DCache, i, "dcache");
-        return {_dcacheGeoms[i], std::get<CacheStats>(_stats[s]),
-                instructions};
+        return {std::get<CacheParams>(_slots[s].params).geom,
+                std::get<CacheStats>(_stats[s]), instructions};
     }
 
     /** View of TLB configuration @p i (fatal when out of range). */
@@ -192,8 +192,8 @@ struct SweepResult
     tlb(std::size_t i) const
     {
         const std::size_t s = kindSlot(ComponentKind::Tlb, i, "tlb");
-        return {_tlbGeoms[i], std::get<MmuStats>(_stats[s]),
-                instructions};
+        return {std::get<TlbParams>(_slots[s].params).geom,
+                std::get<MmuStats>(_stats[s]), instructions};
     }
 
     /** View of victim configuration @p i (fatal when out of range). */
@@ -271,25 +271,6 @@ struct SweepResult
         return _slots.size();
     }
 
-    /** The swept geometry lists (index-aligned with the views). */
-    [[nodiscard]] const std::vector<CacheGeometry> &
-    icacheGeometries() const
-    {
-        return _icacheGeoms;
-    }
-
-    [[nodiscard]] const std::vector<CacheGeometry> &
-    dcacheGeometries() const
-    {
-        return _dcacheGeoms;
-    }
-
-    [[nodiscard]] const std::vector<TlbGeometry> &
-    tlbGeometries() const
-    {
-        return _tlbGeoms;
-    }
-
   private:
     friend class ComponentSweep;
 
@@ -320,12 +301,6 @@ struct SweepResult
     std::vector<ComponentSlot> _slots;
     std::vector<ComponentCounters> _stats;
     std::array<std::vector<std::size_t>, numComponentKinds> _kindIndex;
-
-    /** Materialized geometry lists backing the by-reference classic
-     * getters (index-aligned with the per-kind views). */
-    std::vector<CacheGeometry> _icacheGeoms;
-    std::vector<CacheGeometry> _dcacheGeoms;
-    std::vector<TlbGeometry> _tlbGeoms;
 };
 
 /**

@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <system_error>
+#include <utility>
 
 #include <unistd.h>
 
@@ -89,79 +90,6 @@ entryHeader(std::string_view key_text, std::string_view payload)
 }
 
 } // namespace
-
-InflightTable::Lease
-InflightTable::join(const Fingerprint &key)
-{
-    LockGuard lock(_mutex);
-    for (;;) {
-        const auto it = _inflight.find(key.text());
-        if (it == _inflight.end()) {
-            auto entry = std::make_shared<InflightEntry>();
-            _inflight.emplace(key.text(), entry);
-            Lease lease;
-            lease._table = this;
-            lease._key = key.text();
-            lease._entry = std::move(entry);
-            lease._leader = true;
-            return lease;
-        }
-        // An identical computation is running: wait for its outcome
-        // on a snapshot of the entry (the map slot may be retired or
-        // replaced while we sleep).
-        const std::shared_ptr<InflightEntry> entry = it->second;
-        while (!entry->done && !entry->abandoned)
-            _published.wait(lock);
-        if (entry->done) {
-            Lease lease;
-            lease._table = this;
-            lease._key = key.text();
-            lease._entry = entry;
-            return lease;
-        }
-        // The leader unwound without publishing; its destructor
-        // retired the map slot, so loop and take leadership.
-    }
-}
-
-InflightTable::Lease::~Lease()
-{
-    if (_table == nullptr || !_leader || _published)
-        return;
-    // Leader unwinding without a result: mark the entry abandoned and
-    // wake the followers so one of them retakes leadership.
-    LockGuard lock(_table->_mutex);
-    _entry->abandoned = true;
-    const auto it = _table->_inflight.find(_key);
-    if (it != _table->_inflight.end() && it->second == _entry)
-        _table->_inflight.erase(it);
-    _table->_published.notifyAll();
-}
-
-const std::string &
-InflightTable::Lease::payload() const
-{
-    fatalIf(_leader && !_published,
-            "inflight lease: leader read its own unpublished payload");
-    return _entry->payload;
-}
-
-void
-InflightTable::Lease::publish(std::string payload)
-{
-    fatalIf(!_leader, "inflight lease: only the leader publishes");
-    fatalIf(_published, "inflight lease: double publish");
-    LockGuard lock(_table->_mutex);
-    _entry->payload = std::move(payload);
-    _entry->done = true;
-    _published = true;
-    // Retire the key: later joiners start fresh (with a store in
-    // front they hit the warm path instead of recomputing).
-    const auto it = _table->_inflight.find(_key);
-    if (it != _table->_inflight.end() && it->second == _entry)
-        _table->_inflight.erase(it);
-    _table->_published.notifyAll();
-}
 
 ArtifactStore::ArtifactStore(std::string root) : _root(std::move(root))
 {

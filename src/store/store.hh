@@ -23,7 +23,11 @@
  *   the store directory and rename() it over the final path, so a
  *   reader (or a concurrent writer racing on the same key) only ever
  *   observes complete entries. Both sides of a same-key race write
- *   the same bytes, so last-rename-wins is harmless.
+ *   the same bytes, so last-rename-wins is harmless. That is also why
+ *   the store takes no lease on a key being computed: two threads
+ *   that miss on one key both compute and both put. Duplicate
+ *   requests coalesce before that, in QueryEngine::answerBatch's
+ *   per-batch key groups.
  *
  * * *Off by default.* A store only exists when RunConfig::storeDir or
  *   the OMA_STORE_DIR environment variable names a directory; open()
@@ -40,11 +44,9 @@
 #define OMA_STORE_STORE_HH
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <utility>
 
 #include "support/fingerprint.hh"
 #include "support/sync.hh"
@@ -59,104 +61,6 @@ struct StoreStatsSnapshot
     std::uint64_t misses = 0;
     std::uint64_t writes = 0;
     std::uint64_t quarantined = 0;
-};
-
-/** One in-flight computation's shared state (InflightTable detail;
- * every field is guarded by the owning table's mutex). */
-struct InflightEntry
-{
-    bool done = false;
-    bool abandoned = false;
-    std::string payload;
-};
-
-/**
- * In-process coalescing of concurrent identical computations.
- *
- * The on-disk store deduplicates *completed* work across processes;
- * this table deduplicates *in-flight* work across threads: the first
- * thread to join() a key becomes the leader and computes, every
- * concurrent joiner blocks until the leader publishes and then
- * carries the identical payload away — so N simultaneous identical
- * queries cost one simulation (`serve/dedup_hits` counts the
- * followers). Keys are the same canonical Fingerprints the store
- * uses; both sides compare full key text, never just the hash.
- *
- * Concurrency contract (docs/STATIC_ANALYSIS.md): the single mutex
- * (rank lockrank::storeInflight) guards the key map and is held only
- * for map bookkeeping and the publication wait — never while the
- * leader computes or touches the store, so leaders of distinct keys
- * proceed in parallel. A leader that unwinds without publishing
- * abandons the entry and one waiting follower retakes leadership,
- * so an error path never strands waiters.
- */
-class InflightTable
-{
-  public:
-    /**
-     * RAII claim on one key's computation. Exactly one live lease
-     * per key is the leader; it must publish() its payload (followers
-     * then observe it) or let the lease unwind, which wakes the
-     * followers to retake leadership.
-     */
-    class Lease
-    {
-      public:
-        Lease(Lease &&other) noexcept { *this = std::move(other); }
-        Lease &
-        operator=(Lease &&other) noexcept
-        {
-            _table = other._table;
-            _key = std::move(other._key);
-            _entry = std::move(other._entry);
-            _leader = other._leader;
-            _published = other._published;
-            other._table = nullptr;
-            return *this;
-        }
-        Lease(const Lease &) = delete;
-        Lease &operator=(const Lease &) = delete;
-        ~Lease();
-
-        /** True when this caller must compute (and then publish). */
-        [[nodiscard]] bool leader() const { return _leader; }
-
-        /** The leader's published payload; followers only. */
-        [[nodiscard]] const std::string &payload() const;
-
-        /** Leader only: hand @p payload to every waiting follower
-         * and retire the key (later joiners start fresh — with a
-         * store in front they hit warm instead). */
-        void publish(std::string payload);
-
-      private:
-        friend class InflightTable;
-        Lease() = default;
-
-        InflightTable *_table = nullptr;
-        std::string _key;
-        std::shared_ptr<InflightEntry> _entry;
-        bool _leader = false;
-        bool _published = false;
-    };
-
-    /**
-     * Join the computation keyed by @p key: returns a leader lease
-     * immediately when no identical computation is running, else
-     * blocks until the running one publishes (or abandons) and
-     * returns a follower lease carrying the published payload.
-     */
-    [[nodiscard]] Lease join(const Fingerprint &key);
-
-  private:
-    friend class Lease;
-
-    /** Guards the in-flight key map; held for bookkeeping and the
-     * publication wait only, never across compute or store I/O. */
-    mutable Mutex _mutex{OMA_LOCK_RANK(lockrank::storeInflight)};
-    CondVar _published;
-    std::map<std::string, std::shared_ptr<InflightEntry>>
-        _inflight OMA_GUARDED_BY(_mutex);
 };
 
 /** A content-addressed artifact cache rooted at one directory. */

@@ -81,11 +81,6 @@ namespace lockrank
 {
 inline constexpr unsigned none = 0;        //!< Unranked: order-exempt.
 inline constexpr unsigned obsProgress = 10; //!< obs::Progress::_mutex.
-/** InflightTable::_mutex: held only across map bookkeeping and the
- * publication wait, never while computing or touching the store, but
- * ranked outer to storeStats so a future put()-under-lease cannot
- * invert. */
-inline constexpr unsigned storeInflight = 15;
 inline constexpr unsigned storeStats = 20; //!< ArtifactStore::_statsMutex.
 inline constexpr unsigned threadPool = 30; //!< ThreadPool::_mutex (leaf).
 } // namespace lockrank

@@ -3,11 +3,12 @@
  * QueryEngine serving-discipline tests.
  *
  * The contract under test (docs/MODEL.md §14): every serving path —
- * cold compute, store-warm, in-flight coalesced — returns bitwise
- * identical response bytes, at any thread count, and the serve
- * counters prove which path ran. The cold answer itself must equal
- * what the underlying sweep + strategy engines produce when driven
- * directly, so the facade can never drift from the engines it fronts.
+ * cold compute, store-warm, a batch's duplicate lines — returns
+ * bitwise identical response bytes, at any thread count, and the
+ * serve counters prove which path ran. The cold answer itself must
+ * equal what the underlying sweep + strategy engines produce when
+ * driven directly, so the facade can never drift from the engines it
+ * fronts.
  */
 
 #include <gtest/gtest.h>
@@ -256,40 +257,6 @@ TEST(QueryEngine, BatchRefusesLinesBeyondMaxBatch)
     EXPECT_EQ(counter(obs, "serve/dedup_hits"), 1u);
 }
 
-TEST(QueryEngine, ConcurrentIdenticalAnswersCoalesceAndMatch)
-{
-    // True races through answer() itself: all threads must carry
-    // identical bytes away, and every serving is accounted to
-    // exactly one of computed / warm / deduplicated.
-    QueryEngine engine; // storeless: no warm path, dedupe only
-    const AllocationRequest request = tinyRequest();
-
-    constexpr int kThreads = 4;
-    std::vector<std::string> payloads(kThreads);
-    std::vector<obs::Observation> shards(kThreads);
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&, t]() {
-            payloads[std::size_t(t)] =
-                engine.answer(request, &shards[std::size_t(t)]);
-        });
-    }
-    for (std::thread &thread : threads)
-        thread.join();
-
-    for (const std::string &payload : payloads)
-        EXPECT_EQ(payload, payloads.front());
-    std::uint64_t computed = 0, warm = 0, dedup = 0;
-    for (const obs::Observation &shard : shards) {
-        computed += counter(shard, "serve/computed");
-        warm += counter(shard, "serve/warm_hits");
-        dedup += counter(shard, "serve/dedup_hits");
-    }
-    EXPECT_EQ(computed + warm + dedup, std::uint64_t(kThreads));
-    EXPECT_GE(computed, 1u);
-    EXPECT_EQ(warm, 0u); // storeless engine has no warm path
-}
-
 TEST(QueryEngine, InvalidRequestsEarnErrorAnswers)
 {
     QueryEngine engine;
@@ -313,11 +280,11 @@ TEST(QueryEngine, InvalidRequestsEarnErrorAnswers)
     EXPECT_NE(answer.find("oma-error-v1"), std::string::npos);
 
     // The wire path refuses garbage the same way, never crashing.
-    answer = engine.answerJson("{\"not\":\"a request\"}", &obs);
-    EXPECT_NE(answer.find("oma-error-v1"), std::string::npos);
-    answer = engine.answerJson("garbage", &obs);
-    EXPECT_NE(answer.find("oma-error-v1"), std::string::npos);
+    for (const std::string &line :
+         engine.answerBatch({"{\"not\":\"a request\"}", "garbage"}, &obs))
+        EXPECT_NE(line.find("oma-error-v1"), std::string::npos);
 
+    EXPECT_EQ(counter(obs, "serve/batches"), 1u);
     EXPECT_EQ(counter(obs, "serve/rejected"), 5u);
     EXPECT_EQ(counter(obs, "serve/requests"), 5u);
     EXPECT_EQ(counter(obs, "serve/computed"), 0u);
@@ -361,6 +328,33 @@ TEST(QueryEngine, ValidateNamesTheOffendingField)
     EXPECT_FALSE(QueryEngine::validate(request, error));
     EXPECT_EQ(error, "request.annealing.iterations: at most 1000000 per "
                      "chain");
+
+    // Each array may hold 64 values, duplicates included, and no more;
+    // the length is checked before any list is built from it.
+    request = tinyRequest();
+    request.workloads.assign(QueryEngine::maxArrayValues, BenchmarkId::Mab);
+    request.space.tlbWays.assign(QueryEngine::maxArrayValues, 1);
+    EXPECT_TRUE(QueryEngine::validate(request, error)) << error;
+    request.space.tlbWays.push_back(1);
+    EXPECT_FALSE(QueryEngine::validate(request, error));
+    EXPECT_EQ(error, "request.space.tlb_ways: at most 64 values");
+    request.workloads.push_back(BenchmarkId::Mab);
+    EXPECT_FALSE(QueryEngine::validate(request, error));
+    EXPECT_EQ(error, "request.workloads: at most 64 values");
+
+    // So is the candidate cap: 1 TLB x 10^4 x 10^4 caches.
+    request = tinyRequest();
+    request.space.tlbFullAssocMax = 0;
+    request.space.cacheKBytes.assign(50, 2);
+    request.space.lineWords.assign(50, 4);
+    request.space.cacheWays = {1, 2, 4, 8};
+    EXPECT_EQ(request.space.candidateCount(request.maxCacheWays),
+              QueryEngine::maxCandidates);
+    EXPECT_TRUE(QueryEngine::validate(request, error)) << error;
+    request.space.wbEntries = {1, 2};
+    EXPECT_FALSE(QueryEngine::validate(request, error));
+    EXPECT_EQ(error, "request.space: 200000000 candidates exceed the "
+                     "limit of 100000000");
 }
 
 /** The files under @p root, as sorted relative paths. */
@@ -435,6 +429,50 @@ TEST(QueryEngine, StoreBytesArePinned)
             fs::remove_all(config.storeDir);
         }
     }
+}
+
+TEST(QueryEngine, ConcurrentIdenticalAnswersCoalesceAndMatch)
+{
+    // Four threads race answer() on one engine and one store. Each
+    // either computes or finds the answer stored; computed answers
+    // put the same bytes under the same key, so the race leaves
+    // exactly the store a serial answer leaves.
+    const AllocationRequest request = tinyRequest();
+    QueryEngineConfig serial_config;
+    serial_config.storeDir = storeRoot("serial");
+    EXPECT_EQ(QueryEngine(serial_config).answer(request).find("oma-error"),
+              std::string::npos);
+    const std::vector<std::string> serial_files =
+        storeFiles(serial_config.storeDir);
+
+    QueryEngineConfig config;
+    config.storeDir = storeRoot("concurrent");
+    const QueryEngine engine(config);
+    constexpr int kThreads = 4;
+    std::vector<std::string> payloads(kThreads);
+    std::vector<obs::Observation> shards(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t]() {
+            payloads[std::size_t(t)] =
+                engine.answer(request, &shards[std::size_t(t)]);
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+
+    for (const std::string &payload : payloads)
+        EXPECT_EQ(payload, payloads.front());
+    std::uint64_t served = 0;
+    for (const obs::Observation &shard : shards)
+        served += counter(shard, "serve/computed") +
+            counter(shard, "serve/warm_hits");
+    EXPECT_EQ(served, std::uint64_t(kThreads));
+    EXPECT_EQ(storeFiles(config.storeDir), serial_files);
+    EXPECT_EQ(storeDigest(config.storeDir, serial_files),
+              storeDigest(serial_config.storeDir, serial_files));
+    fs::remove_all(serial_config.storeDir);
+    fs::remove_all(config.storeDir);
 }
 
 } // namespace

@@ -6,10 +6,10 @@
  *
  * Pins the serving contract's headline property: a Table-style
  * allocation query answered cold, answered store-warm, answered as a
- * concurrent duplicate, and answered at a different thread count all
- * yield bitwise-identical response lines. In socket mode, a client
- * that hangs up without reading, stalls mid-line or sends more than a
- * connection may must cost only its own connection.
+ * duplicate line of one batch, and answered at a different thread
+ * count all yield bitwise-identical response lines. In socket mode, a
+ * client that hangs up without reading, stalls mid-line or sends more
+ * than a connection may must cost only its own connection.
  */
 
 #include <gtest/gtest.h>
@@ -241,6 +241,27 @@ TEST(ServeOnce, UnbuildableGeometryEarnsAnErrorNotAnExit)
          [](AllocationRequest &r) {
              r.space.l2KBytes = {64};
              r.space.hierL1Ways = 1ULL << 63;
+         }},
+        // Spaces past the array and candidate caps: the first two
+        // ended the daemon with std::bad_alloc and no output under a
+        // 3-GB address-space limit; the third (about 10^12
+        // candidates) gave no line within 30 s.
+        {"tlb_entries",
+         [](AllocationRequest &r) {
+             r.space.tlbEntries.assign(8000, 64);
+             r.space.tlbWays.assign(8000, 1);
+         }},
+        {"cache_kbytes",
+         [](AllocationRequest &r) {
+             r.space.cacheKBytes.assign(3000, 2);
+             r.space.lineWords.assign(3000, 4);
+             r.space.cacheWays.assign(3000, 1);
+         }},
+        {"candidates",
+         [](AllocationRequest &r) {
+             r.space.cacheKBytes.assign(64, 2);
+             r.space.lineWords.assign(64, 4);
+             r.space.cacheWays.assign(64, 1);
          }},
     };
     const std::string good = encodeRequest(table6Query());

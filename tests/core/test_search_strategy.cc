@@ -119,6 +119,19 @@ TEST(SearchSpace, CountsTheFullGrid)
     EXPECT_EQ(space.candidateCount(), 244800u);
     EXPECT_EQ(space.wbOptions().size(), 1u);
     EXPECT_TRUE(space.hierOptions().empty());
+
+    // The count a request is admitted on, from the list sizes alone,
+    // is the count its search reports (Table 7 ranks 2-way caches).
+    const ComponentCpiTables extended = syntheticExtendedTables();
+    for (const std::uint64_t ways : {8u, 2u}) {
+        EXPECT_EQ(ConfigSpace().candidateCount(ways),
+                  SearchSpace(tables, AreaModel(), kBudget, ways)
+                      .candidateCount());
+        EXPECT_EQ(ConfigSpace::extended().candidateCount(ways),
+                  SearchSpace(extended, AreaModel(), kBudget, ways)
+                      .candidateCount());
+    }
+    EXPECT_EQ(ConfigSpace::extended().candidateCount(8), 1061276u);
 }
 
 TEST(SearchSpace, MaterializeMatchesExhaustiveEmission)

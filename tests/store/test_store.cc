@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -300,142 +299,6 @@ TEST(ArtifactStoreDeath, FullDiskIsFatalNotSilent)
     EXPECT_EXIT(ArtifactStore::writeEntryFile("/dev/full", "key=1\n",
                                               payload),
                 testing::ExitedWithCode(1), "disk full");
-}
-
-// ----- in-flight duplicate coalescing -----
-
-TEST(InflightTable, FirstJoinLeadsAndPublishRetiresTheKey)
-{
-    InflightTable table;
-    const Fingerprint key = sampleKey();
-    {
-        InflightTable::Lease lease = table.join(key);
-        ASSERT_TRUE(lease.leader());
-        lease.publish("answer bytes");
-    }
-    // Publication retired the slot: a later joiner starts fresh
-    // rather than being handed the stale payload (with a store in
-    // front it would hit warm instead).
-    InflightTable::Lease again = table.join(key);
-    EXPECT_TRUE(again.leader());
-    again.publish("recomputed");
-}
-
-TEST(InflightTable, DistinctKeysDoNotCoalesce)
-{
-    InflightTable table;
-    InflightTable::Lease a = table.join(sampleKey(1));
-    InflightTable::Lease b = table.join(sampleKey(2));
-    EXPECT_TRUE(a.leader());
-    EXPECT_TRUE(b.leader());
-    a.publish("a");
-    b.publish("b");
-}
-
-TEST(InflightTable, AbandonedLeaseFreesTheKey)
-{
-    InflightTable table;
-    const Fingerprint key = sampleKey();
-    {
-        InflightTable::Lease lease = table.join(key);
-        ASSERT_TRUE(lease.leader());
-        // Unwind without publishing (the compute threw).
-    }
-    InflightTable::Lease retaken = table.join(key);
-    EXPECT_TRUE(retaken.leader());
-    retaken.publish("second attempt");
-}
-
-TEST(InflightTable, ConcurrentJoinersAllCarryThePublishedPayload)
-{
-    // N threads race join() on one key. Whatever the interleaving,
-    // every thread must end up holding the payload: followers carry
-    // the leader's bytes, and a thread that joins after retirement
-    // leads a fresh slot and publishes the same bytes itself.
-    InflightTable table;
-    const Fingerprint key = sampleKey();
-    constexpr int kThreads = 8;
-    std::vector<std::string> carried(kThreads);
-    std::atomic<int> leaders{0};
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&, t]() {
-            InflightTable::Lease lease = table.join(key);
-            if (lease.leader()) {
-                leaders.fetch_add(1);
-                lease.publish("the one answer");
-                carried[std::size_t(t)] = "the one answer";
-            } else {
-                carried[std::size_t(t)] = lease.payload();
-            }
-        });
-    }
-    for (std::thread &thread : threads)
-        thread.join();
-    EXPECT_GE(leaders.load(), 1);
-    EXPECT_LE(leaders.load(), kThreads);
-    for (const std::string &payload : carried)
-        EXPECT_EQ(payload, "the one answer");
-}
-
-TEST(InflightTable, AbandonmentWakesFollowersToRetakeLeadership)
-{
-    // The first leader on each key abandons (simulating a compute
-    // failure); the contract is that a waiting follower retakes
-    // leadership instead of blocking forever. Run several rounds so
-    // the wait path is actually exercised under TSan.
-    InflightTable table;
-    constexpr int kThreads = 4;
-    for (int round = 0; round < 8; ++round) {
-        const Fingerprint key = sampleKey(std::uint64_t(round));
-        std::atomic<bool> abandoned{false};
-        std::vector<std::string> carried(kThreads);
-        std::vector<std::thread> threads;
-        for (int t = 0; t < kThreads; ++t) {
-            threads.emplace_back([&, t]() {
-                for (;;) {
-                    InflightTable::Lease lease = table.join(key);
-                    if (!lease.leader()) {
-                        carried[std::size_t(t)] = lease.payload();
-                        return;
-                    }
-                    if (!abandoned.exchange(true))
-                        continue; // abandon: unwind unpublished
-                    lease.publish("recovered");
-                    carried[std::size_t(t)] = "recovered";
-                    return;
-                }
-            });
-        }
-        for (std::thread &thread : threads)
-            thread.join();
-        EXPECT_TRUE(abandoned.load());
-        for (const std::string &payload : carried)
-            EXPECT_EQ(payload, "recovered") << "round " << round;
-    }
-}
-
-TEST(InflightTableDeath, LeaderReadingUnpublishedPayloadIsFatal)
-{
-    EXPECT_EXIT(
-        {
-            InflightTable table;
-            InflightTable::Lease lease = table.join(sampleKey());
-            (void)lease.payload();
-        },
-        testing::ExitedWithCode(1), "unpublished");
-}
-
-TEST(InflightTableDeath, DoublePublishIsFatal)
-{
-    EXPECT_EXIT(
-        {
-            InflightTable table;
-            InflightTable::Lease lease = table.join(sampleKey());
-            lease.publish("once");
-            lease.publish("twice");
-        },
-        testing::ExitedWithCode(1), "double publish");
 }
 
 // ----- payload codecs -----
