@@ -70,7 +70,9 @@ bool
 QueryEngine::validate(const AllocationRequest &request,
                       std::string &error)
 {
-    // Array lengths first: every list below is built from them.
+    // Only checks that build no list: every list-built check runs
+    // once, in ConfigSpace::check(), after the warm get misses. The
+    // array lengths bound the lists it builds.
     const ConfigSpace &space = request.space;
     const struct
     {
@@ -113,23 +115,6 @@ QueryEngine::validate(const AllocationRequest &request,
     }
     if (request.maxCacheWays == 0) {
         error = "request.max_cache_ways: must be positive";
-        return false;
-    }
-    if (space.tlbGeometries().empty()) {
-        error = "request.space: TLB axis is empty";
-        return false;
-    }
-    if (space.cacheGeometries(request.maxCacheWays).empty()) {
-        error = "request.space: no cache geometry is realizable "
-                "under max_cache_ways";
-        return false;
-    }
-    if (const std::uint64_t candidates =
-            space.candidateCount(request.maxCacheWays);
-        candidates > maxCandidates) {
-        error = "request.space: " + std::to_string(candidates) +
-            " candidates exceed the limit of " +
-            std::to_string(maxCandidates);
         return false;
     }
     if (!threadsWithinLimit(request, error))
@@ -214,10 +199,16 @@ std::string
 QueryEngine::computeAnswer(const AllocationRequest &request,
                            obs::Observation &observation) const
 {
-    obs::Span span(observation.metrics, "serve/compute");
+    obs::MetricRegistry &m = observation.metrics;
+    obs::Span span(m, "serve/compute");
+    const std::vector<SweepResult> results = sweep(request, &observation);
+    obs::Span average(m, "serve/average");
     const ComponentCpiTables tables = ComponentCpiTables::average(
-        sweep(request, &observation), MachineParams::decstation3100());
-    return encodeResponse(rank(request, tables, &observation));
+        results, MachineParams::decstation3100());
+    average.stop();
+    const AllocationResponse response = rank(request, tables, &observation);
+    obs::Span encode(m, "serve/encode");
+    return encodeResponse(response);
 }
 
 std::string
@@ -245,14 +236,17 @@ QueryEngine::answer(const AllocationRequest &request,
     // answer, so checking it only after the warm get misses costs the
     // warm path nothing — and keeps one bad line from reaching a
     // sweep, where the same check is fatal to the whole process.
-    if (const std::string bad = request.space.check(); !bad.empty()) {
+    if (const std::string bad = request.space.check(request.maxCacheWays);
+        !bad.empty()) {
         m.add("serve/rejected");
         return encodeError("request." + bad);
     }
     std::string payload = computeAnswer(request, into);
     m.add("serve/computed");
-    if (_store != nullptr)
+    if (_store != nullptr) {
+        obs::Span put(m, "serve/put");
         _store->put(key, payload);
+    }
     return payload;
 }
 

@@ -4,10 +4,10 @@
  * queries (docs/MODEL.md §14).
  *
  * Composes the engines the previous PRs built — ComponentSweep
- * (record-then-replay measurement), SearchStrategy (exhaustive /
- * annealing ranking) and ArtifactStore (content-addressed reuse) —
- * behind one call: give it an AllocationRequest, get back the
- * canonical AllocationResponse JSON. Every frontend (the oma_serve
+ * (record-then-replay measurement), ExhaustiveStrategy and
+ * AnnealingStrategy (ranking) and ArtifactStore (content-addressed
+ * reuse) — behind one call: give it an AllocationRequest, get back
+ * the canonical AllocationResponse JSON. Every frontend (the oma_serve
  * daemon, the table benches, trace_tools, caltool) phrases its
  * question this way, so there is one code path to trust instead of
  * three ad-hoc ones.
@@ -18,10 +18,10 @@
  *    response in the artifact store; a warm hit is returned without
  *    touching a simulator (`serve/warm_hits`, zero record/replay
  *    work — counter-proven in CI).
- *    A request that misses is first checked against what the
- *    simulators can build (ConfigSpace::check()); one that fails
- *    gets an `oma-error-v1` answer naming the request fields, never
- *    a sweep, so it cannot take down the rest of a batch.
+ *    A request that misses is first checked against the lists the
+ *    sweep measures (ConfigSpace::check()); one that fails gets an
+ *    `oma-error-v1` answer naming the request fields, never a
+ *    sweep, so it cannot take down the rest of a batch.
  * 2. *Computed.* The engine sweeps per workload (store-aware, so
  *    even a cold response reuses warm traces/shards), averages the
  *    component tables, runs the requested strategy, encodes the
@@ -38,12 +38,15 @@
  * every path returns bitwise-identical bytes, at any thread count
  * (tests/api/test_query_engine.cc, test_serve_once.cc).
  *
- * Admission limits: validate() bounds every request's sizes before
- * any work (array lengths first, then the candidate count);
- * answerBatch() refuses requests beyond maxBatch per call
- * (`serve/rejected`) and computes distinct requests on at most
- * maxInflight concurrent lanes; each lane still honours the
- * request's own `threads` knob for its sweeps.
+ * Admission is one pass in two steps: validate() runs the checks
+ * that build no list before the warm get (array lengths, references,
+ * threads, annealing), and ConfigSpace::check() runs every check
+ * built on a geometry list (limits, empty axes, the candidate count,
+ * each geometry) once, after the warm get misses. answerBatch()
+ * refuses requests beyond maxBatch per call (`serve/rejected`) and
+ * computes distinct requests on at most maxInflight concurrent
+ * lanes; each lane still honours the request's own `threads` knob
+ * for its sweeps.
  *
  * Every entry point takes an optional obs::Observation pointer;
  * nullptr means obs::Observation::none(), the calling thread's
@@ -176,16 +179,11 @@ class QueryEngine
      * is built; 8,000 TLB sizes alone once made a 1-GB list. */
     static constexpr std::size_t maxArrayValues = 64;
 
-    /** Most candidate allocations one request may rank
-     * (ConfigSpace::candidateCount()). Table 6 ranks 244,800 and the
-     * extended space 1,061,276; 64 cache sizes, line sizes and ways
-     * once asked about 10^12. */
-    static constexpr std::uint64_t maxCandidates = 100000000;
-
-    /** Semantic validation beyond the codec (non-empty mix and
-     * grid, positive budget, array lengths, candidates, references,
-     * threads and annealing chains and iterations within their
-     * limits...); false sets @p error. */
+    /** The request's checks that build no list (array lengths,
+     * non-empty mix, positive references within maxReferences,
+     * positive budget and max_cache_ways, threads and annealing
+     * chains and iterations within their limits); false sets
+     * @p error. The list-built checks are ConfigSpace::check(). */
     [[nodiscard]] static bool validate(const AllocationRequest &request,
                                        std::string &error);
 
@@ -194,12 +192,6 @@ class QueryEngine
     store() const
     {
         return _store.get();
-    }
-
-    [[nodiscard]] const QueryEngineConfig &
-    config() const
-    {
-        return _config;
     }
 
   private:

@@ -107,7 +107,6 @@ class VictimCache
     int access(std::uint64_t paddr);
 
     const VictimStats &stats() const { return _stats; }
-    const CacheGeometry &l1Geometry() const { return _geom; }
     std::uint64_t victimEntries() const { return _victim.size(); }
 
   private:

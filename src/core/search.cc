@@ -143,10 +143,11 @@ ConfigSpace::extended()
 }
 
 std::string
-ConfigSpace::check() const
+ConfigSpace::check(std::uint64_t max_cache_ways) const
 {
-    // The same lists the sweep builds its slots from, in the same
-    // order; an axis's values are checked where they first appear.
+    // The same lists the sweep builds its slots from
+    // (api::SweepGrid::fromSpace), in the same order; an axis's
+    // values are checked where they first appear.
     const auto blame = [](const char *fields, const std::string &why) {
         return std::string("space.") + fields + ": " + why;
     };
@@ -158,6 +159,7 @@ ConfigSpace::check() const
     } limits[] = {
         {"tlb_entries", tlbEntries, maxTlbEntries},
         {"cache_kbytes", cacheKBytes, maxCacheKBytes},
+        {"cache_ways", cacheWays, maxSweptCacheWays},
         {"victim_entries", victimEntries, maxVictimEntries},
         {"l2_kbytes", l2KBytes, maxCacheKBytes},
     };
@@ -167,10 +169,25 @@ ConfigSpace::check() const
                 return blame(axis.field,
                              std::to_string(v) + " exceeds the limit of " +
                                  std::to_string(axis.limit));
-    for (const TlbGeometry &g : tlbGeometries())
+    const std::vector<TlbGeometry> tlbs = tlbGeometries();
+    if (tlbs.empty())
+        return "space: TLB axis is empty";
+    const std::vector<CacheGeometry> caches = cacheGeometries();
+    if (std::none_of(caches.begin(), caches.end(),
+                     [max_cache_ways](const CacheGeometry &g) {
+                         return g.assoc <= max_cache_ways;
+                     }))
+        return "space: no cache geometry is realizable under "
+               "max_cache_ways";
+    if (const std::uint64_t candidates = candidateCount(max_cache_ways);
+        candidates > maxCandidates)
+        return "space: " + std::to_string(candidates) +
+            " candidates exceed the limit of " +
+            std::to_string(maxCandidates);
+    for (const TlbGeometry &g : tlbs)
         if (const std::string why = g.check(); !why.empty())
             return blame("tlb_entries/tlb_ways", why);
-    for (const CacheGeometry &g : cacheGeometries())
+    for (const CacheGeometry &g : caches)
         if (const std::string why = g.check(); !why.empty())
             return blame("cache_kbytes/line_words/cache_ways", why);
     for (const VictimParams &p : victimConfigs())

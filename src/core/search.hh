@@ -4,6 +4,9 @@
  * contribution: the configuration grid of Table 5 (TLBs of 64-512
  * entries at 1/2/4/8-way or fully associative; caches of 2-32 KB with
  * 1-32-word lines at 1/2/4/8-way) and the ranked Allocation record.
+ * ConfigSpace builds the lists a sweep measures, and its check()
+ * admits a request's space over those same lists, so admission and
+ * the sweep cannot disagree on which geometries a request has.
  * The search that costs each combination with the MQF area model,
  * discards combinations over the die budget (250,000 rbe), scores the
  * rest with independently measured per-component CPI contributions
@@ -70,10 +73,11 @@ struct ConfigSpace
 
     /**
      * All realizable cache geometries with associativity at most
-     * @p max_ways (Table 7 restricts to 2).
+     * @p max_ways (Table 7 restricts to 2). The default is the list
+     * the sweep measures.
      */
     [[nodiscard]] std::vector<CacheGeometry>
-    cacheGeometries(std::uint64_t max_ways = 8) const;
+    cacheGeometries(std::uint64_t max_ways = maxSweptCacheWays) const;
 
     /** Victim-cache candidates (capacity x buffer depth). */
     [[nodiscard]] std::vector<VictimParams> victimConfigs() const;
@@ -123,16 +127,28 @@ struct ConfigSpace
     static constexpr std::uint64_t maxTlbEntries = 64 * 1024;
     /** Largest victim-buffer line count. */
     static constexpr std::uint64_t maxVictimEntries = 1024;
+    /** Widest cache the sweep measures (Table 5 stops at 8 ways); a
+     * request's max_cache_ways only narrows what is ranked. */
+    static constexpr std::uint64_t maxSweptCacheWays = 8;
+    /** Most candidate allocations one request may rank
+     * (candidateCount()). Table 6 ranks 244,800 and the extended
+     * space 1,061,276; 64 cache sizes, line sizes and ways once asked
+     * about 10^12. */
+    static constexpr std::uint64_t maxCandidates = 100000000;
 
     /**
      * Empty when the sweep can build every geometry and component of
-     * the space, else the first one it could not, as
-     * "space.<fields>: <why>" naming the axes that produced it (the
-     * wire names of AllocationRequest). Sizes past the request limits
-     * fail first. The simulators validate the rest fatally, so a
-     * space that fails here must never reach a sweep.
+     * the space and rank it under @p max_cache_ways, else the first
+     * failure, as "space[.<fields>]: <why>" naming the axes that
+     * produced it (the wire names of AllocationRequest). It builds
+     * the lists the sweep measures and rejects, in order: sizes past
+     * the request limits, an empty TLB axis, no cache within
+     * @p max_cache_ways, more than maxCandidates candidates, then
+     * each geometry. The simulators validate the geometries fatally,
+     * so a space that fails here must never reach a sweep. Expects
+     * every axis to hold at most 64 values (QueryEngine::validate).
      */
-    [[nodiscard]] std::string check() const;
+    [[nodiscard]] std::string check(std::uint64_t max_cache_ways) const;
 
     /** Append every axis to an artifact-store fingerprint (vector
      * axes as an element count followed by the elements, so two

@@ -9,13 +9,13 @@
  * millions of evaluations per suite. This header separates the
  * scored space (SearchSpace: candidate encoding, exact area/CPI
  * evaluation reusing the precomputed per-geometry tables) from the
- * strategies that walk it, behind a common SearchStrategy interface
- * with two implementations:
+ * two strategies that walk it. They share no base class; each
+ * caller constructs the one it runs.
  *
- *  - ExhaustiveStrategy: the classic enumeration, refactored behind
- *    the interface with *bitwise-unchanged* output (same emission
- *    order, same floating-point accumulation order, same tie order
- *    as a stable sort by CPI), always with monotone cost-bound
+ *  - ExhaustiveStrategy: the classic enumeration, with
+ *    *bitwise-unchanged* output (same emission order, same
+ *    floating-point accumulation order, same tie order as a stable
+ *    sort by CPI), always with monotone cost-bound
  *    pruning: the MQF area model is monotone in entries/ways/
  *    capacity, so a per-axis area floor can reject a whole subgrid
  *    before any candidate in it is scored. Pruning only ever skips
@@ -33,17 +33,22 @@
  *    returned allocation — is a pure function of the seed,
  *    independent of thread count and repetition.
  *
- * Both strategies report their work volume through the obs layer:
- * `search/candidates` (full grid size), `search/evaluations`
- * (candidates actually costed) and `search/pruned_subspaces`
- * (subgrids rejected by an area floor before scoring).
+ * Both keep one contract: search() returns allocations that are a
+ * pure function of (space, strategy configuration) — thread count,
+ * repetition and the observation recorded into never change them —
+ * and reports its work volume through the result's counters,
+ * mirrored into the observation as `search/candidates` (full grid
+ * size), `search/evaluations` (candidates actually costed) and
+ * `search/pruned_subspaces` (subgrids rejected by an area floor
+ * before scoring). search()'s `threads` gives the execution lanes
+ * (0 = one per hardware thread, 1 = serial); its `observation`
+ * defaults to the calling thread's scratch Observation::none().
  */
 
 #ifndef OMA_CORE_SEARCH_STRATEGY_HH
 #define OMA_CORE_SEARCH_STRATEGY_HH
 
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 #include "core/search.hh"
@@ -240,40 +245,7 @@ struct SearchResult
 };
 
 /**
- * A search strategy over the scored five-component space.
- *
- * Contract shared by every implementation: the returned allocations
- * are a pure function of (space, strategy configuration) — thread
- * count, repetition and the observation recorded into never change
- * them — and search() reports its work volume through the result's
- * counters (mirrored into the observation as `search/candidates`,
- * `search/evaluations` and `search/pruned_subspaces`).
- */
-class SearchStrategy
-{
-  public:
-    virtual ~SearchStrategy() = default;
-
-    /** Stable identifier ("exhaustive", "annealing"). */
-    [[nodiscard]] virtual std::string_view name() const = 0;
-
-    /**
-     * Run the strategy.
-     *
-     * @param threads Execution lanes; 0 = one per hardware thread,
-     *        1 = serial. Never affects the returned allocations.
-     * @param observation Metrics/progress sink the search always
-     *        records into; the default is the calling thread's
-     *        scratch Observation::none(). Never changes the result.
-     */
-    [[nodiscard]] virtual SearchResult
-    search(const SearchSpace &space, unsigned threads = 0,
-           obs::Observation &observation =
-               obs::Observation::none()) const = 0;
-};
-
-/**
- * The classic exhaustive enumeration behind the strategy interface.
+ * The classic exhaustive enumeration.
  *
  * Visits split allocations in (TLB, fetch-side, D-cache, write
  * buffer) order then hierarchy allocations in (TLB, hierarchy,
@@ -289,7 +261,7 @@ class SearchStrategy
  * (top_k 0) ranking, ranks included; SearchResult::inBudget and the
  * evaluation and pruning counts do not depend on top_k.
  */
-class ExhaustiveStrategy final : public SearchStrategy
+class ExhaustiveStrategy
 {
   public:
     /** @param top_k Allocations returned, best first (0 = every
@@ -298,16 +270,10 @@ class ExhaustiveStrategy final : public SearchStrategy
     {
     }
 
-    [[nodiscard]] std::string_view
-    name() const override
-    {
-        return "exhaustive";
-    }
-
     [[nodiscard]] SearchResult
     search(const SearchSpace &space, unsigned threads = 0,
            obs::Observation &observation =
-               obs::Observation::none()) const override;
+               obs::Observation::none()) const;
 
   private:
     std::uint64_t _topK;
@@ -347,7 +313,7 @@ struct AnnealingConfig
  * Returns at most one allocation (rank 1). Deterministic per seed;
  * thread-count invariant.
  */
-class AnnealingStrategy final : public SearchStrategy
+class AnnealingStrategy
 {
   public:
     explicit AnnealingStrategy(const AnnealingConfig &config = {})
@@ -355,21 +321,10 @@ class AnnealingStrategy final : public SearchStrategy
     {
     }
 
-    [[nodiscard]] std::string_view
-    name() const override
-    {
-        return "annealing";
-    }
-
-    [[nodiscard]] const AnnealingConfig &config() const
-    {
-        return _config;
-    }
-
     [[nodiscard]] SearchResult
     search(const SearchSpace &space, unsigned threads = 0,
            obs::Observation &observation =
-               obs::Observation::none()) const override;
+               obs::Observation::none()) const;
 
   private:
     AnnealingConfig _config;

@@ -171,6 +171,7 @@ ComponentSweep::run(const WorkloadParams &workload, OsKind os,
             m.add("sweep/records");
         }
         if (store != nullptr) {
+            obs::Span span(m, "sweep/trace_put");
             const std::string payload = store::encodeTrace(trace);
             store->put(traceKey(base), payload);
             obs::exportEncodedTrace(m, "trace", payload.size(),

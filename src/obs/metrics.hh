@@ -320,7 +320,7 @@ class Progress
 
 /**
  * The observation sink an instrumented engine fills: pass one to
- * ComponentSweep::run / SearchStrategy::search to collect metrics
+ * ComponentSweep::run or a strategy's search() to collect metrics
  * and (optionally) progress. Engines always record into one; a
  * caller that wants nothing passes none(). Which Observation an
  * engine records into never changes its results — only what gets

@@ -133,9 +133,6 @@ class MachModel : public OsModel
 
     const MachParams &params() const { return _p; }
 
-    /** The BSD server's address space (for tests/ablations). */
-    AddressSpace &serverSpace() { return _serverSpace; }
-
   private:
     std::uint64_t svcBodyInstr(ServiceKind kind);
     std::uint64_t serverBufAddr(std::uint64_t file_offset) const;

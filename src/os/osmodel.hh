@@ -101,9 +101,6 @@ class OsModel
         _invalidate = std::move(hook);
     }
 
-    /** The X display server's address space (user level in both OSes). */
-    AddressSpace &xSpace() { return _xSpace; }
-
   protected:
     /** Invalidate a page in the machine's MMU (no-op when unhooked). */
     void

@@ -192,10 +192,6 @@ class Mmu
 
     Tlb &tlb() { return _tlb; }
     [[nodiscard]] const Tlb &tlb() const { return _tlb; }
-    [[nodiscard]] const TlbPenalties &penalties() const
-    {
-        return _penalties;
-    }
 
     /** Service time in seconds at the configured clock. */
     double

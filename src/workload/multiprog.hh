@@ -81,8 +81,6 @@ class MultiprogramSource : public TraceSource
         return true;
     }
 
-    std::size_t memberCount() const { return _members.size(); }
-
     System &member(std::size_t i) { return *_members[i].system; }
 
     /** Forward an MMU invalidation hook to every member. */

@@ -139,6 +139,15 @@ TEST(QueryEngine, SecondAnswerIsStoreWarmAndBitwiseIdentical)
     const std::string first = engine.answer(request, &cold);
     EXPECT_EQ(counter(cold, "serve/computed"), 1u);
     EXPECT_EQ(counter(cold, "serve/warm_hits"), 0u);
+    // Each serial stage of a computed answer has a span: the trace
+    // encode and put once per workload, then the averaging, the
+    // response encode and the response put.
+    const char *const stages[] = {"calls/sweep/trace_put",
+                                  "calls/serve/average",
+                                  "calls/serve/encode", "calls/serve/put"};
+    ASSERT_EQ(request.workloads.size(), 1u);
+    for (const char *stage : stages)
+        EXPECT_EQ(counter(cold, stage), 1u) << stage;
 
     obs::Observation warm;
     const std::string second = engine.answer(request, &warm);
@@ -146,10 +155,13 @@ TEST(QueryEngine, SecondAnswerIsStoreWarmAndBitwiseIdentical)
     EXPECT_EQ(counter(warm, "serve/warm_hits"), 1u);
     EXPECT_EQ(counter(warm, "serve/computed"), 0u);
     // Warm serving touches no simulator: no sweep records, replays
-    // or even store trace fetches happen on this path.
+    // or even store trace fetches happen on this path, and none of
+    // the computed path's stages runs.
     EXPECT_EQ(counter(warm, "sweep/records"), 0u);
     EXPECT_EQ(counter(warm, "sweep/replays"), 0u);
     EXPECT_EQ(counter(warm, "store/trace_hits"), 0u);
+    for (const char *stage : stages)
+        EXPECT_EQ(counter(warm, stage), 0u) << stage;
 
     // A different engine instance over the same store is also warm:
     // the answer lives in the store, not the process.
@@ -308,11 +320,15 @@ TEST(QueryEngine, ValidateNamesTheOffendingField)
     EXPECT_FALSE(QueryEngine::validate(request, error));
     EXPECT_EQ(error, "request.references: at most 100000000 per workload");
 
+    // The checks built on geometry lists pass validate() and fail
+    // ConfigSpace::check(), which answer() runs after the warm get
+    // misses and whose text it prefixes with "request.".
     request = tinyRequest();
     request.space.tlbEntries.clear();
     request.space.tlbFullAssocMax = 0;
-    EXPECT_FALSE(QueryEngine::validate(request, error));
-    EXPECT_NE(error.find("TLB"), std::string::npos);
+    EXPECT_TRUE(QueryEngine::validate(request, error)) << error;
+    EXPECT_EQ(request.space.check(request.maxCacheWays),
+              "space: TLB axis is empty");
 
     request = tinyRequest();
     request.maxCacheWays = 0;
@@ -349,12 +365,26 @@ TEST(QueryEngine, ValidateNamesTheOffendingField)
     request.space.lineWords.assign(50, 4);
     request.space.cacheWays = {1, 2, 4, 8};
     EXPECT_EQ(request.space.candidateCount(request.maxCacheWays),
-              QueryEngine::maxCandidates);
-    EXPECT_TRUE(QueryEngine::validate(request, error)) << error;
+              ConfigSpace::maxCandidates);
+    EXPECT_EQ(request.space.check(request.maxCacheWays), "");
     request.space.wbEntries = {1, 2};
-    EXPECT_FALSE(QueryEngine::validate(request, error));
-    EXPECT_EQ(error, "request.space: 200000000 candidates exceed the "
-                     "limit of 100000000");
+    EXPECT_TRUE(QueryEngine::validate(request, error)) << error;
+    EXPECT_EQ(request.space.check(request.maxCacheWays),
+              "space: 200000000 candidates exceed the limit of "
+              "100000000");
+
+    // validate() builds no list, so 64 cache sizes x 64 line sizes x
+    // 64 ways under Table 5's 17 TLBs (about 1.2 x 10^12 candidates)
+    // pass it at once; the candidate cap in check() refuses them.
+    request = tinyRequest();
+    request.space = ConfigSpace();
+    request.space.cacheKBytes.assign(64, 2);
+    request.space.lineWords.assign(64, 4);
+    request.space.cacheWays.assign(64, 1);
+    EXPECT_TRUE(QueryEngine::validate(request, error)) << error;
+    EXPECT_EQ(request.space.check(request.maxCacheWays),
+              "space: 1168231104512 candidates exceed the limit of "
+              "100000000");
 }
 
 /** The files under @p root, as sorted relative paths. */

@@ -263,6 +263,16 @@ TEST(ServeOnce, UnbuildableGeometryEarnsAnErrorNotAnExit)
              r.space.lineWords.assign(64, 4);
              r.space.cacheWays.assign(64, 1);
          }},
+        // Caches wider than the 8 ways the sweep measures: the first
+        // was answered with 0 candidates, the second ranked only its
+        // 2-way caches.
+        {"cache_ways",
+         [](AllocationRequest &r) {
+             r.space.cacheWays = {16};
+             r.maxCacheWays = 16;
+         }},
+        {"cache_ways",
+         [](AllocationRequest &r) { r.space.cacheWays = {2, 16}; }},
     };
     const std::string good = encodeRequest(table6Query());
     for (const Case &c : cases) {
