@@ -522,10 +522,9 @@ BENCHMARK(BM_ReplaySweep)
  * Warm artifact-store sweeps: one cold run primes a throwaway store
  * directory outside the timed region, then every timed iteration
  * loads every shard from the store and never touches the trace — no
- * record, no trace fetch or decode, no replay. The warm run's
- * observation counters are copied into BENCH_speed.json under
- * `store_warm/` so the claim is checkable from the report:
- * `store_warm/sweep/records`, `store_warm/store/trace_hits` and
+ * record, no replay. The warm run's observation counters are copied
+ * into BENCH_speed.json under `store_warm/` so the claim is
+ * checkable from the report: `store_warm/sweep/records` and
  * `store_warm/replay/batched_refs` must be 0 while
  * `store_warm/sweep/trace_skips` counts one skip per iteration.
  */
@@ -575,9 +574,9 @@ BM_SweepStoreWarm(benchmark::State &state)
         double(warm.metrics.counter("sweep/trace_skips")) / iters;
     if (g_report != nullptr) {
         for (const char *name :
-             {"sweep/records", "sweep/trace_skips", "store/trace_hits",
-              "replay/batched_refs", "store/hits", "store/misses",
-              "store/writes", "store/quarantined"}) {
+             {"sweep/records", "sweep/trace_skips", "replay/batched_refs",
+              "store/hits", "store/misses", "store/writes",
+              "store/quarantined"}) {
             g_report->metrics().add(std::string("store_warm/") + name,
                                     warm.metrics.counter(name));
         }

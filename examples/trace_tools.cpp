@@ -17,9 +17,9 @@
  *       small cache/TLB grid and print the per-configuration table.
  *   trace_tools sweeprun <benchmark> <ultrix|mach> <refs> [threads]
  *       Run a live (store-aware) ComponentSweep over the same grid:
- *       with OMA_STORE_DIR set, the recording and every replay shard
- *       persist, so a warm rerun skips the record phase (the CI
- *       cold-vs-warm job drives this subcommand).
+ *       with OMA_STORE_DIR set, every replay shard persists, so a
+ *       warm rerun skips the record phase (the CI cold-vs-warm job
+ *       drives this subcommand).
  */
 
 #include <cstdlib>
@@ -241,8 +241,6 @@ cmdSweepRun(int argc, char **argv)
     std::cout << "Swept " << r.references << " references ("
               << r.instructions << " instructions); records="
               << observation.metrics.counter("sweep/records")
-              << " record_skips="
-              << observation.metrics.counter("sweep/record_skips")
               << " trace_skips="
               << observation.metrics.counter("sweep/trace_skips")
               << " store_hits="

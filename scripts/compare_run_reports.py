@@ -6,15 +6,14 @@ Usage: compare_run_reports.py BASE.json OTHER.json [options]
 The comparison covers counters and histograms -- the deterministic,
 work-derived half of a report (docs/OBSERVABILITY.md). Wall-clock
 gauges, phase call counts, throughput rates, store traffic, pool
-shape and the per-run work counters (what was recorded, replayed or
-read as a trace -- a warm run skips exactly that work) legitimately
-differ between a cold and a warm run of the same experiment, so they
-are excluded by default:
+shape and the per-run work counters (what was recorded or replayed --
+a warm run skips exactly that work) legitimately differ between a
+cold and a warm run of the same experiment, so they are excluded by
+default:
 
   prefixes: time_ms/ calls/ rate/ bench/ store/ store_warm/
             threadpool/ speed/ replay/ trace/
-  names:    sweep/records sweep/record_skips sweep/replays
-            sweep/trace_skips
+  names:    sweep/records sweep/replays sweep/trace_skips
 
 Everything else must match exactly: the artifact store's contract is
 that a warm run reproduces the cold run's results bit for bit.
@@ -45,7 +44,6 @@ EXCLUDED_PREFIXES = (
 )
 EXCLUDED_NAMES = {
     "sweep/records",
-    "sweep/record_skips",
     "sweep/replays",
     "sweep/trace_skips",
 }

@@ -117,6 +117,11 @@ QueryEngine::validate(const AllocationRequest &request,
         error = "request.max_cache_ways: must be positive";
         return false;
     }
+    if (request.topK == 0 || request.topK > maxTopK) {
+        error = "request.top_k: must be between 1 and " +
+            std::to_string(maxTopK);
+        return false;
+    }
     if (!threadsWithinLimit(request, error))
         return false;
     if (request.strategy != Strategy::Annealing)
@@ -224,10 +229,15 @@ QueryEngine::answer(const AllocationRequest &request,
         m.add("serve/rejected");
         return encodeError(error);
     }
+    obs::Span key_span(m, "serve/key");
     const Fingerprint key = request.responseKey();
+    key_span.stop();
     if (_store != nullptr) {
+        obs::Span get(m, "serve/get");
         std::string payload;
-        if (_store->get(key, payload)) {
+        const bool hit = _store->get(key, payload);
+        get.stop();
+        if (hit) {
             m.add("serve/warm_hits");
             return payload;
         }

@@ -23,7 +23,7 @@
  *    `oma-error-v1` answer naming the request fields, never a
  *    sweep, so it cannot take down the rest of a batch.
  * 2. *Computed.* The engine sweeps per workload (store-aware, so
- *    even a cold response reuses warm traces/shards), averages the
+ *    even a cold response reuses stored shards), averages the
  *    component tables, runs the requested strategy, encodes the
  *    top-K answer and puts it in the store (`serve/computed`).
  *
@@ -40,7 +40,7 @@
  *
  * Admission is one pass in two steps: validate() runs the checks
  * that build no list before the warm get (array lengths, references,
- * threads, annealing), and ConfigSpace::check() runs every check
+ * top_k, threads, annealing), and ConfigSpace::check() runs every check
  * built on a geometry list (limits, empty axes, the candidate count,
  * each geometry) once, after the warm get misses. answerBatch()
  * refuses requests beyond maxBatch per call (`serve/rejected`) and
@@ -133,9 +133,9 @@ class QueryEngine
     /**
      * Measurement stage only: one store-aware sweep per workload of
      * @p request, in workload order. @p grid overrides the grid
-     * derived from request.space (legacy suite shims); the store
-     * keys depend only on workload/OS/run provenance, so both
-     * spellings share trace artifacts.
+     * derived from request.space (legacy suite shims); the shard
+     * keys depend only on workload/OS/run provenance and the slot,
+     * so both spellings share stored shards.
      */
     [[nodiscard]] std::vector<SweepResult>
     sweep(const AllocationRequest &request,
@@ -179,11 +179,19 @@ class QueryEngine
      * is built; 8,000 TLB sizes alone once made a 1-GB list. */
     static constexpr std::size_t maxArrayValues = 64;
 
+    /** Most allocations one answer may list (`top_k`, at least 1).
+     * The exhaustive search keeps, materializes and encodes that
+     * many; a top_k of 0 (every allocation, which rank() still takes
+     * from in-process callers) made a 110-MB answer line for Table
+     * 6's space. */
+    static constexpr std::uint64_t maxTopK = 1000;
+
     /** The request's checks that build no list (array lengths,
      * non-empty mix, positive references within maxReferences,
-     * positive budget and max_cache_ways, threads and annealing
-     * chains and iterations within their limits); false sets
-     * @p error. The list-built checks are ConfigSpace::check(). */
+     * positive budget and max_cache_ways, top_k within 1..maxTopK,
+     * threads and annealing chains and iterations within their
+     * limits); false sets @p error. The list-built checks are
+     * ConfigSpace::check(). */
     [[nodiscard]] static bool validate(const AllocationRequest &request,
                                        std::string &error);
 

@@ -46,8 +46,10 @@ constexpr std::uint64_t dcacheBankSalt = 2;
 /**
  * Fingerprint of everything upstream of the record phase: formats,
  * OS personality, seed, trace length and the complete workload
- * description. Every store key (the recording and each replay shard)
- * extends this base, so any change in provenance keys a fresh entry.
+ * description. Every replay shard's store key extends this base, so
+ * any change in provenance keys a fresh entry. The trace format
+ * version stays in it although no trace is stored, so shards written
+ * when the recording was stored too keep their keys.
  * RunConfig::userOnly is deliberately absent — the sweep path never
  * consults it.
  */
@@ -63,14 +65,6 @@ sweepBaseKey(const WorkloadParams &workload, OsKind os,
     fp.u64("run.references", run.references);
     workload.fingerprint(fp);
     return fp;
-}
-
-Fingerprint
-traceKey(const Fingerprint &base)
-{
-    Fingerprint key = base;
-    key.str("artifact", "trace");
-    return key;
 }
 
 /** Whether a Cheetah pass reports @p slot: an I- or D-cache slot
@@ -142,7 +136,6 @@ ComponentSweep::run(const WorkloadParams &workload, OsKind os,
 {
     const std::unique_ptr<ArtifactStore> store =
         ArtifactStore::open(run.storeDir);
-    const Fingerprint base = sweepBaseKey(workload, os, run);
     obs::MetricRegistry &m = observation.metrics;
 
     // The record phase (serial), run only when some shard must be
@@ -150,39 +143,23 @@ ComponentSweep::run(const WorkloadParams &workload, OsKind os,
     // model advance exactly as in a legacy single-pass run;
     // page-invalidation events land inline in the recording at the
     // index of the reference the OS fired them while producing, which
-    // is where every replay applies them. A stored recording skips
-    // the capture: the decoded recording is byte-identical to what a
-    // live record would produce.
+    // is where every replay applies them. The recording is a pure
+    // function of (workload, OS, seed, references) and recording it
+    // costs what fetching and decoding it would, so it is never
+    // stored.
     RecordedTrace trace;
-    const auto load_trace = [&]() -> const RecordedTrace & {
-        if (store != nullptr) {
-            std::string payload;
-            if (store->get(traceKey(base), payload) &&
-                store::decodeTrace(payload, trace)) {
-                m.add("store/trace_hits");
-                m.add("sweep/record_skips");
-                return trace;
-            }
-        }
+    const auto record = [&]() -> const RecordedTrace & {
         System system(workload, os, run.seed);
-        {
-            obs::Span span(m, "sweep/record");
-            trace = system.record(run.references);
-            m.add("sweep/records");
-        }
-        if (store != nullptr) {
-            obs::Span span(m, "sweep/trace_put");
-            const std::string payload = store::encodeTrace(trace);
-            store->put(traceKey(base), payload);
-            obs::exportEncodedTrace(m, "trace", payload.size(),
-                                    trace.size());
-        }
+        obs::Span span(m, "sweep/record");
+        trace = system.record(run.references);
+        m.add("sweep/records");
         return trace;
     };
 
     SweepResult result =
-        sweepTasks(load_trace, ThreadPool::resolveThreads(run.threads),
-                   observation, store.get(), base);
+        sweepTasks(record, ThreadPool::resolveThreads(run.threads),
+                   observation, store.get(),
+                   sweepBaseKey(workload, os, run));
     if (store != nullptr)
         obs::exportArtifactStore(m, "store", *store);
     return result;

@@ -324,15 +324,15 @@ struct SweepResult
  * overload.
  *
  * When RunConfig::storeDir (or OMA_STORE_DIR) enables the artifact
- * store, the recording and every completed replay shard persist as
- * they are produced. A later run loads what it can before it touches
- * the trace: when every shard is stored the sweep never fetches,
- * decodes or records the recording (`sweep/trace_skips`); otherwise
- * it fetches (or records) it once and replays only the missing
- * shards, so a killed sweep resumes at its last completed shard and
- * a corrupt entry is quarantined and transparently re-simulated.
- * Cached runs reproduce live runs bit-for-bit
- * (tests/core/test_store_sweep.cc).
+ * store, every completed replay shard persists as it is produced;
+ * the recording never does, because recording it again costs what
+ * fetching and decoding it would. A later run loads what it can
+ * first: when every shard is stored the sweep never records
+ * (`sweep/trace_skips`); otherwise it records once and replays only
+ * the missing shards, so a killed sweep resumes at its last
+ * completed shard and a corrupt entry is quarantined and
+ * transparently re-simulated. Cached runs reproduce live runs
+ * bit-for-bit (tests/core/test_store_sweep.cc).
  */
 class ComponentSweep
 {

@@ -103,22 +103,6 @@ exportRecordedTrace(MetricRegistry &m, const std::string &prefix,
               double(trace.byteSize()) / double(trace.size()));
 }
 
-/**
- * Encoded (v3 delta/varint) trace footprint, reported next to the
- * packed in-memory numbers exportRecordedTrace captures. The caller
- * supplies the byte count (store::encodeTrace(trace).size()) so this
- * layer stays independent of the codec.
- */
-inline void
-exportEncodedTrace(MetricRegistry &m, const std::string &prefix,
-                   std::uint64_t encoded_bytes, std::uint64_t refs)
-{
-    m.add(prefix + "/encoded_bytes", encoded_bytes);
-    if (refs != 0)
-        m.set(prefix + "/encoded_bytes_per_ref",
-              double(encoded_bytes) / double(refs));
-}
-
 /** Baseline (fixed-machine) run: per-component miss data. */
 inline void
 exportBaseline(MetricRegistry &m, const std::string &prefix,

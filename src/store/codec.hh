@@ -1,9 +1,8 @@
 /**
  * @file
- * Byte codecs for the artifacts the store holds.
+ * Byte codecs for replay shards and trace files.
  *
- * Two artifact kinds exist today: a complete RecordedTrace (the
- * output of the serial record phase) and one replay shard's exact
+ * The sweep stores one artifact kind: one replay shard's exact
  * counters (a component's CacheStats, MmuStats, VictimStats,
  * WriteBufferStats or HierarchyStats, or the reference machine's
  * MachineShard). Every codec stores raw counters — never derived
@@ -18,15 +17,16 @@
  *
  * Encoding is little-endian-agnostic host byte order via memcpy
  * (entries are per-machine caches; the fingerprint scheme ages them
- * out on format changes). Trace payloads run each column chunk
- * through the delta/varint codec (trace/codec.hh) with per-chunk
- * checksums, so warm replays re-read a fraction of the packed
- * 10 B/ref footprint. Decoders are bounds-checked and return false on
- * any framing mismatch, which callers treat as a store miss.
+ * out on format changes). Decoders are bounds-checked and return
+ * false on any framing mismatch, which callers treat as a store miss.
  *
- * A trace file is the same trace payload in the store's entry
- * framing (ArtifactStore::writeEntryFile) under a fixed key, so files
- * and store entries share one byte format and one verified reader.
+ * A trace file is a complete RecordedTrace (the output of the serial
+ * record phase) in the store's entry framing
+ * (ArtifactStore::writeEntryFile) under a fixed key, so it shares the
+ * store's one verified reader. Its payload runs each column chunk
+ * through the delta/varint codec (trace/codec.hh) with per-chunk
+ * checksums, a fraction of the packed 10 B/ref footprint. The store
+ * holds no trace: a sweep records again instead.
  */
 
 #ifndef OMA_STORE_CODEC_HH
@@ -47,9 +47,10 @@ namespace oma::store
 {
 
 /** Version of the trace payload codec (encodeTrace/decodeTrace). It
- * is part of every store key as `trace.format_version` and of the
- * trace-file key, so a codec change ages stored traces, shards and
- * trace files out instead of misreading them. */
+ * is part of the trace-file key, so a codec change ages trace files
+ * out instead of misreading them. Every shard and answer key keeps it
+ * as `trace.format_version` too, as when the store held traces, so
+ * those keys keep their bytes. */
 inline constexpr std::uint32_t traceFormatVersion = 3;
 
 /**
@@ -97,7 +98,7 @@ struct MachineShard
 [[nodiscard]] std::string encodeTrace(const RecordedTrace &trace);
 
 /** @retval false on framing mismatch, a checksum mismatch or a chunk
- * that fails delta/varint decoding (treat any as a store miss). */
+ * that fails delta/varint decoding. */
 [[nodiscard]] bool decodeTrace(std::string_view payload,
                                RecordedTrace &trace);
 

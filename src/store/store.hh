@@ -2,13 +2,14 @@
  * @file
  * Content-addressed on-disk artifact store.
  *
- * Re-recording the same workload/OS reference stream on every run is
- * the dominant cost of a cold sweep, and a killed long sweep used to
- * lose every completed replay shard. The store removes both costs:
- * any artifact whose complete provenance fits in a Fingerprint (a
- * recorded trace, one replay shard's counters) can be saved under
- * that fingerprint and transparently reloaded by a later run with the
- * identical configuration.
+ * Replaying a recording through every component is the dominant cost
+ * of a cold question, and a killed long sweep used to lose every
+ * completed replay shard. The store removes both costs: any artifact
+ * whose complete provenance fits in a Fingerprint (one replay shard's
+ * counters, one encoded answer) can be saved under that fingerprint
+ * and transparently reloaded by a later run with the identical
+ * configuration. Recordings are not stored: recording one again
+ * costs what fetching and decoding it would.
  *
  * Design rules, in order of importance:
  *
@@ -35,9 +36,10 @@
  *   live path.
  *
  * Entries are per-machine caches, not an interchange format: payload
- * integers are stored in host byte order. The trace-format version
- * and a store schema version are part of every fingerprint, so
- * format changes age old entries into misses instead of misreads.
+ * integers are stored in host byte order. A store schema version is
+ * part of every fingerprint (and the trace-format version of every
+ * shard's and answer's), so format changes age old entries into
+ * misses instead of misreads.
  */
 
 #ifndef OMA_STORE_STORE_HH

@@ -3,7 +3,7 @@
  * Delta/varint chunk codec — the byte layer of trace format v3.
  *
  * The packed columnar RecordedTrace (10 B/ref) is already compact in
- * memory, but stored traces are write-once/replay-many, so they are
+ * memory, but trace files are write-once/replay-many, so they are
  * worth squeezing further. This codec exploits the structure of the
  * stream itself:
  *
@@ -30,8 +30,8 @@
  * framing violation; callers pair payloads with the fnv1a32()
  * checksum so bit flips that survive framing are still detected.
  *
- * Consumed by the artifact-store trace codec (store/codec), which
- * also frames trace files; the differential and fuzz suites live in
+ * Consumed by the trace payload codec (store/codec), which frames
+ * trace files; the differential and fuzz suites live in
  * tests/trace/test_codec_v3.cc.
  */
 

@@ -139,13 +139,14 @@ TEST(QueryEngine, SecondAnswerIsStoreWarmAndBitwiseIdentical)
     const std::string first = engine.answer(request, &cold);
     EXPECT_EQ(counter(cold, "serve/computed"), 1u);
     EXPECT_EQ(counter(cold, "serve/warm_hits"), 0u);
-    // Each serial stage of a computed answer has a span: the trace
-    // encode and put once per workload, then the averaging, the
-    // response encode and the response put.
-    const char *const stages[] = {"calls/sweep/trace_put",
-                                  "calls/serve/average",
+    // Each serial stage of an answer has a span: every answer keys
+    // and gets its response; a computed one then averages, encodes
+    // and puts it.
+    const char *const lookups[] = {"calls/serve/key", "calls/serve/get"};
+    const char *const stages[] = {"calls/serve/average",
                                   "calls/serve/encode", "calls/serve/put"};
-    ASSERT_EQ(request.workloads.size(), 1u);
+    for (const char *lookup : lookups)
+        EXPECT_EQ(counter(cold, lookup), 1u) << lookup;
     for (const char *stage : stages)
         EXPECT_EQ(counter(cold, stage), 1u) << stage;
 
@@ -154,12 +155,13 @@ TEST(QueryEngine, SecondAnswerIsStoreWarmAndBitwiseIdentical)
     EXPECT_EQ(second, first);
     EXPECT_EQ(counter(warm, "serve/warm_hits"), 1u);
     EXPECT_EQ(counter(warm, "serve/computed"), 0u);
-    // Warm serving touches no simulator: no sweep records, replays
-    // or even store trace fetches happen on this path, and none of
-    // the computed path's stages runs.
+    // Warm serving touches no simulator: no sweep records or
+    // replays happen on this path, and none of the computed path's
+    // stages runs.
     EXPECT_EQ(counter(warm, "sweep/records"), 0u);
     EXPECT_EQ(counter(warm, "sweep/replays"), 0u);
-    EXPECT_EQ(counter(warm, "store/trace_hits"), 0u);
+    for (const char *lookup : lookups)
+        EXPECT_EQ(counter(warm, lookup), 1u) << lookup;
     for (const char *stage : stages)
         EXPECT_EQ(counter(warm, stage), 0u) << stage;
 
@@ -335,6 +337,19 @@ TEST(QueryEngine, ValidateNamesTheOffendingField)
     EXPECT_FALSE(QueryEngine::validate(request, error));
     EXPECT_NE(error.find("max_cache_ways"), std::string::npos);
 
+    // An answer lists 1 to 1,000 allocations; top_k 0 (every
+    // allocation) is for in-process rank() callers only.
+    request = tinyRequest();
+    for (const std::uint64_t top_k : {1u, 1000u}) {
+        request.topK = top_k;
+        EXPECT_TRUE(QueryEngine::validate(request, error)) << error;
+    }
+    for (const std::uint64_t top_k : {0u, 1001u}) {
+        request.topK = top_k;
+        EXPECT_FALSE(QueryEngine::validate(request, error));
+        EXPECT_EQ(error, "request.top_k: must be between 1 and 1000");
+    }
+
     // The iterations cap is inclusive too; that search is not run.
     request = tinyRequest();
     request.strategy = Strategy::Annealing;
@@ -418,9 +433,9 @@ storeDigest(const std::string &root,
 
 TEST(QueryEngine, StoreBytesArePinned)
 {
-    // Every file a cold answer leaves in an empty store (the two
-    // traces, every replay shard and the response) is pinned byte
-    // for byte, at any thread count. Store payloads hold integers and
+    // Every file a cold answer leaves in an empty store (every
+    // replay shard and the response; no trace) is pinned byte for
+    // byte, at any thread count. Store payloads hold integers and
     // doubles in host byte order, so the goldens are those of an
     // x86-64 (little-endian) host. A deliberate format change
     // regenerates them and says so in the change log.
@@ -432,10 +447,10 @@ TEST(QueryEngine, StoreBytesArePinned)
         const char *digest;
     };
     const Question questions[] = {
-        {"classic", ConfigSpace(), 519,
-         "ff8fab1a37ac78fca1690b1256699fed"},
-        {"extended", ConfigSpace::extended(), 561,
-         "78ad66c90c3e3d049955b2f1d1dc6155"},
+        {"classic", ConfigSpace(), 517,
+         "c82590f9e32a3c0efb2bd2fa90ea0ed5"},
+        {"extended", ConfigSpace::extended(), 559,
+         "77473f8fcad8a5f019a0c7b9e9a0a6e7"},
     };
     for (const Question &q : questions) {
         for (const unsigned threads : {1u, 4u}) {

@@ -357,6 +357,11 @@ TEST(ServeOnce, OutOfRangeThreadsAndChainsEarnErrorsNotAnAbort)
          withField(annealed, "iterations",
                    std::to_string(QueryEngine::maxAnnealingIterations +
                                   1))},
+        // top_k 0 listed every in-budget allocation: 110 MB on one
+        // line for Table 6's space under an unbounded budget.
+        {"top_k", withField(exhaustive, "top_k", "0")},
+        {"top_k", withField(exhaustive, "top_k",
+                            std::to_string(QueryEngine::maxTopK + 1))},
     };
     constexpr std::size_t n_cases = std::size(cases);
     std::string input = exhaustive + "\n";

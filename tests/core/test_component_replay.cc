@@ -528,8 +528,8 @@ expectColdAndWarmMatchOracle(const ComponentSweep &sweep, OsKind os,
 TEST(BatchedReplay, WarmStoreReplayMatchesScalarExpectation)
 {
     // The classic grid under Ultrix: the cold run simulates live and
-    // persists v3-encoded trace and shards; the warm rerun decodes
-    // them and simulates nothing.
+    // persists its shards; the warm rerun decodes them and simulates
+    // nothing.
     const ComponentSweep sweep({CacheGeometry::fromWords(4 * 1024, 4, 2)},
                                {CacheGeometry::fromWords(4 * 1024, 4, 2)},
                                {TlbGeometry::fullyAssoc(32)});

@@ -1,12 +1,12 @@
 /**
  * @file
  * End-to-end contract of store-backed sweeps: a cold run (fills the
- * store), a warm run (loads every shard, never touches the trace), a
- * run with one slot added (fetches the trace once, replays only that
- * slot) and a resumed run after a mid-sweep kill must all be bitwise
- * identical to a live no-store sweep — at 1 and 4 threads — and
- * corrupt or legacy entries must fall back to live simulation, never
- * to wrong data.
+ * store with one shard per task and no trace), a warm run (loads
+ * every shard, never records), a run with one slot added (records
+ * once, replays only that slot) and a resumed run after a mid-sweep
+ * kill must all be bitwise identical to a live no-store sweep — at 1
+ * and 4 threads — and corrupt or legacy entries must fall back to
+ * live simulation, never to wrong data.
  */
 
 #include <gtest/gtest.h>
@@ -116,10 +116,9 @@ TEST(StoreSweep, ColdAndWarmRunsMatchTheLiveResultBitwise)
                       storeRun(dir, threads), cold_obs);
         expectSameSweep(live, cold);
         EXPECT_EQ(cold_obs.metrics.counter("sweep/records"), 1u);
-        EXPECT_EQ(cold_obs.metrics.counter("store/trace_hits"), 0u);
-        // Everything persisted: the recording plus one shard per task.
-        EXPECT_EQ(cold_obs.metrics.counter("store/writes"),
-                  1 + taskCount());
+        // One shard per task persisted, and no recording.
+        EXPECT_EQ(cold_obs.metrics.counter("store/writes"), taskCount());
+        EXPECT_EQ(storeEntries(dir).size(), taskCount());
 
         obs::Observation warm_obs;
         const SweepResult warm =
@@ -127,10 +126,8 @@ TEST(StoreSweep, ColdAndWarmRunsMatchTheLiveResultBitwise)
                       storeRun(dir, threads), warm_obs);
         expectSameSweep(live, warm);
         // The warm run loads one shard per task and nothing else: no
-        // trace fetch, no record, no replay, no writes.
+        // record, no replay, no writes.
         EXPECT_EQ(warm_obs.metrics.counter("sweep/records"), 0u);
-        EXPECT_EQ(warm_obs.metrics.counter("sweep/record_skips"), 0u);
-        EXPECT_EQ(warm_obs.metrics.counter("store/trace_hits"), 0u);
         EXPECT_EQ(warm_obs.metrics.counter("sweep/trace_skips"), 1u);
         EXPECT_EQ(warm_obs.metrics.counter("replay/batched_refs"), 0u);
         EXPECT_EQ(warm_obs.metrics.counter("store/hits"), taskCount());
@@ -157,11 +154,12 @@ TEST(StoreSweep, WarmReuseIsThreadCountInvariant)
     fs::remove_all(dir);
 }
 
-TEST(StoreSweep, AddedSlotReplaysAloneOverOneTraceFetch)
+TEST(StoreSweep, AddedSlotReRecordsAndReplaysAlone)
 {
     // A warm store plus one new slot: the stored shards load, the
-    // trace is fetched once, and only the new slot replays and is
-    // written — bitwise what a live sweep of the grown grid gives.
+    // workload is recorded again once, and only the new slot replays
+    // and is written — bitwise what a live sweep of the grown grid
+    // gives.
     ComponentSweep grown = sweepUnderTest();
     WriteBufferParams wb;
     wb.entries = 2;
@@ -181,12 +179,11 @@ TEST(StoreSweep, AddedSlotReplaysAloneOverOneTraceFetch)
         expectSameSweep(live, warm);
         ASSERT_EQ(warm.writeBufferCount(), 1u);
         const obs::MetricRegistry &m = observation.metrics;
-        EXPECT_EQ(m.counter("sweep/records"), 0u);
-        EXPECT_EQ(m.counter("store/trace_hits"), 1u);
+        EXPECT_EQ(m.counter("sweep/records"), 1u);
         EXPECT_EQ(m.counter("sweep/trace_skips"), 0u);
-        // Every stored shard plus the trace hit; only the new slot
-        // missed, replayed its stream and was written.
-        EXPECT_EQ(m.counter("store/hits"), taskCount() + 1);
+        // Every stored shard hit; only the new slot missed, replayed
+        // its stream and was written.
+        EXPECT_EQ(m.counter("store/hits"), taskCount());
         EXPECT_EQ(m.counter("store/misses"), 1u);
         EXPECT_EQ(m.counter("store/writes"), 1u);
         EXPECT_GT(m.counter("replay/batched_refs"), 0u);
@@ -238,9 +235,9 @@ TEST(StoreSweep, LegacyMachineShardIsRecomputed)
 {
     // A 56-byte machine shard (written before the shard held the
     // recording's length and non-memory CPI) decodes as a miss: the
-    // sweep fetches the stored trace, replays only the machine task,
-    // rewrites its shard in the current layout, and the answer does
-    // not change.
+    // sweep records the workload again, replays only the machine
+    // task, rewrites its shard in the current layout, and the answer
+    // does not change.
     const ComponentSweep sweep = sweepUnderTest();
     const std::string dir = freshStoreDir("legacy");
     const SweepResult live =
@@ -253,13 +250,12 @@ TEST(StoreSweep, LegacyMachineShardIsRecomputed)
         sweep.run(mab(), OsKind::Mach, storeRun(dir, 2), observation);
     expectSameSweep(live, recovered);
     const obs::MetricRegistry &m = observation.metrics;
-    EXPECT_EQ(m.counter("sweep/records"), 0u);
-    EXPECT_EQ(m.counter("store/trace_hits"), 1u);
+    EXPECT_EQ(m.counter("sweep/records"), 1u);
     EXPECT_EQ(m.counter("sweep/trace_skips"), 0u);
-    // Every shard (the legacy one too: the store reads it, the codec
-    // refuses it) and the trace read once each; only the machine
-    // shard was replayed and rewritten.
-    EXPECT_EQ(m.counter("store/hits"), taskCount() + 1);
+    // Every shard read once (the legacy one too: the store reads it,
+    // the codec refuses it); only the machine shard was replayed and
+    // rewritten.
+    EXPECT_EQ(m.counter("store/hits"), taskCount());
     EXPECT_EQ(m.counter("store/writes"), 1u);
     EXPECT_EQ(m.counter("store/quarantined"), 0u);
 
@@ -298,7 +294,7 @@ TEST(StoreSweep, CorruptEntriesFallBackToLiveSimulation)
     // Flip the last byte (payload tail) of every entry: checksums
     // fail, every load quarantines, and the sweep re-simulates.
     const auto entries = storeEntries(dir);
-    ASSERT_EQ(entries.size(), 1 + taskCount());
+    ASSERT_EQ(entries.size(), taskCount());
     for (const fs::path &path : entries) {
         std::fstream f(path,
                        std::ios::binary | std::ios::in | std::ios::out);
@@ -315,7 +311,7 @@ TEST(StoreSweep, CorruptEntriesFallBackToLiveSimulation)
         sweep.run(mab(), OsKind::Mach, storeRun(dir, 2), observation);
     expectSameSweep(live, recovered);
     EXPECT_EQ(observation.metrics.counter("store/quarantined"),
-              1 + taskCount());
+              taskCount());
     EXPECT_EQ(observation.metrics.counter("store/hits"), 0u);
     EXPECT_EQ(observation.metrics.counter("sweep/records"), 1u);
 
@@ -357,24 +353,22 @@ TEST(StoreSweep, KilledSweepResumesFromPersistedShards)
         },
         testing::ExitedWithCode(42), "");
 
-    // The kill left a partial store: the recording plus the
-    // completed shards, and not the full set.
+    // The kill left a partial store: the completed shards, and not
+    // the full set.
     const std::size_t partial = storeEntries(dir).size();
-    EXPECT_GE(partial, 1 + kill_after);
-    EXPECT_LT(partial, 1 + taskCount());
+    EXPECT_GE(partial, kill_after);
+    EXPECT_LT(partial, taskCount());
 
     obs::Observation resumed_obs;
     const SweepResult resumed =
         sweep.run(mab(), OsKind::Mach, storeRun(dir, 1), resumed_obs);
     expectSameSweep(live, resumed);
-    // The resume skips the record phase and every persisted shard...
-    EXPECT_EQ(resumed_obs.metrics.counter("sweep/records"), 0u);
-    EXPECT_EQ(resumed_obs.metrics.counter("store/trace_hits"), 1u);
-    EXPECT_GE(resumed_obs.metrics.counter("store/hits"),
-              1 + kill_after);
+    // The resume records once, loads every persisted shard...
+    EXPECT_EQ(resumed_obs.metrics.counter("sweep/records"), 1u);
+    EXPECT_GE(resumed_obs.metrics.counter("store/hits"), kill_after);
     // ...and persists only what the kill lost.
     EXPECT_EQ(resumed_obs.metrics.counter("store/writes"),
-              1 + taskCount() - partial);
+              taskCount() - partial);
 
     // After the resume the store is complete, also for 4 threads.
     obs::Observation warm_obs;
