@@ -159,14 +159,13 @@ QueryEngine::sweep(const AllocationRequest &request,
                          grid->tlbGeoms);
     for (const ComponentSlot &slot : grid->components)
         sweep.addComponent(slot);
-    const RunConfig rc = request.runConfig(_config.storeDir);
-    obs::Observation &into = sink(observation);
-    std::vector<SweepResult> results;
-    results.reserve(request.workloads.size());
+    std::vector<WorkloadParams> workloads;
+    workloads.reserve(request.workloads.size());
     for (const BenchmarkId id : request.workloads)
-        results.push_back(
-            sweep.run(benchmarkParams(id), request.os, rc, into));
-    return results;
+        workloads.push_back(benchmarkParams(id));
+    return sweep.run(workloads, request.os,
+                     request.runConfig(_config.storeDir),
+                     sink(observation));
 }
 
 AllocationResponse

@@ -105,8 +105,7 @@ Cache::missFill(std::uint64_t line, std::size_t base,
                 std::uint64_t tag, RefKind kind, bool is_store)
 {
     ++_stats.misses[unsigned(kind)];
-    if (_touched.insert(line).second)
-        ++_stats.compulsoryMisses;
+    _missedLines.add(line);
 
     const bool allocate = !is_store ||
         _params.alloc == AllocPolicy::WriteAllocate;
@@ -149,6 +148,21 @@ Cache::prefetch(std::uint64_t paddr)
     l.tag = tag;
     l.stamp = _tick;
     l.dirty = false;
+}
+
+CacheStats
+Cache::stats() const
+{
+    CacheStats s = _stats;
+    s.compulsoryMisses = _missedLines.count() - _missedAtReset;
+    return s;
+}
+
+void
+Cache::resetStats()
+{
+    _stats = CacheStats();
+    _missedAtReset = _missedLines.count();
 }
 
 void

@@ -22,10 +22,10 @@
 #define OMA_CACHE_CACHE_HH
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "area/geometry.hh"
+#include "cache/distinct_lines.hh"
 #include "support/fingerprint.hh"
 #include "support/rng.hh"
 #include "trace/memref.hh"
@@ -91,7 +91,8 @@ struct CacheStats
     std::uint64_t writebacks = 0;
     /** Words forwarded to memory by stores (write-through traffic). */
     std::uint64_t writeThroughWords = 0;
-    /** Misses to lines never previously resident (compulsory). */
+    /** Misses to lines that never missed before (compulsory; a line
+     * prefetch() brought in counts at its first miss). */
     std::uint64_t compulsoryMisses = 0;
 
     /** The word a stored payload begins with (store/codec.hh). */
@@ -177,10 +178,11 @@ class Cache
     void invalidateAll();
 
     /** Accumulated counters. */
-    [[nodiscard]] const CacheStats &stats() const { return _stats; }
+    [[nodiscard]] CacheStats stats() const;
 
-    /** Zero the counters (cache contents are kept). */
-    void resetStats() { _stats = CacheStats(); }
+    /** Zero the counters (cache contents are kept, and a line that
+     * missed before never counts as a compulsory miss again). */
+    void resetStats();
 
   private:
     struct Line
@@ -209,11 +211,12 @@ class Cache
     std::vector<Line> _lines; //!< sets x ways, set-major.
     std::uint64_t _tick = 0;
     Rng _rng;
+    /** Every counter but compulsoryMisses, which stats() derives. */
     CacheStats _stats;
-    /** Line numbers ever resident, for compulsory-miss classification. */
-    // oma-lint: allow(ordered-results): membership test via insert()
-    // only; never iterated, so traversal order cannot reach results.
-    std::unordered_set<std::uint64_t> _touched;
+    /** Every line that missed: a compulsory miss is a line's first. */
+    DistinctLines _missedLines;
+    /** _missedLines.count() at the last resetStats(). */
+    std::uint64_t _missedAtReset = 0;
 };
 
 } // namespace oma

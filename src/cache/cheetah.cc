@@ -23,9 +23,6 @@ namespace
  * words). */
 constexpr std::uint64_t noLine = ~std::uint64_t(0);
 
-/** Unsorted cold lines tolerated before a merge. */
-constexpr std::size_t coldTailLimit = 4096;
-
 } // namespace
 
 Cheetah::Cheetah(const std::vector<CacheGeometry> &geoms)
@@ -91,16 +88,13 @@ Cheetah::step(std::uint64_t line, unsigned kind)
         stack[0] = line;
     }
     if (!seen)
-        _coldLines.push_back(line);
+        _coldLines.add(line);
 }
 
 void
 Cheetah::access(std::uint64_t paddr, RefKind kind)
 {
     step(paddr >> _lineShift, unsigned(kind));
-    if (_coldLines.size() - _coldSorted >
-        std::max(_coldSorted, coldTailLimit))
-        mergeColdLines();
 }
 
 template <bool Fetch>
@@ -114,7 +108,7 @@ Cheetah::replayBatch(const std::uint32_t *paddr,
             : unsigned(flags[i] & RecordedTrace::kindMask);
         step(std::uint64_t(paddr[i]) >> _lineShift, kind);
     }
-    mergeColdLines();
+    _coldLines.merge();
 }
 
 void
@@ -130,19 +124,6 @@ Cheetah::replayDataBatch(const std::uint32_t *paddr,
     replayBatch<false>(paddr, flags, n);
 }
 
-void
-Cheetah::mergeColdLines()
-{
-    if (_coldSorted == _coldLines.size())
-        return;
-    const auto tail = _coldLines.begin() + std::ptrdiff_t(_coldSorted);
-    std::sort(tail, _coldLines.end());
-    std::inplace_merge(_coldLines.begin(), tail, _coldLines.end());
-    _coldLines.erase(std::unique(_coldLines.begin(), _coldLines.end()),
-                     _coldLines.end());
-    _coldSorted = _coldLines.size();
-}
-
 std::uint64_t
 Cheetah::accesses() const
 {
@@ -155,17 +136,7 @@ Cheetah::accesses() const
 std::uint64_t
 Cheetah::compulsoryMisses() const
 {
-    // Count the unsorted tail's lines the sorted prefix lacks.
-    const auto sorted_end =
-        _coldLines.begin() + std::ptrdiff_t(_coldSorted);
-    std::vector<std::uint64_t> tail(sorted_end, _coldLines.end());
-    std::sort(tail.begin(), tail.end());
-    tail.erase(std::unique(tail.begin(), tail.end()), tail.end());
-    std::uint64_t distinct = _coldSorted;
-    for (const std::uint64_t line : tail)
-        if (!std::binary_search(_coldLines.begin(), sorted_end, line))
-            ++distinct;
-    return distinct;
+    return _coldLines.count();
 }
 
 const Cheetah::Level *

@@ -25,6 +25,7 @@
 
 #include "area/geometry.hh"
 #include "cache/cache.hh"
+#include "cache/distinct_lines.hh"
 #include "trace/memref.hh"
 
 namespace oma
@@ -98,9 +99,6 @@ class Cheetah
     /** The level that reports @p geom, or nullptr. */
     const Level *levelFor(const CacheGeometry &geom) const;
 
-    /** Sort and deduplicate _coldLines. */
-    void mergeColdLines();
-
     unsigned _lineShift = 0;
     /** Levels by increasing set count. */
     std::vector<Level> _levels;
@@ -108,10 +106,8 @@ class Cheetah
     /** Line of the previous access. */
     std::uint64_t _lastLine;
     /** Lines found in no stack: every first touch, plus re-touches
-     * of lines every stack has evicted. Sorted and unique up to
-     * _coldSorted; the rest is appended since. */
-    std::vector<std::uint64_t> _coldLines;
-    std::size_t _coldSorted = 0;
+     * of lines every stack has evicted. */
+    DistinctLines _coldLines;
 };
 
 } // namespace oma

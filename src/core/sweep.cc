@@ -14,6 +14,7 @@
 #include "cache/replay.hh"
 #include "obs/export.hh"
 #include "store/codec.hh"
+#include "support/clock.hh"
 #include "support/logging.hh"
 #include "support/threadpool.hh"
 
@@ -129,99 +130,171 @@ ComponentSweep::ComponentSweep(std::vector<ComponentSlot> slots,
 {
 }
 
-SweepResult
-ComponentSweep::run(const WorkloadParams &workload, OsKind os,
-                    const RunConfig &run,
+std::vector<SweepResult>
+ComponentSweep::run(const std::vector<WorkloadParams> &workloads,
+                    OsKind os, const RunConfig &run,
                     obs::Observation &observation) const
 {
     const std::unique_ptr<ArtifactStore> store =
         ArtifactStore::open(run.storeDir);
     obs::MetricRegistry &m = observation.metrics;
 
-    // The record phase (serial), run only when some shard must be
-    // replayed: capture the stream once. The workload RNG and the OS
-    // model advance exactly as in a legacy single-pass run;
-    // page-invalidation events land inline in the recording at the
-    // index of the reference the OS fired them while producing, which
-    // is where every replay applies them. The recording is a pure
-    // function of (workload, OS, seed, references) and recording it
-    // costs what fetching and decoding it would, so it is never
-    // stored.
-    RecordedTrace trace;
-    const auto record = [&]() -> const RecordedTrace & {
-        System system(workload, os, run.seed);
+    // A workload listed twice is measured once: its shards would be
+    // probed before its first listing wrote them, and its recording
+    // and replay would repeat the first's bit for bit.
+    std::vector<Fingerprint> base_keys;
+    std::vector<const WorkloadParams *> measured;
+    std::vector<std::size_t> measurement_of;
+    for (const WorkloadParams &workload : workloads) {
+        Fingerprint key = sweepBaseKey(workload, os, run);
+        std::size_t w = 0;
+        while (w < base_keys.size() && base_keys[w].text() != key.text())
+            ++w;
+        if (w == base_keys.size()) {
+            base_keys.push_back(std::move(key));
+            measured.push_back(&workload);
+        }
+        measurement_of.push_back(w);
+    }
+
+    // The record phase (on the calling lane), run only for a workload
+    // with some shard to replay: capture the stream once. The
+    // workload RNG and the OS model advance exactly as in a legacy
+    // single-pass run; page-invalidation events land inline in the
+    // recording at the index of the reference the OS fired them
+    // while producing, which is where every replay applies them. The
+    // recording is a pure function of (workload, OS, seed,
+    // references) and recording it costs what fetching and decoding
+    // it would, so it is never stored.
+    const auto record = [&](std::size_t w,
+                            RecordedTrace &slot) -> const RecordedTrace & {
+        System system(*measured[w], os, run.seed);
+        const std::int64_t start = Clock::nowNs();
         obs::Span span(m, "sweep/record");
-        trace = system.record(run.references);
+        slot = system.record(run.references);
+        span.stop();
+        m.accumulate("core_ms/sweep/record",
+                     Clock::toMs(Clock::nowNs() - start));
         m.add("sweep/records");
-        return trace;
+        return slot;
     };
 
-    SweepResult result =
+    const std::vector<SweepResult> results =
         sweepTasks(record, ThreadPool::resolveThreads(run.threads),
-                   observation, store.get(),
-                   sweepBaseKey(workload, os, run));
+                   observation, store.get(), base_keys);
     if (store != nullptr)
         obs::exportArtifactStore(m, "store", *store);
-    return result;
+    std::vector<SweepResult> listed;
+    listed.reserve(workloads.size());
+    for (const std::size_t w : measurement_of)
+        listed.push_back(results[w]);
+    return listed;
+}
+
+SweepResult
+ComponentSweep::run(const WorkloadParams &workload, OsKind os,
+                    const RunConfig &run,
+                    obs::Observation &observation) const
+{
+    return std::move(ComponentSweep::run(std::vector{workload}, os, run,
+                                         observation)
+                         .front());
 }
 
 SweepResult
 ComponentSweep::run(const RecordedTrace &trace, unsigned threads,
                     obs::Observation &observation) const
 {
-    return sweepTasks([&trace]() -> const RecordedTrace & { return trace; },
-                      ThreadPool::resolveThreads(threads), observation,
-                      nullptr, Fingerprint());
+    std::vector<SweepResult> results = sweepTasks(
+        [&trace](std::size_t, RecordedTrace &) -> const RecordedTrace & {
+            return trace;
+        },
+        ThreadPool::resolveThreads(threads), observation, nullptr,
+        {Fingerprint()});
+    return std::move(results.front());
 }
 
-SweepResult
+std::vector<SweepResult>
 ComponentSweep::sweepTasks(const TraceSource &trace_source,
                            unsigned threads,
                            obs::Observation &observation,
                            const ArtifactStore *store,
-                           const Fingerprint &base_key) const
+                           const std::vector<Fingerprint> &base_keys) const
 {
-    // One flat task index across the reference machine (task 0) and
-    // every component slot (task s + 1). Replay runs per work item on
-    // the pool: one task on its private simulator, or every missing
-    // LRU write-through write-allocate I- or D-cache task of one line
-    // size in one private Cheetah pass, whose counters equal the
-    // per-slot Cache's bit for bit. Each item writes only its own
-    // tasks' result slots, so the results are bitwise identical for
-    // any thread count. Every simulator streams the packed trace
-    // columns chunk by chunk (core/component.hh, cache/replay.hh).
-    // With the store enabled, a task whose shard is stored loads it
-    // (exact integer counters, so a hit reproduces the live slot
-    // bit-for-bit) and a replayed task persists its shard right after
-    // simulating — which is what makes a killed sweep resume at its
-    // last completed item.
+    // One flat task index per measurement across the reference
+    // machine (task 0) and every component slot (task s + 1). Replay
+    // runs per work item on the pool: one task on its private
+    // simulator, or every missing LRU write-through write-allocate I-
+    // or D-cache task of one line size in one private Cheetah pass,
+    // whose counters equal the per-slot Cache's bit for bit. Each
+    // item writes only its own tasks' result slots, so the results
+    // are bitwise identical for any thread count. Every simulator
+    // streams the packed trace columns chunk by chunk
+    // (core/component.hh, cache/replay.hh). With the store enabled, a
+    // task whose shard is stored loads it (exact integer counters, so
+    // a hit reproduces the live slot bit-for-bit) and a replayed task
+    // persists its shard right after simulating — which is what makes
+    // a killed sweep resume at its last completed item.
     const std::size_t n_slots = _slots.size();
     const std::size_t n_tasks = 1 + n_slots;
 
-    SweepResult result;
-    result._slots = _slots;
-    result._stats.resize(n_slots);
-
     // Per-kind index of each slot: names the store shard and backs
     // the typed per-kind views.
+    SweepResult empty;
+    empty._slots = _slots;
+    empty._stats.resize(n_slots);
     std::vector<std::size_t> kind_index(n_slots);
     for (std::size_t s = 0; s < n_slots; ++s) {
         std::vector<std::size_t> &index =
-            result._kindIndex[std::size_t(_slots[s].kind)];
+            empty._kindIndex[std::size_t(_slots[s].kind)];
         kind_index[s] = index.size();
         index.push_back(s);
     }
 
-    // References each replayed task's simulator was fed; like the
-    // counters, written only by the task's own work item.
-    std::vector<std::uint64_t> delivered(n_tasks, 0);
+    // The replay work, one pool index per item: a single task, or
+    // every missing pass-eligible cache task of one (stream, line
+    // size), which one Cheetah pass reports at once. An item sits at
+    // its first task's position.
+    struct WorkItem
+    {
+        bool pass = false;
+        std::vector<std::size_t> tasks;
+    };
 
-    // The store key of a task's shard. Component keys reproduce the
-    // historical per-kind keys exactly (kind name + per-kind index +
-    // parameter fingerprint, plus the TLB handler penalties for TLB
-    // slots), so stores written by the three-legged engine stay warm.
-    const auto shard_key = [&](std::size_t task) {
-        Fingerprint key = base_key;
+    // One workload's measurement. Pool lanes write only its result
+    // slots, `machine`, `delivered` and `coreNs`, each index its own.
+    struct Measurement
+    {
+        SweepResult result;
+        // Task 0's outcome: the reference machine's stall attribution
+        // for the configuration-independent CPI components, plus the
+        // recording's length and non-memory CPI.
+        store::MachineShard machine;
+        // References each replayed task's simulator was fed.
+        std::vector<std::uint64_t> delivered;
+        std::vector<char> loaded;
+        std::vector<WorkItem> work;
+        std::size_t passes = 0;
+        // Each work item's core time.
+        std::vector<std::int64_t> coreNs;
+        // The recording, while it is needed, and where it lives.
+        RecordedTrace recording;
+        const RecordedTrace *trace = nullptr;
+    };
+    std::vector<Measurement> measurements(base_keys.size());
+    for (Measurement &ms : measurements) {
+        ms.result = empty;
+        ms.delivered.assign(n_tasks, 0);
+        ms.loaded.assign(n_tasks, 0);
+    }
+
+    // The store key of a measurement's task shard. Component keys
+    // reproduce the historical per-kind keys exactly (kind name +
+    // per-kind index + parameter fingerprint, plus the TLB handler
+    // penalties for TLB slots), so stores written by the three-legged
+    // engine stay warm.
+    const auto shard_key = [&](std::size_t w, std::size_t task) {
+        Fingerprint key = base_keys[w];
         key.str("artifact", "shard");
         if (task == 0) {
             key.str("component", "machine");
@@ -237,26 +310,23 @@ ComponentSweep::sweepTasks(const TraceSource &trace_source,
         return key;
     };
 
-    // Task 0's outcome: the reference machine's stall attribution
-    // for the configuration-independent CPI components, plus the
-    // recording's length and non-memory CPI.
-    store::MachineShard machine;
-
     // Load a task's stored shard into its result slot; false on a
     // miss or a payload that does not decode (a legacy layout too).
-    const auto load = [&](std::size_t task) {
+    const auto load = [&](std::size_t w, std::size_t task) {
         std::string payload;
-        if (store == nullptr || !store->get(shard_key(task), payload))
+        if (store == nullptr || !store->get(shard_key(w, task), payload))
             return false;
+        Measurement &ms = measurements[w];
         if (task == 0)
-            return store::decodeCounters(payload, machine);
+            return store::decodeCounters(payload, ms.machine);
         return decodeComponentCounters(payload, _slots[task - 1].kind,
-                                       result._stats[task - 1]);
+                                       ms.result._stats[task - 1]);
     };
 
     // Simulate a task over the recording and persist its shard.
-    const auto replay = [&](std::size_t task,
-                            const RecordedTrace &trace) {
+    const auto replay = [&](std::size_t w, std::size_t task) {
+        Measurement &ms = measurements[w];
+        const RecordedTrace &trace = *ms.trace;
         std::string payload;
         if (task == 0) {
             Machine m(_refMachine);
@@ -265,32 +335,33 @@ ComponentSweep::sweepTasks(const TraceSource &trace_source,
                              m.mmu().invalidatePage(e.vpn, e.asid,
                                                     e.global);
                          });
-            machine.instructions = m.stalls().instructions;
-            machine.icacheStall = m.stalls().icacheStall;
-            machine.dcacheStall = m.stalls().dcacheStall;
-            machine.wbStall = m.stalls().wbStall;
-            machine.tlbStall = m.stalls().tlbStall;
-            machine.wbStores = m.writeBuffer().stores();
-            machine.wbStallCycles = m.writeBuffer().stallCycles();
-            machine.references = trace.size();
-            machine.otherCpi = trace.otherCpi();
-            payload = store::encodeCounters(machine);
+            ms.machine.instructions = m.stalls().instructions;
+            ms.machine.icacheStall = m.stalls().icacheStall;
+            ms.machine.dcacheStall = m.stalls().dcacheStall;
+            ms.machine.wbStall = m.stalls().wbStall;
+            ms.machine.tlbStall = m.stalls().tlbStall;
+            ms.machine.wbStores = m.writeBuffer().stores();
+            ms.machine.wbStallCycles = m.writeBuffer().stallCycles();
+            ms.machine.references = trace.size();
+            ms.machine.otherCpi = trace.otherCpi();
+            payload = store::encodeCounters(ms.machine);
         } else {
             const std::unique_ptr<ComponentReplayer> component =
                 makeComponent(_slots[task - 1], _refMachine);
             replayComponent(trace, *component);
-            result._stats[task - 1] = component->counters();
-            delivered[task] = component->delivered();
-            payload = encodeComponentCounters(result._stats[task - 1]);
+            ms.result._stats[task - 1] = component->counters();
+            ms.delivered[task] = component->delivered();
+            payload = encodeComponentCounters(ms.result._stats[task - 1]);
         }
         if (store != nullptr)
-            store->put(shard_key(task), payload);
+            store->put(shard_key(w, task), payload);
     };
 
     // Simulate a group of cache tasks of one stream and line size in
     // one Cheetah pass, then persist each member's shard.
-    const auto replay_pass = [&](const std::vector<std::size_t> &tasks,
-                                 const RecordedTrace &trace) {
+    const auto replay_pass = [&](std::size_t w,
+                                 const std::vector<std::size_t> &tasks) {
+        Measurement &ms = measurements[w];
         std::vector<CacheGeometry> geoms;
         geoms.reserve(tasks.size());
         for (const std::size_t task : tasks)
@@ -298,124 +369,176 @@ ComponentSweep::sweepTasks(const TraceSource &trace_source,
                 std::get<CacheParams>(_slots[task - 1].params).geom);
         Cheetah pass(geoms);
         const std::uint64_t stream_refs = replayCacheStream(
-            trace, cacheStream(_slots[tasks.front() - 1]), pass);
+            *ms.trace, cacheStream(_slots[tasks.front() - 1]), pass);
         for (std::size_t i = 0; i < tasks.size(); ++i) {
             const std::size_t task = tasks[i];
-            result._stats[task - 1] = pass.stats(geoms[i]);
-            delivered[task] = stream_refs;
+            ms.result._stats[task - 1] = pass.stats(geoms[i]);
+            ms.delivered[task] = stream_refs;
             if (store != nullptr)
-                store->put(shard_key(task),
+                store->put(shard_key(w, task),
                            encodeComponentCounters(
-                               result._stats[task - 1]));
+                               ms.result._stats[task - 1]));
         }
     };
-
-    ThreadPool pool(threads);
-    std::vector<char> loaded(n_tasks, 0);
-
-    // Load every stored shard before deciding whether the recording
-    // is needed at all; a miss is just a failed open, so a cold sweep
-    // pays little for probing first.
-    if (store != nullptr) {
-        obs::Span span(observation.metrics, "sweep/load");
-        pool.parallelFor(0, n_tasks, [&](std::size_t task) {
-            loaded[task] = load(task) ? 1 : 0;
-            if (loaded[task] != 0)
-                observation.tick();
-        });
-    }
-
-    // The replay work, one pool index per item: a single task, or
-    // every missing pass-eligible cache task of one (stream, line
-    // size), which one Cheetah pass reports at once. An item sits at
-    // its first task's position.
-    struct WorkItem
-    {
-        bool pass = false;
-        std::vector<std::size_t> tasks;
-    };
-    std::vector<WorkItem> work;
-    std::map<std::pair<ComponentKind, std::uint64_t>, std::size_t>
-        pass_items;
-    for (std::size_t task = 0; task < n_tasks; ++task) {
-        if (loaded[task] != 0)
-            continue;
-        if (task == 0 || !inCachePass(_slots[task - 1])) {
-            work.push_back({false, {task}});
-            continue;
-        }
-        const ComponentSlot &slot = _slots[task - 1];
-        const auto [it, added] = pass_items.try_emplace(
-            {slot.kind, std::get<CacheParams>(slot.params).geom.lineBytes},
-            work.size());
-        if (added)
-            work.push_back({true, {}});
-        work[it->second].tasks.push_back(task);
-    }
 
     obs::MetricRegistry &m = observation.metrics;
-    if (work.empty()) {
-        m.add("sweep/trace_skips");
-    } else {
-        const RecordedTrace &trace = trace_source();
-        {
-            obs::Span span(m, "sweep/replay");
-            pool.parallelFor(0, work.size(), [&](std::size_t i) {
-                const WorkItem &item = work[i];
-                if (item.pass)
-                    replay_pass(item.tasks, trace);
-                else
-                    replay(item.tasks.front(), trace);
-                for (std::size_t t = 0; t < item.tasks.size(); ++t)
-                    observation.tick();
-            });
+    ThreadPool pool(threads);
+
+    // Load every stored shard of every measurement before deciding
+    // which recordings are needed at all; a miss is just a failed
+    // open, so a cold question pays little for probing first.
+    if (store != nullptr) {
+        obs::Span span(m, "sweep/load");
+        pool.parallelFor(0, measurements.size() * n_tasks,
+                         [&](std::size_t i) {
+                             const std::size_t w = i / n_tasks;
+                             const std::size_t task = i % n_tasks;
+                             measurements[w].loaded[task] =
+                                 load(w, task) ? 1 : 0;
+                             if (measurements[w].loaded[task] != 0)
+                                 observation.tick();
+                         });
+    }
+
+    // Each measurement's work items, and the measurements that need
+    // their recording, in order.
+    std::vector<std::size_t> to_record;
+    for (std::size_t w = 0; w < measurements.size(); ++w) {
+        Measurement &ms = measurements[w];
+        std::map<std::pair<ComponentKind, std::uint64_t>, std::size_t>
+            pass_items;
+        for (std::size_t task = 0; task < n_tasks; ++task) {
+            if (ms.loaded[task] != 0)
+                continue;
+            if (task == 0 || !inCachePass(_slots[task - 1])) {
+                ms.work.push_back({false, {task}});
+                continue;
+            }
+            const ComponentSlot &slot = _slots[task - 1];
+            const auto [it, added] = pass_items.try_emplace(
+                {slot.kind,
+                 std::get<CacheParams>(slot.params).geom.lineBytes},
+                ms.work.size());
+            if (added)
+                ms.work.push_back({true, {}});
+            ms.work[it->second].tasks.push_back(task);
         }
-        obs::exportRecordedTrace(m, "trace", trace);
-        m.add("sweep/replays");
-        // The reference machine feeds no replay counter.
-        if (work.size() > 1 || work.front().tasks.front() != 0)
-            m.add("replay/batched_refs",
-                  std::accumulate(delivered.begin(), delivered.end(),
-                                  std::uint64_t(0)));
-        if (!pass_items.empty())
-            m.add("replay/cache_passes", pass_items.size());
+        ms.passes = pass_items.size();
+        ms.coreNs.assign(ms.work.size(), 0);
+        if (!ms.work.empty())
+            to_record.push_back(w);
+    }
+
+    // Record one measurement ahead: the calling lane records the
+    // first, then records each next one while the pool replays the
+    // one before it, and joins that replay when done. A recording is
+    // released as soon as its replay ends, so at most two are live.
+    const auto record = [&](std::size_t w) {
+        Measurement &ms = measurements[w];
+        ms.trace = &trace_source(w, ms.recording);
+    };
+    std::size_t next = 0; // to_record[next] is recorded next
+    if (!to_record.empty())
+        record(to_record[next++]);
+
+    for (std::size_t w = 0; w < measurements.size(); ++w) {
+        Measurement &ms = measurements[w];
+        if (ms.work.empty()) {
+            m.add("sweep/trace_skips");
+        } else {
+            std::function<void()> record_next;
+            if (next < to_record.size())
+                record_next = [&record, ahead = to_record[next++]] {
+                    record(ahead);
+                };
+            {
+                obs::Span span(m, "sweep/replay");
+                pool.parallelFor(
+                    0, ms.work.size(),
+                    [&](std::size_t i) {
+                        const std::int64_t start = Clock::nowNs();
+                        const WorkItem &item = ms.work[i];
+                        if (item.pass)
+                            replay_pass(w, item.tasks);
+                        else
+                            replay(w, item.tasks.front());
+                        ms.coreNs[i] = Clock::nowNs() - start;
+                        for (std::size_t t = 0; t < item.tasks.size(); ++t)
+                            observation.tick();
+                    },
+                    record_next);
+            }
+            obs::exportRecordedTrace(m, "trace", *ms.trace);
+            ms.recording = RecordedTrace();
+            ms.trace = nullptr;
+            m.add("sweep/replays");
+            // The reference machine feeds no replay counter.
+            if (ms.work.size() > 1 || ms.work.front().tasks.front() != 0)
+                m.add("replay/batched_refs",
+                      std::accumulate(ms.delivered.begin(),
+                                      ms.delivered.end(),
+                                      std::uint64_t(0)));
+            if (ms.passes != 0)
+                m.add("replay/cache_passes", ms.passes);
+            // Core time per replay kind, the reference machine's as
+            // `machine`.
+            for (std::size_t i = 0; i < ms.work.size(); ++i) {
+                const std::size_t task = ms.work[i].tasks.front();
+                m.accumulate(
+                    std::string("core_ms/sweep/replay/") +
+                        (task == 0
+                             ? "machine"
+                             : componentKindName(_slots[task - 1].kind)),
+                    Clock::toMs(ms.coreNs[i]));
+            }
+        }
+
+        // The counters, exported once per kind from the finished
+        // slots (summed in task order) and once for the reference
+        // machine.
+        SweepResult &result = ms.result;
+        obs::exportStallCounters(
+            m, "machine",
+            {ms.machine.instructions, ms.machine.icacheStall,
+             ms.machine.dcacheStall, ms.machine.wbStall,
+             ms.machine.tlbStall});
+        obs::exportWriteBufferCounters(m, "wb", ms.machine.wbStores,
+                                       ms.machine.wbStallCycles);
+        for (std::size_t k = 0; k < numComponentKinds; ++k) {
+            const std::vector<std::size_t> &index = result._kindIndex[k];
+            if (index.empty())
+                continue;
+            std::visit(
+                [&](auto total) {
+                    using Stats = decltype(total);
+                    for (std::size_t j = 1; j < index.size(); ++j)
+                        Stats::forEachCounter(
+                            [](const char *, auto &sum,
+                               const auto &value) {
+                                addCounter(sum, value);
+                            },
+                            total,
+                            std::get<Stats>(result._stats[index[j]]));
+                    obs::exportCounters(
+                        m, componentKindName(ComponentKind(k)), total);
+                },
+                result._stats[index.front()]);
+        }
+
+        result.instructions = ms.machine.instructions;
+        result.references = ms.machine.references;
+        result.otherCpi = ms.machine.otherCpi;
+        const double instr =
+            double(std::max<std::uint64_t>(1, result.instructions));
+        result.wbCpi = double(ms.machine.wbStall) / instr;
     }
     obs::exportThreadPool(m, "threadpool", pool);
 
-    // The counters, exported once per kind from the finished slots
-    // (summed in task order) and once for the reference machine.
-    obs::exportStallCounters(m, "machine",
-                             {machine.instructions, machine.icacheStall,
-                              machine.dcacheStall, machine.wbStall,
-                              machine.tlbStall});
-    obs::exportWriteBufferCounters(m, "wb", machine.wbStores,
-                                   machine.wbStallCycles);
-    for (std::size_t k = 0; k < numComponentKinds; ++k) {
-        const std::vector<std::size_t> &index = result._kindIndex[k];
-        if (index.empty())
-            continue;
-        std::visit(
-            [&](auto total) {
-                using Stats = decltype(total);
-                for (std::size_t j = 1; j < index.size(); ++j)
-                    Stats::forEachCounter(
-                        [](const char *, auto &sum, const auto &value) {
-                            addCounter(sum, value);
-                        },
-                        total, std::get<Stats>(result._stats[index[j]]));
-                obs::exportCounters(
-                    m, componentKindName(ComponentKind(k)), total);
-            },
-            result._stats[index.front()]);
-    }
-
-    result.instructions = machine.instructions;
-    result.references = machine.references;
-    result.otherCpi = machine.otherCpi;
-    const double instr =
-        double(std::max<std::uint64_t>(1, result.instructions));
-    result.wbCpi = double(machine.wbStall) / instr;
-    return result;
+    std::vector<SweepResult> results;
+    results.reserve(measurements.size());
+    for (Measurement &ms : measurements)
+        results.push_back(std::move(ms.result));
+    return results;
 }
 
 ComponentCpiTables

@@ -304,32 +304,34 @@ struct SweepResult
 };
 
 /**
- * Runs one workload/OS pair against banks of I-cache, D-cache and TLB
+ * Runs workload/OS pairs against banks of I-cache, D-cache and TLB
  * configurations simultaneously.
  *
- * The engine is record-then-replay throughout: the trace is captured
- * once into a compact RecordedTrace (serially, so the workload RNG
- * advances exactly as in a legacy single-pass run, with OS page
- * invalidations recorded inline at their trace position), then the
- * reference machine and every component replay the recording on
- * private simulator instances. The I- and D-cache slots with LRU,
- * write-through and write-allocate (every slot a SweepGrid builds)
- * replay as one Cheetah pass per (stream, line size), which yields
- * each slot's exact CacheStats (`replay/cache_passes` counts the
- * passes); every other slot replays on its own simulator.
+ * The engine is record-then-replay throughout: each workload's trace
+ * is captured once into a compact RecordedTrace (on one lane, so the
+ * workload RNG advances exactly as in a legacy single-pass run, with
+ * OS page invalidations recorded inline at their trace position),
+ * then the reference machine and every component replay the
+ * recording on private simulator instances. The I- and D-cache slots
+ * with LRU, write-through and write-allocate (every slot a SweepGrid
+ * builds) replay as one Cheetah pass per (stream, line size), which
+ * yields each slot's exact CacheStats (`replay/cache_passes` counts
+ * the passes); every other slot replays on its own simulator.
  * RunConfig::threads picks the lane count for the replays; serial
  * (threads = 1) runs the same replays inline, so results are bitwise
- * identical for any thread count. A recording loaded from a trace file
- * (store::readTrace) can be swept directly via the RecordedTrace
- * overload.
+ * identical for any thread count. A question's workloads share one
+ * pool: the calling lane records the next workload while the pool
+ * replays the current one, so at most two recordings are live. A
+ * recording loaded from a trace file (store::readTrace) can be swept
+ * directly via the RecordedTrace overload.
  *
  * When RunConfig::storeDir (or OMA_STORE_DIR) enables the artifact
  * store, every completed replay shard persists as it is produced;
  * the recording never does, because recording it again costs what
  * fetching and decoding it would. A later run loads what it can
- * first: when every shard is stored the sweep never records
- * (`sweep/trace_skips`); otherwise it records once and replays only
- * the missing shards, so a killed sweep resumes at its last
+ * first: a workload whose every shard is stored is never recorded
+ * (`sweep/trace_skips`); otherwise it is recorded once and only the
+ * missing shards replay, so a killed sweep resumes at its last
  * completed shard and a corrupt entry is quarantined and
  * transparently re-simulated. Cached runs reproduce live runs
  * bit-for-bit (tests/core/test_store_sweep.cc).
@@ -368,15 +370,24 @@ class ComponentSweep
     }
 
     /**
-     * Run the sweep, recording into @p observation (the calling
-     * thread's scratch Observation::none() by default): each kind's
-     * counters summed over its slots in task order, exported once
-     * after the parallel phase, plus phase timings, store hit/miss
-     * counters and one progress tick per task. Which observation the
-     * sweep records into never changes the SweepResult
-     * (tests/core/test_observed_sweep.cc holds bitwise identity at 1
-     * and 4 threads).
+     * Measure every workload of @p workloads on one pool, and return
+     * one SweepResult per listed workload, in list order. A workload
+     * listed twice is measured once and its result copied. Records
+     * into @p observation (the calling thread's scratch
+     * Observation::none() by default), from the calling lane only:
+     * each workload's counters, per kind summed over its slots in
+     * task order and exported after its replay, plus phase timings,
+     * per-kind core time, store hit/miss counters and one progress
+     * tick per task. Which observation the sweep records into never
+     * changes a SweepResult (tests/core/test_observed_sweep.cc holds
+     * bitwise identity at 1 and 4 threads).
      */
+    [[nodiscard]] std::vector<SweepResult>
+    run(const std::vector<WorkloadParams> &workloads, OsKind os,
+        const RunConfig &run = RunConfig(),
+        obs::Observation &observation = obs::Observation::none()) const;
+
+    /** Measure one workload: the list form with one element. */
     [[nodiscard]] SweepResult
     run(const WorkloadParams &workload, OsKind os,
         const RunConfig &run = RunConfig(),
@@ -395,17 +406,23 @@ class ComponentSweep
         obs::Observation &observation = obs::Observation::none()) const;
 
   private:
-    /** Yields the recording; called at most once, and only when some
-     * task has no stored shard. */
-    using TraceSource = std::function<const RecordedTrace &()>;
+    /** Yields measurement @p w's recording, recording it into the
+     * empty @p slot when it must; called on the calling lane at most
+     * once per measurement, and only when some task of it has no
+     * stored shard. */
+    using TraceSource =
+        std::function<const RecordedTrace &(std::size_t w,
+                                            RecordedTrace &slot)>;
 
-    /** The one sweep engine behind both run() overloads: load every
-     * task's stored shard it can, then replay the rest over the
-     * recording. Storeless (@p store nullptr), every task replays. */
-    SweepResult sweepTasks(const TraceSource &trace, unsigned threads,
-                           obs::Observation &observation,
-                           const ArtifactStore *store,
-                           const Fingerprint &base_key) const;
+    /** The one sweep engine behind every run(): one measurement per
+     * shard base key in @p base_keys. Load every task's stored shard
+     * it can, then replay the rest over each recording, recording
+     * one measurement ahead. Storeless (@p store nullptr), every task
+     * replays. */
+    std::vector<SweepResult>
+    sweepTasks(const TraceSource &trace, unsigned threads,
+               obs::Observation &observation, const ArtifactStore *store,
+               const std::vector<Fingerprint> &base_keys) const;
 
     std::vector<ComponentSlot> _slots;
     MachineParams _refMachine;

@@ -17,6 +17,20 @@ namespace
  * nested submission can be detected and run inline. */
 thread_local bool t_inParallelFor = false;
 
+/** Run a parallelFor() caller job on this lane, marked as inside a
+ * parallelFor so a submission it makes runs inline. */
+void
+runCallerJob(const std::function<void()> &job)
+{
+    struct Inside
+    {
+        bool outer = t_inParallelFor;
+        Inside() { t_inParallelFor = true; }
+        ~Inside() { t_inParallelFor = outer; }
+    } inside;
+    job();
+}
+
 } // namespace
 
 unsigned
@@ -109,21 +123,22 @@ ThreadPool::claimIndices(std::size_t end,
 
 void
 ThreadPool::parallelFor(std::size_t begin, std::size_t end,
-                        const std::function<void(std::size_t)> &body)
+                        const std::function<void(std::size_t)> &body,
+                        const std::function<void()> &caller_job)
 {
-    if (begin >= end)
-        return;
     // Nested calls run on worker lanes; counting only top-level
     // submissions keeps jobs/indices a pure function of the work.
     const bool nested = t_inParallelFor;
-    if (!nested) {
+    if (!nested && begin < end) {
         LockGuard lock(_mutex);
         _stats.jobs += 1;
         _stats.indices += end - begin;
     }
-    // Serial pool, or a nested call from inside one of our own
-    // bodies: run inline on this lane (see class comment).
-    if (_workers.empty() || nested) {
+    // Serial pool, a nested call from inside one of our own bodies,
+    // or no indices: run inline on this lane (see class comment).
+    if (_workers.empty() || nested || begin >= end) {
+        if (caller_job)
+            runCallerJob(caller_job);
         for (std::size_t i = begin; i < end; ++i)
             body(i);
         return;
@@ -141,15 +156,23 @@ ThreadPool::parallelFor(std::size_t begin, std::size_t end,
     }
     _wake.notifyAll();
 
+    std::exception_ptr error;
+    if (caller_job) {
+        try {
+            runCallerJob(caller_job);
+        } catch (...) {
+            error = std::current_exception();
+        }
+    }
     claimIndices(end, body); // The caller is a lane too.
 
-    std::exception_ptr error;
     {
         LockGuard lock(_mutex);
         while (_activeWorkers != 0)
             _done.wait(lock);
         _body = nullptr;
-        error = _error;
+        if (!error)
+            error = _error;
         _error = nullptr;
     }
     if (error)

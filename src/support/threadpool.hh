@@ -81,9 +81,17 @@ class ThreadPool
      * If any body throws, every index is still attempted and the
      * exception raised by the smallest throwing index is rethrown in
      * the caller — a deterministic choice regardless of schedule.
+     *
+     * A non-empty @p caller_job runs on the calling lane while the
+     * workers start on the indices; the caller then joins them. On a
+     * one-lane pool, or nested inside a body, it runs first, inline.
+     * It must touch no state the bodies touch; a parallelFor() it
+     * issues runs inline. Its exception is rethrown once every index
+     * was attempted, ahead of any body's.
      */
     void parallelFor(std::size_t begin, std::size_t end,
-                     const std::function<void(std::size_t)> &body);
+                     const std::function<void(std::size_t)> &body,
+                     const std::function<void()> &caller_job = {});
 
     /** Work submitted so far. Deterministic (a function of the jobs
      * run, not of the schedule) and safe to call from any thread,

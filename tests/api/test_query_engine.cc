@@ -115,6 +115,38 @@ TEST(QueryEngine, AnswerMatchesTheEnginesDrivenDirectly)
     EXPECT_EQ(answer, encodeResponse(expected));
 }
 
+TEST(QueryEngine, RepeatedWorkloadIsMeasuredOnce)
+{
+    // [mab, mab, jpeg_play] still averages three results, but mab is
+    // recorded and replayed once. Storeless and store-backed, the
+    // answer is the bytes of one sweep per listed workload.
+    AllocationRequest request = tinyRequest();
+    request.workloads = {BenchmarkId::Mab, BenchmarkId::Mab,
+                         BenchmarkId::Jpeg};
+    const QueryEngine storeless;
+    ComponentSweep sweep(request.space.cacheGeometries(),
+                         request.space.cacheGeometries(),
+                         request.space.tlbGeometries());
+    std::vector<SweepResult> listed;
+    for (const BenchmarkId id : request.workloads)
+        listed.push_back(sweep.run(benchmarkParams(id), request.os,
+                                   request.runConfig("")));
+    const std::string expected = encodeResponse(storeless.rank(
+        request, ComponentCpiTables::average(
+                     listed, MachineParams::decstation3100())));
+
+    QueryEngineConfig config;
+    config.storeDir = storeRoot("repeated");
+    const QueryEngine stored(config);
+    for (const QueryEngine *engine : {&storeless, &stored}) {
+        obs::Observation obs;
+        EXPECT_EQ(engine->answer(request, &obs), expected);
+        EXPECT_EQ(counter(obs, "sweep/records"), 2u);
+        EXPECT_EQ(counter(obs, "sweep/replays"), 2u);
+    }
+    fs::remove_all(config.storeDir);
+}
+
 TEST(QueryEngine, ThreadCountNeverChangesTheAnswer)
 {
     AllocationRequest request = tinyRequest();

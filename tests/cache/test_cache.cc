@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_set>
+
 #include "cache/cache.hh"
+#include "support/bits.hh"
 
 namespace oma
 {
@@ -211,6 +214,70 @@ TEST(Cache, LineFillsMatchAllocatedMisses)
     for (int i = 0; i < 5000; ++i)
         cache.access(rng.below(4096) & ~3ULL, RefKind::Load);
     EXPECT_EQ(cache.stats().lineFills, cache.stats().totalMisses());
+}
+
+TEST(CacheCompulsory, MatchesAHashSetOracle)
+{
+    // Random streams through caches of several geometries and
+    // policies, with store misses that allocate nothing, prefetches
+    // and a resetStats() midway. A compulsory miss is the first miss
+    // of its line since construction, counted since the last reset,
+    // so a hash set of the lines that missed is the oracle.
+    struct Shape
+    {
+        std::uint64_t bytes, words, ways;
+        ReplacementPolicy repl;
+        WritePolicy write;
+        AllocPolicy alloc;
+    };
+    const Shape shapes[] = {
+        {1024, 1, 1, ReplacementPolicy::Lru, WritePolicy::WriteThrough,
+         AllocPolicy::WriteAllocate},
+        {2048, 4, 2, ReplacementPolicy::Fifo, WritePolicy::WriteBack,
+         AllocPolicy::NoWriteAllocate},
+        {4096, 2, 4, ReplacementPolicy::Random,
+         WritePolicy::WriteThrough, AllocPolicy::NoWriteAllocate},
+        {8192, 8, 8, ReplacementPolicy::Lru, WritePolicy::WriteBack,
+         AllocPolicy::WriteAllocate},
+    };
+    Rng rng(0xc01d);
+    for (const Shape &shape : shapes) {
+        CacheParams params;
+        params.geom =
+            CacheGeometry::fromWords(shape.bytes, shape.words, shape.ways);
+        params.repl = shape.repl;
+        params.write = shape.write;
+        params.alloc = shape.alloc;
+        params.seed = rng.next();
+        SCOPED_TRACE(params.geom.describe());
+        Cache cache(params);
+        const unsigned line_shift = floorLog2(params.geom.lineBytes);
+        std::unordered_set<std::uint64_t> missed;
+        std::uint64_t expected = 0;
+        for (int i = 0; i < 40000; ++i) {
+            // Half the references in a hot 4-KB region, half over
+            // 1 MB, so lines both repeat and stream past the cache.
+            const std::uint64_t paddr =
+                rng.below(rng.chance(0.5) ? 4096 : 1 << 20) & ~3ULL;
+            if (i % 7 == 3) {
+                cache.prefetch(paddr);
+                continue;
+            }
+            const RefKind kind = RefKind(rng.below(numRefKinds));
+            if (!cache.access(paddr, kind) &&
+                missed.insert(paddr >> line_shift).second)
+                ++expected;
+            if (i == 20000) {
+                cache.resetStats();
+                expected = 0;
+            }
+            if (i % 997 == 0) {
+                ASSERT_EQ(cache.stats().compulsoryMisses, expected) << i;
+            }
+        }
+        EXPECT_EQ(cache.stats().compulsoryMisses, expected);
+        EXPECT_GT(expected, 4096u);
+    }
 }
 
 } // namespace

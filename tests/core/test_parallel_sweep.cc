@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <map>
+#include <string>
+
 #include "core/search_strategy.hh"
 #include "core/sweep.hh"
 #include "support/rng.hh"
@@ -81,6 +85,52 @@ TEST(ParallelSweep, MatchesSerialAcrossRandomizedWorkloads)
         const SweepResult serial = sweepWith(1, id, os, seed, 80000);
         const SweepResult par = sweepWith(threads, id, os, seed, 80000);
         expectSameSweep(serial, par);
+    }
+}
+
+TEST(ParallelSweep, PipelinedQuestionMatchesPerTraceSweeps)
+{
+    // A three-workload question records each workload on the calling
+    // lane while the pool replays the one before it. At any lane
+    // count it equals, bitwise, sweeping each workload's own
+    // recording, and it exports the same counters plus its three
+    // recordings (the pool's shape aside).
+    ::unsetenv("OMA_STORE_DIR");
+    const ComponentSweep sweep(cacheSubset(), cacheSubset(), tlbSubset());
+    const std::vector<WorkloadParams> workloads = {
+        benchmarkParams(BenchmarkId::Mpeg),
+        benchmarkParams(BenchmarkId::Mab),
+        benchmarkParams(BenchmarkId::IOzone)};
+    const auto comparable = [](const obs::MetricRegistry &m) {
+        std::map<std::string, std::uint64_t> counters;
+        for (const auto &[name, value] : m.counters())
+            if (name.rfind("threadpool/", 0) != 0)
+                counters[name] = value;
+        return counters;
+    };
+    RunConfig rc;
+    rc.references = 60000;
+    rc.seed = 9;
+    for (unsigned threads : {1u, 2u, 4u}) {
+        SCOPED_TRACE(threads);
+        rc.threads = threads;
+        obs::Observation question;
+        const std::vector<SweepResult> results =
+            sweep.run(workloads, OsKind::Mach, rc, question);
+        ASSERT_EQ(results.size(), workloads.size());
+        obs::Observation per_trace;
+        for (std::size_t w = 0; w < workloads.size(); ++w) {
+            SCOPED_TRACE(workloads[w].name);
+            const RecordedTrace trace =
+                System(workloads[w], OsKind::Mach, rc.seed)
+                    .record(rc.references);
+            expectSameSweep(sweep.run(trace, threads, per_trace),
+                            results[w]);
+        }
+        per_trace.metrics.add("sweep/records", workloads.size());
+        per_trace.metrics.add("calls/sweep/record", workloads.size());
+        EXPECT_EQ(comparable(question.metrics),
+                  comparable(per_trace.metrics));
     }
 }
 

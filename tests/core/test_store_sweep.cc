@@ -191,6 +191,67 @@ TEST(StoreSweep, AddedSlotReRecordsAndReplaysAlone)
     }
 }
 
+TEST(StoreSweep, PartiallyStoredQuestionRecordsOnlyWhatIsMissing)
+{
+    // Workloads 0 and 2 of a question are fully stored and workload 1
+    // lacks one shard (its last TLB slot): the question records
+    // workload 1 alone, replays and writes only that shard, and
+    // equals a live sweep of the whole question.
+    const ComponentSweep sweep = sweepUnderTest();
+    const ComponentSweep fewer(cacheSubset(), cacheSubset(),
+                               {tlbSubset().front()});
+    const std::vector<WorkloadParams> workloads = {
+        mab(), benchmarkParams(BenchmarkId::Mpeg),
+        benchmarkParams(BenchmarkId::Jpeg)};
+    for (unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(threads);
+        const std::string dir = freshStoreDir("partial");
+        const std::vector<SweepResult> live =
+            sweep.run(workloads, OsKind::Mach, storeRun("", threads));
+        (void)sweep.run(std::vector{workloads[0], workloads[2]},
+                        OsKind::Mach, storeRun(dir, threads));
+        (void)fewer.run(workloads[1], OsKind::Mach,
+                        storeRun(dir, threads));
+
+        obs::Observation observation;
+        const std::vector<SweepResult> partial = sweep.run(
+            workloads, OsKind::Mach, storeRun(dir, threads), observation);
+        ASSERT_EQ(partial.size(), workloads.size());
+        for (std::size_t w = 0; w < workloads.size(); ++w)
+            expectSameSweep(live[w], partial[w]);
+        const obs::MetricRegistry &m = observation.metrics;
+        EXPECT_EQ(m.counter("sweep/records"), 1u);
+        EXPECT_EQ(m.counter("sweep/trace_skips"), 2u);
+        EXPECT_EQ(m.counter("sweep/replays"), 1u);
+        EXPECT_EQ(m.counter("store/writes"), 1u);
+        EXPECT_EQ(m.counter("store/misses"), 1u);
+        EXPECT_EQ(m.counter("store/hits"), 3 * taskCount() - 1);
+        fs::remove_all(dir);
+    }
+}
+
+TEST(StoreSweep, ColdSweepReportsCoreTimePerReplayKind)
+{
+    // A cold classic sweep charges each replay kind its work items'
+    // core time (the reference machine's as `machine`) and the
+    // calling lane its recording; a warm sweep replays and records
+    // nothing, so it reports no core time.
+    const ComponentSweep sweep = sweepUnderTest();
+    const std::string dir = freshStoreDir("coretime");
+    obs::Observation cold, warm;
+    (void)sweep.run(mab(), OsKind::Mach, storeRun(dir, 4), cold);
+    (void)sweep.run(mab(), OsKind::Mach, storeRun(dir, 4), warm);
+    for (const char *kind : {"icache", "dcache", "tlb", "machine"}) {
+        const std::string name =
+            std::string("core_ms/sweep/replay/") + kind;
+        EXPECT_GT(cold.metrics.gauge(name), 0.0) << name;
+    }
+    EXPECT_GT(cold.metrics.gauge("core_ms/sweep/record"), 0.0);
+    for (const auto &[name, value] : warm.metrics.gauges())
+        EXPECT_NE(name.rfind("core_ms/", 0), 0u) << name;
+    fs::remove_all(dir);
+}
+
 /** Rewrite the stored reference-machine shard with its first 56
  * payload bytes — the layout before the shard carried the recording's
  * length and non-memory CPI. Entry layout (store/store.cc): a 40-byte

@@ -134,6 +134,80 @@ TEST(ThreadPool, SingleLanePoolRunsOnCallerThread)
         EXPECT_EQ(id, caller);
 }
 
+TEST(ThreadPool, CallerJobRunsOnTheCallingLaneWhileWorkersClaim)
+{
+    // The job starts while the workers claim indices (it waits until
+    // one has begun), then the caller joins the remaining indices.
+    // The job is no index: stats count only the range.
+    ThreadPool pool(4);
+    const auto caller = std::this_thread::get_id();
+    std::atomic<int> started{0};
+    std::vector<std::atomic<int>> hits(64);
+    std::thread::id job_lane;
+    int job_runs = 0;
+    pool.parallelFor(
+        0, hits.size(),
+        [&](std::size_t i) {
+            ++started;
+            ++hits[i];
+        },
+        [&] {
+            job_lane = std::this_thread::get_id();
+            ++job_runs;
+            while (started.load() == 0)
+                std::this_thread::yield();
+        });
+    EXPECT_EQ(job_runs, 1);
+    EXPECT_EQ(job_lane, caller);
+    for (const auto &h : hits)
+        EXPECT_EQ(h.load(), 1);
+    EXPECT_EQ(pool.stats().jobs, 1u);
+    EXPECT_EQ(pool.stats().indices, hits.size());
+}
+
+TEST(ThreadPool, CallerJobRunsFirstOnOneLaneAndWhenNested)
+{
+    ThreadPool serial(1);
+    std::vector<int> order;
+    serial.parallelFor(
+        0, 3, [&](std::size_t i) { order.push_back(int(i)); },
+        [&] { order.push_back(-1); });
+    EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 2}));
+
+    ThreadPool pool(4);
+    std::vector<std::vector<int>> inner(4);
+    pool.parallelFor(0, inner.size(), [&](std::size_t i) {
+        pool.parallelFor(
+            0, 2, [&](std::size_t j) { inner[i].push_back(int(j)); },
+            [&] { inner[i].push_back(-1); });
+    });
+    for (const auto &o : inner)
+        EXPECT_EQ(o, (std::vector<int>{-1, 0, 1}));
+}
+
+TEST(ThreadPool, CallerJobExceptionWaitsForEveryIndex)
+{
+    // The job's exception is rethrown only after every index ran, and
+    // ahead of an index's, so nothing the bodies use is released
+    // while a worker still runs one.
+    ThreadPool pool(4);
+    std::atomic<int> calls{0};
+    try {
+        pool.parallelFor(
+            0, 100,
+            [&](std::size_t i) {
+                ++calls;
+                if (i == 7)
+                    throw std::runtime_error("index");
+            },
+            [] { throw std::runtime_error("job"); });
+        FAIL() << "expected an exception";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "job");
+    }
+    EXPECT_EQ(calls.load(), 100);
+}
+
 TEST(ThreadPool, StatsCountTopLevelJobsAndIndices)
 {
     ThreadPool pool(4);
