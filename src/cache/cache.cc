@@ -6,13 +6,12 @@
 #include "cache/cache.hh"
 
 #include "support/bits.hh"
-#include "support/logging.hh"
 
 namespace oma
 {
 
 Cache::Cache(const CacheParams &params)
-    : _params(params), _rng(params.seed)
+    : _params(params)
 {
     _params.geom.validate();
     const std::uint64_t sets = _params.geom.numSets();
@@ -45,32 +44,22 @@ Cache::probe(std::uint64_t paddr) const
 }
 
 std::size_t
-Cache::victimWay(std::size_t set_base)
+Cache::victimWay(std::size_t set_base) const
 {
     // Prefer an invalid way.
     for (std::size_t w = 0; w < _ways; ++w) {
         if (!_lines[set_base + w].valid)
             return w;
     }
-    switch (_params.repl) {
-      case ReplacementPolicy::Random:
-        return static_cast<std::size_t>(_rng.below(_ways));
-      case ReplacementPolicy::Lru:
-      case ReplacementPolicy::Fifo: {
-        // Both policies evict the smallest stamp; they differ in
-        // whether hits refresh the stamp (see access()).
-        std::size_t victim = 0;
-        std::uint64_t oldest = _lines[set_base].stamp;
-        for (std::size_t w = 1; w < _ways; ++w) {
-            if (_lines[set_base + w].stamp < oldest) {
-                oldest = _lines[set_base + w].stamp;
-                victim = w;
-            }
+    std::size_t victim = 0;
+    std::uint64_t oldest = _lines[set_base].stamp;
+    for (std::size_t w = 1; w < _ways; ++w) {
+        if (_lines[set_base + w].stamp < oldest) {
+            oldest = _lines[set_base + w].stamp;
+            victim = w;
         }
-        return victim;
-      }
     }
-    panic("unreachable replacement policy");
+    return victim;
 }
 
 bool
@@ -81,46 +70,30 @@ Cache::access(std::uint64_t paddr, RefKind kind)
     const std::uint64_t set = line & _setMask;
     const std::uint64_t tag = line >> _indexBits;
     const std::size_t base = set * _ways;
-    const bool is_store = kind == RefKind::Store;
 
     ++_stats.accesses[unsigned(kind)];
-    if (is_store && _params.write == WritePolicy::WriteThrough)
-        ++_stats.writeThroughWords;
-
     for (std::size_t w = 0; w < _ways; ++w) {
         Line &l = _lines[base + w];
         if (l.valid && l.tag == tag) {
-            if (_params.repl == ReplacementPolicy::Lru)
-                l.stamp = _tick;
-            if (is_store && _params.write == WritePolicy::WriteBack)
-                l.dirty = true;
+            l.stamp = _tick;
             return true;
         }
     }
-    return missFill(line, base, tag, kind, is_store);
+    return missFill(line, base, tag, kind);
 }
 
 bool
 Cache::missFill(std::uint64_t line, std::size_t base,
-                std::uint64_t tag, RefKind kind, bool is_store)
+                std::uint64_t tag, RefKind kind)
 {
     ++_stats.misses[unsigned(kind)];
     _missedLines.add(line);
 
-    const bool allocate = !is_store ||
-        _params.alloc == AllocPolicy::WriteAllocate;
-    if (!allocate)
-        return false;
-
-    ++_stats.lineFills;
-    const std::size_t w = victimWay(base);
-    Line &l = _lines[base + w];
-    if (l.valid && l.dirty)
-        ++_stats.writebacks;
+    // Write-allocate: a store miss fills its line like a load miss.
+    Line &l = _lines[base + victimWay(base)];
     l.valid = true;
     l.tag = tag;
     l.stamp = _tick;
-    l.dirty = is_store && _params.write == WritePolicy::WriteBack;
     return false;
 }
 
@@ -135,19 +108,14 @@ Cache::prefetch(std::uint64_t paddr)
     for (std::size_t w = 0; w < _ways; ++w) {
         Line &l = _lines[base + w];
         if (l.valid && l.tag == tag) {
-            if (_params.repl == ReplacementPolicy::Lru)
-                l.stamp = _tick;
+            l.stamp = _tick;
             return;
         }
     }
-    const std::size_t w = victimWay(base);
-    Line &l = _lines[base + w];
-    if (l.valid && l.dirty)
-        ++_stats.writebacks;
+    Line &l = _lines[base + victimWay(base)];
     l.valid = true;
     l.tag = tag;
     l.stamp = _tick;
-    l.dirty = false;
 }
 
 CacheStats

@@ -4,18 +4,18 @@
  *
  * A functional (timing-free) cache model in the style of the
  * cache2000 / Dinero class of simulators the paper drives with its
- * sampled traces. The model supports LRU/FIFO/random replacement,
- * write-through and write-back policies, and write-allocate or
- * no-write-allocate behaviour, and counts enough events to feed the
- * CPI model (misses by reference kind, lines fetched, words written
- * through to memory, write-backs).
+ * sampled traces. Every cache is LRU, write-through and
+ * write-allocate, as on the DECstation 3100 the paper measures: there
+ * is no other policy to pick. It counts accesses and misses by
+ * reference kind, and compulsory misses, which is what the CPI model
+ * reads.
  *
- * Every caller (the live Machine, the hierarchies and the sweep's
- * per-slot replay, core/component.hh) drives the one access() body,
- * one reference at a time. The sweep replays its LRU write-through
- * write-allocate slots through the one-pass engine instead
- * (cache/cheetah.hh), which reports bitwise the counters this body
- * would (tests/cache/test_cheetah_differential.cc).
+ * Every caller (the live Machine, the hierarchies and the per-slot
+ * CacheComponent, core/component.hh) drives the one access() body,
+ * one reference at a time. The sweep replays its I- and D-cache
+ * slots through the one-pass engine instead (cache/cheetah.hh), which
+ * reports bitwise the counters this body would
+ * (tests/cache/test_cheetah_differential.cc).
  */
 
 #ifndef OMA_CACHE_CACHE_HH
@@ -27,56 +27,21 @@
 #include "area/geometry.hh"
 #include "cache/distinct_lines.hh"
 #include "support/fingerprint.hh"
-#include "support/rng.hh"
 #include "trace/memref.hh"
 
 namespace oma
 {
 
-/** Line replacement policy. */
-enum class ReplacementPolicy : std::uint8_t
-{
-    Lru,
-    Fifo,
-    Random,
-};
-
-/** Store handling policy. */
-enum class WritePolicy : std::uint8_t
-{
-    WriteThrough,
-    WriteBack,
-};
-
-/** Allocation policy on store misses. */
-enum class AllocPolicy : std::uint8_t
-{
-    WriteAllocate,
-    NoWriteAllocate,
-};
-
 /** Full configuration of a simulated cache. */
 struct CacheParams
 {
     CacheGeometry geom;
-    ReplacementPolicy repl = ReplacementPolicy::Lru;
-    /**
-     * The R2000-era machines the paper measures use write-through
-     * caches backed by a write buffer, so that is the default.
-     */
-    WritePolicy write = WritePolicy::WriteThrough;
-    AllocPolicy alloc = AllocPolicy::WriteAllocate;
-    std::uint64_t seed = 1; //!< Random-replacement seed.
 
     /** Append every behaviour-determining field to a fingerprint. */
     void
     fingerprint(Fingerprint &fp) const
     {
         geom.fingerprint(fp);
-        fp.u64("cache.repl", std::uint64_t(repl));
-        fp.u64("cache.write", std::uint64_t(write));
-        fp.u64("cache.alloc", std::uint64_t(alloc));
-        fp.u64("cache.seed", seed);
     }
 };
 
@@ -85,12 +50,6 @@ struct CacheStats
 {
     std::uint64_t accesses[numRefKinds] = {};
     std::uint64_t misses[numRefKinds] = {};
-    /** Lines fetched from the next level (miss fills). */
-    std::uint64_t lineFills = 0;
-    /** Dirty lines written back (write-back policy only). */
-    std::uint64_t writebacks = 0;
-    /** Words forwarded to memory by stores (write-through traffic). */
-    std::uint64_t writeThroughWords = 0;
     /** Misses to lines that never missed before (compulsory; a line
      * prefetch() brought in counts at its first miss). */
     std::uint64_t compulsoryMisses = 0;
@@ -108,9 +67,6 @@ struct CacheStats
     {
         f("accesses", s.accesses...);
         f("misses", s.misses...);
-        f("line_fills", s.lineFills...);
-        f("writebacks", s.writebacks...);
-        f("write_through_words", s.writeThroughWords...);
         f("compulsory_misses", s.compulsoryMisses...);
     }
 
@@ -174,7 +130,7 @@ class Cache
      */
     void prefetch(std::uint64_t paddr);
 
-    /** Invalidate every line (loses dirty data; counts nothing). */
+    /** Invalidate every line (counts nothing). */
     void invalidateAll();
 
     /** Accumulated counters. */
@@ -188,20 +144,20 @@ class Cache
     struct Line
     {
         std::uint64_t tag = 0;
-        std::uint64_t stamp = 0; //!< LRU / FIFO ordering stamp.
+        std::uint64_t stamp = 0; //!< LRU ordering stamp.
         bool valid = false;
-        bool dirty = false;
     };
 
-    /** Index of the victim way within a set (first invalid, else policy). */
-    std::size_t victimWay(std::size_t set_base);
+    /** Index of the victim way within a set: the first invalid way,
+     * else the least recently used (the lowest way on a tie). */
+    std::size_t victimWay(std::size_t set_base) const;
 
     std::uint64_t lineNumber(std::uint64_t paddr) const;
 
     /** The miss tail of access() (kept out of line so the hit path
      * stays small). */
     bool missFill(std::uint64_t line, std::size_t base,
-                  std::uint64_t tag, RefKind kind, bool is_store);
+                  std::uint64_t tag, RefKind kind);
 
     CacheParams _params;
     std::uint64_t _setMask;
@@ -210,7 +166,6 @@ class Cache
     std::size_t _ways;
     std::vector<Line> _lines; //!< sets x ways, set-major.
     std::uint64_t _tick = 0;
-    Rng _rng;
     /** Every counter but compulsoryMisses, which stats() derives. */
     CacheStats _stats;
     /** Every line that missed: a compulsory miss is a line's first. */

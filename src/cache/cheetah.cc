@@ -152,14 +152,6 @@ Cheetah::levelFor(const CacheGeometry &geom) const
     return nullptr;
 }
 
-bool
-Cheetah::simulates(const CacheParams &params)
-{
-    return params.repl == ReplacementPolicy::Lru &&
-        params.write == WritePolicy::WriteThrough &&
-        params.alloc == AllocPolicy::WriteAllocate;
-}
-
 CacheStats
 Cheetah::stats(const CacheGeometry &geom) const
 {
@@ -177,11 +169,6 @@ Cheetah::stats(const CacheGeometry &geom) const
         s.accesses[k] = _accesses[k];
         s.misses[k] = _accesses[k] - hits;
     }
-    // Write-allocate: every miss fills. Write-through: nothing is
-    // dirty, and every store forwards its word.
-    s.lineFills = s.totalMisses();
-    s.writebacks = 0;
-    s.writeThroughWords = _accesses[unsigned(RefKind::Store)];
     s.compulsoryMisses = compulsoryMisses();
     return s;
 }

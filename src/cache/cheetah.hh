@@ -3,11 +3,11 @@
  * Cheetah-style one-pass simulation of many LRU caches.
  *
  * One pass over a reference stream yields the exact CacheStats of
- * every LRU, write-through, write-allocate cache of one line size, at
- * every power-of-two set count and associativity asked for. It keeps
- * one truncated Mattson LRU stack per set and set count and counts
- * hits by stack depth [Sugumar93]: a reference at depth d hits every
- * cache of that set count with more than d ways.
+ * every cache (cache/cache.hh: LRU, write-through, write-allocate) of
+ * one line size, at every power-of-two set count and associativity
+ * asked for. It keeps one truncated Mattson LRU stack per set and set
+ * count and counts hits by stack depth [Sugumar93]: a reference at
+ * depth d hits every cache of that set count with more than d ways.
  *
  * With bit-selection indexing, the lines of one set at 2S sets are a
  * subset of the lines of one set at S sets (Hill & Smith's set
@@ -63,16 +63,12 @@ class Cheetah
     [[nodiscard]] std::uint64_t compulsoryMisses() const;
 
     /**
-     * The counters a Cache of geometry @p geom and policies the pass
-     * simulates() would have after the same accesses. Panics unless
-     * @p geom was one of the constructor's geometries, or shares a
-     * set count and line size with one and has no more ways.
+     * The counters a Cache of geometry @p geom would have after the
+     * same accesses. Panics unless @p geom was one of the
+     * constructor's geometries, or shares a set count and line size
+     * with one and has no more ways.
      */
     [[nodiscard]] CacheStats stats(const CacheGeometry &geom) const;
-
-    /** Whether a pass reports caches of @p params' policies exactly:
-     * LRU replacement, write-through and write-allocate. */
-    [[nodiscard]] static bool simulates(const CacheParams &params);
 
   private:
     /** The stacks and depth histograms of one set count. */

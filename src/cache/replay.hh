@@ -6,7 +6,7 @@
  * the references of one cache stream into contiguous buffers
  * (compactCacheStream: paddr, and for data replays the packed flag
  * byte), and hands each buffer to a Cheetah pass, which reports every
- * LRU write-through write-allocate configuration of one line size.
+ * cache configuration of one line size.
  * The pass sees exactly the references the per-slot CacheComponent
  * (core/component.hh) and the per-ref views
  * (RecordedTrace::replayFetchPaddrs, replayCachedData) deliver, in

@@ -25,26 +25,6 @@ namespace
 {
 
 /**
- * Cache parameters for sweep slot @p index of bank @p bank_salt.
- * Every geometry owns a private Rng stream derived from its index, so
- * replacement tie-breaking (Random policy) is a function of the
- * configuration alone, never of which thread replays it or of which
- * other configurations share the run.
- */
-CacheParams
-sweepCacheParams(const CacheGeometry &geom, std::uint64_t bank_salt,
-                 std::size_t index)
-{
-    CacheParams p;
-    p.geom = geom;
-    p.seed = mix64((bank_salt << 32) | std::uint64_t(index));
-    return p;
-}
-
-constexpr std::uint64_t icacheBankSalt = 1;
-constexpr std::uint64_t dcacheBankSalt = 2;
-
-/**
  * Fingerprint of everything upstream of the record phase: formats,
  * OS personality, seed, trace length and the complete workload
  * description. Every replay shard's store key extends this base, so
@@ -68,14 +48,13 @@ sweepBaseKey(const WorkloadParams &workload, OsKind os,
     return fp;
 }
 
-/** Whether a Cheetah pass reports @p slot: an I- or D-cache slot
- * whose policies the pass simulates. */
+/** Whether a Cheetah pass reports @p slot: every I- and D-cache
+ * slot. */
 bool
 inCachePass(const ComponentSlot &slot)
 {
-    return (slot.kind == ComponentKind::ICache ||
-            slot.kind == ComponentKind::DCache) &&
-        Cheetah::simulates(std::get<CacheParams>(slot.params));
+    return slot.kind == ComponentKind::ICache ||
+        slot.kind == ComponentKind::DCache;
 }
 
 /** The cache stream a cache slot replays. */
@@ -111,12 +90,10 @@ ComponentSweep::ComponentSweep(std::vector<CacheGeometry> icache_geoms,
 {
     _slots.reserve(icache_geoms.size() + dcache_geoms.size() +
                    tlb_geoms.size());
-    for (std::size_t i = 0; i < icache_geoms.size(); ++i)
-        _slots.push_back(ComponentSlot::icache(
-            sweepCacheParams(icache_geoms[i], icacheBankSalt, i)));
-    for (std::size_t d = 0; d < dcache_geoms.size(); ++d)
-        _slots.push_back(ComponentSlot::dcache(
-            sweepCacheParams(dcache_geoms[d], dcacheBankSalt, d)));
+    for (const CacheGeometry &geom : icache_geoms)
+        _slots.push_back(ComponentSlot::icache(CacheParams{geom}));
+    for (const CacheGeometry &geom : dcache_geoms)
+        _slots.push_back(ComponentSlot::dcache(CacheParams{geom}));
     for (const TlbGeometry &geom : tlb_geoms) {
         TlbParams p;
         p.geom = geom;
@@ -224,9 +201,9 @@ ComponentSweep::sweepTasks(const TraceSource &trace_source,
     // One flat task index per measurement across the reference
     // machine (task 0) and every component slot (task s + 1). Replay
     // runs per work item on the pool: one task on its private
-    // simulator, or every missing LRU write-through write-allocate I-
-    // or D-cache task of one line size in one private Cheetah pass,
-    // whose counters equal the per-slot Cache's bit for bit. Each
+    // simulator, or every missing I- or D-cache task of one line size
+    // in one private Cheetah pass, whose counters equal the per-slot
+    // Cache's bit for bit. Each
     // item writes only its own tasks' result slots, so the results
     // are bitwise identical for any thread count. Every simulator
     // streams the packed trace columns chunk by chunk
@@ -252,8 +229,8 @@ ComponentSweep::sweepTasks(const TraceSource &trace_source,
     }
 
     // The replay work, one pool index per item: a single task, or
-    // every missing pass-eligible cache task of one (stream, line
-    // size), which one Cheetah pass reports at once. An item sits at
+    // every missing cache task of one (stream, line size), which one
+    // Cheetah pass reports at once. An item sits at
     // its first task's position.
     struct WorkItem
     {

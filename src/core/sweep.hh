@@ -313,10 +313,9 @@ struct SweepResult
  * OS page invalidations recorded inline at their trace position),
  * then the reference machine and every component replay the
  * recording on private simulator instances. The I- and D-cache slots
- * with LRU, write-through and write-allocate (every slot a SweepGrid
- * builds) replay as one Cheetah pass per (stream, line size), which
- * yields each slot's exact CacheStats (`replay/cache_passes` counts
- * the passes); every other slot replays on its own simulator.
+ * replay as one Cheetah pass per (stream, line size), which yields
+ * each slot's exact CacheStats (`replay/cache_passes` counts the
+ * passes); every other slot replays on its own simulator.
  * RunConfig::threads picks the lane count for the replays; serial
  * (threads = 1) runs the same replays inline, so results are bitwise
  * identical for any thread count. A question's workloads share one
@@ -340,9 +339,8 @@ class ComponentSweep
 {
   public:
     /**
-     * The classic three-kind sweep: one I-cache slot per geometry
-     * (each with its private Rng stream), one D-cache slot, one TLB
-     * slot. Extension components join via addComponent().
+     * The classic three-kind sweep: one I-cache, D-cache and TLB slot
+     * per geometry. Extension components join via addComponent().
      */
     ComponentSweep(std::vector<CacheGeometry> icache_geoms,
                    std::vector<CacheGeometry> dcache_geoms,

@@ -15,9 +15,7 @@ MachineParams::decstation3100()
 {
     MachineParams p;
     p.icache.geom = CacheGeometry::fromWords(64 * 1024, 1, 1);
-    p.icache.write = WritePolicy::WriteThrough;
     p.dcache.geom = CacheGeometry::fromWords(64 * 1024, 1, 1);
-    p.dcache.write = WritePolicy::WriteThrough;
     p.tlb.geom = TlbGeometry::fullyAssoc(64);
     return p;
 }
@@ -90,8 +88,8 @@ Machine::observe(const MemRef &ref)
             _cycles += _dPenalty;
         }
     }
-    if (ref.isStore() &&
-        _params.dcache.write == WritePolicy::WriteThrough) {
+    // Write-through: every store goes to the write buffer.
+    if (ref.isStore()) {
         const std::uint64_t stall = _wb.store(_cycles);
         _stalls.wbStall += stall;
         _cycles += stall;

@@ -188,7 +188,6 @@ class Mmu
                         bool global);
 
     [[nodiscard]] const MmuStats &stats() const { return _stats; }
-    void resetStats() { _stats = MmuStats(); }
 
     Tlb &tlb() { return _tlb; }
     [[nodiscard]] const Tlb &tlb() const { return _tlb; }

@@ -5,14 +5,11 @@
 
 #include "tlb/tlb.hh"
 
-#include "support/bits.hh"
-#include "support/logging.hh"
-
 namespace oma
 {
 
 Tlb::Tlb(const TlbParams &params)
-    : _params(params), _rng(params.seed)
+    : _params(params)
 {
     _params.geom.validate();
     _sets = _params.geom.numSets();
@@ -56,14 +53,11 @@ bool
 Tlb::lookup(std::uint64_t vpn, std::uint32_t asid)
 {
     ++_tick;
-    ++_stats.accesses;
     Entry *e = find(vpn, asid);
     if (e) {
-        if (_params.repl == ReplacementPolicy::Lru)
-            e->stamp = _tick;
+        e->stamp = _tick;
         return true;
     }
-    ++_stats.misses;
     return false;
 }
 
@@ -74,29 +68,21 @@ Tlb::probe(std::uint64_t vpn, std::uint32_t asid) const
 }
 
 std::size_t
-Tlb::victimWay(std::size_t set_base)
+Tlb::victimWay(std::size_t set_base) const
 {
     for (std::size_t w = 0; w < _ways; ++w) {
         if (!_entries[set_base + w].valid)
             return w;
     }
-    switch (_params.repl) {
-      case ReplacementPolicy::Random:
-        return static_cast<std::size_t>(_rng.below(_ways));
-      case ReplacementPolicy::Lru:
-      case ReplacementPolicy::Fifo: {
-        std::size_t victim = 0;
-        std::uint64_t oldest = _entries[set_base].stamp;
-        for (std::size_t w = 1; w < _ways; ++w) {
-            if (_entries[set_base + w].stamp < oldest) {
-                oldest = _entries[set_base + w].stamp;
-                victim = w;
-            }
+    std::size_t victim = 0;
+    std::uint64_t oldest = _entries[set_base].stamp;
+    for (std::size_t w = 1; w < _ways; ++w) {
+        if (_entries[set_base + w].stamp < oldest) {
+            oldest = _entries[set_base + w].stamp;
+            victim = w;
         }
-        return victim;
-      }
     }
-    panic("unreachable replacement policy");
+    return victim;
 }
 
 void

@@ -5,9 +5,10 @@
  * Entries are tagged with a virtual page number and a 6-bit ASID and
  * may be marked global (kernel mappings match regardless of ASID, as
  * with the R2000 G bit). Organizations range from direct-mapped
- * through set-associative to fully associative. The TLB itself is a
- * dumb lookup structure; miss classification and the software
- * miss-handler cost model live in Mmu.
+ * through set-associative to fully associative, all with LRU
+ * replacement. The TLB itself is a dumb lookup structure; miss
+ * counting and classification and the software miss-handler cost
+ * model live in Mmu.
  */
 
 #ifndef OMA_TLB_TLB_HH
@@ -17,9 +18,7 @@
 #include <vector>
 
 #include "area/geometry.hh"
-#include "cache/cache.hh" // ReplacementPolicy
 #include "support/fingerprint.hh"
-#include "support/rng.hh"
 
 namespace oma
 {
@@ -28,8 +27,6 @@ namespace oma
 struct TlbParams
 {
     TlbGeometry geom;
-    ReplacementPolicy repl = ReplacementPolicy::Lru;
-    std::uint64_t seed = 1;
     /**
      * Model a TLB without address-space identifiers (i486-style,
      * Table 1): the whole TLB is flushed on every address-space
@@ -43,22 +40,7 @@ struct TlbParams
     fingerprint(Fingerprint &fp) const
     {
         geom.fingerprint(fp);
-        fp.u64("tlb.repl", std::uint64_t(repl));
-        fp.u64("tlb.seed", seed);
         fp.flag("tlb.flush_on_asid_switch", flushOnAsidSwitch);
-    }
-};
-
-/** Raw TLB hit/miss counters (classification happens in Mmu). */
-struct TlbStats
-{
-    std::uint64_t accesses = 0;
-    std::uint64_t misses = 0;
-
-    [[nodiscard]] double
-    missRatio() const
-    {
-        return accesses == 0 ? 0.0 : double(misses) / double(accesses);
     }
 };
 
@@ -71,7 +53,7 @@ class Tlb
     [[nodiscard]] const TlbParams &params() const { return _params; }
 
     /**
-     * Look up a translation, updating replacement state and counters.
+     * Look up a translation, updating replacement state.
      *
      * @param vpn Virtual page number.
      * @param asid Current address-space identifier.
@@ -106,9 +88,6 @@ class Tlb
     /** Drop everything (e.g. an ASID rollover flush). */
     void invalidateAll();
 
-    [[nodiscard]] const TlbStats &stats() const { return _stats; }
-    void resetStats() { _stats = TlbStats(); }
-
   private:
     struct Entry
     {
@@ -125,15 +104,15 @@ class Tlb
     Entry *find(std::uint64_t vpn, std::uint32_t asid);
     const Entry *find(std::uint64_t vpn, std::uint32_t asid) const;
     std::size_t setIndex(std::uint64_t vpn) const;
-    std::size_t victimWay(std::size_t set_base);
+    /** The first invalid way, else the least recently used (the
+     * lowest way on a tie). */
+    std::size_t victimWay(std::size_t set_base) const;
 
     TlbParams _params;
     std::size_t _sets;
     std::size_t _ways;
     std::vector<Entry> _entries;
     std::uint64_t _tick = 0;
-    Rng _rng;
-    TlbStats _stats;
 };
 
 } // namespace oma

@@ -116,21 +116,6 @@ TEST_P(StreamSeed, MissesNeverBelowCompulsory)
               cache.stats().compulsoryMisses);
 }
 
-TEST_P(StreamSeed, LruNeverWorseThanFifoOnAverageStreams)
-{
-    // Not a theorem in general (Belady anomalies exist for FIFO),
-    // but on these mixed streams LRU should not lose by much; we
-    // assert a loose bound to catch gross policy implementation bugs.
-    CacheParams lru;
-    lru.geom = CacheGeometry(4096, 16, 4);
-    lru.repl = ReplacementPolicy::Lru;
-    CacheParams fifo = lru;
-    fifo.repl = ReplacementPolicy::Fifo;
-    const std::uint64_t m_lru = missesFor(lru, addrs);
-    const std::uint64_t m_fifo = missesFor(fifo, addrs);
-    EXPECT_LT(double(m_lru), 1.05 * double(m_fifo));
-}
-
 INSTANTIATE_TEST_SUITE_P(Seeds, StreamSeed,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u));
 

@@ -4,10 +4,10 @@
  * configuration, over the same recording.
  *
  * This is the correctness backstop of the sweep's cache engine:
- * ComponentSweep reports every LRU write-through write-allocate I-
- * and D-cache slot of one line size from one Cheetah pass, so every
- * CacheStats field the pass derives must equal, bit for bit, what the
- * slot's own Cache computes through makeComponent + replayComponent.
+ * ComponentSweep reports every I- and D-cache slot of one line size
+ * from one Cheetah pass, so every CacheStats field the pass derives
+ * must equal, bit for bit, what the slot's own Cache computes through
+ * makeComponent + replayComponent.
  * The comparison runs through the store codec
  * (encodeComponentCounters serializes every field), over every Table 5
  * geometry on both streams of all six workloads under both OSes, over

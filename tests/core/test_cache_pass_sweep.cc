@@ -1,14 +1,12 @@
 /**
  * @file
  * Sweep-level proof of the one-pass cache engine: a ComponentSweep
- * mixing pass-eligible cache slots (LRU, write-through,
- * write-allocate; several line sizes on both streams, one group with
- * a single member) with a FIFO slot, a write-back slot and one slot
- * of every other kind must report exactly what replaying each slot
- * on its own simulator reports — at 1 and 4 threads, on a cold and
- * on a warm store — and `replay/cache_passes` must count one pass
- * per (stream, line size) group on a cold store and none on a warm
- * one.
+ * mixing cache slots of several line sizes on both streams (one
+ * group with a single member) with one slot of every other kind must
+ * report exactly what replaying each slot on its own simulator
+ * reports — at 1 and 4 threads, on a cold and on a warm store — and
+ * `replay/cache_passes` must count one pass per (stream, line size)
+ * group on a cold store and none on a warm one.
  */
 
 #include <gtest/gtest.h>
@@ -51,18 +49,10 @@ mixedSlots()
     slots.push_back(ComponentSlot::icache(lru(8, 4, 2)));
     slots.push_back(ComponentSlot::icache(lru(2, 4, 8)));
     slots.push_back(ComponentSlot::icache(lru(2, 8, 1)));
-    // A FIFO I-cache slot of a grouped line size replays alone.
-    CacheParams fifo = lru(4, 4, 2);
-    fifo.repl = ReplacementPolicy::Fifo;
-    slots.push_back(ComponentSlot::icache(fifo));
     // D-cache groups: 4-word lines (two) and 1-word lines (one).
     slots.push_back(ComponentSlot::dcache(lru(4, 4, 2)));
     slots.push_back(ComponentSlot::dcache(lru(16, 4, 1)));
     slots.push_back(ComponentSlot::dcache(lru(8, 1, 4)));
-    // A write-back D-cache slot of a grouped line size replays alone.
-    CacheParams write_back = lru(4, 4, 1);
-    write_back.write = WritePolicy::WriteBack;
-    slots.push_back(ComponentSlot::dcache(write_back));
 
     TlbParams tlb;
     tlb.geom = TlbGeometry(64, 2);

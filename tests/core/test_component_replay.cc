@@ -1,15 +1,15 @@
 /**
  * @file
  * Differential suite for the replayable components (core/component.hh):
- * for every component kind — I- and D-caches under every replacement,
- * write and allocation policy, TLBs, victim caches, write buffers,
- * split and unified hierarchies — makeComponent + replayComponent must
- * be bitwise identical to an oracle that drives the raw simulator one
- * reference at a time through RecordedTrace's per-reference views. The
- * inputs are recorded Ultrix and Mach System traces, randomized traces
- * with kseg1 data, and traces with invalidations at chunk seams and
- * past the end. End to end, ComponentSweep must match the oracle at 1
- * and 4 threads and when it reloads every shard from a warm artifact
+ * for every component kind — I- and D-caches of every shape, TLBs,
+ * victim caches, write buffers, split and unified hierarchies —
+ * makeComponent + replayComponent must be bitwise identical to an
+ * oracle that drives the raw simulator one reference at a time
+ * through RecordedTrace's per-reference views. The inputs are
+ * recorded Ultrix and Mach System traces, randomized traces with
+ * kseg1 data, and traces with invalidations at chunk seams and past
+ * the end. End to end, ComponentSweep must match the oracle at 1 and
+ * 4 threads and when it reloads every shard from a warm artifact
  * store. Also pins the component kind names (store keys and metric
  * prefixes depend on them) and the counters codec's kind framing.
  */
@@ -178,44 +178,15 @@ diffGeometries()
     };
 }
 
-/** Policy variations exercising every counter the stats carry. */
-std::vector<CacheParams>
-diffParams()
-{
-    std::vector<CacheParams> out;
-    unsigned i = 0;
-    for (const CacheGeometry &g : diffGeometries()) {
-        CacheParams p;
-        p.geom = g;
-        switch (i++ % 4) {
-          case 0:
-            break; // defaults: LRU, write-through, write-allocate
-          case 1:
-            p.write = WritePolicy::WriteBack;
-            break;
-          case 2:
-            p.repl = ReplacementPolicy::Fifo;
-            p.alloc = AllocPolicy::NoWriteAllocate;
-            break;
-          default:
-            p.repl = ReplacementPolicy::Random;
-            p.write = WritePolicy::WriteBack;
-            p.seed = 7;
-            break;
-        }
-        out.push_back(p);
-    }
-    return out;
-}
-
-/** Every diffParams() cache as an I-cache and as a D-cache slot. */
+/** Every diffGeometries() cache as an I-cache and as a D-cache
+ * slot. */
 std::vector<ComponentSlot>
 cacheSlots()
 {
     std::vector<ComponentSlot> slots;
-    for (const CacheParams &p : diffParams()) {
-        slots.push_back(ComponentSlot::icache(p));
-        slots.push_back(ComponentSlot::dcache(p));
+    for (const CacheGeometry &g : diffGeometries()) {
+        slots.push_back(ComponentSlot::icache(CacheParams{g}));
+        slots.push_back(ComponentSlot::dcache(CacheParams{g}));
     }
     return slots;
 }

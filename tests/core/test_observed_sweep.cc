@@ -143,7 +143,7 @@ TEST(ObservedSweep, ExportedCountersSumEachKind)
     // view exported on its own, summed by the registry. The machine
     // counters must equal a reference machine replaying the same
     // recording, and replay/cache_passes one pass per (stream, line
-    // size), since every classic cache slot is LRU write-through.
+    // size), since every cache slot replays in a pass.
     // The names are pinned to a literal list, so renaming an entry of
     // a record's counter list fails here.
     ComponentSweep sweep = sweepUnderTest();
@@ -207,8 +207,7 @@ TEST(ObservedSweep, ExportedCountersSumEachKind)
             pinned.insert(prefix + "/" + name);
     };
     for (const char *cache : {"icache", "dcache"})
-        pin(cache, {"accesses", "misses", "line_fills", "writebacks",
-                    "write_through_words", "compulsory_misses"});
+        pin(cache, {"accesses", "misses", "compulsory_misses"});
     pin("tlb", {"translations", "misses", "service_cycles",
                 "refill_cycles", "asid_flushes"});
     pin("victim", {"accesses", "l1_hits", "victim_hits", "misses"});
@@ -218,7 +217,7 @@ TEST(ObservedSweep, ExportedCountersSumEachKind)
     pin("machine", {"instructions", "icache_stall", "dcache_stall",
                     "wb_stall", "tlb_stall"});
     pin("wb", {"stores", "stall_cycles"});
-    EXPECT_EQ(pinned.size(), 39u);
+    EXPECT_EQ(pinned.size(), 33u);
     EXPECT_EQ(names, pinned);
 }
 

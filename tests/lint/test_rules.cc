@@ -429,8 +429,9 @@ void f(Mutex &m, Mutex *p) {
     ASSERT_EQ(countRule(report, "lock-audit"), 3u);
     // Each finding carries a concrete remedy.
     for (const Finding &f : report.findings) {
-        if (f.rule == "lock-audit")
+        if (f.rule == "lock-audit") {
             EXPECT_NE(f.fixit.find("LockGuard"), std::string::npos);
+        }
     }
 }
 
@@ -574,9 +575,10 @@ int f() {
 )");
     ASSERT_EQ(countRule(report, "shared-state"), 1u);
     for (const Finding &f : report.findings) {
-        if (f.rule == "shared-state")
+        if (f.rule == "shared-state") {
             EXPECT_NE(f.fixit.find("thread_local"),
                       std::string::npos);
+        }
     }
 }
 

@@ -423,7 +423,7 @@ TEST(StoreCodec, CounterShardsRoundTrip)
         }
         EXPECT_EQ(store::encodeCounters(decoded), payload);
     };
-    check("CacheStats", CacheStats(), 88);
+    check("CacheStats", CacheStats(), 64);
     check("MmuStats", MmuStats(), 104);
     check("VictimStats", VictimStats(), 32);
     check("WriteBufferStats", WriteBufferStats(), 24);

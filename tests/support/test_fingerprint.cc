@@ -4,9 +4,10 @@
  * fingerprints. The artifact store keys every replay shard by these
  * texts (src/store), so any accidental change to a field name, field
  * order or value encoding silently orphans every previously stored
- * shard. These tests pin the exact canonical text for the extension
- * components (victim cache, write buffer, hierarchy) the way the
- * store-key tests pin the classic cache/TLB components.
+ * shard. These tests pin the exact canonical text of every component
+ * kind's parameters (cache, TLB, victim cache, write buffer,
+ * hierarchy) and of the reference machine, and the frame of the
+ * query API's response key.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include "api/request.hh"
 #include "cache/hierarchy.hh"
 #include "cache/victim.hh"
+#include "machine/machine.hh"
 #include "machine/writebuffer.hh"
 #include "support/fingerprint.hh"
 
@@ -23,6 +25,59 @@ namespace oma
 {
 namespace
 {
+
+TEST(FingerprintText, CacheTlbAndMachineParamsCanonicalText)
+{
+    // The classic shard keys: one line per field, so a changed field
+    // shows by name, not only as a new store digest.
+    CacheParams cache;
+    cache.geom = CacheGeometry(8192, 16, 2);
+    Fingerprint cache_fp;
+    cache.fingerprint(cache_fp);
+    EXPECT_EQ(cache_fp.text(), "cache_geom.capacity_bytes=8192\n"
+                               "cache_geom.line_bytes=16\n"
+                               "cache_geom.assoc=2\n");
+
+    TlbParams tlb;
+    tlb.geom = TlbGeometry(128, 4);
+    Fingerprint tlb_fp;
+    tlb.fingerprint(tlb_fp);
+    EXPECT_EQ(tlb_fp.text(), "tlb_geom.entries=128\n"
+                             "tlb_geom.assoc=4\n"
+                             "tlb.flush_on_asid_switch=0\n");
+    tlb.flushOnAsidSwitch = true;
+    Fingerprint flush_fp;
+    tlb.fingerprint(flush_fp);
+    EXPECT_EQ(flush_fp.text(), "tlb_geom.entries=128\n"
+                               "tlb_geom.assoc=4\n"
+                               "tlb.flush_on_asid_switch=1\n");
+
+    Fingerprint machine_fp;
+    MachineParams::decstation3100().fingerprint(machine_fp);
+    EXPECT_EQ(machine_fp.text(), "machine.icache=0:\n"
+                                 "cache_geom.capacity_bytes=65536\n"
+                                 "cache_geom.line_bytes=4\n"
+                                 "cache_geom.assoc=1\n"
+                                 "machine.dcache=0:\n"
+                                 "cache_geom.capacity_bytes=65536\n"
+                                 "cache_geom.line_bytes=4\n"
+                                 "cache_geom.assoc=1\n"
+                                 "machine.tlb=0:\n"
+                                 "tlb_geom.entries=64\n"
+                                 "tlb_geom.assoc=0\n"
+                                 "tlb.flush_on_asid_switch=0\n"
+                                 "tlb_pen.user_miss=20\n"
+                                 "tlb_pen.kernel_miss=300\n"
+                                 "tlb_pen.modify_fault=375\n"
+                                 "tlb_pen.invalid_fault=336\n"
+                                 "tlb_pen.page_fault=800\n"
+                                 "machine.miss_first_word=6\n"
+                                 "machine.miss_per_word=1\n"
+                                 "machine.uncached_load=6\n"
+                                 "machine.wb_entries=4\n"
+                                 "machine.wb_drain_cycles=3\n"
+                                 "machine.i_prefetch_next_line=0\n");
+}
 
 TEST(FingerprintText, VictimParamsCanonicalText)
 {
@@ -61,26 +116,14 @@ TEST(FingerprintText, HierarchyParamsCanonicalText)
                          "cache_geom.capacity_bytes=8192\n"
                          "cache_geom.line_bytes=16\n"
                          "cache_geom.assoc=2\n"
-                         "cache.repl=0\n"
-                         "cache.write=0\n"
-                         "cache.alloc=0\n"
-                         "cache.seed=1\n"
                          "hier.l1d=0:\n"
                          "cache_geom.capacity_bytes=4096\n"
                          "cache_geom.line_bytes=16\n"
                          "cache_geom.assoc=2\n"
-                         "cache.repl=0\n"
-                         "cache.write=0\n"
-                         "cache.alloc=0\n"
-                         "cache.seed=1\n"
                          "hier.l2=0:\n"
                          "cache_geom.capacity_bytes=32768\n"
                          "cache_geom.line_bytes=32\n"
                          "cache_geom.assoc=4\n"
-                         "cache.repl=0\n"
-                         "cache.write=0\n"
-                         "cache.alloc=0\n"
-                         "cache.seed=1\n"
                          "hier.has_l2=1\n"
                          "hier.unified=0\n"
                          "hier.l2_first_word=2\n"
