@@ -28,25 +28,22 @@ struct Organization
     HierarchyParams params;
 };
 
-CacheParams
+CacheGeometry
 cache(std::uint64_t kb, std::uint64_t words, std::uint64_t ways)
 {
-    CacheParams p;
-    p.geom = CacheGeometry::fromWords(kb * 1024, words, ways);
-    return p;
+    return CacheGeometry::fromWords(kb * 1024, words, ways);
 }
 
 Organization
-org(const char *name, bool unified, CacheParams l1i, CacheParams l1d,
-    CacheParams l2, bool has_l2)
+org(const char *name, HierarchyOrg kind, CacheGeometry l1i,
+    CacheGeometry l1d, CacheGeometry l2)
 {
     Organization o;
     o.name = name;
     o.params.l1i = l1i;
     o.params.l1d = l1d;
     o.params.l2 = l2;
-    o.params.hasL2 = has_l2;
-    o.params.unified = unified;
+    o.params.org = kind;
     return o;
 }
 
@@ -54,11 +51,11 @@ double
 areaOf(const HierarchyParams &p)
 {
     AreaModel model;
-    double rbe = model.cacheArea(p.l1i.geom);
-    if (!p.unified)
-        rbe += model.cacheArea(p.l1d.geom);
-    if (p.hasL2)
-        rbe += model.cacheArea(p.l2.geom);
+    double rbe = model.cacheArea(p.l1i);
+    if (!p.unified())
+        rbe += model.cacheArea(p.l1d);
+    if (p.hasL2())
+        rbe += model.cacheArea(p.l2);
     return rbe;
 }
 
@@ -72,16 +69,19 @@ main()
                      "Table 1's organizational alternatives");
 
     const Organization orgs[] = {
-        org("split 16-KB I + 8-KB D (2-way, 4w)", false,
-            cache(16, 4, 2), cache(8, 4, 2), cache(64, 8, 4), false),
-        org("unified 32-KB (2-way, 4w)", true, cache(32, 4, 2),
-            cache(8, 4, 2), cache(64, 8, 4), false),
-        org("unified 32-KB (8-way, 16w, PPC601-ish)", true,
-            cache(32, 16, 8), cache(8, 4, 2), cache(64, 8, 4), false),
-        org("split 8-KB I + 4-KB D + 16-KB L2 (8w lines)", false,
-            cache(8, 4, 2), cache(4, 4, 2), cache(16, 8, 4), true),
-        org("split 4-KB I + 2-KB D + 32-KB L2 (8w lines)", false,
-            cache(4, 4, 2), cache(2, 4, 2), cache(32, 8, 4), true),
+        org("split 16-KB I + 8-KB D (2-way, 4w)", HierarchyOrg::Split,
+            cache(16, 4, 2), cache(8, 4, 2), cache(64, 8, 4)),
+        org("unified 32-KB (2-way, 4w)", HierarchyOrg::Unified,
+            cache(32, 4, 2), cache(8, 4, 2), cache(64, 8, 4)),
+        org("unified 32-KB (8-way, 16w, PPC601-ish)",
+            HierarchyOrg::Unified, cache(32, 16, 8), cache(8, 4, 2),
+            cache(64, 8, 4)),
+        org("split 8-KB I + 4-KB D + 16-KB L2 (8w lines)",
+            HierarchyOrg::SplitL2, cache(8, 4, 2), cache(4, 4, 2),
+            cache(16, 8, 4)),
+        org("split 4-KB I + 2-KB D + 32-KB L2 (8w lines)",
+            HierarchyOrg::SplitL2, cache(4, 4, 2), cache(2, 4, 2),
+            cache(32, 8, 4)),
     };
 
     omabench::BenchReport report("ext_hierarchy");

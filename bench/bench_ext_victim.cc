@@ -52,9 +52,8 @@ main()
 
     omabench::SweepSuiteSpec spec;
     for (std::uint64_t kb : kbSizes) {
-        CacheParams two_way;
-        two_way.geom = CacheGeometry(kb * 1024, lineBytes, 2);
-        spec.grid.icacheGeoms.push_back(two_way.geom);
+        spec.grid.icacheGeoms.push_back(
+            CacheGeometry(kb * 1024, lineBytes, 2));
         for (std::uint64_t entries : victimDepths) {
             VictimParams p;
             p.l1 = CacheGeometry(kb * 1024, lineBytes, 1);

@@ -82,7 +82,7 @@ main()
     for (std::uint64_t kb : {4, 8, 16}) {
         for (OsKind os : {OsKind::Ultrix, OsKind::Mach}) {
             MachineParams mp = MachineParams::decstation3100();
-            mp.icache.geom = CacheGeometry::fromWords(kb * 1024, 4, 1);
+            mp.icache = CacheGeometry::fromWords(kb * 1024, 4, 1);
             double without = 0.0, with = 0.0;
             for (BenchmarkId id : allBenchmarks()) {
                 mp.iPrefetchNextLine = false;

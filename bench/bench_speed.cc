@@ -52,10 +52,8 @@ void
 BM_CacheAccess(benchmark::State &state)
 {
     const auto trace = sampleTrace(1 << 18);
-    CacheParams p;
-    p.geom = CacheGeometry::fromWords(std::uint64_t(state.range(0)),
-                                      4, std::uint64_t(state.range(1)));
-    Cache cache(p);
+    Cache cache(CacheGeometry::fromWords(std::uint64_t(state.range(0)), 4,
+                                         std::uint64_t(state.range(1))));
     std::size_t i = 0;
     for (auto _ : state) {
         const MemRef &ref = trace[i++ & (trace.size() - 1)];
@@ -275,15 +273,11 @@ secondsOf(Fn &&fn)
  * one MMU. */
 struct ReplayKernelSlots
 {
-    CacheParams cache;
+    CacheGeometry cache = CacheGeometry::fromWords(8 * 1024, 4, 2);
     TlbParams tlb;
     MachineParams machine = MachineParams::decstation3100();
 
-    ReplayKernelSlots()
-    {
-        cache.geom = CacheGeometry::fromWords(8 * 1024, 4, 2);
-        tlb.geom = TlbGeometry::fullyAssoc(64);
-    }
+    ReplayKernelSlots() { tlb.geom = TlbGeometry::fullyAssoc(64); }
 
     /** Each raw simulator driven one reference at a time through
      * RecordedTrace's per-reference views. */
@@ -434,12 +428,10 @@ BM_CachePass(benchmark::State &state)
                 continue;
             }
             for (const CacheGeometry &geom : geoms) {
-                CacheParams p;
-                p.geom = geom;
                 const std::unique_ptr<ComponentReplayer> component =
                     makeComponent(stream == CacheStream::Fetch
-                                      ? ComponentSlot::icache(p)
-                                      : ComponentSlot::dcache(p),
+                                      ? ComponentSlot::icache(geom)
+                                      : ComponentSlot::dcache(geom),
                                   machine);
                 replayComponent(trace, *component);
                 misses += std::get<CacheStats>(component->counters())

@@ -22,15 +22,14 @@ main()
 {
     // 1. Pick an on-chip memory configuration.
     MachineParams machine = MachineParams::decstation3100();
-    machine.icache.geom = CacheGeometry::fromWords(16 * 1024, 8, 2);
-    machine.dcache.geom = CacheGeometry::fromWords(8 * 1024, 4, 2);
+    machine.icache = CacheGeometry::fromWords(16 * 1024, 8, 2);
+    machine.dcache = CacheGeometry::fromWords(8 * 1024, 4, 2);
     machine.tlb.geom = TlbGeometry(512, 8);
 
     // 2. Cost it with the MQF area model.
     AreaModel area;
-    const double rbe = area.cacheArea(machine.icache.geom) +
-        area.cacheArea(machine.dcache.geom) +
-        area.tlbArea(machine.tlb.geom);
+    const double rbe = area.cacheArea(machine.icache) +
+        area.cacheArea(machine.dcache) + area.tlbArea(machine.tlb.geom);
 
     // 3. Measure its benefit on a workload under a multiple-API OS.
     RunConfig run;
@@ -40,8 +39,8 @@ main()
 
     // 4. Report.
     std::cout << "Configuration:\n"
-              << "  I-cache: " << machine.icache.geom.describe() << "\n"
-              << "  D-cache: " << machine.dcache.geom.describe() << "\n"
+              << "  I-cache: " << machine.icache.describe() << "\n"
+              << "  D-cache: " << machine.dcache.describe() << "\n"
               << "  TLB:     " << machine.tlb.geom.describe() << "\n"
               << "  Die cost: " << fmtGrouped(std::uint64_t(rbe))
               << " rbe (budget in the paper: 250,000)\n\n"

@@ -116,26 +116,26 @@ cmdSim(int argc, char **argv)
     fatalIf(argc < 7,
             "sim needs <file> <i_kb> <d_kb> <line_words> <ways>");
     const RecordedTrace trace = store::readTrace(argv[2]);
-    CacheParams ip, dp;
-    ip.geom = CacheGeometry::fromWords(
+    Cache icache(CacheGeometry::fromWords(
         std::strtoull(argv[3], nullptr, 10) * 1024,
         std::strtoull(argv[5], nullptr, 10),
-        std::strtoull(argv[6], nullptr, 10));
-    dp.geom = CacheGeometry::fromWords(
+        std::strtoull(argv[6], nullptr, 10)));
+    Cache dcache(CacheGeometry::fromWords(
         std::strtoull(argv[4], nullptr, 10) * 1024,
         std::strtoull(argv[5], nullptr, 10),
-        std::strtoull(argv[6], nullptr, 10));
-    Cache icache(ip), dcache(dp);
+        std::strtoull(argv[6], nullptr, 10)));
     trace.replayFetchPaddrs([&](std::uint64_t paddr) {
         icache.access(paddr, RefKind::IFetch);
     });
     trace.replayCachedData([&](std::uint64_t paddr, RefKind kind) {
         dcache.access(paddr, kind);
     });
-    std::cout << "I-cache " << ip.geom.describe() << ": miss ratio "
+    std::cout << "I-cache " << icache.geometry().describe()
+              << ": miss ratio "
               << fmtFixed(icache.stats().missRatio(), 4) << " ("
               << icache.stats().totalMisses() << " misses)\n"
-              << "D-cache " << dp.geom.describe() << ": miss ratio "
+              << "D-cache " << dcache.geometry().describe()
+              << ": miss ratio "
               << fmtFixed(dcache.stats().missRatio(), 4) << " ("
               << dcache.stats().totalMisses() << " misses)\n";
     return 0;

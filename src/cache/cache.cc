@@ -10,15 +10,15 @@
 namespace oma
 {
 
-Cache::Cache(const CacheParams &params)
-    : _params(params)
+Cache::Cache(const CacheGeometry &geom)
+    : _geom(geom)
 {
-    _params.geom.validate();
-    const std::uint64_t sets = _params.geom.numSets();
+    _geom.validate();
+    const std::uint64_t sets = _geom.numSets();
     _setMask = sets - 1;
-    _lineShift = floorLog2(_params.geom.lineBytes);
+    _lineShift = floorLog2(_geom.lineBytes);
     _indexBits = floorLog2(sets);
-    _ways = _params.geom.assoc;
+    _ways = _geom.assoc;
     _lines.assign(sets * _ways, Line());
 }
 
@@ -122,22 +122,8 @@ CacheStats
 Cache::stats() const
 {
     CacheStats s = _stats;
-    s.compulsoryMisses = _missedLines.count() - _missedAtReset;
+    s.compulsoryMisses = _missedLines.count();
     return s;
-}
-
-void
-Cache::resetStats()
-{
-    _stats = CacheStats();
-    _missedAtReset = _missedLines.count();
-}
-
-void
-Cache::invalidateAll()
-{
-    for (auto &l : _lines)
-        l = Line();
 }
 
 } // namespace oma

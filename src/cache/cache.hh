@@ -6,9 +6,11 @@
  * cache2000 / Dinero class of simulators the paper drives with its
  * sampled traces. Every cache is LRU, write-through and
  * write-allocate, as on the DECstation 3100 the paper measures: there
- * is no other policy to pick. It counts accesses and misses by
- * reference kind, and compulsory misses, which is what the CPI model
- * reads.
+ * is no other policy to pick, so a Cache is built from its
+ * CacheGeometry alone, which is also what keys its shards in the
+ * artifact store. It counts accesses and misses by reference kind,
+ * and compulsory misses, from construction on; that is what the CPI
+ * model reads.
  *
  * Every caller (the live Machine, the hierarchies and the per-slot
  * CacheComponent, core/component.hh) drives the one access() body,
@@ -26,24 +28,10 @@
 
 #include "area/geometry.hh"
 #include "cache/distinct_lines.hh"
-#include "support/fingerprint.hh"
 #include "trace/memref.hh"
 
 namespace oma
 {
-
-/** Full configuration of a simulated cache. */
-struct CacheParams
-{
-    CacheGeometry geom;
-
-    /** Append every behaviour-determining field to a fingerprint. */
-    void
-    fingerprint(Fingerprint &fp) const
-    {
-        geom.fingerprint(fp);
-    }
-};
 
 /** Event counters maintained by a Cache. */
 struct CacheStats
@@ -106,10 +94,10 @@ struct CacheStats
 class Cache
 {
   public:
-    explicit Cache(const CacheParams &params);
+    explicit Cache(const CacheGeometry &geom);
 
-    /** Configuration this cache was built with. */
-    [[nodiscard]] const CacheParams &params() const { return _params; }
+    /** Geometry this cache was built with. */
+    [[nodiscard]] const CacheGeometry &geometry() const { return _geom; }
 
     /**
      * Simulate one access.
@@ -130,15 +118,8 @@ class Cache
      */
     void prefetch(std::uint64_t paddr);
 
-    /** Invalidate every line (counts nothing). */
-    void invalidateAll();
-
     /** Accumulated counters. */
     [[nodiscard]] CacheStats stats() const;
-
-    /** Zero the counters (cache contents are kept, and a line that
-     * missed before never counts as a compulsory miss again). */
-    void resetStats();
 
   private:
     struct Line
@@ -159,7 +140,7 @@ class Cache
     bool missFill(std::uint64_t line, std::size_t base,
                   std::uint64_t tag, RefKind kind);
 
-    CacheParams _params;
+    CacheGeometry _geom;
     std::uint64_t _setMask;
     unsigned _lineShift;
     unsigned _indexBits;
@@ -170,8 +151,6 @@ class Cache
     CacheStats _stats;
     /** Every line that missed: a compulsory miss is a line's first. */
     DistinctLines _missedLines;
-    /** _missedLines.count() at the last resetStats(). */
-    std::uint64_t _missedAtReset = 0;
 };
 
 } // namespace oma

@@ -125,15 +125,6 @@ Cheetah::replayDataBatch(const std::uint32_t *paddr,
 }
 
 std::uint64_t
-Cheetah::accesses() const
-{
-    std::uint64_t total = 0;
-    for (const std::uint64_t n : _accesses)
-        total += n;
-    return total;
-}
-
-std::uint64_t
 Cheetah::compulsoryMisses() const
 {
     return _coldLines.count();

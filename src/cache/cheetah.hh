@@ -15,6 +15,9 @@
  * The walk over set counts therefore stops at the first one where the
  * reference is MRU, and a reference to the stream's previous line is
  * MRU at every set count and touches no stack at all.
+ *
+ * stats(geom) is the one read-out: the counters, access counts
+ * included, that a Cache of that geometry would keep.
  */
 
 #ifndef OMA_CACHE_CHEETAH_HH
@@ -54,9 +57,6 @@ class Cheetah
      * in the low bits of the trace flag byte flags[i]. */
     void replayDataBatch(const std::uint32_t *paddr,
                          const std::uint8_t *flags, std::size_t n);
-
-    /** Total observed accesses. */
-    [[nodiscard]] std::uint64_t accesses() const;
 
     /** Distinct lines observed: the compulsory misses of every cache
      * of this line size. */

@@ -23,39 +23,20 @@ penalty(const CacheGeometry &geom, std::uint64_t first,
 } // namespace
 
 std::string
-HierarchyParams::check() const
-{
-    if (unified && hasL2)
-        return "HierarchyParams: a unified L1 cannot be backed by an "
-               "L2 (UnifiedCache simulates one array; the area model "
-               "and the simulators would disagree about the L2) — "
-               "clear hasL2 or model a split hierarchy";
-    return {};
-}
-
-void
-HierarchyParams::validate() const
-{
-    const std::string error = check();
-    fatalIf(!error.empty(), error);
-}
-
-std::string
 HierarchyParams::describe() const
 {
-    if (unified)
-        return "unified " + l1i.geom.describe();
-    std::string out =
-        l1i.geom.describe() + " I + " + l1d.geom.describe() + " D";
-    if (hasL2)
-        out += " + " + l2.geom.describe() + " L2";
+    if (unified())
+        return "unified " + l1i.describe();
+    std::string out = l1i.describe() + " I + " + l1d.describe() + " D";
+    if (hasL2())
+        out += " + " + l2.describe() + " L2";
     return out;
 }
 
-UnifiedCache::UnifiedCache(const CacheParams &params,
+UnifiedCache::UnifiedCache(const CacheGeometry &geom,
                            const HierarchyPenalties &penalties)
-    : _cache(params), _penalties(penalties),
-      _penalty(penalty(params.geom, penalties.memFirstWord,
+    : _cache(geom), _penalties(penalties),
+      _penalty(penalty(geom, penalties.memFirstWord,
                        penalties.memPerWord))
 {
 }
@@ -76,36 +57,27 @@ UnifiedCache::access(std::uint64_t paddr, RefKind kind)
         ++_stats.l1Misses;
         ++_stats.l2Misses; // no L2: straight to memory
         const bool charge = kind != RefKind::Store ||
-            _cache.params().geom.lineWords() > 1;
+            _cache.geometry().lineWords() > 1;
         if (charge)
             _stats.stallCycles += _penalty;
     }
 }
 
-TwoLevelCache::TwoLevelCache(const CacheParams &l1i,
-                             const CacheParams &l1d,
-                             const CacheParams &l2, bool has_l2,
-                             const HierarchyPenalties &penalties)
-    : _l1i(l1i), _l1d(l1d), _l2(l2), _hasL2(has_l2),
-      _penalties(penalties),
-      _l1iPenaltyL2(penalty(l1i.geom, penalties.l2FirstWord,
-                            penalties.l2PerWord)),
-      _l1dPenaltyL2(penalty(l1d.geom, penalties.l2FirstWord,
-                            penalties.l2PerWord)),
-      _l1iPenaltyMem(penalty(l1i.geom, penalties.memFirstWord,
-                             penalties.memPerWord)),
-      _l1dPenaltyMem(penalty(l1d.geom, penalties.memFirstWord,
-                             penalties.memPerWord)),
-      _l2PenaltyMem(penalty(l2.geom, penalties.memFirstWord,
-                            penalties.memPerWord))
-{
-}
-
 TwoLevelCache::TwoLevelCache(const HierarchyParams &params)
-    : TwoLevelCache(params.l1i, params.l1d, params.l2, params.hasL2,
-                    params.penalties)
+    : _l1i(params.l1i), _l1d(params.l1d), _l2(params.l2),
+      _hasL2(params.hasL2()),
+      _l1iPenaltyL2(penalty(params.l1i, params.penalties.l2FirstWord,
+                            params.penalties.l2PerWord)),
+      _l1dPenaltyL2(penalty(params.l1d, params.penalties.l2FirstWord,
+                            params.penalties.l2PerWord)),
+      _l1iPenaltyMem(penalty(params.l1i, params.penalties.memFirstWord,
+                             params.penalties.memPerWord)),
+      _l1dPenaltyMem(penalty(params.l1d, params.penalties.memFirstWord,
+                             params.penalties.memPerWord)),
+      _l2PenaltyMem(penalty(params.l2, params.penalties.memFirstWord,
+                            params.penalties.memPerWord))
 {
-    fatalIf(params.unified,
+    fatalIf(params.unified(),
             "TwoLevelCache models split hierarchies; construct a "
             "UnifiedCache for a unified organization");
 }
@@ -125,7 +97,7 @@ TwoLevelCache::access(std::uint64_t paddr, RefKind kind)
 
     ++_stats.l1Misses;
     const bool charge = kind != RefKind::Store ||
-        l1.params().geom.lineWords() > 1;
+        l1.geometry().lineWords() > 1;
 
     if (!_hasL2) {
         ++_stats.l2Misses;

@@ -7,22 +7,27 @@
  * 486, PowerPC 601) used *unified* on-chip caches, and the paper
  * notes that high-end parts would spend additional on-chip memory on
  * a *second-level* cache rather than larger primaries. These models
- * extend the cost/benefit vocabulary to both choices:
+ * extend the cost/benefit vocabulary to both choices. A
+ * HierarchyParams names one of three organizations (HierarchyOrg),
+ * and each is simulated by one model:
  *
- *  - UnifiedCache: one array serving instruction and data references
- *    (with the structural port conflict a unified L1 suffers when a
- *    fetch and a data access arrive in the same cycle);
- *  - TwoLevelCache: split L1s backed by a shared L2; L1 misses that
- *    hit in the L2 pay a short penalty, L2 misses pay the full
- *    memory penalty.
+ *  - Unified, by UnifiedCache: one array serving instruction and data
+ *    references (with the structural port conflict a unified L1
+ *    suffers when a fetch and a data access arrive in the same
+ *    cycle);
+ *  - Split and SplitL2, by TwoLevelCache: split L1s, straight to
+ *    memory or backed by a shared L2; L1 misses that hit in the L2
+ *    pay a short penalty, L2 misses pay the full memory penalty.
  */
 
 #ifndef OMA_CACHE_HIERARCHY_HH
 #define OMA_CACHE_HIERARCHY_HH
 
+#include <cstdint>
 #include <string>
 
 #include "cache/cache.hh"
+#include "support/fingerprint.hh"
 
 namespace oma
 {
@@ -86,37 +91,42 @@ struct HierarchyPenalties
     }
 };
 
+/** The organizations a hierarchy can take. */
+enum class HierarchyOrg : std::uint8_t
+{
+    Split,   //!< Split L1 I/D caches straight to memory.
+    SplitL2, //!< Split L1 I/D caches backed by a unified L2.
+    Unified, //!< One unified L1 array (@c l1i) straight to memory.
+};
+
 /**
- * Full configuration of one hierarchy organization: either split L1
- * I/D caches backed by an optional unified L2 (TwoLevelCache), or one
- * unified L1 array serving both reference kinds (UnifiedCache, in
- * which case @c l1i names the unified array and @c l1d is ignored).
- *
- * A unified organization cannot also declare an L2: UnifiedCache
- * simulates a single array, so a `unified && hasL2` combination
- * would be simulated without the L2 yet its describe()/fingerprint
- * (and, before the search grew validate(), its area accounting)
- * would disagree about whether one exists. validate() rejects the
- * combination fatally; every consumer that admits externally built
- * params (makeComponent, the allocation search) calls it.
+ * Full configuration of one hierarchy organization: split L1 I/D
+ * caches, optionally backed by a unified L2 (TwoLevelCache), or one
+ * unified L1 array serving both reference kinds (UnifiedCache).
+ * fingerprint() keys all three geometries, also those @c org does not
+ * simulate.
  */
 struct HierarchyParams
 {
-    CacheParams l1i; //!< Also the unified array when @c unified.
-    CacheParams l1d;
-    CacheParams l2;
-    bool hasL2 = false;
-    bool unified = false;
+    CacheGeometry l1i; //!< Also the unified array when Unified.
+    CacheGeometry l1d;
+    CacheGeometry l2;
+    HierarchyOrg org = HierarchyOrg::Split;
     HierarchyPenalties penalties;
 
-    /** Empty for a consistent organization, else why it is not
-     * (`unified && hasL2`: a unified L1 has no split pair for an L2
-     * to back; spend the area on the unified array instead). */
-    [[nodiscard]] std::string check() const;
+    /** The has_l2 and unified flags of the store key and of an
+     * Allocation (core/search.hh), derived from @c org. */
+    [[nodiscard]] bool
+    hasL2() const
+    {
+        return org == HierarchyOrg::SplitL2;
+    }
 
-    /** Abort via fatal() with check()'s text on a contradictory
-     * organization. */
-    void validate() const;
+    [[nodiscard]] bool
+    unified() const
+    {
+        return org == HierarchyOrg::Unified;
+    }
 
     /** Append every behaviour-determining field to a fingerprint. */
     void
@@ -128,8 +138,8 @@ struct HierarchyParams
         l1d.fingerprint(fp);
         fp.str("hier.l2", "");
         l2.fingerprint(fp);
-        fp.flag("hier.has_l2", hasL2);
-        fp.flag("hier.unified", unified);
+        fp.flag("hier.has_l2", hasL2());
+        fp.flag("hier.unified", unified());
         penalties.fingerprint(fp);
     }
 
@@ -145,14 +155,13 @@ struct HierarchyParams
 class UnifiedCache
 {
   public:
-    UnifiedCache(const CacheParams &params,
+    UnifiedCache(const CacheGeometry &geom,
                  const HierarchyPenalties &penalties);
 
     /** Observe one reference (pass every fetch, load and store). */
     void access(std::uint64_t paddr, RefKind kind);
 
     const HierarchyStats &stats() const { return _stats; }
-    const Cache &cache() const { return _cache; }
 
   private:
     Cache _cache;
@@ -162,35 +171,26 @@ class UnifiedCache
 };
 
 /**
- * Split L1 I/D caches backed by a unified L2 (optional: L2 capacity
- * of zero disables it, leaving a plain split-L1 system for
+ * Split L1 I/D caches, backed by a unified L2 under SplitL2 (under
+ * Split, L1 misses go straight to memory: a plain split-L1 system for
  * apples-to-apples comparisons).
  */
 class TwoLevelCache
 {
   public:
-    TwoLevelCache(const CacheParams &l1i, const CacheParams &l1d,
-                  const CacheParams &l2, bool has_l2,
-                  const HierarchyPenalties &penalties);
-
-    /** Split-hierarchy form of @p params (params.unified must be
-     * false; a unified organization needs a UnifiedCache). */
+    /** @p params names a split organization; a unified one needs a
+     * UnifiedCache. */
     explicit TwoLevelCache(const HierarchyParams &params);
 
     void access(std::uint64_t paddr, RefKind kind);
 
     const HierarchyStats &stats() const { return _stats; }
-    const Cache &l1i() const { return _l1i; }
-    const Cache &l1d() const { return _l1d; }
-    const Cache &l2() const { return _l2; }
-    bool hasL2() const { return _hasL2; }
 
   private:
     Cache _l1i;
     Cache _l1d;
     Cache _l2;
     bool _hasL2;
-    HierarchyPenalties _penalties;
     HierarchyStats _stats;
     std::uint64_t _l1iPenaltyL2;
     std::uint64_t _l1dPenaltyL2;

@@ -41,15 +41,15 @@ componentKindName(ComponentKind kind)
 }
 
 ComponentSlot
-ComponentSlot::icache(const CacheParams &p)
+ComponentSlot::icache(const CacheGeometry &g)
 {
-    return {ComponentKind::ICache, p};
+    return {ComponentKind::ICache, g};
 }
 
 ComponentSlot
-ComponentSlot::dcache(const CacheParams &p)
+ComponentSlot::dcache(const CacheGeometry &g)
 {
-    return {ComponentKind::DCache, p};
+    return {ComponentKind::DCache, g};
 }
 
 ComponentSlot
@@ -87,11 +87,9 @@ ComponentSlot::describe() const
 {
     switch (kind) {
       case ComponentKind::ICache:
-        return std::get<CacheParams>(params).geom.describe() +
-            " I-cache";
+        return std::get<CacheGeometry>(params).describe() + " I-cache";
       case ComponentKind::DCache:
-        return std::get<CacheParams>(params).geom.describe() +
-            " D-cache";
+        return std::get<CacheGeometry>(params).describe() + " D-cache";
       case ComponentKind::Tlb:
         return std::get<TlbParams>(params).geom.describe() + " TLB";
       case ComponentKind::Victim: {
@@ -121,8 +119,8 @@ namespace
 class CacheComponent final : public ComponentReplayer
 {
   public:
-    CacheComponent(const CacheParams &params, CacheStream stream)
-        : _cache(params), _stream(stream)
+    CacheComponent(const CacheGeometry &geom, CacheStream stream)
+        : _cache(geom), _stream(stream)
     {
     }
 
@@ -301,8 +299,7 @@ class HierarchyComponent final : public ComponentReplayer
   public:
     explicit HierarchyComponent(const HierarchyParams &params)
     {
-        params.validate(); // unified && hasL2 is contradictory
-        if (params.unified)
+        if (params.unified())
             _unified = std::make_unique<UnifiedCache>(
                 params.l1i, params.penalties);
         else
@@ -355,10 +352,10 @@ makeComponent(const ComponentSlot &slot,
     switch (slot.kind) {
       case ComponentKind::ICache:
         return std::make_unique<CacheComponent>(
-            std::get<CacheParams>(slot.params), CacheStream::Fetch);
+            std::get<CacheGeometry>(slot.params), CacheStream::Fetch);
       case ComponentKind::DCache:
         return std::make_unique<CacheComponent>(
-            std::get<CacheParams>(slot.params), CacheStream::Data);
+            std::get<CacheGeometry>(slot.params), CacheStream::Data);
       case ComponentKind::Tlb:
         return std::make_unique<TlbComponent>(
             std::get<TlbParams>(slot.params),

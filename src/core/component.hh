@@ -6,10 +6,10 @@
  * A replayable component consumes a recorded reference stream and
  * reports exact counters:
  *
- *  - a *parameter struct* carrying `fingerprint()` (keys the artifact
- *    store) — CacheParams, TlbParams, VictimParams, WriteBufferParams
- *    or HierarchyParams, bundled with a ComponentKind in a
- *    ComponentSlot;
+ *  - a *parameter record* carrying `fingerprint()` (keys the artifact
+ *    store) — CacheGeometry, TlbParams, VictimParams,
+ *    WriteBufferParams or HierarchyParams, bundled with a
+ *    ComponentKind in a ComponentSlot;
  *  - chunked `replay(TraceChunkView)` — one packed column chunk,
  *    filtered to the component's stream and fed to the simulator's
  *    one access body, one reference at a time;
@@ -43,7 +43,6 @@
 #include "cache/victim.hh"
 #include "machine/machine.hh"
 #include "machine/writebuffer.hh"
-#include "tlb/tlb.hh"
 #include "tlb/mmu.hh"
 #include "trace/recorded.hh"
 
@@ -68,9 +67,9 @@ constexpr std::size_t numComponentKinds = 6;
  * prefixes: "icache", "dcache", "tlb", "victim", "wbuffer", "l2". */
 [[nodiscard]] const char *componentKindName(ComponentKind kind);
 
-/** The parameter struct of one component, by kind. */
+/** The parameter record of one component, by kind. */
 using ComponentParams =
-    std::variant<CacheParams, TlbParams, VictimParams,
+    std::variant<CacheGeometry, TlbParams, VictimParams,
                  WriteBufferParams, HierarchyParams>;
 
 /** The exact counters one component reports, by kind. */
@@ -80,7 +79,7 @@ using ComponentCounters =
 
 /**
  * One slot of a sweep's heterogeneous component axis: a kind plus the
- * matching parameter struct. Construct through the named factories so
+ * matching parameter record. Construct through the named factories so
  * the kind and the variant alternative cannot disagree.
  */
 struct ComponentSlot
@@ -88,8 +87,8 @@ struct ComponentSlot
     ComponentKind kind = ComponentKind::ICache;
     ComponentParams params;
 
-    [[nodiscard]] static ComponentSlot icache(const CacheParams &p);
-    [[nodiscard]] static ComponentSlot dcache(const CacheParams &p);
+    [[nodiscard]] static ComponentSlot icache(const CacheGeometry &g);
+    [[nodiscard]] static ComponentSlot dcache(const CacheGeometry &g);
     [[nodiscard]] static ComponentSlot tlb(const TlbParams &p);
     [[nodiscard]] static ComponentSlot victim(const VictimParams &p);
     [[nodiscard]] static ComponentSlot

@@ -89,12 +89,12 @@ ConfigSpace::hierarchyConfigs() const
             if (2 * kb >= l2kb)
                 continue;
             HierarchyParams p;
-            p.l1i.geom = CacheGeometry::fromWords(
-                kb * 1024, hierL1LineWords, hierL1Ways);
-            p.l1d.geom = p.l1i.geom;
-            p.l2.geom = CacheGeometry::fromWords(l2kb * 1024,
-                                                 l2LineWords, l2Ways);
-            p.hasL2 = true;
+            p.l1i = CacheGeometry::fromWords(kb * 1024, hierL1LineWords,
+                                             hierL1Ways);
+            p.l1d = p.l1i;
+            p.l2 = CacheGeometry::fromWords(l2kb * 1024, l2LineWords,
+                                            l2Ways);
+            p.org = HierarchyOrg::SplitL2;
             configs.push_back(p);
         }
     }
@@ -126,7 +126,7 @@ ConfigSpace::candidateCount(std::uint64_t max_cache_ways) const
         caches += g.assoc <= max_cache_ways ? 1 : 0;
     std::uint64_t hierarchies = 0;
     for (const HierarchyParams &p : hierarchyConfigs())
-        hierarchies += p.l1i.geom.assoc <= max_cache_ways ? 1 : 0;
+        hierarchies += p.l1i.assoc <= max_cache_ways ? 1 : 0;
     const std::uint64_t fetch = caches + victimConfigs().size();
     return tlbGeometries().size() * (fetch * caches + hierarchies) *
         std::max<std::uint64_t>(1, wbEntries.size());
@@ -196,13 +196,11 @@ ConfigSpace::check(std::uint64_t max_cache_ways) const
     for (const WriteBufferParams &p : writeBufferConfigs())
         if (const std::string why = p.check(); !why.empty())
             return blame("wb_entries/wb_drain_cycles", why);
-    // hierarchyConfigs() builds only split hierarchies with an L2, so
-    // HierarchyParams::check() cannot fail here; the geometries can.
     for (const HierarchyParams &p : hierarchyConfigs()) {
-        if (const std::string why = p.l1i.geom.check(); !why.empty())
+        if (const std::string why = p.l1i.check(); !why.empty())
             return blame("cache_kbytes/hier_l1_line_words/hier_l1_ways",
                          why);
-        if (const std::string why = p.l2.geom.check(); !why.empty())
+        if (const std::string why = p.l2.check(); !why.empty())
             return blame("l2_kbytes/l2_line_words/l2_ways", why);
     }
     return {};

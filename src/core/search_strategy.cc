@@ -98,16 +98,15 @@ SearchSpace::SearchSpace(const ComponentCpiTables &tables,
     // pair wholesale (their L1s obey the associativity restriction).
     for (std::size_t h = 0; h < tables.hierarchyOptions.size(); ++h) {
         const HierarchyParams &p = tables.hierarchyOptions[h].params;
-        p.validate(); // unified && hasL2 is contradictory
-        if (p.l1i.geom.assoc > max_cache_ways ||
-            (!p.unified && p.l1d.geom.assoc > max_cache_ways)) {
+        if (p.l1i.assoc > max_cache_ways ||
+            (!p.unified() && p.l1d.assoc > max_cache_ways)) {
             continue;
         }
-        double a = area.cacheArea(p.l1i.geom);
-        if (!p.unified)
-            a += area.cacheArea(p.l1d.geom);
-        if (p.hasL2)
-            a += area.cacheArea(p.l2.geom);
+        double a = area.cacheArea(p.l1i);
+        if (!p.unified())
+            a += area.cacheArea(p.l1d);
+        if (p.hasL2())
+            a += area.cacheArea(p.l2);
         _hierOptions.push_back({h, a, tables.hierarchyOptions[h].cpi});
     }
 
@@ -172,12 +171,12 @@ SearchSpace::materialize(const SearchCandidate &c) const
     if (c.hier) {
         const HierOption &ho = _hierOptions[c.primary];
         const HierarchyParams &p = tb.hierarchyOptions[ho.index].params;
-        a.icache = p.l1i.geom;
-        a.dcache = p.unified ? p.l1i.geom : p.l1d.geom;
-        a.hasL2 = p.hasL2 && !p.unified;
-        a.unified = p.unified;
+        a.icache = p.l1i;
+        a.dcache = p.unified() ? p.l1i : p.l1d;
+        a.hasL2 = p.hasL2();
+        a.unified = p.unified();
         if (a.hasL2)
-            a.l2 = p.l2.geom;
+            a.l2 = p.l2;
         a.hierarchyCpi = ho.cpi;
     } else {
         const IOption &io = _iOptions[c.primary];

@@ -87,14 +87,11 @@ struct SearchCandidate
  * operation for operation, so a candidate scores bitwise-identically
  * no matter which strategy evaluates it.
  *
- * Construction also enforces the component-model invariants on
+ * Construction also enforces the component-model invariant on
  * externally supplied tables: victim-cache options must wrap a
  * direct-mapped L1 (the associativity restriction is bypassed for
  * them on purpose, so a set-associative victim L1 would silently
- * leak through `max_cache_ways`), and hierarchy options must pass
- * HierarchyParams::validate() (a unified L1 cannot also declare an
- * L2; before validate() existed the L2 of such a contradictory
- * option was priced at zero area).
+ * leak through `max_cache_ways`).
  *
  * Holds references to @p tables; the tables must outlive the space.
  */

@@ -91,9 +91,9 @@ ComponentSweep::ComponentSweep(std::vector<CacheGeometry> icache_geoms,
     _slots.reserve(icache_geoms.size() + dcache_geoms.size() +
                    tlb_geoms.size());
     for (const CacheGeometry &geom : icache_geoms)
-        _slots.push_back(ComponentSlot::icache(CacheParams{geom}));
+        _slots.push_back(ComponentSlot::icache(geom));
     for (const CacheGeometry &geom : dcache_geoms)
-        _slots.push_back(ComponentSlot::dcache(CacheParams{geom}));
+        _slots.push_back(ComponentSlot::dcache(geom));
     for (const TlbGeometry &geom : tlb_geoms) {
         TlbParams p;
         p.geom = geom;
@@ -343,7 +343,7 @@ ComponentSweep::sweepTasks(const TraceSource &trace_source,
         geoms.reserve(tasks.size());
         for (const std::size_t task : tasks)
             geoms.push_back(
-                std::get<CacheParams>(_slots[task - 1].params).geom);
+                std::get<CacheGeometry>(_slots[task - 1].params));
         Cheetah pass(geoms);
         const std::uint64_t stream_refs = replayCacheStream(
             *ms.trace, cacheStream(_slots[tasks.front() - 1]), pass);
@@ -393,8 +393,7 @@ ComponentSweep::sweepTasks(const TraceSource &trace_source,
             }
             const ComponentSlot &slot = _slots[task - 1];
             const auto [it, added] = pass_items.try_emplace(
-                {slot.kind,
-                 std::get<CacheParams>(slot.params).geom.lineBytes},
+                {slot.kind, std::get<CacheGeometry>(slot.params).lineBytes},
                 ms.work.size());
             if (added)
                 ms.work.push_back({true, {}});

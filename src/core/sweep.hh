@@ -173,7 +173,7 @@ struct SweepResult
     {
         const std::size_t s =
             kindSlot(ComponentKind::ICache, i, "icache");
-        return {std::get<CacheParams>(_slots[s].params).geom,
+        return {std::get<CacheGeometry>(_slots[s].params),
                 std::get<CacheStats>(_stats[s]), instructions};
     }
 
@@ -183,7 +183,7 @@ struct SweepResult
     {
         const std::size_t s =
             kindSlot(ComponentKind::DCache, i, "dcache");
-        return {std::get<CacheParams>(_slots[s].params).geom,
+        return {std::get<CacheGeometry>(_slots[s].params),
                 std::get<CacheStats>(_stats[s]), instructions};
     }
 

@@ -14,8 +14,8 @@ MachineParams
 MachineParams::decstation3100()
 {
     MachineParams p;
-    p.icache.geom = CacheGeometry::fromWords(64 * 1024, 1, 1);
-    p.dcache.geom = CacheGeometry::fromWords(64 * 1024, 1, 1);
+    p.icache = CacheGeometry::fromWords(64 * 1024, 1, 1);
+    p.dcache = CacheGeometry::fromWords(64 * 1024, 1, 1);
     p.tlb.geom = TlbGeometry::fullyAssoc(64);
     return p;
 }
@@ -26,8 +26,8 @@ Machine::Machine(const MachineParams &params)
       _dcache(params.dcache),
       _mmu(params.tlb, params.tlbPenalties),
       _wb(params.wbEntries, params.wbDrainCycles),
-      _iPenalty(params.missPenalty(params.icache.geom)),
-      _dPenalty(params.missPenalty(params.dcache.geom))
+      _iPenalty(params.missPenalty(params.icache)),
+      _dPenalty(params.missPenalty(params.dcache))
 {
 }
 
@@ -52,8 +52,7 @@ Machine::observe(const MemRef &ref)
             if (_params.iPrefetchNextLine) {
                 // Bring in the sequentially next line alongside the
                 // demand fill (free of stall, not of pollution).
-                _icache.prefetch(ref.paddr +
-                                 _params.icache.geom.lineBytes);
+                _icache.prefetch(ref.paddr + _params.icache.lineBytes);
             }
         }
         return;
@@ -77,8 +76,8 @@ Machine::observe(const MemRef &ref)
         // Stores miss for free when a one-word line needs no fetch
         // (write-through write-allocate fills the line by writing
         // it); wider lines pay the fetch-on-write.
-        const bool charge = !ref.isStore() ||
-            _params.dcache.geom.lineWords() > 1;
+        const bool charge =
+            !ref.isStore() || _params.dcache.lineWords() > 1;
         if (charge) {
             // The miss fetch waits for the write buffer to drain.
             const std::uint64_t wait = _wb.syncWait(_cycles);

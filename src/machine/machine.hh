@@ -27,8 +27,8 @@ namespace oma
 /** Full configuration of a simulated machine. */
 struct MachineParams
 {
-    CacheParams icache;
-    CacheParams dcache;
+    CacheGeometry icache;
+    CacheGeometry dcache;
     TlbParams tlb;
     TlbPenalties tlbPenalties;
 

@@ -1,12 +1,11 @@
 /**
  * @file
- * Run-report serialization (JSON/CSV).
+ * Run-report serialization (JSON).
  */
 
 #include "obs/report.hh"
 
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <ostream>
@@ -113,28 +112,6 @@ RunReport::writeJson(std::ostream &os) const
                  appendHistogram);
     out += "\n}\n";
     os << out;
-}
-
-void
-RunReport::writeCsv(std::ostream &os) const
-{
-    // CSV values never need quoting: names are [A-Za-z0-9_/-] paths
-    // and values are numbers; meta strings are the one exception and
-    // are quoted unconditionally.
-    os << "kind,name,value\n";
-    for (const auto &[key, value] : meta)
-        os << "meta," << key << ",\"" << value << "\"\n";
-    for (const auto &[key, value] : metrics.counters())
-        os << "counter," << key << "," << value << "\n";
-    for (const auto &[key, value] : metrics.gauges()) {
-        char buf[32];
-        std::snprintf(buf, sizeof buf, "%.17g", value);
-        os << "gauge," << key << "," << buf << "\n";
-    }
-    for (const auto &[key, hist] : metrics.histograms()) {
-        os << "histogram," << key << "/count," << hist.count << "\n"
-           << "histogram," << key << "/sum," << hist.sum << "\n";
-    }
 }
 
 std::string

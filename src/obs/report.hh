@@ -40,9 +40,6 @@ struct RunReport
     /** Serialize as oma-run-report-v1 JSON. */
     void writeJson(std::ostream &os) const;
 
-    /** Serialize as flat CSV: `kind,name,value` rows. */
-    void writeCsv(std::ostream &os) const;
-
     /** The file name this report saves under. */
     [[nodiscard]] std::string fileName() const;
 

@@ -73,22 +73,6 @@ TextTable::print(std::ostream &os) const
     }
 }
 
-void
-TextTable::printCsv(std::ostream &os) const
-{
-    auto print_row = [&](const std::vector<std::string> &row) {
-        for (std::size_t c = 0; c < row.size(); ++c) {
-            if (c)
-                os << ',';
-            os << row[c];
-        }
-        os << '\n';
-    };
-    print_row(_headers);
-    for (const auto &row : _rows)
-        print_row(row);
-}
-
 std::string
 fmtFixed(double value, int digits)
 {

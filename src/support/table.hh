@@ -3,7 +3,7 @@
  * Plain-text table formatting for experiment output.
  *
  * Every bench binary reports its table or figure as an aligned text
- * table (and optionally CSV), mirroring the rows the paper prints.
+ * table, mirroring the rows the paper prints.
  */
 
 #ifndef OMA_SUPPORT_TABLE_HH
@@ -36,12 +36,6 @@ class TextTable
 
     /** Render with padded columns to @p os. */
     void print(std::ostream &os) const;
-
-    /** Render as comma-separated values (no alignment). */
-    void printCsv(std::ostream &os) const;
-
-    /** Number of data rows added so far. */
-    [[nodiscard]] std::size_t rowCount() const { return _rows.size(); }
 
   private:
     std::vector<std::string> _headers;

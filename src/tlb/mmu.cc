@@ -29,7 +29,7 @@ missClassName(MissClass c)
 }
 
 Mmu::Mmu(const TlbParams &params, const TlbPenalties &penalties)
-    : _tlb(params), _penalties(penalties),
+    : _tlb(params.geom), _penalties(penalties),
       _flushOnSwitch(params.flushOnAsidSwitch)
 {
 }

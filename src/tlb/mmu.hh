@@ -42,6 +42,27 @@ constexpr unsigned numMissClasses = 5;
 /** Display name of a miss class. */
 const char *missClassName(MissClass c);
 
+/** Configuration of the TLB an Mmu runs. */
+struct TlbParams
+{
+    TlbGeometry geom;
+    /**
+     * Model a TLB without address-space identifiers (i486-style,
+     * Table 1): the whole TLB is flushed on every address-space
+     * switch. Particularly painful under a multiple-API OS, whose
+     * services hop between address spaces constantly.
+     */
+    bool flushOnAsidSwitch = false;
+
+    /** Append every behaviour-determining field to a fingerprint. */
+    void
+    fingerprint(Fingerprint &fp) const
+    {
+        geom.fingerprint(fp);
+        fp.flag("tlb.flush_on_asid_switch", flushOnAsidSwitch);
+    }
+};
+
 /** Handler costs in CPU cycles for each miss class. */
 struct TlbPenalties
 {

@@ -8,12 +8,11 @@
 namespace oma
 {
 
-Tlb::Tlb(const TlbParams &params)
-    : _params(params)
+Tlb::Tlb(const TlbGeometry &geom)
 {
-    _params.geom.validate();
-    _sets = _params.geom.numSets();
-    _ways = _params.geom.ways();
+    geom.validate();
+    _sets = geom.numSets();
+    _ways = geom.ways();
     _entries.assign(_sets * _ways, Entry());
 }
 

@@ -6,9 +6,10 @@
  * may be marked global (kernel mappings match regardless of ASID, as
  * with the R2000 G bit). Organizations range from direct-mapped
  * through set-associative to fully associative, all with LRU
- * replacement. The TLB itself is a dumb lookup structure; miss
- * counting and classification and the software miss-handler cost
- * model live in Mmu.
+ * replacement. The TLB itself is a dumb lookup structure built from
+ * its TlbGeometry alone; miss counting and classification, the
+ * software miss-handler cost model and the ASID-less flush
+ * (TlbParams) live in Mmu.
  */
 
 #ifndef OMA_TLB_TLB_HH
@@ -18,39 +19,15 @@
 #include <vector>
 
 #include "area/geometry.hh"
-#include "support/fingerprint.hh"
 
 namespace oma
 {
-
-/** Configuration of a TLB instance. */
-struct TlbParams
-{
-    TlbGeometry geom;
-    /**
-     * Model a TLB without address-space identifiers (i486-style,
-     * Table 1): the whole TLB is flushed on every address-space
-     * switch. Particularly painful under a multiple-API OS, whose
-     * services hop between address spaces constantly.
-     */
-    bool flushOnAsidSwitch = false;
-
-    /** Append every behaviour-determining field to a fingerprint. */
-    void
-    fingerprint(Fingerprint &fp) const
-    {
-        geom.fingerprint(fp);
-        fp.flag("tlb.flush_on_asid_switch", flushOnAsidSwitch);
-    }
-};
 
 /** The TLB lookup structure. */
 class Tlb
 {
   public:
-    explicit Tlb(const TlbParams &params);
-
-    [[nodiscard]] const TlbParams &params() const { return _params; }
+    explicit Tlb(const TlbGeometry &geom);
 
     /**
      * Look up a translation, updating replacement state.
@@ -108,7 +85,6 @@ class Tlb
      * lowest way on a tie). */
     std::size_t victimWay(std::size_t set_base) const;
 
-    TlbParams _params;
     std::size_t _sets;
     std::size_t _ways;
     std::vector<Entry> _entries;

@@ -16,18 +16,9 @@ namespace oma
 namespace
 {
 
-CacheParams
-makeParams(std::uint64_t capacity, std::uint64_t line,
-           std::uint64_t ways)
-{
-    CacheParams p;
-    p.geom = CacheGeometry(capacity, line, ways);
-    return p;
-}
-
 TEST(Cache, ColdMissThenHit)
 {
-    Cache cache(makeParams(1024, 16, 1));
+    Cache cache(CacheGeometry(1024, 16, 1));
     EXPECT_FALSE(cache.access(0x1000, RefKind::Load));
     EXPECT_TRUE(cache.access(0x1000, RefKind::Load));
     // Same line, different word: still a hit.
@@ -39,7 +30,7 @@ TEST(Cache, ColdMissThenHit)
 TEST(Cache, DirectMappedConflict)
 {
     // 1-KB direct-mapped, 16-B lines: addresses 1 KB apart collide.
-    Cache cache(makeParams(1024, 16, 1));
+    Cache cache(CacheGeometry(1024, 16, 1));
     EXPECT_FALSE(cache.access(0x0000, RefKind::Load));
     EXPECT_FALSE(cache.access(0x0400, RefKind::Load));
     EXPECT_FALSE(cache.access(0x0000, RefKind::Load)); // evicted
@@ -47,7 +38,7 @@ TEST(Cache, DirectMappedConflict)
 
 TEST(Cache, TwoWayHoldsConflictingPair)
 {
-    Cache cache(makeParams(1024, 16, 2));
+    Cache cache(CacheGeometry(1024, 16, 2));
     EXPECT_FALSE(cache.access(0x0000, RefKind::Load));
     EXPECT_FALSE(cache.access(0x0400, RefKind::Load));
     EXPECT_TRUE(cache.access(0x0000, RefKind::Load));
@@ -57,7 +48,7 @@ TEST(Cache, TwoWayHoldsConflictingPair)
 TEST(Cache, LruEvictsLeastRecentlyUsed)
 {
     // One set, two ways.
-    Cache cache(makeParams(32, 16, 2));
+    Cache cache(CacheGeometry(32, 16, 2));
     cache.access(0x000, RefKind::Load); // A
     cache.access(0x100, RefKind::Load); // B
     cache.access(0x000, RefKind::Load); // touch A
@@ -69,7 +60,7 @@ TEST(Cache, LruEvictsLeastRecentlyUsed)
 
 TEST(Cache, ProbeHasNoSideEffects)
 {
-    Cache cache(makeParams(32, 16, 2));
+    Cache cache(CacheGeometry(32, 16, 2));
     cache.access(0x000, RefKind::Load);
     cache.access(0x100, RefKind::Load);
     // Probing A repeatedly must not refresh its LRU position.
@@ -83,7 +74,7 @@ TEST(Cache, ProbeHasNoSideEffects)
 
 TEST(Cache, StatsPerKind)
 {
-    Cache cache(makeParams(1024, 16, 1));
+    Cache cache(CacheGeometry(1024, 16, 1));
     cache.access(0x0, RefKind::IFetch);
     cache.access(0x0, RefKind::IFetch);
     cache.access(0x40, RefKind::Load);
@@ -100,7 +91,7 @@ TEST(Cache, StatsPerKind)
 
 TEST(Cache, CompulsoryMissesCountDistinctLines)
 {
-    Cache cache(makeParams(64, 16, 1));
+    Cache cache(CacheGeometry(64, 16, 1));
     for (int round = 0; round < 3; ++round) {
         for (std::uint64_t line = 0; line < 16; ++line)
             cache.access(line * 16, RefKind::Load);
@@ -111,38 +102,19 @@ TEST(Cache, CompulsoryMissesCountDistinctLines)
     EXPECT_GT(cache.stats().totalMisses(), 16u);
 }
 
-TEST(Cache, InvalidateAllForcesMisses)
-{
-    Cache cache(makeParams(1024, 16, 2));
-    cache.access(0x0, RefKind::Load);
-    EXPECT_TRUE(cache.probe(0x0));
-    cache.invalidateAll();
-    EXPECT_FALSE(cache.probe(0x0));
-}
-
-TEST(Cache, ResetStatsKeepsContents)
-{
-    Cache cache(makeParams(1024, 16, 1));
-    cache.access(0x0, RefKind::Load);
-    cache.resetStats();
-    EXPECT_EQ(cache.stats().totalAccesses(), 0u);
-    EXPECT_TRUE(cache.access(0x0, RefKind::Load)); // still resident
-}
-
 TEST(CacheCompulsory, MatchesAHashSetOracle)
 {
     // Random streams through caches of several geometries, with
-    // prefetches and a resetStats() midway. A compulsory miss is the
-    // first miss of its line since construction, counted since the
-    // last reset, so a hash set of the lines that missed is the
-    // oracle.
+    // prefetches. A compulsory miss is the first miss of its line
+    // since construction, so a hash set of the lines that missed is
+    // the oracle.
     Rng rng(0xc01d);
     for (const CacheGeometry &geom : {CacheGeometry::fromWords(1024, 1, 1),
                                       CacheGeometry::fromWords(2048, 4, 2),
                                       CacheGeometry::fromWords(4096, 2, 4),
                                       CacheGeometry::fromWords(8192, 8, 8)}) {
         SCOPED_TRACE(geom.describe());
-        Cache cache(CacheParams{geom});
+        Cache cache(geom);
         const unsigned line_shift = floorLog2(geom.lineBytes);
         std::unordered_set<std::uint64_t> missed;
         std::uint64_t expected = 0;
@@ -159,10 +131,6 @@ TEST(CacheCompulsory, MatchesAHashSetOracle)
             if (!cache.access(paddr, kind) &&
                 missed.insert(paddr >> line_shift).second)
                 ++expected;
-            if (i == 20000) {
-                cache.resetStats();
-                expected = 0;
-            }
             if (i % 997 == 0) {
                 ASSERT_EQ(cache.stats().compulsoryMisses, expected) << i;
             }

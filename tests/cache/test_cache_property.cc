@@ -44,10 +44,10 @@ mixedStream(std::uint64_t seed, std::size_t n)
 }
 
 std::uint64_t
-missesFor(const CacheParams &params,
+missesFor(const CacheGeometry &geom,
           const std::vector<std::uint64_t> &addrs)
 {
-    Cache cache(params);
+    Cache cache(geom);
     for (std::uint64_t a : addrs)
         cache.access(a, RefKind::Load);
     return cache.stats().totalMisses();
@@ -67,11 +67,10 @@ TEST_P(StreamSeed, LruInclusionAcrossWays)
     for (std::uint64_t sets : {16, 64}) {
         std::uint64_t prev = ~0ULL;
         for (std::uint64_t ways : {1, 2, 4, 8}) {
-            CacheParams p;
-            p.geom = CacheGeometry(sets * 16 * ways, 16, ways);
-            const std::uint64_t misses = missesFor(p, addrs);
+            const CacheGeometry geom(sets * 16 * ways, 16, ways);
+            const std::uint64_t misses = missesFor(geom, addrs);
             EXPECT_LE(misses, prev)
-                << p.geom.describe() << " sets=" << sets;
+                << geom.describe() << " sets=" << sets;
             prev = misses;
         }
     }
@@ -81,9 +80,8 @@ TEST_P(StreamSeed, FullyAssociativeLruMonotoneInCapacity)
 {
     std::uint64_t prev = ~0ULL;
     for (std::uint64_t lines : {4, 8, 16, 32, 64}) {
-        CacheParams p;
-        p.geom = CacheGeometry(lines * 16, 16, lines);
-        const std::uint64_t misses = missesFor(p, addrs);
+        const std::uint64_t misses =
+            missesFor(CacheGeometry(lines * 16, 16, lines), addrs);
         EXPECT_LE(misses, prev);
         prev = misses;
     }
@@ -93,11 +91,8 @@ TEST_P(StreamSeed, CompulsoryMissesIndependentOfGeometry)
 {
     // Every cache sees the same distinct lines, so compulsory misses
     // must agree across geometries with the same line size.
-    CacheParams a;
-    a.geom = CacheGeometry(2048, 16, 1);
-    CacheParams b;
-    b.geom = CacheGeometry(16384, 16, 8);
-    Cache ca(a), cb(b);
+    Cache ca(CacheGeometry(2048, 16, 1));
+    Cache cb(CacheGeometry(16384, 16, 8));
     for (std::uint64_t addr : addrs) {
         ca.access(addr, RefKind::Load);
         cb.access(addr, RefKind::Load);
@@ -107,9 +102,7 @@ TEST_P(StreamSeed, CompulsoryMissesIndependentOfGeometry)
 
 TEST_P(StreamSeed, MissesNeverBelowCompulsory)
 {
-    CacheParams p;
-    p.geom = CacheGeometry(64 * 1024, 16, 4);
-    Cache cache(p);
+    Cache cache(CacheGeometry(64 * 1024, 16, 4));
     for (std::uint64_t addr : addrs)
         cache.access(addr, RefKind::Load);
     EXPECT_GE(cache.stats().totalMisses(),

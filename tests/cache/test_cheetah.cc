@@ -47,7 +47,8 @@ TEST(Cheetah, SimpleStackDistances)
     sim.access(0x00, RefKind::Load);
     sim.access(0x10, RefKind::Load);
     sim.access(0x00, RefKind::Load);
-    EXPECT_EQ(sim.accesses(), 3u);
+    for (const CacheGeometry &geom : geoms)
+        EXPECT_EQ(sim.stats(geom).totalAccesses(), 3u);
     // 1 way: the re-reference misses; 2 and 4 ways: it hits.
     EXPECT_EQ(sim.stats(geoms[0]).totalMisses(), 3u);
     EXPECT_EQ(sim.stats(geoms[1]).totalMisses(), 2u);
@@ -80,12 +81,7 @@ TEST_P(CheetahEquivalence, MatchesDirectLruSimulatorExactly)
     const std::vector<CacheGeometry> geoms = waysColumn(sets, 16, 8);
     Cheetah sim(geoms);
 
-    std::vector<Cache> direct;
-    for (const CacheGeometry &geom : geoms) {
-        CacheParams p;
-        p.geom = geom;
-        direct.emplace_back(p);
-    }
+    std::vector<Cache> direct(geoms.begin(), geoms.end());
 
     Rng kinds(seed + 100);
     for (std::uint64_t addr : randomStream(seed, 30000, 1 << 18)) {
@@ -136,10 +132,12 @@ TEST(Cheetah, FullyAssociativeModeSweepsTlbSizes)
 
 TEST(Cheetah, AccessCountsAreExact)
 {
-    Cheetah sim(waysColumn(4, 16, 2));
+    const std::vector<CacheGeometry> geoms = waysColumn(4, 16, 2);
+    Cheetah sim(geoms);
     for (int i = 0; i < 123; ++i)
         sim.access(i * 4, RefKind::IFetch);
-    EXPECT_EQ(sim.accesses(), 123u);
+    for (const CacheGeometry &geom : geoms)
+        EXPECT_EQ(sim.stats(geom).totalAccesses(), 123u);
 }
 
 TEST(CheetahDeath, WaysOutOfRange)

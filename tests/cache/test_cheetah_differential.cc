@@ -46,15 +46,13 @@ expectPassMatchesSlots(const RecordedTrace &trace, CacheStream stream,
     Cheetah pass(geoms);
     const std::uint64_t delivered =
         replayCacheStream(trace, stream, pass);
-    EXPECT_EQ(pass.accesses(), delivered);
     for (const CacheGeometry &geom : geoms) {
         SCOPED_TRACE(geom.describe() +
                      (stream == CacheStream::Fetch ? " fetch" : " data"));
-        CacheParams params;
-        params.geom = geom;
+        EXPECT_EQ(pass.stats(geom).totalAccesses(), delivered);
         const ComponentSlot slot = stream == CacheStream::Fetch
-            ? ComponentSlot::icache(params)
-            : ComponentSlot::dcache(params);
+            ? ComponentSlot::icache(geom)
+            : ComponentSlot::dcache(geom);
         const std::unique_ptr<ComponentReplayer> component =
             makeComponent(slot, MachineParams::decstation3100());
         replayComponent(trace, *component);

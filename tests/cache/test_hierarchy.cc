@@ -13,18 +13,28 @@ namespace oma
 namespace
 {
 
-CacheParams
-params(std::uint64_t kb, std::uint64_t line_words, std::uint64_t ways)
+CacheGeometry
+geom(std::uint64_t kb, std::uint64_t line_words, std::uint64_t ways)
 {
-    CacheParams p;
-    p.geom = CacheGeometry::fromWords(kb * 1024, line_words, ways);
+    return CacheGeometry::fromWords(kb * 1024, line_words, ways);
+}
+
+/** A split organization: the same L1 geometry for I and D. */
+HierarchyParams
+split(const CacheGeometry &l1, const CacheGeometry &l2, HierarchyOrg org)
+{
+    HierarchyParams p;
+    p.l1i = l1;
+    p.l1d = l1;
+    p.l2 = l2;
+    p.org = org;
     return p;
 }
 
 TEST(UnifiedCache, PortConflictsChargeDataRefs)
 {
     HierarchyPenalties pen;
-    UnifiedCache unified(params(8, 4, 2), pen);
+    UnifiedCache unified(geom(8, 4, 2), pen);
     unified.access(0x1000, RefKind::IFetch);
     unified.access(0x2000, RefKind::Load);
     unified.access(0x2000, RefKind::Load); // hit, still a conflict
@@ -41,7 +51,7 @@ TEST(UnifiedCache, SharedArrayCausesCrossInterference)
     // Code and data that alias in the unified array evict each other;
     // a split pair of half the size each would keep both.
     HierarchyPenalties pen;
-    UnifiedCache unified(params(1, 4, 1), pen); // 1 KB direct-mapped
+    UnifiedCache unified(geom(1, 4, 1), pen); // 1 KB direct-mapped
     // Same index, different tags.
     for (int i = 0; i < 10; ++i) {
         unified.access(0x0000, RefKind::IFetch);
@@ -53,9 +63,8 @@ TEST(UnifiedCache, SharedArrayCausesCrossInterference)
 
 TEST(TwoLevelCache, NoL2GoesStraightToMemory)
 {
-    HierarchyPenalties pen;
-    TwoLevelCache two(params(4, 4, 1), params(4, 4, 1),
-                      params(64, 8, 4), /*has_l2=*/false, pen);
+    TwoLevelCache two(
+        split(geom(4, 4, 1), geom(64, 8, 4), HierarchyOrg::Split));
     two.access(0x1000, RefKind::IFetch);
     EXPECT_EQ(two.stats().l1Misses, 1u);
     EXPECT_EQ(two.stats().l2Misses, 1u);
@@ -65,9 +74,8 @@ TEST(TwoLevelCache, NoL2GoesStraightToMemory)
 
 TEST(TwoLevelCache, L2CapturesL1ConflictMisses)
 {
-    HierarchyPenalties pen;
-    TwoLevelCache two(params(1, 4, 1), params(1, 4, 1),
-                      params(64, 4, 4), /*has_l2=*/true, pen);
+    TwoLevelCache two(
+        split(geom(1, 4, 1), geom(64, 4, 4), HierarchyOrg::SplitL2));
     // Two fetch streams that conflict in the tiny L1 but coexist in
     // the L2: after warmup every L1 miss is an L2 hit.
     for (int i = 0; i < 50; ++i) {
@@ -87,9 +95,8 @@ TEST(TwoLevelCache, L2CapturesL1ConflictMisses)
 
 TEST(TwoLevelCache, MissPathChargesBothLevels)
 {
-    HierarchyPenalties pen;
-    TwoLevelCache two(params(4, 4, 1), params(4, 4, 1),
-                      params(64, 8, 4), /*has_l2=*/true, pen);
+    TwoLevelCache two(
+        split(geom(4, 4, 1), geom(64, 8, 4), HierarchyOrg::SplitL2));
     two.access(0x4000, RefKind::Load);
     // L2 line 8 words: 6 + 7 = 13; L1 refill from L2: 2.
     EXPECT_EQ(two.stats().stallCycles, 13u + 2u);
@@ -97,9 +104,8 @@ TEST(TwoLevelCache, MissPathChargesBothLevels)
 
 TEST(TwoLevelCache, StoreMissOnOneWordLineFree)
 {
-    HierarchyPenalties pen;
-    TwoLevelCache two(params(4, 1, 1), params(4, 1, 1),
-                      params(64, 4, 4), true, pen);
+    TwoLevelCache two(
+        split(geom(4, 1, 1), geom(64, 4, 4), HierarchyOrg::SplitL2));
     two.access(0x4000, RefKind::Store);
     EXPECT_EQ(two.stats().stallCycles, 0u);
     EXPECT_EQ(two.stats().l1Misses, 1u);
@@ -111,9 +117,8 @@ TEST(TwoLevelCache, L2SmallerThanL1StaysConsistent)
     // L1s, so it can only ever hold a subset and nearly every L1
     // miss must also miss the L2. The conservation law — every L1
     // miss is exactly one L2 hit or one L2 miss — must hold anyway.
-    HierarchyPenalties pen;
-    TwoLevelCache two(params(8, 4, 2), params(8, 4, 2),
-                      params(2, 4, 1), /*has_l2=*/true, pen);
+    TwoLevelCache two(
+        split(geom(8, 4, 2), geom(2, 4, 1), HierarchyOrg::SplitL2));
     Rng rng(11);
     for (int i = 0; i < 40000; ++i) {
         two.access(rng.below(32 * 1024) & ~3ULL,
@@ -131,9 +136,8 @@ TEST(TwoLevelCache, OneWayL2CapturesConflictFreeReuse)
     // 1-way (direct-mapped) L2 behind tiny L1s: the L2 still absorbs
     // L1 capacity misses whose lines do not conflict in the L2, and
     // the L1-miss conservation law holds on the edge associativity.
-    HierarchyPenalties pen;
-    TwoLevelCache two(params(1, 4, 1), params(1, 4, 1),
-                      params(32, 8, 1), /*has_l2=*/true, pen);
+    TwoLevelCache two(
+        split(geom(1, 4, 1), geom(32, 8, 1), HierarchyOrg::SplitL2));
     for (int round = 0; round < 20; ++round) {
         // An 8-KB stride-16B sweep: far beyond the 1-KB L1s, well
         // inside the 32-KB direct-mapped L2, no L2 conflicts.
@@ -159,11 +163,10 @@ TEST(TwoLevelCache, L2WinsWhenTheWorkingSetFitsIt)
         refs.push_back({rng.below(48 * 1024) & ~3ULL,
                         static_cast<RefKind>(rng.below(3))});
     }
-    HierarchyPenalties pen;
-    TwoLevelCache without(params(4, 4, 2), params(4, 4, 2),
-                          params(64, 8, 4), false, pen);
-    TwoLevelCache with(params(4, 4, 2), params(4, 4, 2),
-                       params(64, 8, 4), true, pen);
+    TwoLevelCache without(
+        split(geom(4, 4, 2), geom(64, 8, 4), HierarchyOrg::Split));
+    TwoLevelCache with(
+        split(geom(4, 4, 2), geom(64, 8, 4), HierarchyOrg::SplitL2));
     for (const auto &[addr, kind] : refs) {
         without.access(addr, kind);
         with.access(addr, kind);

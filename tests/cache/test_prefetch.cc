@@ -15,17 +15,9 @@ namespace oma
 namespace
 {
 
-CacheParams
-params(std::uint64_t capacity, std::uint64_t line, std::uint64_t ways)
-{
-    CacheParams p;
-    p.geom = CacheGeometry(capacity, line, ways);
-    return p;
-}
-
 TEST(CachePrefetch, FillsWithoutCountingStats)
 {
-    Cache cache(params(1024, 16, 2));
+    Cache cache(CacheGeometry(1024, 16, 2));
     cache.prefetch(0x1000);
     EXPECT_EQ(cache.stats().totalAccesses(), 0u);
     EXPECT_EQ(cache.stats().totalMisses(), 0u);
@@ -36,7 +28,7 @@ TEST(CachePrefetch, FillsWithoutCountingStats)
 
 TEST(CachePrefetch, RefreshesLruOnResidentLine)
 {
-    Cache cache(params(32, 16, 2)); // one set, two ways
+    Cache cache(CacheGeometry(32, 16, 2)); // one set, two ways
     cache.access(0x000, RefKind::Load); // A
     cache.access(0x100, RefKind::Load); // B (A is LRU)
     cache.prefetch(0x000);              // refresh A
@@ -47,7 +39,7 @@ TEST(CachePrefetch, RefreshesLruOnResidentLine)
 
 TEST(CachePrefetch, CanPollute)
 {
-    Cache cache(params(32, 16, 1)); // 2 sets, direct-mapped
+    Cache cache(CacheGeometry(32, 16, 1)); // 2 sets, direct-mapped
     cache.access(0x000, RefKind::Load);
     cache.prefetch(0x100); // same set: evicts the demand line
     EXPECT_FALSE(cache.probe(0x000));
@@ -69,7 +61,7 @@ fetch(std::uint64_t addr)
 TEST(MachinePrefetch, SequentialStreamsMissHalfAsOften)
 {
     MachineParams base = MachineParams::decstation3100();
-    base.icache.geom = CacheGeometry::fromWords(4 * 1024, 4, 1);
+    base.icache = CacheGeometry::fromWords(4 * 1024, 4, 1);
     MachineParams with = base;
     with.iPrefetchNextLine = true;
 

@@ -39,9 +39,7 @@ TEST(VictimCache, ConflictPairPingPongsInTheBuffer)
 TEST(VictimCache, ZeroEntriesBehavesLikePlainDirectMapped)
 {
     VictimCache none(dm(1024), 0);
-    CacheParams p;
-    p.geom = dm(1024);
-    Cache plain(p);
+    Cache plain(dm(1024));
     Rng rng(3);
     for (int i = 0; i < 30000; ++i) {
         const std::uint64_t addr = rng.below(1 << 14) & ~3ULL;
@@ -118,9 +116,7 @@ TEST(VictimCache, RecoversTwoWayOnBurstyConflictStreams)
 
     VictimCache with(dm(1024), 4);
     VictimCache plain(dm(1024), 0);
-    CacheParams two_way;
-    two_way.geom = CacheGeometry(1024, 16, 2);
-    Cache assoc(two_way);
+    Cache assoc(CacheGeometry(1024, 16, 2));
     std::uint64_t victim_misses = 0, assoc_misses = 0, dm_misses = 0;
     for (std::uint64_t addr : addrs) {
         victim_misses += (with.access(addr) == 2);

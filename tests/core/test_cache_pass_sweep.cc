@@ -29,12 +29,10 @@ namespace oma
 namespace
 {
 
-CacheParams
+CacheGeometry
 lru(std::uint64_t kbytes, std::uint64_t line_words, std::uint64_t ways)
 {
-    CacheParams p;
-    p.geom = CacheGeometry::fromWords(kbytes * 1024, line_words, ways);
-    return p;
+    return CacheGeometry::fromWords(kbytes * 1024, line_words, ways);
 }
 
 /** The mixed slot list, and how many pass groups it forms. */
@@ -65,10 +63,10 @@ mixedSlots()
     wb.entries = 2;
     slots.push_back(ComponentSlot::writeBuffer(wb));
     HierarchyParams split;
-    split.l1i.geom = CacheGeometry::fromWords(4 * 1024, 4, 2);
-    split.l1d.geom = CacheGeometry::fromWords(2 * 1024, 4, 2);
-    split.l2.geom = CacheGeometry::fromWords(16 * 1024, 8, 4);
-    split.hasL2 = true;
+    split.l1i = CacheGeometry::fromWords(4 * 1024, 4, 2);
+    split.l1d = CacheGeometry::fromWords(2 * 1024, 4, 2);
+    split.l2 = CacheGeometry::fromWords(16 * 1024, 8, 4);
+    split.org = HierarchyOrg::SplitL2;
     slots.push_back(ComponentSlot::hierarchy(split));
     return slots;
 }

@@ -71,7 +71,7 @@ oracleReplay(const RecordedTrace &trace, const ComponentSlot &slot)
     std::uint64_t &delivered = out.delivered;
     switch (slot.kind) {
       case ComponentKind::ICache: {
-        Cache cache(std::get<CacheParams>(slot.params));
+        Cache cache(std::get<CacheGeometry>(slot.params));
         trace.replayFetchPaddrs([&](std::uint64_t paddr) {
             cache.access(paddr, RefKind::IFetch);
             ++delivered;
@@ -80,7 +80,7 @@ oracleReplay(const RecordedTrace &trace, const ComponentSlot &slot)
         break;
       }
       case ComponentKind::DCache: {
-        Cache cache(std::get<CacheParams>(slot.params));
+        Cache cache(std::get<CacheGeometry>(slot.params));
         trace.replayCachedData([&](std::uint64_t paddr, RefKind kind) {
             cache.access(paddr, kind);
             ++delivered;
@@ -130,7 +130,7 @@ oracleReplay(const RecordedTrace &trace, const ComponentSlot &slot)
             });
             out.counters = hierarchy.stats();
         };
-        if (p.unified) {
+        if (p.unified()) {
             UnifiedCache unified(p.l1i, p.penalties);
             drive(unified);
         } else {
@@ -185,8 +185,8 @@ cacheSlots()
 {
     std::vector<ComponentSlot> slots;
     for (const CacheGeometry &g : diffGeometries()) {
-        slots.push_back(ComponentSlot::icache(CacheParams{g}));
-        slots.push_back(ComponentSlot::dcache(CacheParams{g}));
+        slots.push_back(ComponentSlot::icache(g));
+        slots.push_back(ComponentSlot::dcache(g));
     }
     return slots;
 }
@@ -205,9 +205,10 @@ tlbSlots()
     return slots;
 }
 
-/** Victim, write-buffer, split- and unified-hierarchy slots, shaped
- * so each exercises its filter: small enough to miss, direct-mapped
- * and set-associative, an L2 that actually captures traffic. */
+/** Victim, write-buffer and hierarchy slots (one per HierarchyOrg),
+ * shaped so each exercises its filter: small enough to miss,
+ * direct-mapped and set-associative, an L2 that actually captures
+ * traffic. */
 std::vector<ComponentSlot>
 extensionSlots()
 {
@@ -220,14 +221,16 @@ extensionSlots()
     wb.entries = 2;
     slots.push_back(ComponentSlot::writeBuffer(wb));
     HierarchyParams split;
-    split.l1i.geom = CacheGeometry::fromWords(4 * 1024, 4, 2);
-    split.l1d.geom = CacheGeometry::fromWords(2 * 1024, 4, 2);
-    split.l2.geom = CacheGeometry::fromWords(16 * 1024, 8, 4);
-    split.hasL2 = true;
+    split.l1i = CacheGeometry::fromWords(4 * 1024, 4, 2);
+    split.l1d = CacheGeometry::fromWords(2 * 1024, 4, 2);
+    split.l2 = CacheGeometry::fromWords(16 * 1024, 8, 4);
+    split.org = HierarchyOrg::SplitL2;
+    slots.push_back(ComponentSlot::hierarchy(split));
+    split.org = HierarchyOrg::Split;
     slots.push_back(ComponentSlot::hierarchy(split));
     HierarchyParams unified;
-    unified.l1i.geom = CacheGeometry::fromWords(8 * 1024, 4, 2);
-    unified.unified = true;
+    unified.l1i = CacheGeometry::fromWords(8 * 1024, 4, 2);
+    unified.org = HierarchyOrg::Unified;
     slots.push_back(ComponentSlot::hierarchy(unified));
     return slots;
 }
@@ -236,8 +239,7 @@ extensionSlots()
 std::vector<ComponentSlot>
 allKindSlots()
 {
-    CacheParams cache;
-    cache.geom = CacheGeometry::fromWords(8 * 1024, 4, 2);
+    const CacheGeometry cache = CacheGeometry::fromWords(8 * 1024, 4, 2);
     TlbParams tlb;
     tlb.geom = TlbGeometry(64, 2);
     std::vector<ComponentSlot> slots = {ComponentSlot::icache(cache),
@@ -450,7 +452,7 @@ TEST(ComponentReplay, HeterogeneousSweepIsThreadCountInvariant)
         const SweepResult result = sweep.run(trace, threads);
         ASSERT_EQ(result.victimCount(), 1u);
         ASSERT_EQ(result.writeBufferCount(), 1u);
-        ASSERT_EQ(result.hierarchyCount(), 2u);
+        ASSERT_EQ(result.hierarchyCount(), 3u);
         expectSweepMatchesOracle(sweep, result, trace);
     }
 }

@@ -111,7 +111,7 @@ TEST(Baseline, CustomMachineParams)
 {
     // A tiny I-cache must hurt: CPI rises versus the 64-KB baseline.
     MachineParams small = MachineParams::decstation3100();
-    small.icache.geom = CacheGeometry::fromWords(2 * 1024, 1, 1);
+    small.icache = CacheGeometry::fromWords(2 * 1024, 1, 1);
     const BaselineResult big = runBaseline(
         BenchmarkId::Mpeg, OsKind::Mach, shortRun());
     const BaselineResult tiny = runBaseline(

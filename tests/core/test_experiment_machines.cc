@@ -59,7 +59,7 @@ TEST(MachineVariants, FlushOnSwitchInflatesMachTlbCpi)
 TEST(MachineVariants, LongerLinesCutMachIcacheMissesButCostPenalty)
 {
     MachineParams wide = MachineParams::decstation3100();
-    wide.icache.geom = CacheGeometry::fromWords(64 * 1024, 8, 1);
+    wide.icache = CacheGeometry::fromWords(64 * 1024, 8, 1);
     const BaselineResult base =
         runBaseline(BenchmarkId::Mpeg, OsKind::Mach, shortRun());
     const BaselineResult with = runBaseline(

@@ -46,10 +46,9 @@ TEST(ExtendedSearch, ExtendedSpaceEnumeratesEveryAxis)
             hier += 2 * kb < l2kb;
     EXPECT_EQ(space.hierarchyConfigs().size(), hier);
     for (const HierarchyParams &p : space.hierarchyConfigs()) {
-        EXPECT_TRUE(p.hasL2);
-        EXPECT_LT(p.l1i.geom.capacityBytes +
-                      p.l1d.geom.capacityBytes,
-                  p.l2.geom.capacityBytes);
+        EXPECT_TRUE(p.hasL2());
+        EXPECT_LT(p.l1i.capacityBytes + p.l1d.capacityBytes,
+                  p.l2.capacityBytes);
     }
     // Slots come out in victim, write-buffer, hierarchy order.
     const auto slots = space.extensionSlots();

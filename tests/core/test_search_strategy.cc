@@ -68,8 +68,8 @@ syntheticExtendedTables()
     }
     for (const HierarchyParams &p : space.hierarchyConfigs()) {
         tables.hierarchyOptions.push_back(
-            {p, 1500.0 / double(p.l1i.geom.capacityBytes +
-                                p.l2.geom.capacityBytes)});
+            {p, 1500.0 / double(p.l1i.capacityBytes +
+                                p.l2.capacityBytes)});
     }
     return tables;
 }
@@ -218,7 +218,7 @@ tieHeavyTables()
     }
     for (const HierarchyParams &p : space.hierarchyConfigs())
         tables.hierarchyOptions.push_back(
-            {p, p.l1i.geom.capacityBytes >= 4096 ? 0.375 : 0.5});
+            {p, p.l1i.capacityBytes >= 4096 ? 0.375 : 0.5});
     return tables;
 }
 
@@ -406,22 +406,6 @@ TEST(SearchSpaceDeath, RejectsSetAssociativeVictimL1)
     tables.victimOptions.push_back({p, 0.5});
     EXPECT_EXIT(SearchSpace(tables, AreaModel(), kBudget),
                 testing::ExitedWithCode(1), "direct-mapped");
-}
-
-TEST(SearchSpaceDeath, RejectsUnifiedHierarchyWithL2)
-{
-    // Every search ranks a SearchSpace, so this guard covers them
-    // all (before it, the L2 of a unified+L2 option was priced at
-    // zero area).
-    ComponentCpiTables tables = syntheticTables();
-    HierarchyParams p;
-    p.l1i.geom = CacheGeometry::fromWords(8 * 1024, 4, 2);
-    p.unified = true;
-    p.hasL2 = true;
-    p.l2.geom = CacheGeometry::fromWords(64 * 1024, 8, 4);
-    tables.hierarchyOptions.push_back({p, 0.5});
-    EXPECT_EXIT(SearchSpace(tables, AreaModel(), kBudget),
-                testing::ExitedWithCode(1), "unified");
 }
 
 } // namespace

@@ -74,12 +74,11 @@ TEST(EndToEnd, SampledMissRatioTracksFullSimulation)
     // sampled windows and compare miss-ratio estimators.
     const WorkloadParams &wl = benchmarkParams(BenchmarkId::Mpeg);
 
-    CacheParams cp;
-    cp.geom = CacheGeometry::fromWords(16 * 1024, 4, 1);
+    const CacheGeometry geom = CacheGeometry::fromWords(16 * 1024, 4, 1);
 
     // Full simulation.
     System full(wl, OsKind::Mach, 77);
-    Cache full_cache(cp);
+    Cache full_cache(geom);
     MemRef r;
     for (int i = 0; i < 1500000; ++i) {
         full.next(r);
@@ -94,7 +93,7 @@ TEST(EndToEnd, SampledMissRatioTracksFullSimulation)
     sp.sampleLength = 8000;
     sp.meanGap = 22000;
     TraceSampler sampler(stream, sp);
-    Cache sampled_cache(cp);
+    Cache sampled_cache(geom);
     std::uint64_t consumed = 0;
     while (consumed < 1500000 && sampler.next(r)) {
         ++consumed;
@@ -117,9 +116,8 @@ TEST(EndToEnd, TraceFileReplayIsBitIdentical)
     const std::string path = testing::TempDir() + "/endtoend.trace";
     const WorkloadParams &wl = benchmarkParams(BenchmarkId::Jpeg);
 
-    CacheParams cp;
-    cp.geom = CacheGeometry::fromWords(8 * 1024, 4, 2);
-    Cache live_cache(cp);
+    const CacheGeometry geom = CacheGeometry::fromWords(8 * 1024, 4, 2);
+    Cache live_cache(geom);
     {
         System system(wl, OsKind::Ultrix, 31);
         RecordedTrace trace;
@@ -132,7 +130,7 @@ TEST(EndToEnd, TraceFileReplayIsBitIdentical)
         store::writeTrace(path, trace);
     }
 
-    Cache replay_cache(cp);
+    Cache replay_cache(geom);
     store::readTrace(path).replay([&](const MemRef &r) {
         replay_cache.access(r.paddr, r.kind);
     });

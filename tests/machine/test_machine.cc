@@ -38,8 +38,8 @@ MachineParams
 smallMachine()
 {
     MachineParams p = MachineParams::decstation3100();
-    p.icache.geom = CacheGeometry::fromWords(1024, 4, 1);
-    p.dcache.geom = CacheGeometry::fromWords(1024, 4, 1);
+    p.icache = CacheGeometry::fromWords(1024, 4, 1);
+    p.dcache = CacheGeometry::fromWords(1024, 4, 1);
     return p;
 }
 
@@ -79,7 +79,7 @@ TEST(Machine, LoadMissChargesDcache)
 TEST(Machine, StoreMissOnOneWordLineIsFree)
 {
     MachineParams p = smallMachine();
-    p.dcache.geom = CacheGeometry::fromWords(1024, 1, 1);
+    p.dcache = CacheGeometry::fromWords(1024, 1, 1);
     Machine machine(p);
     machine.observe(data(0x300, RefKind::Store));
     EXPECT_EQ(machine.stalls().dcacheStall, 0u);
@@ -182,10 +182,10 @@ TEST(Machine, RunConsumesFromSource)
 TEST(Machine, Decstation3100Defaults)
 {
     const MachineParams p = MachineParams::decstation3100();
-    EXPECT_EQ(p.icache.geom.capacityBytes, 64u * 1024);
-    EXPECT_EQ(p.icache.geom.lineWords(), 1u);
-    EXPECT_EQ(p.icache.geom.assoc, 1u);
-    EXPECT_EQ(p.dcache.geom.capacityBytes, 64u * 1024);
+    EXPECT_EQ(p.icache.capacityBytes, 64u * 1024);
+    EXPECT_EQ(p.icache.lineWords(), 1u);
+    EXPECT_EQ(p.icache.assoc, 1u);
+    EXPECT_EQ(p.dcache.capacityBytes, 64u * 1024);
     EXPECT_TRUE(p.tlb.geom.fullyAssociative());
     EXPECT_EQ(p.tlb.geom.entries, 64u);
 }

@@ -150,23 +150,6 @@ TEST(RunReport, SerializationIsDeterministic)
     EXPECT_EQ(toJson(report), toJson(report));
 }
 
-TEST(RunReport, CsvListsEveryRow)
-{
-    std::ostringstream os;
-    sampleReport().writeCsv(os);
-    const std::string csv = os.str();
-    EXPECT_NE(csv.find("kind,name,value\n"), std::string::npos);
-    EXPECT_NE(csv.find("meta,benchmark,\"mab\"\n"), std::string::npos);
-    EXPECT_NE(csv.find("counter,icache/misses,42\n"),
-              std::string::npos);
-    EXPECT_NE(csv.find("gauge,time_ms/total,12.5\n"),
-              std::string::npos);
-    EXPECT_NE(csv.find("histogram,tlb/refills/count,2\n"),
-              std::string::npos);
-    EXPECT_NE(csv.find("histogram,tlb/refills/sum,303\n"),
-              std::string::npos);
-}
-
 TEST(RunReport, SaveWritesIntoTheRequestedDirectory)
 {
     const std::string path = sampleReport().save(".");

@@ -30,10 +30,8 @@ TEST(FingerprintText, CacheTlbAndMachineParamsCanonicalText)
 {
     // The classic shard keys: one line per field, so a changed field
     // shows by name, not only as a new store digest.
-    CacheParams cache;
-    cache.geom = CacheGeometry(8192, 16, 2);
     Fingerprint cache_fp;
-    cache.fingerprint(cache_fp);
+    CacheGeometry(8192, 16, 2).fingerprint(cache_fp);
     EXPECT_EQ(cache_fp.text(), "cache_geom.capacity_bytes=8192\n"
                                "cache_geom.line_bytes=16\n"
                                "cache_geom.assoc=2\n");
@@ -106,10 +104,10 @@ TEST(FingerprintText, WriteBufferParamsCanonicalText)
 TEST(FingerprintText, HierarchyParamsCanonicalText)
 {
     HierarchyParams p;
-    p.l1i.geom = CacheGeometry(8192, 16, 2);
-    p.l1d.geom = CacheGeometry(4096, 16, 2);
-    p.l2.geom = CacheGeometry(32768, 32, 4);
-    p.hasL2 = true;
+    p.l1i = CacheGeometry(8192, 16, 2);
+    p.l1d = CacheGeometry(4096, 16, 2);
+    p.l2 = CacheGeometry(32768, 32, 4);
+    p.org = HierarchyOrg::SplitL2;
     Fingerprint fp;
     p.fingerprint(fp);
     EXPECT_EQ(fp.text(), "hier.l1i=0:\n"
@@ -131,6 +129,59 @@ TEST(FingerprintText, HierarchyParamsCanonicalText)
                          "hier.mem_first_word=6\n"
                          "hier.mem_per_word=1\n"
                          "hier.port_conflict=1\n");
+
+    // The other two organizations, as bench_ext_hierarchy builds
+    // them: the geometries an organization does not simulate are
+    // still keyed.
+    p.l1i = CacheGeometry(32768, 16, 2);
+    p.l1d = CacheGeometry(8192, 16, 2);
+    p.l2 = CacheGeometry(65536, 32, 4);
+    p.org = HierarchyOrg::Unified;
+    Fingerprint unified_fp;
+    p.fingerprint(unified_fp);
+    EXPECT_EQ(unified_fp.text(), "hier.l1i=0:\n"
+                                 "cache_geom.capacity_bytes=32768\n"
+                                 "cache_geom.line_bytes=16\n"
+                                 "cache_geom.assoc=2\n"
+                                 "hier.l1d=0:\n"
+                                 "cache_geom.capacity_bytes=8192\n"
+                                 "cache_geom.line_bytes=16\n"
+                                 "cache_geom.assoc=2\n"
+                                 "hier.l2=0:\n"
+                                 "cache_geom.capacity_bytes=65536\n"
+                                 "cache_geom.line_bytes=32\n"
+                                 "cache_geom.assoc=4\n"
+                                 "hier.has_l2=0\n"
+                                 "hier.unified=1\n"
+                                 "hier.l2_first_word=2\n"
+                                 "hier.l2_per_word=0\n"
+                                 "hier.mem_first_word=6\n"
+                                 "hier.mem_per_word=1\n"
+                                 "hier.port_conflict=1\n");
+
+    p.l1i = CacheGeometry(16384, 16, 2);
+    p.org = HierarchyOrg::Split;
+    Fingerprint split_fp;
+    p.fingerprint(split_fp);
+    EXPECT_EQ(split_fp.text(), "hier.l1i=0:\n"
+                               "cache_geom.capacity_bytes=16384\n"
+                               "cache_geom.line_bytes=16\n"
+                               "cache_geom.assoc=2\n"
+                               "hier.l1d=0:\n"
+                               "cache_geom.capacity_bytes=8192\n"
+                               "cache_geom.line_bytes=16\n"
+                               "cache_geom.assoc=2\n"
+                               "hier.l2=0:\n"
+                               "cache_geom.capacity_bytes=65536\n"
+                               "cache_geom.line_bytes=32\n"
+                               "cache_geom.assoc=4\n"
+                               "hier.has_l2=0\n"
+                               "hier.unified=0\n"
+                               "hier.l2_first_word=2\n"
+                               "hier.l2_per_word=0\n"
+                               "hier.mem_first_word=6\n"
+                               "hier.mem_per_word=1\n"
+                               "hier.port_conflict=1\n");
 }
 
 TEST(FingerprintText, AllocationRequestKeySchemeIsPinned)
@@ -236,12 +287,12 @@ TEST(FingerprintText, EveryFieldReachesTheHash)
     EXPECT_NE(hexOf(w), hexOf(w2));
 
     HierarchyParams h;
-    h.l1i.geom = CacheGeometry(8192, 16, 2);
-    h.l1d.geom = h.l1i.geom;
-    h.l2.geom = CacheGeometry(32768, 32, 4);
+    h.l1i = CacheGeometry(8192, 16, 2);
+    h.l1d = h.l1i;
+    h.l2 = CacheGeometry(32768, 32, 4);
     EXPECT_EQ(hexOf(h), hexOf(h));
     HierarchyParams h2 = h;
-    h2.unified = true;
+    h2.org = HierarchyOrg::Unified;
     EXPECT_NE(hexOf(h), hexOf(h2));
     HierarchyParams h3 = h;
     h3.penalties.l2FirstWord = 4;

@@ -37,24 +37,6 @@ TEST(TextTable, AlignsColumns)
     }
 }
 
-TEST(TextTable, CsvOutput)
-{
-    TextTable table({"a", "b"});
-    table.addRow({"1", "2"});
-    table.addRow({"3", "4"});
-    std::ostringstream os;
-    table.printCsv(os);
-    EXPECT_EQ(os.str(), "a,b\n1,2\n3,4\n");
-}
-
-TEST(TextTable, RowCount)
-{
-    TextTable table({"a"});
-    EXPECT_EQ(table.rowCount(), 0u);
-    table.addRow({"x"});
-    EXPECT_EQ(table.rowCount(), 1u);
-}
-
 TEST(TextTableDeath, RowWidthMismatchPanics)
 {
     TextTable table({"a", "b"});

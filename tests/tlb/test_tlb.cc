@@ -12,17 +12,9 @@ namespace oma
 namespace
 {
 
-TlbParams
-makeParams(std::uint64_t entries, std::uint64_t ways)
-{
-    TlbParams p;
-    p.geom = TlbGeometry(entries, ways);
-    return p;
-}
-
 TEST(Tlb, MissThenHitAfterInsert)
 {
-    Tlb tlb(makeParams(64, 0));
+    Tlb tlb(TlbGeometry(64, 0));
     EXPECT_FALSE(tlb.lookup(0x100, 1));
     tlb.insert(0x100, 1, false, false);
     EXPECT_TRUE(tlb.lookup(0x100, 1));
@@ -30,7 +22,7 @@ TEST(Tlb, MissThenHitAfterInsert)
 
 TEST(Tlb, AsidIsolation)
 {
-    Tlb tlb(makeParams(64, 0));
+    Tlb tlb(TlbGeometry(64, 0));
     tlb.insert(0x100, 1, false, false);
     EXPECT_TRUE(tlb.lookup(0x100, 1));
     EXPECT_FALSE(tlb.lookup(0x100, 2));
@@ -38,7 +30,7 @@ TEST(Tlb, AsidIsolation)
 
 TEST(Tlb, GlobalEntriesMatchAnyAsid)
 {
-    Tlb tlb(makeParams(64, 0));
+    Tlb tlb(TlbGeometry(64, 0));
     tlb.insert(0xc0000, 1, /*global=*/true, false);
     EXPECT_TRUE(tlb.lookup(0xc0000, 1));
     EXPECT_TRUE(tlb.lookup(0xc0000, 2));
@@ -47,7 +39,7 @@ TEST(Tlb, GlobalEntriesMatchAnyAsid)
 
 TEST(Tlb, DirtyBit)
 {
-    Tlb tlb(makeParams(64, 0));
+    Tlb tlb(TlbGeometry(64, 0));
     tlb.insert(0x100, 1, false, /*dirty=*/false);
     EXPECT_FALSE(tlb.isDirty(0x100, 1));
     EXPECT_TRUE(tlb.setDirty(0x100, 1));
@@ -57,7 +49,7 @@ TEST(Tlb, DirtyBit)
 
 TEST(Tlb, FullyAssociativeLruEviction)
 {
-    Tlb tlb(makeParams(4, 0));
+    Tlb tlb(TlbGeometry(4, 0));
     for (std::uint64_t vpn = 0; vpn < 4; ++vpn)
         tlb.insert(vpn, 1, false, false);
     tlb.lookup(0, 1); // refresh vpn 0
@@ -72,7 +64,7 @@ TEST(Tlb, FullyAssociativeLruEviction)
 TEST(Tlb, SetAssociativeIndexing)
 {
     // 8 entries, 2-way: 4 sets; vpns congruent mod 4 share a set.
-    Tlb tlb(makeParams(8, 2));
+    Tlb tlb(TlbGeometry(8, 2));
     tlb.insert(0, 1, false, false);
     tlb.insert(4, 1, false, false);
     tlb.insert(8, 1, false, false); // third in set 0: evicts vpn 0
@@ -86,7 +78,7 @@ TEST(Tlb, SetAssociativeIndexing)
 
 TEST(Tlb, InsertRefreshesExistingEntry)
 {
-    Tlb tlb(makeParams(4, 0));
+    Tlb tlb(TlbGeometry(4, 0));
     tlb.insert(7, 1, false, false);
     tlb.insert(7, 1, false, true); // re-walk marks dirty
     EXPECT_TRUE(tlb.isDirty(7, 1));
@@ -99,7 +91,7 @@ TEST(Tlb, InsertRefreshesExistingEntry)
 
 TEST(Tlb, InvalidateSingleEntry)
 {
-    Tlb tlb(makeParams(16, 4));
+    Tlb tlb(TlbGeometry(16, 4));
     tlb.insert(5, 1, false, false);
     tlb.invalidate(5, 1);
     EXPECT_FALSE(tlb.probe(5, 1));
@@ -107,7 +99,7 @@ TEST(Tlb, InvalidateSingleEntry)
 
 TEST(Tlb, InvalidateAll)
 {
-    Tlb tlb(makeParams(16, 4));
+    Tlb tlb(TlbGeometry(16, 4));
     for (std::uint64_t vpn = 0; vpn < 10; ++vpn)
         tlb.insert(vpn, 1, false, false);
     tlb.invalidateAll();
@@ -126,7 +118,7 @@ TEST_P(TlbGeometrySweep, CapacityIsRespected)
     const auto [entries, ways] = GetParam();
     if (ways > entries)
         return;
-    Tlb tlb(makeParams(entries, ways));
+    Tlb tlb(TlbGeometry(entries, ways));
     // Fill with vpns that spread across sets.
     for (std::uint64_t vpn = 0; vpn < entries; ++vpn)
         tlb.insert(vpn, 1, false, false);

@@ -98,9 +98,7 @@ TEST(Multiprogram, InterferenceRaisesMissRatio)
     // Two time-shared jobs must miss more in a shared cache than one
     // job alone — the interference the paper's traces include.
     auto miss_ratio = [](bool multiprogrammed) {
-        CacheParams cp;
-        cp.geom = CacheGeometry::fromWords(16 * 1024, 4, 1);
-        Cache cache(cp);
+        Cache cache(CacheGeometry::fromWords(16 * 1024, 4, 1));
         MemRef ref;
         if (multiprogrammed) {
             MultiprogramSource mix(20000);

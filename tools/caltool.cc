@@ -55,8 +55,7 @@ int main(int argc, char **argv) {
     const RecordedTrace t = sys.record(refs);
     // Attribute baseline (64K/1w DM) I-cache misses by code region.
     {
-        CacheParams cp; cp.geom = CacheGeometry::fromWords(64*1024, 1, 1);
-        Cache ic(cp);
+        Cache ic(CacheGeometry::fromWords(64*1024, 1, 1));
         std::map<std::string, std::pair<uint64_t,uint64_t>> by;
         t.replay([&](const MemRef &ref) {
             if (!ref.isFetch()) return;
@@ -81,9 +80,8 @@ int main(int argc, char **argv) {
     }
     // Attribute D-cache misses by data region at 8K and 32K (4w DM).
     {
-        CacheParams c8; c8.geom = CacheGeometry::fromWords(8*1024, 4, 1);
-        CacheParams c32; c32.geom = CacheGeometry::fromWords(32*1024, 4, 1);
-        Cache d8(c8), d32(c32);
+        Cache d8(CacheGeometry::fromWords(8*1024, 4, 1));
+        Cache d32(CacheGeometry::fromWords(32*1024, 4, 1));
         std::map<std::string, std::array<uint64_t,3>> by; // refs, m8, m32
         uint64_t instr = 0;
         t.replay([&](const MemRef &ref) {
