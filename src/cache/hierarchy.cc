@@ -64,8 +64,7 @@ UnifiedCache::access(std::uint64_t paddr, RefKind kind)
 }
 
 TwoLevelCache::TwoLevelCache(const HierarchyParams &params)
-    : _l1i(params.l1i), _l1d(params.l1d), _l2(params.l2),
-      _hasL2(params.hasL2()),
+    : _l1i(params.l1i), _l1d(params.l1d),
       _l1iPenaltyL2(penalty(params.l1i, params.penalties.l2FirstWord,
                             params.penalties.l2PerWord)),
       _l1dPenaltyL2(penalty(params.l1d, params.penalties.l2FirstWord,
@@ -80,6 +79,8 @@ TwoLevelCache::TwoLevelCache(const HierarchyParams &params)
     fatalIf(params.unified(),
             "TwoLevelCache models split hierarchies; construct a "
             "UnifiedCache for a unified organization");
+    if (params.hasL2())
+        _l2.emplace(params.l2);
 }
 
 void
@@ -99,7 +100,7 @@ TwoLevelCache::access(std::uint64_t paddr, RefKind kind)
     const bool charge = kind != RefKind::Store ||
         l1.geometry().lineWords() > 1;
 
-    if (!_hasL2) {
+    if (!_l2) {
         ++_stats.l2Misses;
         if (charge) {
             _stats.stallCycles +=
@@ -109,7 +110,7 @@ TwoLevelCache::access(std::uint64_t paddr, RefKind kind)
     }
 
     // L1 refill through the L2.
-    if (_l2.access(paddr, kind)) {
+    if (_l2->access(paddr, kind)) {
         ++_stats.l2Hits;
         if (charge) {
             _stats.stallCycles +=

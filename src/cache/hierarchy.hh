@@ -24,6 +24,7 @@
 #define OMA_CACHE_HIERARCHY_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "cache/cache.hh"
@@ -103,8 +104,8 @@ enum class HierarchyOrg : std::uint8_t
  * Full configuration of one hierarchy organization: split L1 I/D
  * caches, optionally backed by a unified L2 (TwoLevelCache), or one
  * unified L1 array serving both reference kinds (UnifiedCache).
- * fingerprint() keys all three geometries, also those @c org does not
- * simulate.
+ * fingerprint() keys only the geometries @c org simulates, so two
+ * organizations that differ only in an unread geometry share a shard.
  */
 struct HierarchyParams
 {
@@ -128,16 +129,21 @@ struct HierarchyParams
         return org == HierarchyOrg::Unified;
     }
 
-    /** Append every behaviour-determining field to a fingerprint. */
+    /** Append every behaviour-determining field to a fingerprint:
+     * @c l1d unless unified, @c l2 only with an L2. */
     void
     fingerprint(Fingerprint &fp) const
     {
         fp.str("hier.l1i", "");
         l1i.fingerprint(fp);
-        fp.str("hier.l1d", "");
-        l1d.fingerprint(fp);
-        fp.str("hier.l2", "");
-        l2.fingerprint(fp);
+        if (!unified()) {
+            fp.str("hier.l1d", "");
+            l1d.fingerprint(fp);
+        }
+        if (hasL2()) {
+            fp.str("hier.l2", "");
+            l2.fingerprint(fp);
+        }
         fp.flag("hier.has_l2", hasL2());
         fp.flag("hier.unified", unified());
         penalties.fingerprint(fp);
@@ -189,8 +195,7 @@ class TwoLevelCache
   private:
     Cache _l1i;
     Cache _l1d;
-    Cache _l2;
-    bool _hasL2;
+    std::optional<Cache> _l2; //!< Built only under SplitL2.
     HierarchyStats _stats;
     std::uint64_t _l1iPenaltyL2;
     std::uint64_t _l1dPenaltyL2;

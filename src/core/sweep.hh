@@ -320,9 +320,9 @@ struct SweepResult
  * (threads = 1) runs the same replays inline, so results are bitwise
  * identical for any thread count. A question's workloads share one
  * pool: the calling lane records the next workload while the pool
- * replays the current one, so at most two recordings are live. A
- * recording loaded from a trace file (store::readTrace) can be swept
- * directly via the RecordedTrace overload.
+ * replays the current one, so at most two recordings are live. An
+ * explicit recording (System::record) can be swept directly via the
+ * RecordedTrace overload, the tests' oracle.
  *
  * When RunConfig::storeDir (or OMA_STORE_DIR) enables the artifact
  * store, every completed replay shard persists as it is produced;
@@ -392,11 +392,10 @@ class ComponentSweep
         obs::Observation &observation = obs::Observation::none()) const;
 
     /**
-     * Sweep an existing recording (e.g. System::record output or a
-     * trace file loaded by store::readTrace) on @p threads lanes
-     * (0 = hardware, 1 = serial). Reproduces the live-run
-     * SweepResult exactly when the recording came from the same
-     * workload/OS/seed/length. Never touches the artifact store: a
+     * Sweep an existing recording (System::record output) on
+     * @p threads lanes (0 = hardware, 1 = serial). Reproduces the
+     * live-run SweepResult exactly when the recording came from the
+     * same workload/OS/seed/length. Never touches the artifact store: a
      * bare recording carries no provenance to fingerprint.
      */
     [[nodiscard]] SweepResult

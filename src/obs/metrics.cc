@@ -15,8 +15,14 @@ MetricRegistry::merge(const MetricRegistry &shard)
 {
     for (const auto &[name, value] : shard._counters)
         _counters[name] += value;
-    for (const auto &[name, value] : shard._gauges)
-        _gauges[name] = value;
+    for (const auto &[name, value] : shard._gauges) {
+        if (shard._setGauges.count(name) != 0) {
+            _gauges[name] = value;
+            _setGauges.insert(name);
+        } else {
+            _gauges[name] += value;
+        }
+    }
     for (const auto &[name, hist] : shard._histograms)
         _histograms[name].merge(hist);
 }

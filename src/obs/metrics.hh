@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <set>
 #include <string>
 
 #include "support/clock.hh"
@@ -128,14 +129,17 @@ class MetricRegistry
         _counters[name] += delta;
     }
 
-    /** Set gauge @p name to @p value (last write wins). */
+    /** Set gauge @p name to @p value (last write wins, also on
+     * merge()). */
     void
     set(const std::string &name, double value)
     {
         _gauges[name] = value;
+        _setGauges.insert(name);
     }
 
-    /** Add @p value to gauge @p name (creating it at zero). */
+    /** Add @p value to gauge @p name (creating it at zero); merge()
+     * adds it too. Span time gauges are written this way. */
     void
     accumulate(const std::string &name, double value)
     {
@@ -195,17 +199,21 @@ class MetricRegistry
     // ----- merging -----
 
     /**
-     * Fold @p shard into this registry: counters and histograms sum,
-     * gauges take the shard's value (last write wins).
-     * QueryEngine::answerBatch calls this over its per-question
-     * registries in group order, so the merged registry is a pure
-     * function of the batch, not of the schedule.
+     * Fold @p shard into this registry: counters, histograms and
+     * accumulate()d gauges (every Span's `time_ms/`, the sweep's
+     * `core_ms/`) sum, so a batch reports all its questions' time;
+     * a gauge the shard set() takes the shard's value (last write
+     * wins). QueryEngine::answerBatch calls this over its
+     * per-question registries in group order, so the merged registry
+     * is a pure function of the batch, not of the schedule.
      */
     void merge(const MetricRegistry &shard);
 
   private:
     std::map<std::string, std::uint64_t> _counters;
     std::map<std::string, double> _gauges;
+    /** Names of the gauges set() wrote: merge() assigns them. */
+    std::set<std::string> _setGauges;
     std::map<std::string, Histogram> _histograms;
 };
 

@@ -2,8 +2,8 @@
  * @file
  * Machine-readable run reports (`BENCH_<name>.json`).
  *
- * Every bench binary and the trace_tools sweep subcommand wrap their
- * run in a RunReport and save it on exit, so each run leaves an
+ * Every bench binary, oma_serve and `trace_tools sweeprun` wrap
+ * their run in a RunReport and save it on exit, so each run leaves an
  * artifact that CI uploads and EXPERIMENTS.md rows can be regenerated
  * from. The JSON schema (oma-run-report-v1) is documented in
  * docs/OBSERVABILITY.md; serialization iterates the registry's

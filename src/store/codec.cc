@@ -10,8 +10,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "store/store.hh"
-#include "support/logging.hh"
 #include "trace/codec.hh"
 
 namespace oma::store
@@ -92,16 +90,6 @@ class Reader
     std::size_t _pos = 0;
     bool _ok = true;
 };
-
-/** The key text every trace file is framed under. */
-Fingerprint
-traceFileKey()
-{
-    Fingerprint key;
-    key.u64("trace.format_version", traceFormatVersion);
-    key.str("artifact", "trace-file");
-    return key;
-}
 
 } // namespace
 
@@ -221,31 +209,6 @@ decodeTrace(std::string_view payload, RecordedTrace &trace)
     decoded.setOtherCpi(other_cpi);
     trace = std::move(decoded);
     return true;
-}
-
-void
-writeTrace(const std::string &path, const RecordedTrace &trace)
-{
-    ArtifactStore::writeEntryFile(path, traceFileKey().text(),
-                                  encodeTrace(trace));
-}
-
-RecordedTrace
-readTrace(const std::string &path)
-{
-    std::string payload;
-    const ArtifactStore::EntryRead read =
-        ArtifactStore::readEntryFile(path, traceFileKey().text(),
-                                     payload);
-    fatalIf(read == ArtifactStore::EntryRead::Missing,
-            "cannot open trace file for reading: " + path);
-    RecordedTrace trace;
-    fatalIf(read != ArtifactStore::EntryRead::Ok ||
-                !decodeTrace(payload, trace),
-            "not a current trace file: " + path +
-                " (an older format, another kind of file, or "
-                "corrupt); re-record it with trace_tools gen");
-    return trace;
 }
 
 template <class Stats>

@@ -1,6 +1,6 @@
 /**
  * @file
- * Byte codecs for replay shards and trace files.
+ * Byte codecs for replay shards and recordings.
  *
  * The sweep stores one artifact kind: one replay shard's exact
  * counters (a component's CacheStats, MmuStats, VictimStats,
@@ -20,13 +20,14 @@
  * out on format changes). Decoders are bounds-checked and return
  * false on any framing mismatch, which callers treat as a store miss.
  *
- * A trace file is a complete RecordedTrace (the output of the serial
- * record phase) in the store's entry framing
- * (ArtifactStore::writeEntryFile) under a fixed key, so it shares the
- * store's one verified reader. Its payload runs each column chunk
- * through the delta/varint codec (trace/codec.hh) with per-chunk
- * checksums, a fraction of the packed 10 B/ref footprint. The store
- * holds no trace: a sweep records again instead.
+ * encodeTrace() serializes a complete RecordedTrace (the output of
+ * the serial record phase), running each column chunk through the
+ * delta/varint codec (trace/codec.hh) with per-chunk checksums, a
+ * fraction of the packed 10 B/ref footprint. No query stores or reads
+ * one: the store holds no trace and nothing writes a recording to
+ * disk, because recording again costs what a get and a decode would.
+ * The codec stays for bench_speed's `trace/bytes_per_ref` gauge and
+ * the benchmark's traced mode (perfbench/layers.cc), its two callers.
  */
 
 #ifndef OMA_STORE_CODEC_HH
@@ -46,11 +47,9 @@
 namespace oma::store
 {
 
-/** Version of the trace payload codec (encodeTrace/decodeTrace). It
- * is part of the trace-file key, so a codec change ages trace files
- * out instead of misreading them. Every shard and answer key keeps it
- * as `trace.format_version` too, as when the store held traces, so
- * those keys keep their bytes. */
+/** Version of the trace payload codec (encodeTrace/decodeTrace).
+ * Every shard and answer key keeps it as `trace.format_version`, as
+ * when the store held traces, so those keys keep their bytes. */
 inline constexpr std::uint32_t traceFormatVersion = 3;
 
 /**
@@ -101,16 +100,6 @@ struct MachineShard
  * that fails delta/varint decoding. */
 [[nodiscard]] bool decodeTrace(std::string_view payload,
                                RecordedTrace &trace);
-
-/** Write @p trace (references, events, otherCpi) to the trace file
- * @p path; fatal, naming the file, on any I/O failure. */
-void writeTrace(const std::string &path, const RecordedTrace &trace);
-
-/** Load the trace file @p path exactly as writeTrace() saved it,
- * trailing events included. Fatal, naming the file, when it is
- * missing, corrupt or not a trace file of the current format (such
- * as a file of the older ATRACE format). */
-[[nodiscard]] RecordedTrace readTrace(const std::string &path);
 
 /**
  * Encode a counter record (CacheStats, MmuStats, VictimStats,

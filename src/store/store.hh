@@ -117,14 +117,14 @@ class ArtifactStore
     /**
      * Write one complete entry file (header + key text + payload) to
      * @p path, fatal on any I/O failure — the building block put()
-     * aims at a temp file. Trace files (store/codec.hh) are entry
-     * files too, and the disk-full path is directly death-testable
-     * (tests/store/test_store.cc, /dev/full).
+     * aims at a temp file, public so the disk-full path is directly
+     * death-testable (tests/store/test_store.cc, /dev/full).
      */
     static void writeEntryFile(const std::string &path,
                                std::string_view key_text,
                                std::string_view payload);
 
+  private:
     /** Outcome of readEntryFile(). */
     enum class EntryRead
     {
@@ -143,7 +143,6 @@ class ArtifactStore
                                                  std::string_view key_text,
                                                  std::string &payload);
 
-  private:
     /** Move a bad entry aside so it cannot be re-read, then count it. */
     void quarantine(const std::string &path) const;
 

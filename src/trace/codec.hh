@@ -3,9 +3,8 @@
  * Delta/varint chunk codec — the byte layer of trace format v3.
  *
  * The packed columnar RecordedTrace (10 B/ref) is already compact in
- * memory, but trace files are write-once/replay-many, so they are
- * worth squeezing further. This codec exploits the structure of the
- * stream itself:
+ * memory; this codec squeezes a serialized recording further by
+ * exploiting the structure of the stream itself:
  *
  * * *Per-kind delta prediction.* Instruction fetches are overwhelmingly
  *   sequential and loads/stores cluster around a few working-set
@@ -30,9 +29,8 @@
  * framing violation; callers pair payloads with the fnv1a32()
  * checksum so bit flips that survive framing are still detected.
  *
- * Consumed by the trace payload codec (store/codec), which frames
- * trace files; the differential and fuzz suites live in
- * tests/trace/test_codec_v3.cc.
+ * Consumed by the trace payload codec (store::encodeTrace); the
+ * differential and fuzz suites live in tests/trace/test_codec_v3.cc.
  */
 
 #ifndef OMA_TRACE_CODEC_HH

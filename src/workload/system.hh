@@ -34,7 +34,7 @@ class System : public TraceSource
      * with OS page invalidations recorded inline at their trace
      * position and the stream's non-memory stall rate attached.
      * This is the one recording every replay consumer (sweeps,
-     * trace files, tools) shares; it replaces the ad-hoc
+     * benches, tests) shares; it replaces the ad-hoc
      * setInvalidateHook + capture-vector pattern. Any previously
      * installed invalidate hook is displaced for the duration of
      * the recording and cleared afterwards.

@@ -1,21 +1,18 @@
 /**
  * @file
  * Property tests for the unified record-then-replay pipeline: a live
- * ComponentSweep::run(workload, os, run), a replay of the in-memory
- * RecordedTrace the same System produces, and a replay of that
- * recording after a trace-file round trip must all yield the same
- * SweepResult — counter-for-counter and bit-for-bit in the derived
- * doubles — for every geometry, OS personality and thread count.
+ * ComponentSweep::run(workload, os, run) and a replay of the
+ * in-memory RecordedTrace the same System produces must yield the
+ * same SweepResult — counter-for-counter and bit-for-bit in the
+ * derived doubles — for every geometry, OS personality and thread
+ * count.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <string>
 #include <vector>
 
 #include "core/sweep.hh"
-#include "store/codec.hh"
 #include "tests/core/sweep_equal.hh"
 #include "workload/system.hh"
 
@@ -47,7 +44,7 @@ class RecordReplay : public testing::TestWithParam<OsKind>
 {
 };
 
-TEST_P(RecordReplay, LiveMemoryAndFileSweepsAgree)
+TEST_P(RecordReplay, LiveAndRecordedSweepsAgree)
 {
     const OsKind os = GetParam();
     const std::uint64_t refs = 90000, seed = 42;
@@ -67,23 +64,10 @@ TEST_P(RecordReplay, LiveMemoryAndFileSweepsAgree)
     const RecordedTrace trace = system.record(refs);
     ASSERT_EQ(trace.size(), refs);
 
-    // Path 3: the recording after a trace-file round trip.
-    const std::string path = testing::TempDir() + "/rr_" +
-        std::string(os == OsKind::Mach ? "mach" : "ultrix") +
-        ".trace";
-    store::writeTrace(path, trace);
-    const RecordedTrace loaded = store::readTrace(path);
-    ASSERT_EQ(loaded.size(), trace.size());
-    ASSERT_EQ(loaded.events().size(), trace.events().size());
-
     for (unsigned threads : {1u, 4u}) {
         SCOPED_TRACE(testing::Message() << "threads " << threads);
-        const SweepResult mem = sweep.run(trace, threads);
-        expectSameSweep(live, mem);
-        const SweepResult file = sweep.run(loaded, threads);
-        expectSameSweep(live, file);
+        expectSameSweep(live, sweep.run(trace, threads));
     }
-    std::remove(path.c_str());
 }
 
 TEST_P(RecordReplay, LiveHookMmusMatchSweptTlbSlots)

@@ -191,6 +191,48 @@ TEST(StoreSweep, AddedSlotReRecordsAndReplaysAlone)
     }
 }
 
+TEST(StoreSweep, HierarchyShardsKeyOnlyTheGeometriesTheyRead)
+{
+    // A unified organization reads only l1i, a split one no l2: a
+    // sweep whose hierarchy slots differ from a stored sweep's only in
+    // those unread geometries loads every shard and records nothing.
+    const auto slots = [](const CacheGeometry &unread_l1d,
+                          const CacheGeometry &unread_l2) {
+        HierarchyParams unified;
+        unified.l1i = CacheGeometry::fromWords(32 * 1024, 4, 2);
+        unified.l1d = unread_l1d;
+        unified.l2 = unread_l2;
+        unified.org = HierarchyOrg::Unified;
+        HierarchyParams split;
+        split.l1i = CacheGeometry::fromWords(16 * 1024, 4, 2);
+        split.l1d = CacheGeometry::fromWords(8 * 1024, 4, 2);
+        split.l2 = unread_l2;
+        split.org = HierarchyOrg::Split;
+        return std::vector<ComponentSlot>{ComponentSlot::hierarchy(unified),
+                                          ComponentSlot::hierarchy(split)};
+    };
+    const ComponentSweep stored(
+        slots(CacheGeometry::fromWords(8 * 1024, 4, 2),
+              CacheGeometry::fromWords(64 * 1024, 8, 4)));
+    const ComponentSweep other(
+        slots(CacheGeometry::fromWords(4 * 1024, 4, 1),
+              CacheGeometry::fromWords(128 * 1024, 8, 2)));
+    const std::string dir = freshStoreDir("hierkeys");
+    (void)stored.run(mab(), OsKind::Mach, storeRun(dir, 1));
+
+    obs::Observation observation;
+    const SweepResult warm =
+        other.run(mab(), OsKind::Mach, storeRun(dir, 1), observation);
+    expectSameSweep(other.run(mab(), OsKind::Mach, storeRun("", 1)),
+                    warm);
+    const obs::MetricRegistry &m = observation.metrics;
+    EXPECT_EQ(m.counter("sweep/records"), 0u);
+    EXPECT_EQ(m.counter("store/hits"), 3u); // machine + two slots
+    EXPECT_EQ(m.counter("store/misses"), 0u);
+    EXPECT_EQ(m.counter("store/writes"), 0u);
+    fs::remove_all(dir);
+}
+
 TEST(StoreSweep, PartiallyStoredQuestionRecordsOnlyWhatIsMissing)
 {
     // Workloads 0 and 2 of a question are fully stored and workload 1

@@ -1,14 +1,13 @@
 /**
  * @file
  * Integration tests across the whole stack: measured sweeps feeding
- * the allocation search, trace sampling validation, and trace-file
- * replay fidelity.
+ * the allocation search, and trace sampling validation.
  */
 
 #include <gtest/gtest.h>
 
+#include "cache/cache.hh"
 #include "core/search_strategy.hh"
-#include "store/codec.hh"
 #include "trace/sampler.hh"
 #include "workload/system.hh"
 
@@ -107,39 +106,6 @@ TEST(EndToEnd, SampledMissRatioTracksFullSimulation)
         sampled_cache.stats().missRatio(RefKind::IFetch);
     ASSERT_GT(full_ratio, 0.0);
     EXPECT_NEAR(sampled_ratio, full_ratio, 0.35 * full_ratio);
-}
-
-TEST(EndToEnd, TraceFileReplayIsBitIdentical)
-{
-    // Generate -> save -> replay must drive a simulator to exactly
-    // the same statistics as the live stream.
-    const std::string path = testing::TempDir() + "/endtoend.trace";
-    const WorkloadParams &wl = benchmarkParams(BenchmarkId::Jpeg);
-
-    const CacheGeometry geom = CacheGeometry::fromWords(8 * 1024, 4, 2);
-    Cache live_cache(geom);
-    {
-        System system(wl, OsKind::Ultrix, 31);
-        RecordedTrace trace;
-        MemRef r;
-        for (int i = 0; i < 200000; ++i) {
-            system.next(r);
-            trace.append(r);
-            live_cache.access(r.paddr, r.kind);
-        }
-        store::writeTrace(path, trace);
-    }
-
-    Cache replay_cache(geom);
-    store::readTrace(path).replay([&](const MemRef &r) {
-        replay_cache.access(r.paddr, r.kind);
-    });
-
-    EXPECT_EQ(live_cache.stats().totalAccesses(),
-              replay_cache.stats().totalAccesses());
-    EXPECT_EQ(live_cache.stats().totalMisses(),
-              replay_cache.stats().totalMisses());
-    std::remove(path.c_str());
 }
 
 TEST(EndToEnd, LargerBudgetNeverHurtsTheOptimum)

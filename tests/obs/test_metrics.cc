@@ -161,6 +161,44 @@ TEST(MetricRegistry, MergeSumsCountersAndHistograms)
     EXPECT_DOUBLE_EQ(a.gauge("g"), 7.0);
 }
 
+TEST(MetricRegistry, MergeAddsAccumulatedGaugesAndKeepsSetOnes)
+{
+    // answerBatch merges every computed question into its batch's
+    // registry and oma_serve merges every batch into one: accumulated
+    // time gauges must add up across the questions, while a set()
+    // gauge such as search/best_cpi keeps the last shard's value.
+    MetricRegistry q1, q2;
+    q1.accumulate("time_ms/sweep/replay", 1.5);
+    q1.accumulate("core_ms/sweep/replay/tlb", 4.0);
+    q1.set("search/best_cpi", 1.25);
+    q2.accumulate("time_ms/sweep/replay", 2.5);
+    q2.accumulate("core_ms/sweep/replay/tlb", 6.0);
+    q2.set("search/best_cpi", 1.125);
+    MetricRegistry batch;
+    batch.merge(q1);
+    batch.merge(q2);
+    EXPECT_DOUBLE_EQ(batch.gauge("time_ms/sweep/replay"), 4.0);
+    EXPECT_DOUBLE_EQ(batch.gauge("core_ms/sweep/replay/tlb"), 10.0);
+    EXPECT_DOUBLE_EQ(batch.gauge("search/best_cpi"), 1.125);
+
+    // A merged registry keeps each gauge's kind for the next merge.
+    MetricRegistry daemon;
+    daemon.merge(batch);
+    daemon.merge(batch);
+    EXPECT_DOUBLE_EQ(daemon.gauge("time_ms/sweep/replay"), 8.0);
+    EXPECT_DOUBLE_EQ(daemon.gauge("search/best_cpi"), 1.125);
+
+    // Span gauges are accumulated ones.
+    MetricRegistry a, b, both;
+    Span(a, "phase").stop();
+    Span(b, "phase").stop();
+    both.merge(a);
+    both.merge(b);
+    EXPECT_DOUBLE_EQ(both.gauge("time_ms/phase"),
+                     a.gauge("time_ms/phase") + b.gauge("time_ms/phase"));
+    EXPECT_EQ(both.counter("calls/phase"), 2u);
+}
+
 TEST(MetricRegistry, ShardMergeIsOrderIndependentForCounters)
 {
     // QueryEngine::answerBatch merges per-question registries in

@@ -3,9 +3,9 @@
  * The artifact store's correctness-over-reuse contract: canonical
  * fingerprints (the cache-key scheme is pinned here), verified
  * round trips, and — most importantly — every failure path
- * (truncation, bit flips, hash collisions, concurrent writers, full
- * disks) degrading to a detected miss or a loud fatal, never to
- * wrong data.
+ * (truncation, garbage, lying sizes, bit flips, hash collisions,
+ * concurrent writers, full disks) degrading to a detected miss or a
+ * loud fatal, never to wrong data.
  */
 
 #include <gtest/gtest.h>
@@ -219,6 +219,54 @@ TEST(ArtifactStore, StoredKeyMismatchIsDetectedNotServed)
     fs::remove_all(store.root());
 }
 
+TEST(ArtifactStore, GarbageEntryIsAQuarantinedMiss)
+{
+    // A file at an entry's path that is no store entry at all (no
+    // magic, no framing) is a miss, moved aside like any corrupt one.
+    const ArtifactStore store(storeRoot("garbage"));
+    const Fingerprint key = sampleKey();
+    const std::string path = store.entryPath(key);
+    fs::create_directories(fs::path(path).parent_path());
+    std::ofstream(path, std::ios::binary)
+        << "this is not a store entry at all, not even close....";
+
+    std::string loaded;
+    EXPECT_FALSE(store.get(key, loaded));
+    EXPECT_EQ(store.stats().quarantined, 1u);
+    EXPECT_FALSE(fs::exists(path));
+    EXPECT_TRUE(fs::exists(path + ".corrupt"));
+    fs::remove_all(store.root());
+}
+
+TEST(ArtifactStore, LyingEntrySizesAreAQuarantinedMiss)
+{
+    // An entry that ends 10 bytes into its key, with a payload size
+    // that wraps the sum of the two sizes back to those 10 bytes, must
+    // read as corrupt without comparing the key past the buffer (the
+    // ASan job runs this case).
+    const ArtifactStore store(storeRoot("sizes"));
+    const Fingerprint key = sampleKey();
+    store.put(key, "payload bytes the lying sizes cut off");
+    const std::string path = store.entryPath(key);
+    fs::resize_file(path, 40 + 10); // header + 10 bytes of the key
+    {
+        const std::uint64_t sizes[2] = {key.text().size(),
+                                        10 - key.text().size()};
+        char bytes[sizeof sizes];
+        std::memcpy(bytes, sizes, sizeof sizes);
+        std::fstream f(path,
+                       std::ios::binary | std::ios::in | std::ios::out);
+        f.seekp(16); // past the magic, version and reserved word
+        f.write(bytes, sizeof bytes);
+    }
+
+    std::string loaded;
+    EXPECT_FALSE(store.get(key, loaded));
+    EXPECT_EQ(store.stats().quarantined, 1u);
+    EXPECT_TRUE(fs::exists(path + ".corrupt"));
+    fs::remove_all(store.root());
+}
+
 TEST(ArtifactStore, ConcurrentWritersOnOneKeyStayConsistent)
 {
     // Both sides of a same-key race write identical bytes; atomic
@@ -291,8 +339,7 @@ TEST(ArtifactStoreDeath, FullDiskIsFatalNotSilent)
 {
     // /dev/full accepts the open but fails every flush with ENOSPC;
     // a checkpoint that cannot be persisted must die loudly rather
-    // than publish a short entry (same idiom as the trace-file
-    // writer's death test).
+    // than publish a short entry.
     if (!std::ofstream("/dev/full", std::ios::binary).is_open())
         GTEST_SKIP() << "/dev/full not available";
     const std::string payload(1 << 20, 'p');

@@ -131,8 +131,8 @@ TEST(FingerprintText, HierarchyParamsCanonicalText)
                          "hier.port_conflict=1\n");
 
     // The other two organizations, as bench_ext_hierarchy builds
-    // them: the geometries an organization does not simulate are
-    // still keyed.
+    // them: each keys only the geometries it simulates, so a unified
+    // one keys no l1d and neither keys the l2.
     p.l1i = CacheGeometry(32768, 16, 2);
     p.l1d = CacheGeometry(8192, 16, 2);
     p.l2 = CacheGeometry(65536, 32, 4);
@@ -143,14 +143,6 @@ TEST(FingerprintText, HierarchyParamsCanonicalText)
                                  "cache_geom.capacity_bytes=32768\n"
                                  "cache_geom.line_bytes=16\n"
                                  "cache_geom.assoc=2\n"
-                                 "hier.l1d=0:\n"
-                                 "cache_geom.capacity_bytes=8192\n"
-                                 "cache_geom.line_bytes=16\n"
-                                 "cache_geom.assoc=2\n"
-                                 "hier.l2=0:\n"
-                                 "cache_geom.capacity_bytes=65536\n"
-                                 "cache_geom.line_bytes=32\n"
-                                 "cache_geom.assoc=4\n"
                                  "hier.has_l2=0\n"
                                  "hier.unified=1\n"
                                  "hier.l2_first_word=2\n"
@@ -171,10 +163,6 @@ TEST(FingerprintText, HierarchyParamsCanonicalText)
                                "cache_geom.capacity_bytes=8192\n"
                                "cache_geom.line_bytes=16\n"
                                "cache_geom.assoc=2\n"
-                               "hier.l2=0:\n"
-                               "cache_geom.capacity_bytes=65536\n"
-                               "cache_geom.line_bytes=32\n"
-                               "cache_geom.assoc=4\n"
                                "hier.has_l2=0\n"
                                "hier.unified=0\n"
                                "hier.l2_first_word=2\n"

@@ -1,9 +1,8 @@
 /**
  * @file
  * Property and fuzz tests for trace format v3's delta/varint byte
- * layer (trace/codec.hh) and the artifact-store trace codec that
- * frames it (store/codec.hh), both as a store payload and as a trace
- * file, plus the trace file's error paths. Round trips must be exact
+ * layer (trace/codec.hh) and the trace payload codec that frames it
+ * (store::encodeTrace/decodeTrace). Round trips must be exact
  * for empty, single-reference, maximum-delta and randomized streams;
  * every truncation and every single-bit corruption must either be
  * rejected outright or surface as a changed decode that the framing
@@ -13,18 +12,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <limits>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "store/codec.hh"
-#include "store/store.hh"
 #include "support/rng.hh"
 #include "trace/codec.hh"
 #include "trace/recorded.hh"
@@ -371,217 +365,6 @@ TEST(CodecV3, StoreTraceBitFlipsNeverDecodeToTheSameTrace)
             }
         }
     }
-}
-
-// ----- trace file -----
-//
-// A trace file is the store's trace payload in the store's entry
-// framing. Every way a file can be unreadable (missing, foreign, an
-// older format, corrupt) and every failed write must stop the
-// program with a message that names the file.
-
-/** The key text every trace file is framed under. */
-constexpr std::string_view traceFileKey =
-    "trace.format_version=3\nartifact=10:trace-file\n";
-
-std::string
-tempTracePath(const char *tag)
-{
-    return testing::TempDir() + "/codec_v3_" + tag + ".trace";
-}
-
-/** @p trace written to a trace file and read back. */
-RecordedTrace
-fileRoundTrip(const RecordedTrace &trace, const char *tag)
-{
-    const std::string path = tempTracePath(tag);
-    store::writeTrace(path, trace);
-    RecordedTrace loaded = store::readTrace(path);
-    std::remove(path.c_str());
-    return loaded;
-}
-
-TEST(CodecV3, TraceFileRoundTripsEventedMultiChunkStream)
-{
-    RecordedTrace want =
-        eventedTrace(13, RecordedTrace::chunkRefs + 4096);
-    want.recordInvalidation(3, 4, true); // trailing: index == size
-    const RecordedTrace got = fileRoundTrip(want, "roundtrip");
-    ASSERT_EQ(got.size(), want.size());
-    ASSERT_EQ(got.events().size(), want.events().size());
-    EXPECT_TRUE(sameTrace(got, want));
-}
-
-TEST(CodecV3, TraceFileWritesTheCurrentVersion)
-{
-    // A trace file is one store entry: the store's framing around
-    // exactly the encodeTrace() payload, under a key naming the
-    // payload codec's version.
-    ASSERT_EQ(store::traceFormatVersion, 3u);
-    const RecordedTrace trace = eventedTrace(17, 64);
-    const std::string path = tempTracePath("version");
-    store::writeTrace(path, trace);
-    std::string payload;
-    ASSERT_EQ(ArtifactStore::readEntryFile(path, traceFileKey, payload),
-              ArtifactStore::EntryRead::Ok);
-    EXPECT_EQ(payload, store::encodeTrace(trace));
-    std::remove(path.c_str());
-}
-
-TEST(TraceFile, RoundTripPreservesEverything)
-{
-    Rng rng(99);
-    RecordedTrace original;
-    for (int i = 0; i < 5000; ++i)
-        original.append(randomRef(rng));
-    EXPECT_TRUE(sameTrace(fileRoundTrip(original, "plain"), original));
-}
-
-TEST(TraceFile, EmptyTrace)
-{
-    const RecordedTrace loaded = fileRoundTrip(RecordedTrace(), "empty");
-    EXPECT_TRUE(loaded.empty());
-    EXPECT_TRUE(loaded.events().empty());
-}
-
-TEST(TraceFile, RoundTripPreservesEventsAndMetadata)
-{
-    // Events before the first reference, at the chunk seam and after
-    // the last reference must all load back in place.
-    Rng rng(123);
-    RecordedTrace original;
-    original.recordInvalidation(7, 1, true);
-    const std::uint64_t n = RecordedTrace::chunkRefs + 4321;
-    for (std::uint64_t i = 0; i < n; ++i) {
-        if (rng.chance(0.001) || i == RecordedTrace::chunkRefs)
-            original.recordInvalidation(rng.below(1 << 19),
-                                        std::uint32_t(rng.below(64)),
-                                        rng.chance(0.3));
-        original.append(randomRef(rng));
-    }
-    original.recordInvalidation(9, 2, false);
-    original.setOtherCpi(0.625);
-    const RecordedTrace loaded = fileRoundTrip(original, "events");
-    EXPECT_TRUE(sameTrace(loaded, original));
-    EXPECT_EQ(loaded.events().back().index, n);
-    EXPECT_EQ(loaded.otherCpi(), 0.625);
-}
-
-TEST(TraceFile, ReaderFiresInvalidateHookAtPinnedPositions)
-{
-    RecordedTrace trace;
-    const MemRef r;
-    trace.recordInvalidation(10, 1, false); // before ref 0
-    trace.append(r);
-    trace.append(r);
-    trace.recordInvalidation(20, 2, true); // before ref 2
-    trace.append(r);
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> fired;
-    std::uint64_t pos = 0;
-    fileRoundTrip(trace, "hook").replay(
-        [&](const MemRef &) { ++pos; },
-        [&](const TraceEvent &e) { fired.emplace_back(e.vpn, pos); });
-    EXPECT_EQ(pos, 3u);
-    ASSERT_EQ(fired.size(), 2u);
-    EXPECT_EQ(fired[0], std::make_pair(std::uint64_t(10),
-                                       std::uint64_t(0)));
-    EXPECT_EQ(fired[1], std::make_pair(std::uint64_t(20),
-                                       std::uint64_t(2)));
-}
-
-TEST(TraceFileDeath, MissingFileIsFatal)
-{
-    EXPECT_EXIT((void)store::readTrace("/nonexistent/zzz.trace"),
-                testing::ExitedWithCode(1),
-                "cannot open trace file for reading: "
-                "/nonexistent/zzz.trace");
-}
-
-TEST(TraceFileDeath, BadMagicIsFatal)
-{
-    const std::string path = tempTracePath("garbage");
-    std::ofstream(path, std::ios::binary)
-        << "this is not a trace file at all, not even close....";
-    EXPECT_EXIT((void)store::readTrace(path), testing::ExitedWithCode(1),
-                "not a current trace file: .*codec_v3_garbage.trace");
-    std::remove(path.c_str());
-}
-
-TEST(TraceFileDeath, OlderFormatsAreFatal)
-{
-    // Headers of the retired "ATRACE" trace-file format, v1 (24
-    // bytes) and v3 (40 bytes); every field after the magic and the
-    // version is zero. Both must fail naming the file and saying how
-    // to get a readable one.
-    const std::uint64_t magic = 0x454341525441; // "ATRACE"
-    for (const std::uint32_t version : {1u, 3u}) {
-        SCOPED_TRACE(version);
-        std::string header(version == 1 ? 24 : 40, '\0');
-        std::memcpy(header.data(), &magic, sizeof magic);
-        std::memcpy(header.data() + 8, &version, sizeof version);
-        const std::string path = tempTracePath("atrace");
-        std::ofstream(path, std::ios::binary) << header;
-        EXPECT_EXIT((void)store::readTrace(path),
-                    testing::ExitedWithCode(1),
-                    "not a current trace file: .*atrace.*re-record");
-        std::remove(path.c_str());
-    }
-}
-
-TEST(TraceFileDeath, LyingHeaderSizesAreFatal)
-{
-    // A file that ends 10 bytes into the key, with a payload size
-    // that wraps the sum of the two sizes back to those 10 bytes, must
-    // read as corrupt without comparing the key past the buffer.
-    const std::string path = tempTracePath("sizes");
-    store::writeTrace(path, eventedTrace(23, 100));
-    std::filesystem::resize_file(path, 40 + 10); // header + 10 bytes
-    {
-        const std::uint64_t sizes[2] = {traceFileKey.size(),
-                                        10 - traceFileKey.size()};
-        char bytes[sizeof sizes];
-        std::memcpy(bytes, sizes, sizeof sizes);
-        std::fstream f(path,
-                       std::ios::binary | std::ios::in | std::ios::out);
-        f.seekp(16); // past the magic, version and reserved word
-        f.write(bytes, sizeof bytes);
-    }
-    EXPECT_EXIT((void)store::readTrace(path), testing::ExitedWithCode(1),
-                "not a current trace file: .*codec_v3_sizes.trace");
-    std::remove(path.c_str());
-}
-
-TEST(TraceFileDeath, FullDiskIsFatalNotSilent)
-{
-    // /dev/full accepts the open but fails every flush with ENOSPC —
-    // the exact failure mode that would otherwise truncate a trace
-    // silently.
-    if (!std::ofstream("/dev/full", std::ios::binary).is_open())
-        GTEST_SKIP() << "/dev/full not available";
-    const RecordedTrace trace = eventedTrace(29, 1000);
-    EXPECT_EXIT(store::writeTrace("/dev/full", trace),
-                testing::ExitedWithCode(1), "/dev/full.*disk full");
-}
-
-TEST(CodecV3Death, TraceFileChunkCorruptionIsFatal)
-{
-    const std::string path = tempTracePath("corrupt");
-    store::writeTrace(path, eventedTrace(19, 2048));
-    {
-        // The file tail is the last chunk's encoded payload, under
-        // both the chunk and the entry checksum; flip one bit there.
-        std::fstream f(path,
-                       std::ios::binary | std::ios::in | std::ios::out);
-        f.seekg(-1, std::ios::end);
-        char last = 0;
-        f.get(last);
-        f.seekp(-1, std::ios::end);
-        const char flipped = char(last ^ 0x10);
-        f.write(&flipped, 1);
-    }
-    EXPECT_EXIT((void)store::readTrace(path), testing::ExitedWithCode(1),
-                "not a current trace file: .*codec_v3_corrupt.trace");
-    std::remove(path.c_str());
 }
 
 } // namespace
