@@ -1,17 +1,20 @@
 /**
  * @file
- * QueryEngine implementation: warm-serve or compute, one batch
- * grouped by response key.
+ * QueryEngine implementation: a stored answer, a stored measurement
+ * or a sweep; one batch grouped by response key.
  */
 
 #include "api/query_engine.hh"
 
 #include <algorithm>
 #include <utility>
+#include <variant>
 
 #include "area/mqf.hh"
 #include "core/search_strategy.hh"
+#include "obs/export.hh"
 #include "obs/metrics.hh"
+#include "store/codec.hh"
 #include "support/threadpool.hh"
 
 namespace oma::api
@@ -45,6 +48,86 @@ threadsWithinLimit(const AllocationRequest &request, std::string &error)
 }
 
 } // namespace
+
+std::string
+encodeMeasurement(const ComponentCpiTables &tables)
+{
+    std::string out;
+    for (const std::size_t n :
+         {tables.icacheCpi.size(), tables.dcacheCpi.size(),
+          tables.tlbCpi.size(), tables.victimOptions.size(),
+          tables.wbOptions.size(), tables.hierarchyOptions.size()})
+        store::appendRaw(out, std::uint64_t(n));
+    for (const std::vector<double> *column :
+         {&tables.icacheCpi, &tables.dcacheCpi, &tables.tlbCpi})
+        for (const double v : *column)
+            store::appendRaw(out, v);
+    for (const auto &o : tables.victimOptions)
+        store::appendRaw(out, o.cpi);
+    for (const auto &o : tables.wbOptions)
+        store::appendRaw(out, o.cpi);
+    for (const auto &o : tables.hierarchyOptions)
+        store::appendRaw(out, o.cpi);
+    for (const double v : {tables.baseCpi, tables.wbCpi, tables.otherCpi})
+        store::appendRaw(out, v);
+    return out;
+}
+
+bool
+decodeMeasurement(std::string_view payload, const ConfigSpace &space,
+                  ComponentCpiTables &tables)
+{
+    // The lists come from the grid the sweep measures, so the decoded
+    // tables equal average()'s field for field.
+    SweepGrid grid = SweepGrid::fromSpace(space);
+    ComponentCpiTables decoded;
+    decoded.icacheGeoms = std::move(grid.icacheGeoms);
+    decoded.dcacheGeoms = std::move(grid.dcacheGeoms);
+    decoded.tlbGeoms = std::move(grid.tlbGeoms);
+    for (const ComponentSlot &slot : grid.components) {
+        if (const auto *p = std::get_if<VictimParams>(&slot.params))
+            decoded.victimOptions.push_back({*p, 0.0});
+        else if (const auto *p = std::get_if<WriteBufferParams>(&slot.params))
+            decoded.wbOptions.push_back({*p, 0.0});
+        else if (const auto *p = std::get_if<HierarchyParams>(&slot.params))
+            decoded.hierarchyOptions.push_back({*p, 0.0});
+    }
+    decoded.icacheCpi.resize(decoded.icacheGeoms.size());
+    decoded.dcacheCpi.resize(decoded.dcacheGeoms.size());
+    decoded.tlbCpi.resize(decoded.tlbGeoms.size());
+
+    // Six lengths, then every double in encodeMeasurement()'s order:
+    // a length the space's lists disagree with, or any other size, is
+    // a miss.
+    const std::size_t lengths[] = {
+        decoded.icacheCpi.size(), decoded.dcacheCpi.size(),
+        decoded.tlbCpi.size(),    decoded.victimOptions.size(),
+        decoded.wbOptions.size(), decoded.hierarchyOptions.size()};
+    store::Reader in(payload);
+    for (const std::size_t n : lengths) {
+        std::uint64_t length = 0;
+        if (!in.get(length) || length != n)
+            return false;
+    }
+    // A short payload fails every read from its end on, and done()
+    // reports it.
+    for (std::vector<double> *column :
+         {&decoded.icacheCpi, &decoded.dcacheCpi, &decoded.tlbCpi})
+        for (double &v : *column)
+            in.get(v);
+    for (auto &o : decoded.victimOptions)
+        in.get(o.cpi);
+    for (auto &o : decoded.wbOptions)
+        in.get(o.cpi);
+    for (auto &o : decoded.hierarchyOptions)
+        in.get(o.cpi);
+    for (double *v : {&decoded.baseCpi, &decoded.wbCpi, &decoded.otherCpi})
+        in.get(*v);
+    if (!in.done())
+        return false;
+    tables = std::move(decoded);
+    return true;
+}
 
 SweepGrid
 SweepGrid::fromSpace(const ConfigSpace &space)
@@ -199,28 +282,43 @@ QueryEngine::rank(const AllocationRequest &request,
     return response;
 }
 
-std::string
-QueryEngine::computeAnswer(const AllocationRequest &request,
-                           obs::Observation &observation) const
+ComponentCpiTables
+QueryEngine::measure(const AllocationRequest &request,
+                     obs::Observation &observation) const
 {
     obs::MetricRegistry &m = observation.metrics;
-    obs::Span span(m, "serve/compute");
-    const std::vector<SweepResult> results = sweep(request, &observation);
-    obs::Span average(m, "serve/average");
-    const ComponentCpiTables tables = ComponentCpiTables::average(
-        results, MachineParams::decstation3100());
-    average.stop();
-    const AllocationResponse response = rank(request, tables, &observation);
-    obs::Span encode(m, "serve/encode");
-    return encodeResponse(response);
+    obs::Span span(m, "serve/measure");
+    // The sweep's store, not the responses': its gets and puts are
+    // exported with the shards' under `store/`.
+    const std::unique_ptr<ArtifactStore> store =
+        ArtifactStore::open(_config.storeDir);
+    const Fingerprint key = request.measurementKey();
+    ComponentCpiTables tables;
+    std::string payload;
+    if (store != nullptr && store->get(key, payload) &&
+        decodeMeasurement(payload, request.space, tables)) {
+        m.add("serve/measurement_hits");
+    } else {
+        const std::vector<SweepResult> results =
+            sweep(request, &observation);
+        obs::Span average(m, "serve/average");
+        tables = ComponentCpiTables::average(
+            results, MachineParams::decstation3100());
+        average.stop();
+        m.add("serve/measured");
+        if (store != nullptr)
+            store->put(key, encodeMeasurement(tables));
+    }
+    if (store != nullptr)
+        obs::exportArtifactStore(m, "store", *store);
+    return tables;
 }
 
 std::string
-QueryEngine::answer(const AllocationRequest &request,
-                    obs::Observation *observation) const
+QueryEngine::serve(const AllocationRequest &request, const Fingerprint &key,
+                   obs::Observation &observation) const
 {
-    obs::Observation &into = sink(observation);
-    obs::MetricRegistry &m = into.metrics;
+    obs::MetricRegistry &m = observation.metrics;
     obs::Span span(m, "serve/answer");
     m.add("serve/requests");
     std::string error;
@@ -228,9 +326,6 @@ QueryEngine::answer(const AllocationRequest &request,
         m.add("serve/rejected");
         return encodeError(error);
     }
-    obs::Span key_span(m, "serve/key");
-    const Fingerprint key = request.responseKey();
-    key_span.stop();
     if (_store != nullptr) {
         obs::Span get(m, "serve/get");
         std::string payload;
@@ -250,13 +345,28 @@ QueryEngine::answer(const AllocationRequest &request,
         m.add("serve/rejected");
         return encodeError("request." + bad);
     }
-    std::string payload = computeAnswer(request, into);
+    const AllocationResponse response =
+        rank(request, measure(request, observation), &observation);
+    obs::Span encode(m, "serve/encode");
+    std::string payload = encodeResponse(response);
+    encode.stop();
     m.add("serve/computed");
     if (_store != nullptr) {
         obs::Span put(m, "serve/put");
         _store->put(key, payload);
     }
     return payload;
+}
+
+std::string
+QueryEngine::answer(const AllocationRequest &request,
+                    obs::Observation *observation) const
+{
+    obs::Observation &into = sink(observation);
+    obs::Span key_span(into.metrics, "serve/key");
+    const Fingerprint key = request.responseKey();
+    key_span.stop();
+    return serve(request, key, into);
 }
 
 std::vector<std::string>
@@ -274,7 +384,7 @@ QueryEngine::answerBatch(const std::vector<std::string> &request_lines,
     struct Group
     {
         AllocationRequest request;
-        std::string key;
+        Fingerprint key;
         std::vector<std::size_t> lines;
     };
     std::vector<Group> groups;
@@ -298,10 +408,12 @@ QueryEngine::answerBatch(const std::vector<std::string> &request_lines,
             answers[i] = encodeError(error);
             continue;
         }
-        std::string key = request.responseKey().text();
+        obs::Span key_span(m, "serve/key");
+        Fingerprint key = request.responseKey();
+        key_span.stop();
         bool joined = false;
         for (Group &group : groups) {
-            if (group.key == key) {
+            if (group.key.text() == key.text()) {
                 group.lines.push_back(i);
                 joined = true;
                 break;
@@ -325,7 +437,8 @@ QueryEngine::answerBatch(const std::vector<std::string> &request_lines,
     std::vector<std::string> group_answers(groups.size());
     if (!groups.empty()) {
         parallelFor(lanes, 0, groups.size(), [&](std::size_t g) {
-            group_answers[g] = answer(groups[g].request, &shards[g]);
+            group_answers[g] =
+                serve(groups[g].request, groups[g].key, shards[g]);
         });
     }
     for (std::size_t g = 0; g < groups.size(); ++g) {

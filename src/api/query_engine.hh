@@ -12,27 +12,42 @@
  * question this way, so there is one code path to trust instead of
  * three ad-hoc ones.
  *
- * Serving discipline: answer() takes one of two paths.
+ * Serving discipline: answer() takes one of three paths.
  *
- * 1. *Warm.* The request's content Fingerprint keys the encoded
- *    response in the artifact store; a warm hit is returned without
- *    touching a simulator (`serve/warm_hits`, zero record/replay
- *    work — counter-proven in CI).
+ * 1. *Stored response.* The request's response key (every content
+ *    field) keys the encoded response in the artifact store; a hit is
+ *    returned without touching a simulator (`serve/warm_hits`, zero
+ *    record/replay work — counter-proven in CI).
  *    A request that misses is first checked against the lists the
  *    sweep measures (ConfigSpace::check()); one that fails gets an
  *    `oma-error-v1` answer naming the request fields, never a
  *    sweep, so it cannot take down the rest of a batch.
- * 2. *Computed.* The engine sweeps per workload (store-aware, so
- *    even a cold response reuses stored shards), averages the
- *    component tables, runs the requested strategy, encodes the
- *    top-K answer and puts it in the store (`serve/computed`).
+ * 2. *Stored measurement.* The request's measurement key (run,
+ *    ordered workloads, space, reference machine; no ranking knob)
+ *    keys the averaged ComponentCpiTables. A hit
+ *    (`serve/measurement_hits`) skips the sweep and the averaging:
+ *    a new budget, ways limit, strategy or top_k over a measured mix
+ *    is one response get, one measurement get, the search, the
+ *    encode and the put.
+ * 3. *Computed.* The engine sweeps per workload (store-aware, so
+ *    even a cold measurement reuses stored shards), averages the
+ *    component tables and puts them under the measurement key
+ *    (`serve/measured`).
  *
- * answerBatch() groups a batch's lines by response key before either
+ * Either way the engine then runs the requested strategy, encodes
+ * the top-K answer and puts it in the store (`serve/computed`). The
+ * measurement's get and put go through the sweep's own store handle
+ * and are counted with the shards under `store/`; store() holds
+ * responses only.
+ *
+ * answerBatch() groups a batch's lines by response key before any
  * path runs, so duplicate lines of one batch cost one answer and
- * carry its bytes (`serve/dedup_hits`). That is the one place
- * duplicates coalesce: two threads that call answer() with one key
- * at once both compute, and their puts of the same bytes race
- * harmlessly (store/store.hh).
+ * carry its bytes (`serve/dedup_hits`), then answers each group as
+ * answer() does. That is the one place duplicates coalesce: two
+ * threads that call answer() with one key at once both compute, and
+ * two cold questions over one measurement that run at once both
+ * measure it; their puts of the same bytes race harmlessly
+ * (store/store.hh).
  *
  * Because responses carry content only — no provenance, no timing —
  * every path returns bitwise-identical bytes, at any thread count
@@ -59,6 +74,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "api/request.hh"
@@ -99,6 +115,25 @@ struct SweepGrid
     [[nodiscard]] static SweepGrid fromSpace(const ConfigSpace &space);
 };
 
+/**
+ * The measurement payload of @p tables, stored under
+ * AllocationRequest::measurementKey(): the six list lengths (I-cache,
+ * D-cache, TLB, victim, write buffer, hierarchy), then every CPI as
+ * its raw 64-bit pattern, in that order, then the base, write-buffer
+ * and other CPI. Geometries and extension parameters are not stored;
+ * the space rebuilds them.
+ */
+[[nodiscard]] std::string encodeMeasurement(const ComponentCpiTables &tables);
+
+/** Inverse of encodeMeasurement() for tables measured over @p space,
+ * whose lists it rebuilds with SweepGrid::fromSpace(); sets
+ * @p tables only on success.
+ * @retval false on any other payload size, or list lengths that
+ * disagree with the space's lists (a miss, which re-measures). */
+[[nodiscard]] bool decodeMeasurement(std::string_view payload,
+                                     const ConfigSpace &space,
+                                     ComponentCpiTables &tables);
+
 /** Allocation-as-a-service: answer AllocationRequests. */
 class QueryEngine
 {
@@ -106,7 +141,7 @@ class QueryEngine
     explicit QueryEngine(QueryEngineConfig config = QueryEngineConfig());
 
     /**
-     * Answer one request: warm-serve or compute (see file header).
+     * Answer one request by one of the three paths (file header).
      * Returns the response JSON, or an `oma-error-v1` payload for an
      * invalid request. The observation (nullptr:
      * Observation::none()) collects the serve counters plus the
@@ -146,8 +181,9 @@ class QueryEngine
      * Ranking stage only, for callers that already hold (possibly
      * hand-adjusted) tables: run the request's strategy under its
      * budget/associativity knobs and return the structured top-K
-     * response. answer() is sweep() + ComponentCpiTables::average()
-     * + rank() + codec + store.
+     * response. A computed answer is sweep() +
+     * ComponentCpiTables::average() (or the stored measurement) +
+     * rank() + codec + store.
      */
     [[nodiscard]] AllocationResponse
     rank(const AllocationRequest &request,
@@ -203,10 +239,17 @@ class QueryEngine
     }
 
   private:
-    /** Simulate + encode (the computed path; no store). */
+    /** The request's averaged tables, from the stored measurement or
+     * from a sweep whose average is then stored (`serve/measure`). */
+    [[nodiscard]] ComponentCpiTables
+    measure(const AllocationRequest &request,
+            obs::Observation &observation) const;
+
+    /** Answer @p request, whose response key is @p key, by one of the
+     * three paths (`serve/answer`). */
     [[nodiscard]] std::string
-    computeAnswer(const AllocationRequest &request,
-                  obs::Observation &observation) const;
+    serve(const AllocationRequest &request, const Fingerprint &key,
+          obs::Observation &observation) const;
 
     QueryEngineConfig _config;
     std::unique_ptr<ArtifactStore> _store;

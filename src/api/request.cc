@@ -231,6 +231,26 @@ appendU64Array(std::string &out, std::string_view name,
     out.push_back(']');
 }
 
+/** The fields both store keys of @p request start with: the
+ * formats, os, seed, references, the ordered workload list and the
+ * space. */
+Fingerprint
+measuredKeyPrefix(const AllocationRequest &request)
+{
+    Fingerprint fp;
+    fp.u64("api.format_version", apiFormatVersion);
+    fp.u64("store.format_version", ArtifactStore::formatVersion);
+    fp.u64("trace.format_version", store::traceFormatVersion);
+    fp.str("run.os", osKindName(request.os));
+    fp.u64("run.seed", request.seed);
+    fp.u64("run.references", request.references);
+    fp.u64("workloads.n", request.workloads.size());
+    for (const BenchmarkId id : request.workloads)
+        benchmarkParams(id).fingerprint(fp);
+    request.space.fingerprint(fp);
+    return fp;
+}
+
 } // namespace
 
 const char *
@@ -278,19 +298,10 @@ osKindFromName(std::string_view name, OsKind &out)
     return false;
 }
 
-void
-AllocationRequest::fingerprint(Fingerprint &fp) const
+Fingerprint
+AllocationRequest::responseKey() const
 {
-    fp.u64("api.format_version", apiFormatVersion);
-    fp.u64("store.format_version", ArtifactStore::formatVersion);
-    fp.u64("trace.format_version", store::traceFormatVersion);
-    fp.str("run.os", osKindName(os));
-    fp.u64("run.seed", seed);
-    fp.u64("run.references", references);
-    fp.u64("workloads.n", workloads.size());
-    for (const BenchmarkId id : workloads)
-        benchmarkParams(id).fingerprint(fp);
-    space.fingerprint(fp);
+    Fingerprint fp = measuredKeyPrefix(*this);
     fp.u64("search.max_cache_ways", maxCacheWays);
     fp.real("search.budget_rbe", budgetRbe);
     fp.u64("search.top_k", topK);
@@ -307,14 +318,17 @@ AllocationRequest::fingerprint(Fingerprint &fp) const
         fp.real("anneal.initial_temp", annealing.initialTemp);
         fp.real("anneal.final_temp", annealing.finalTemp);
     }
+    fp.str("artifact", "response");
+    return fp;
 }
 
 Fingerprint
-AllocationRequest::responseKey() const
+AllocationRequest::measurementKey() const
 {
-    Fingerprint fp;
-    fingerprint(fp);
-    fp.str("artifact", "response");
+    Fingerprint fp = measuredKeyPrefix(*this);
+    fp.u64("measurement.format_version", measurementFormatVersion);
+    MachineParams::decstation3100().fingerprint(fp);
+    fp.str("artifact", "measurement");
     return fp;
 }
 

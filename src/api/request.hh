@@ -22,7 +22,8 @@
  * same key no matter how it is scheduled. Strategy and its seed ARE
  * content: an annealing answer must never be served for an
  * exhaustive query (tests/support/test_fingerprint.cc pins the
- * canonical text).
+ * canonical text). The measurement fields alone (run, workloads,
+ * space) key the averaged CPI tables every ranking of them shares.
  */
 
 #ifndef OMA_API_REQUEST_HH
@@ -45,6 +46,10 @@ namespace oma::api
  * every response key so codec changes age stored answers into
  * misses. */
 inline constexpr std::uint32_t apiFormatVersion = 1;
+
+/** Version of the measurement payload (encodeMeasurement() in
+ * api/query_engine.hh); fingerprinted into every measurement key. */
+inline constexpr std::uint32_t measurementFormatVersion = 1;
 
 inline constexpr std::string_view requestSchema =
     "oma-allocation-request-v1";
@@ -117,13 +122,20 @@ struct AllocationRequest
         return rc;
     }
 
-    /** Append every content field (formats, workloads, space,
-     * budget, strategy + its seed) to @p fp; execution fields are
+    /** The artifact-store key of this request's response: every
+     * content field (formats, run, workloads, space, budget,
+     * strategy + its knobs, top_k); execution fields are
      * deliberately absent. */
-    void fingerprint(Fingerprint &fp) const;
-
-    /** The artifact-store key of this request's response. */
     [[nodiscard]] Fingerprint responseKey() const;
+
+    /** The artifact-store key of this request's averaged CPI tables:
+     * the formats, the measurement-payload version, os, seed,
+     * references, the ordered workload list (averaging sums in list
+     * order), the space and the reference machine. The ranking knobs
+     * (budget, max_cache_ways, strategy and its knobs, top_k) and
+     * `threads` stay out, so every question over one measurement
+     * shares its entry. */
+    [[nodiscard]] Fingerprint measurementKey() const;
 };
 
 /** The canonical answer to one AllocationRequest. */

@@ -6,92 +6,12 @@
 #include "store/codec.hh"
 
 #include <algorithm>
-#include <cstring>
-#include <type_traits>
 #include <vector>
 
 #include "trace/codec.hh"
 
 namespace oma::store
 {
-
-namespace
-{
-
-/** Append @p v's raw host-order bytes: an integer, a double's bits,
- * or an integer array element by element. */
-template <class T>
-void
-appendRaw(std::string &out, const T &v)
-{
-    static_assert(std::is_arithmetic_v<std::remove_all_extents_t<T>>);
-    char buf[sizeof v];
-    std::memcpy(buf, &v, sizeof v);
-    out.append(buf, sizeof v);
-}
-
-/** Bounds-checked cursor over an encoded payload. */
-class Reader
-{
-  public:
-    explicit Reader(std::string_view in) : _in(in) {}
-
-    /** Read the next sizeof(v) bytes into @p v, as appendRaw()
-     * wrote them. */
-    template <class T>
-    bool
-    get(T &v)
-    {
-        return raw(&v, sizeof v);
-    }
-
-    /** Borrow the next @p n bytes without copying them. */
-    bool
-    bytes(std::size_t n, std::string_view &v)
-    {
-        if (remaining() < n)
-            return fail();
-        v = _in.substr(_pos, n);
-        _pos += n;
-        return true;
-    }
-
-    /** True when every byte was consumed and nothing failed. */
-    [[nodiscard]] bool
-    done() const
-    {
-        return _ok && _pos == _in.size();
-    }
-
-  private:
-    bool
-    raw(void *dst, std::size_t n)
-    {
-        if (remaining() < n)
-            return fail();
-        std::memcpy(dst, _in.data() + _pos, n);
-        _pos += n;
-        return true;
-    }
-
-    [[nodiscard]] std::size_t remaining() const
-    {
-        return _in.size() - _pos;
-    }
-
-    bool
-    fail()
-    {
-        _ok = false;
-        return false;
-    }
-
-    std::string_view _in;
-    std::size_t _pos = 0;
-    bool _ok = true;
-};
-
-} // namespace
 
 std::string
 encodeTrace(const RecordedTrace &trace)

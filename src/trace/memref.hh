@@ -58,12 +58,6 @@ struct MemRef
     bool isKernel() const { return mode == Mode::Kernel; }
 };
 
-/** Short lowercase name for a reference kind ("ifetch", ...). */
-const char *refKindName(RefKind kind);
-
-/** Short lowercase name for a mode ("user" / "kernel"). */
-const char *modeName(Mode mode);
-
 } // namespace oma
 
 #endif // OMA_TRACE_MEMREF_HH

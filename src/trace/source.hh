@@ -7,7 +7,6 @@
 #define OMA_TRACE_SOURCE_HH
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "trace/memref.hh"
@@ -78,16 +77,6 @@ class VectorTraceSink : public TraceSink
 
     std::vector<MemRef> refs;
 };
-
-/**
- * Drain @p source into @p fn, at most @p limit references
- * (0 = unlimited).
- *
- * @return the number of references processed.
- */
-std::uint64_t drain(TraceSource &source,
-                    const std::function<void(const MemRef &)> &fn,
-                    std::uint64_t limit = 0);
 
 } // namespace oma
 

@@ -3,7 +3,8 @@
  * QueryEngine serving-discipline tests.
  *
  * The contract under test (docs/MODEL.md §14): every serving path —
- * cold compute, store-warm, a batch's duplicate lines — returns
+ * cold compute, a stored measurement, a stored response, a batch's
+ * duplicate lines — returns
  * bitwise identical response bytes, at any thread count, and the
  * serve counters prove which path ran. The cold answer itself must
  * equal what the underlying sweep + strategy engines produce when
@@ -14,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -64,6 +66,35 @@ tinyRequest()
     request.space.cacheWays = {1, 2};
     request.topK = 5;
     return request;
+}
+
+/** The files under @p root, as sorted relative paths. */
+std::vector<std::string>
+storeFiles(const std::string &root)
+{
+    std::vector<std::string> paths;
+    for (const auto &entry : fs::recursive_directory_iterator(root))
+        if (entry.is_regular_file())
+            paths.push_back(
+                fs::relative(entry.path(), root).generic_string());
+    std::sort(paths.begin(), paths.end());
+    return paths;
+}
+
+/** One digest of every (relative path, file bytes) pair of
+ * @p paths under @p root, in the given order. */
+std::string
+storeDigest(const std::string &root,
+            const std::vector<std::string> &paths)
+{
+    Fingerprint digest;
+    for (const std::string &path : paths) {
+        std::ifstream in(fs::path(root) / path, std::ios::binary);
+        const std::string bytes((std::istreambuf_iterator<char>(in)),
+                                std::istreambuf_iterator<char>());
+        digest.str(path, bytes);
+    }
+    return digest.hex();
 }
 
 std::uint64_t
@@ -175,12 +206,15 @@ TEST(QueryEngine, SecondAnswerIsStoreWarmAndBitwiseIdentical)
     // and gets its response; a computed one then averages, encodes
     // and puts it.
     const char *const lookups[] = {"calls/serve/key", "calls/serve/get"};
-    const char *const stages[] = {"calls/serve/average",
+    const char *const stages[] = {"calls/serve/measure",
+                                  "calls/serve/average",
                                   "calls/serve/encode", "calls/serve/put"};
     for (const char *lookup : lookups)
         EXPECT_EQ(counter(cold, lookup), 1u) << lookup;
     for (const char *stage : stages)
         EXPECT_EQ(counter(cold, stage), 1u) << stage;
+    EXPECT_EQ(counter(cold, "serve/measured"), 1u);
+    EXPECT_EQ(counter(cold, "serve/measurement_hits"), 0u);
 
     obs::Observation warm;
     const std::string second = engine.answer(request, &warm);
@@ -203,7 +237,196 @@ TEST(QueryEngine, SecondAnswerIsStoreWarmAndBitwiseIdentical)
     obs::Observation cross;
     EXPECT_EQ(other.answer(request, &cross), first);
     EXPECT_EQ(counter(cross, "serve/warm_hits"), 1u);
+
+    // A new budget is a new answer over the stored measurement: one
+    // measurement get, then the search, the encode and the put. No
+    // shard is loaded, nothing records or replays, nothing averages.
+    AllocationRequest tighter = request;
+    tighter.budgetRbe = 50000.0;
+    obs::Observation ranked;
+    EXPECT_EQ(engine.answer(tighter, &ranked),
+              QueryEngine().answer(tighter));
+    EXPECT_EQ(counter(ranked, "serve/computed"), 1u);
+    EXPECT_EQ(counter(ranked, "serve/measurement_hits"), 1u);
+    EXPECT_EQ(counter(ranked, "serve/measured"), 0u);
+    EXPECT_EQ(counter(ranked, "store/hits"), 1u);
+    EXPECT_EQ(counter(ranked, "store/writes"), 0u);
+    for (const char *none : {"sweep/records", "sweep/replays",
+                             "calls/sweep/load", "calls/serve/average"})
+        EXPECT_EQ(counter(ranked, none), 0u) << none;
+    for (const char *stage : {"calls/serve/measure", "calls/serve/encode",
+                              "calls/serve/put"})
+        EXPECT_EQ(counter(ranked, stage), 1u) << stage;
     fs::remove_all(dir);
+}
+
+TEST(QueryEngine, EveryPathGivesTheSameBytesAt1And4Threads)
+{
+    // One question answered cold, from a stored measurement, and
+    // stored, at 1 and 4 threads: one set of bytes.
+    AllocationRequest request = tinyRequest();
+    request.workloads = {BenchmarkId::Mab, BenchmarkId::Mpeg};
+    const std::string expected = QueryEngine().answer(request);
+    for (const unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(testing::Message() << "threads " << threads);
+        request.threads = threads;
+        AllocationRequest other = request;
+        other.topK = 2;
+        QueryEngineConfig config;
+        config.storeDir = storeRoot("paths" + std::to_string(threads));
+        const QueryEngine engine(config);
+        EXPECT_EQ(QueryEngine().answer(request), expected);
+        static_cast<void>(engine.answer(other));
+        obs::Observation measured, stored;
+        EXPECT_EQ(engine.answer(request, &measured), expected);
+        EXPECT_EQ(counter(measured, "serve/measurement_hits"), 1u);
+        EXPECT_EQ(engine.answer(request, &stored), expected);
+        EXPECT_EQ(counter(stored, "serve/warm_hits"), 1u);
+        fs::remove_all(config.storeDir);
+    }
+}
+
+TEST(QueryEngine, DecodedMeasurementEqualsTheAverage)
+{
+    // The stored tables decode to average()'s field for field: the
+    // geometries and extension parameters rebuilt from the space, and
+    // every CPI bit for bit.
+    const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+    const auto text = [](const auto &params) {
+        Fingerprint fp;
+        params.fingerprint(fp);
+        return fp.text();
+    };
+    for (const ConfigSpace &space :
+         {ConfigSpace(), ConfigSpace::extended()}) {
+        SCOPED_TRACE(space.hasExtensions() ? "extended" : "classic");
+        AllocationRequest request = tinyRequest();
+        request.space = space;
+        const ComponentCpiTables averaged = ComponentCpiTables::average(
+            QueryEngine().sweep(request), MachineParams::decstation3100());
+        ComponentCpiTables decoded;
+        ASSERT_TRUE(decodeMeasurement(encodeMeasurement(averaged), space,
+                                      decoded));
+
+        EXPECT_EQ(decoded.icacheGeoms, averaged.icacheGeoms);
+        EXPECT_EQ(decoded.dcacheGeoms, averaged.dcacheGeoms);
+        EXPECT_EQ(decoded.tlbGeoms, averaged.tlbGeoms);
+        const std::vector<double> ComponentCpiTables::*columns[] = {
+            &ComponentCpiTables::icacheCpi, &ComponentCpiTables::dcacheCpi,
+            &ComponentCpiTables::tlbCpi};
+        for (const auto column : columns) {
+            ASSERT_EQ((decoded.*column).size(), (averaged.*column).size());
+            for (std::size_t i = 0; i < (averaged.*column).size(); ++i)
+                EXPECT_EQ(bits((decoded.*column)[i]),
+                          bits((averaged.*column)[i]));
+        }
+        EXPECT_EQ(space.hasExtensions(), !averaged.victimOptions.empty());
+        ASSERT_EQ(decoded.victimOptions.size(),
+                  averaged.victimOptions.size());
+        for (std::size_t i = 0; i < averaged.victimOptions.size(); ++i) {
+            EXPECT_EQ(text(decoded.victimOptions[i].params),
+                      text(averaged.victimOptions[i].params));
+            EXPECT_EQ(bits(decoded.victimOptions[i].cpi),
+                      bits(averaged.victimOptions[i].cpi));
+        }
+        ASSERT_EQ(decoded.wbOptions.size(), averaged.wbOptions.size());
+        for (std::size_t i = 0; i < averaged.wbOptions.size(); ++i) {
+            EXPECT_EQ(text(decoded.wbOptions[i].params),
+                      text(averaged.wbOptions[i].params));
+            EXPECT_EQ(bits(decoded.wbOptions[i].cpi),
+                      bits(averaged.wbOptions[i].cpi));
+        }
+        ASSERT_EQ(decoded.hierarchyOptions.size(),
+                  averaged.hierarchyOptions.size());
+        for (std::size_t i = 0; i < averaged.hierarchyOptions.size(); ++i) {
+            EXPECT_EQ(text(decoded.hierarchyOptions[i].params),
+                      text(averaged.hierarchyOptions[i].params));
+            EXPECT_EQ(bits(decoded.hierarchyOptions[i].cpi),
+                      bits(averaged.hierarchyOptions[i].cpi));
+        }
+        for (const double ComponentCpiTables::*scalar :
+             {&ComponentCpiTables::baseCpi, &ComponentCpiTables::wbCpi,
+              &ComponentCpiTables::otherCpi})
+            EXPECT_EQ(bits(decoded.*scalar), bits(averaged.*scalar));
+    }
+}
+
+TEST(QueryEngine, MeasurementOfOtherLengthsIsAMiss)
+{
+    // Tables whose list lengths disagree with the space's do not
+    // decode, whatever the payload's size, and an answer re-measures
+    // rather than trusting them.
+    const AllocationRequest request = tinyRequest();
+    const QueryEngine storeless;
+    const std::string classic = encodeMeasurement(
+        ComponentCpiTables::average(storeless.sweep(request),
+                                    MachineParams::decstation3100()));
+    ComponentCpiTables decoded;
+    EXPECT_TRUE(decodeMeasurement(classic, request.space, decoded));
+    EXPECT_FALSE(decodeMeasurement(classic, ConfigSpace::extended(),
+                                   decoded));
+    EXPECT_FALSE(decodeMeasurement(classic.substr(0, classic.size() - 8),
+                                   request.space, decoded));
+    EXPECT_FALSE(decodeMeasurement("", request.space, decoded));
+    // The same size, but one double moved from the D-cache list to the
+    // I-cache list.
+    std::string shifted = classic;
+    shifted[0] = char(shifted[0] + 1);
+    shifted[8] = char(shifted[8] - 1);
+    EXPECT_FALSE(decodeMeasurement(shifted, request.space, decoded));
+
+    QueryEngineConfig config;
+    config.storeDir = storeRoot("lengths");
+    const QueryEngine engine(config);
+    engine.store()->put(request.measurementKey(), shifted);
+    obs::Observation obs;
+    EXPECT_EQ(engine.answer(request, &obs), storeless.answer(request));
+    EXPECT_EQ(counter(obs, "serve/measurement_hits"), 0u);
+    EXPECT_EQ(counter(obs, "serve/measured"), 1u);
+    EXPECT_EQ(counter(obs, "store/quarantined"), 0u);
+    std::string payload;
+    ASSERT_TRUE(engine.store()->get(request.measurementKey(), payload));
+    EXPECT_EQ(payload, classic);
+    fs::remove_all(config.storeDir);
+}
+
+TEST(QueryEngine, CorruptMeasurementIsQuarantinedAndRemeasured)
+{
+    // A truncated or garbage measurement entry is moved aside, and the
+    // question re-measures from the stored shards, recording nothing,
+    // with the bytes it gets from an intact store.
+    QueryEngineConfig config;
+    config.storeDir = storeRoot("corrupt");
+    const QueryEngine engine(config);
+    AllocationRequest request = tinyRequest();
+    static_cast<void>(engine.answer(request));
+    const std::string entry =
+        engine.store()->entryPath(request.measurementKey());
+    std::ifstream in(entry, std::ios::binary);
+    const std::string intact((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+    ASSERT_FALSE(intact.empty());
+
+    const std::string damaged[] = {intact.substr(0, intact.size() / 2),
+                                   std::string(intact.size(), 'x')};
+    for (const std::string &bytes : damaged) {
+        std::ofstream(entry, std::ios::binary | std::ios::trunc) << bytes;
+        request.budgetRbe -= 1000.0;
+        obs::Observation obs;
+        EXPECT_EQ(engine.answer(request, &obs),
+                  QueryEngine().answer(request));
+        EXPECT_EQ(counter(obs, "store/quarantined"), 1u);
+        EXPECT_EQ(counter(obs, "serve/measured"), 1u);
+        EXPECT_EQ(counter(obs, "sweep/records"), 0u);
+        EXPECT_EQ(counter(obs, "sweep/trace_skips"), 1u);
+        EXPECT_TRUE(fs::exists(entry + ".corrupt"));
+        std::ifstream again(entry, std::ios::binary);
+        EXPECT_EQ(std::string((std::istreambuf_iterator<char>(again)),
+                              std::istreambuf_iterator<char>()),
+                  intact);
+        fs::remove(entry + ".corrupt");
+    }
+    fs::remove_all(config.storeDir);
 }
 
 TEST(QueryEngine, BatchCoalescesDuplicatesToOneComputation)
@@ -234,6 +457,42 @@ TEST(QueryEngine, BatchCoalescesDuplicatesToOneComputation)
     EXPECT_EQ(counter(obs, "serve/warm_hits"), 0u);
     EXPECT_EQ(counter(obs, "serve/rejected"), 0u);
     fs::remove_all(dir);
+}
+
+TEST(QueryEngine, BatchRanksALaterBudgetFromTheStoredMeasurement)
+{
+    // On one lane, the second of two cold questions that differ only
+    // in budget is ranked from the measurement the first stored: each
+    // workload is recorded once, and each question gets the bytes it
+    // gets alone.
+    AllocationRequest wide = tinyRequest();
+    wide.workloads = {BenchmarkId::Mab, BenchmarkId::Mpeg};
+    AllocationRequest tight = wide;
+    tight.budgetRbe = 50000.0;
+    QueryEngineConfig config;
+    config.storeDir = storeRoot("batch_measured");
+    config.maxInflight = 1;
+    const QueryEngine engine(config);
+    obs::Observation obs;
+    const std::vector<std::string> answers = engine.answerBatch(
+        {encodeRequest(wide), encodeRequest(tight)}, &obs);
+    ASSERT_EQ(answers.size(), 2u);
+    EXPECT_EQ(answers[0], QueryEngine().answer(wide));
+    EXPECT_EQ(answers[1], QueryEngine().answer(tight));
+    EXPECT_NE(answers[0], answers[1]);
+
+    EXPECT_EQ(counter(obs, "serve/computed"), 2u);
+    EXPECT_EQ(counter(obs, "serve/measured"), 1u);
+    EXPECT_EQ(counter(obs, "serve/measurement_hits"), 1u);
+    EXPECT_EQ(counter(obs, "calls/serve/measure"), 2u);
+    EXPECT_EQ(counter(obs, "calls/serve/answer"), 2u);
+    EXPECT_EQ(counter(obs, "sweep/records"), 2u);
+    // The engine's store holds the two responses; the sweep's writes
+    // are every shard once plus the measurement.
+    EXPECT_EQ(engine.store()->stats().writes, 2u);
+    EXPECT_EQ(counter(obs, "store/writes") + 2,
+              storeFiles(config.storeDir).size());
+    fs::remove_all(config.storeDir);
 }
 
 TEST(QueryEngine, BatchMixesWarmDistinctAndInvalidLines)
@@ -434,55 +693,29 @@ TEST(QueryEngine, ValidateNamesTheOffendingField)
               "100000000");
 }
 
-/** The files under @p root, as sorted relative paths. */
-std::vector<std::string>
-storeFiles(const std::string &root)
-{
-    std::vector<std::string> paths;
-    for (const auto &entry : fs::recursive_directory_iterator(root))
-        if (entry.is_regular_file())
-            paths.push_back(
-                fs::relative(entry.path(), root).generic_string());
-    std::sort(paths.begin(), paths.end());
-    return paths;
-}
-
-/** One digest of every (relative path, file bytes) pair of
- * @p paths under @p root, in the given order. */
-std::string
-storeDigest(const std::string &root,
-            const std::vector<std::string> &paths)
-{
-    Fingerprint digest;
-    for (const std::string &path : paths) {
-        std::ifstream in(fs::path(root) / path, std::ios::binary);
-        const std::string bytes((std::istreambuf_iterator<char>(in)),
-                                std::istreambuf_iterator<char>());
-        digest.str(path, bytes);
-    }
-    return digest.hex();
-}
-
 TEST(QueryEngine, StoreBytesArePinned)
 {
     // Every file a cold answer leaves in an empty store (every
-    // replay shard and the response; no trace) is pinned byte for
-    // byte, at any thread count. Store payloads hold integers and
-    // doubles in host byte order, so the goldens are those of an
-    // x86-64 (little-endian) host. A deliberate format change
-    // regenerates them and says so in the change log.
+    // replay shard, the measurement and the response; no trace) is
+    // pinned byte for byte, at any thread count. Store payloads hold
+    // integers and doubles in host byte order, so the goldens are
+    // those of an x86-64 (little-endian) host. A deliberate format
+    // change regenerates them and says so in the change log.
     struct Question
     {
         const char *name;
         ConfigSpace space;
         std::size_t files;
         const char *digest;
+        const char *measurementDigest;
     };
     const Question questions[] = {
         {"classic", ConfigSpace(), 517,
-         "86fba7be1ff1387d5250509a3e86c51e"},
+         "86fba7be1ff1387d5250509a3e86c51e",
+         "015ce7aa0b5ea1a237e543f88c008cd1"},
         {"extended", ConfigSpace::extended(), 559,
-         "7527b9fc093f73e44ec6cb8f7a2a4b23"},
+         "7527b9fc093f73e44ec6cb8f7a2a4b23",
+         "4927e49406eaaabd89f285843656da9a"},
     };
     for (const Question &q : questions) {
         for (const unsigned threads : {1u, 4u}) {
@@ -499,10 +732,22 @@ TEST(QueryEngine, StoreBytesArePinned)
             QueryEngine engine(config);
             const std::string answer = engine.answer(request);
             EXPECT_EQ(answer.find("oma-error-v1"), std::string::npos);
-            const std::vector<std::string> paths =
-                storeFiles(config.storeDir);
+            // The measurement entry has its own golden; every other
+            // file kept its bytes when the store began holding it.
+            const std::string measurement =
+                fs::relative(engine.store()->entryPath(
+                                 request.measurementKey()),
+                             config.storeDir)
+                    .generic_string();
+            std::vector<std::string> paths = storeFiles(config.storeDir);
+            const auto entry =
+                std::find(paths.begin(), paths.end(), measurement);
+            ASSERT_NE(entry, paths.end());
+            paths.erase(entry);
             EXPECT_EQ(paths.size(), q.files);
             EXPECT_EQ(storeDigest(config.storeDir, paths), q.digest);
+            EXPECT_EQ(storeDigest(config.storeDir, {measurement}),
+                      q.measurementDigest);
             fs::remove_all(config.storeDir);
         }
     }

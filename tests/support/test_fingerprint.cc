@@ -6,13 +6,15 @@
  * order or value encoding silently orphans every previously stored
  * shard. These tests pin the exact canonical text of every component
  * kind's parameters (cache, TLB, victim cache, write buffer,
- * hierarchy) and of the reference machine, and the frame of the
- * query API's response key.
+ * hierarchy) and of the reference machine, and the frames of the
+ * query API's response and measurement keys.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include "api/request.hh"
 #include "cache/hierarchy.hh"
@@ -249,6 +251,86 @@ TEST(FingerprintText, AllocationRequestKeySeparatesContentFromSchedule)
     perturbed = base;
     perturbed.workloads = {BenchmarkId::VideoPlay};
     EXPECT_NE(hexOf(base), hexOf(perturbed));
+}
+
+TEST(FingerprintText, MeasurementKeySchemeIsPinned)
+{
+    // The key of the averaged CPI tables of the default Table 6
+    // request: the response key's measured fields, then the payload
+    // version and the reference machine. Its 274 lines are pinned by
+    // their digest; the frame around the workload and space sections
+    // (pinned by their own scheme tests) is pinned as text.
+    const api::AllocationRequest request;
+    const Fingerprint key = request.measurementKey();
+    const std::string &text = key.text();
+
+    const std::string header = "api.format_version=1\n"
+                               "store.format_version=1\n"
+                               "trace.format_version=3\n"
+                               "run.os=4:Mach\n"
+                               "run.seed=42\n"
+                               "run.references=3000000\n"
+                               "workloads.n=6\n"
+                               "workload.name=9:mpeg_play\n";
+    EXPECT_EQ(text.substr(0, header.size()), header);
+
+    Fingerprint machine;
+    MachineParams::decstation3100().fingerprint(machine);
+    const std::string tail = "space.hier_l1_ways=2\n"
+                             "measurement.format_version=1\n" +
+        machine.text() + "artifact=11:measurement\n";
+    ASSERT_GE(text.size(), tail.size());
+    EXPECT_EQ(text.substr(text.size() - tail.size()), tail);
+    EXPECT_EQ(key.hex(), "6243cb9ad2164aae1b86920880934441");
+}
+
+TEST(FingerprintText, MeasurementKeySeparatesMeasurementFromRanking)
+{
+    const auto hexOf = [](const api::AllocationRequest &r) {
+        return r.measurementKey().hex();
+    };
+    const api::AllocationRequest base;
+
+    // Every ranking knob and the schedule leave the key alone...
+    api::AllocationRequest ranked = base;
+    ranked.budgetRbe = base.budgetRbe / 2;
+    ranked.maxCacheWays = 2;
+    ranked.strategy = api::Strategy::Annealing;
+    ranked.annealing.seed += 1;
+    ranked.annealing.chains += 1;
+    ranked.annealing.iterations += 1;
+    ranked.annealing.initialTemp *= 2;
+    ranked.annealing.finalTemp *= 2;
+    ranked.topK = 3;
+    ranked.threads = 16;
+    EXPECT_EQ(hexOf(ranked), hexOf(base));
+    EXPECT_NE(ranked.responseKey().hex(), base.responseKey().hex());
+
+    // ...while the run, the workload order and every space axis move
+    // it.
+    std::vector<api::AllocationRequest> measured(19, base);
+    measured[0].os = OsKind::Ultrix;
+    measured[1].seed += 1;
+    measured[2].references += 1;
+    std::reverse(measured[3].workloads.begin(),
+                 measured[3].workloads.end());
+    measured[4].space.tlbEntries = {64};
+    measured[5].space.tlbWays = {1};
+    measured[6].space.tlbFullAssocMax = 0;
+    measured[7].space.cacheKBytes = {2};
+    measured[8].space.lineWords = {4};
+    measured[9].space.cacheWays = {1};
+    measured[10].space.victimEntries = {4};
+    measured[11].space.victimLineWords = 8;
+    measured[12].space.wbEntries = {4};
+    measured[13].space.wbDrainCycles = 5;
+    measured[14].space.l2KBytes = {64};
+    measured[15].space.l2Ways = 2;
+    measured[16].space.l2LineWords = 16;
+    measured[17].space.hierL1LineWords = 8;
+    measured[18].space.hierL1Ways = 1;
+    for (std::size_t i = 0; i < measured.size(); ++i)
+        EXPECT_NE(hexOf(measured[i]), hexOf(base)) << "change " << i;
 }
 
 TEST(FingerprintText, EveryFieldReachesTheHash)

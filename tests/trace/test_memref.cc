@@ -36,15 +36,6 @@ TEST(MemRef, ModePredicate)
     EXPECT_FALSE(r.isKernel());
 }
 
-TEST(MemRef, Names)
-{
-    EXPECT_STREQ(refKindName(RefKind::IFetch), "ifetch");
-    EXPECT_STREQ(refKindName(RefKind::Load), "load");
-    EXPECT_STREQ(refKindName(RefKind::Store), "store");
-    EXPECT_STREQ(modeName(Mode::User), "user");
-    EXPECT_STREQ(modeName(Mode::Kernel), "kernel");
-}
-
 TEST(MemRef, Defaults)
 {
     MemRef r;

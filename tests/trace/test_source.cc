@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for trace sources, sinks, drain and filtering.
+ * Unit tests for trace sources, sinks and filtering.
  */
 
 #include <gtest/gtest.h>
@@ -47,20 +47,6 @@ TEST(VectorTraceSource, RewindRestarts)
     src.rewind();
     ASSERT_TRUE(src.next(r));
     EXPECT_EQ(r.vaddr, 0x1000u);
-}
-
-TEST(Drain, CountsAndLimits)
-{
-    VectorTraceSource src(makeRefs(100));
-    int seen = 0;
-    const std::uint64_t n =
-        drain(src, [&](const MemRef &) { ++seen; }, 42);
-    EXPECT_EQ(n, 42u);
-    EXPECT_EQ(seen, 42);
-
-    // Unlimited drains the rest.
-    const std::uint64_t rest = drain(src, [](const MemRef &) {});
-    EXPECT_EQ(rest, 58u);
 }
 
 TEST(VectorTraceSink, Collects)
